@@ -5,9 +5,13 @@ r >= 2 (the number of terms of the shared state living on that edge).  Edge
 identity is positional: the same vertex set may occur several times and each
 occurrence is a distinct edge, addressed by its 0-based index.
 
-Edge-connectivity and minimum cuts are computed by exhaustive bipartition
-enumeration (2^(k-1) - 1 sides), which is exact and entirely sufficient at
-the scales this package targets (k <= 24).
+Edge-connectivity, minimum cuts, a-b cuts and edge-disjoint paths all come
+from one unit-capacity max-flow on the vertex-edge incidence network (each
+edge is a node of capacity one; Menger's theorem for hypergraphs, Lawler
+1973).  lambda is the least of the k - 1 flows from vertex 1 to each other
+vertex; the witness side is then fixed one vertex at a time with k - 1 more
+flows.  Only the weighted cut with unequal levels, whose product of levels
+is not an additive capacity, enumerates bipartitions (k <= 24).
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .errors import (
 MAX_CUT_ENUM_VERTICES = 24
 MAX_REMOVAL_ORACLE_EDGES = 12
 MAX_VERTEX_CONN_ORACLE = 10
+
+# (head, adj) of the incidence network; see _incidence_network
+_Network = tuple[list[int], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -180,13 +187,99 @@ def _require_cut_preconditions(h: Hypergraph) -> None:
     validate(h)
     if h.k < 2:
         raise TooFewVerticesError(f"k={h.k}; cuts need at least 2 vertices")
-    if h.k > MAX_CUT_ENUM_VERTICES:
-        raise TooLargeError(
-            f"k={h.k} exceeds the bipartition-enumeration bound "
-            f"{MAX_CUT_ENUM_VERTICES}"
-        )
     if not is_connected(h):
         raise DisconnectedError("hypergraph is disconnected")
+
+
+def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
+    if a == b:
+        raise SameVertexError(f"vertices must differ, got {a} twice")
+    for v in (a, b):
+        if not (1 <= v <= h.k):
+            raise VertexOutOfRangeError(-1, v, h.k)
+
+
+def _incidence_network(h: Hypergraph) -> _Network:
+    """Unit-capacity vertex-edge incidence network as (head, adj).
+
+    Node v is vertex v; edge i is split into nodes k+1+2i (in) and k+2+2i
+    (out) joined by one unit arc, so each edge carries at most one path.
+    Arcs come in pairs: even arc ids are the unit arcs, arc ^ 1 is the
+    reverse.  adj[u] lists the arcs leaving u in a fixed order (a vertex's
+    edges ascending; an edge's vertices ascending), which is what makes
+    augmenting paths, and so the decomposed paths, deterministic.
+    """
+    head: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(h.k + 1 + 2 * len(h.edges))]
+
+    def arc(u: int, v: int) -> None:
+        adj[u].append(len(head))
+        head.append(v)
+        adj[v].append(len(head))
+        head.append(u)
+
+    for i, e in enumerate(h.edges):
+        e_in = h.k + 1 + 2 * i
+        arc(e_in, e_in + 1)
+        for v in sorted(e.vertices):
+            arc(v, e_in)
+            arc(e_in + 1, v)
+    return head, adj
+
+
+def _unit_max_flow(
+    net: _Network,
+    sources: Sequence[int],
+    sinks: Sequence[int],
+    limit: int | None = None,
+) -> tuple[int, list[int]]:
+    """Edmonds-Karp from a vertex set to a disjoint vertex set.
+
+    Returns (value, residual capacities); the flow on unit arc a is
+    residual[a ^ 1].  Stops as soon as the value exceeds ``limit``, so the
+    value is exact only when it is at most ``limit``.
+    """
+    head, adj = net
+    residual = [1, 0] * (len(head) // 2)
+    is_sink = [False] * len(adj)
+    for t in sinks:
+        is_sink[t] = True
+    value = 0
+    while limit is None or value <= limit:
+        via = [-1] * len(adj)  # arc each reached node was reached by
+        for s in sources:
+            via[s] = -2
+        end = -1
+        queue = list(sources)
+        for u in queue:
+            for a in adj[u]:
+                if residual[a] and via[head[a]] == -1:
+                    v = head[a]
+                    via[v] = a
+                    if is_sink[v]:
+                        end = v
+                        break
+                    queue.append(v)
+            if end >= 0:
+                break
+        if end < 0:
+            break
+        while via[end] >= 0:
+            a = via[end]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+            end = head[a ^ 1]
+        value += 1
+    return value, residual
+
+
+def _lambda(h: Hypergraph, net: _Network) -> int:
+    # Vertex 1 is on one side of every cut, so lambda is the least 1-b flow;
+    # each flow stops once it reaches the best value so far.
+    lam = len(h.incident(1))
+    for b in range(2, h.k + 1):
+        lam = min(lam, _unit_max_flow(net, [1], [b], limit=lam - 1)[0])
+    return lam
 
 
 def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
@@ -194,27 +287,50 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
 
     Unweighted: minimizes the number of crossing edges (their count is the
     edge-connectivity).  Weighted: minimizes the product of crossing levels.
-    Ties resolve to the first side in enumeration order, so results are
-    deterministic.
+    Ties resolve to the first side containing vertex 1 in mask order (bit
+    v - 2 set when vertex v is on the side), so results are deterministic.
+
+    When all levels are equal, L say, the product is L^|crossing| and both
+    cuts are the same.  It is found by k - 1 flows for lambda and k - 1 more
+    for the side: for v = k down to 2, v goes outside exactly when some
+    minimum cut still puts it there.  Unequal levels enumerate all
+    2^(k-1) - 1 sides, up to MAX_CUT_ENUM_VERTICES vertices.
     """
     _require_cut_preconditions(h)
     levels = h.levels()
+    if weighted and len(set(levels)) > 1:
+        return _min_rank_cut_by_enumeration(h, levels)
+    net = _incidence_network(h)
+    lam = _lambda(h, net)
+    inside, outside = [1], []
+    for v in range(h.k, 1, -1):
+        value, _ = _unit_max_flow(net, inside, outside + [v], limit=lam)
+        (outside if value == lam else inside).append(v)
+    side = frozenset(inside)
+    crossing = h.crossing(side)
+    return Cut(side, crossing, prod(levels[i] for i in crossing))
+
+
+def _min_rank_cut_by_enumeration(h: Hypergraph, levels: tuple[int, ...]) -> Cut:
+    if h.k > MAX_CUT_ENUM_VERTICES:
+        raise TooLargeError(
+            f"k={h.k} exceeds the bound {MAX_CUT_ENUM_VERTICES} on enumerating "
+            f"bipartitions for the min-cut rank with unequal levels"
+        )
     best: Cut | None = None
-    best_key = None
     for side in _iter_sides(h.k):
         crossing = h.crossing(side)
         r = prod(levels[i] for i in crossing)
-        key = r if weighted else len(crossing)
-        if best is None or key < best_key:
+        if best is None or r < best.rank:
             best = Cut(side, crossing, r)
-            best_key = key
     assert best is not None
     return best
 
 
 def edge_connectivity(h: Hypergraph) -> int:
     """Minimum number of crossing edges over all bipartitions (levels ignored)."""
-    return len(min_cut(h, weighted=False).crossing)
+    _require_cut_preconditions(h)
+    return _lambda(h, _incidence_network(h))
 
 
 def min_cut_rank(h: Hypergraph) -> int:
@@ -299,54 +415,8 @@ def vertex_connectivity(g: Graph) -> int:
 def min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     """Minimum crossing-edge count over bipartitions with a inside, b outside."""
     _require_cut_preconditions(h)
-    if a == b:
-        raise SameVertexError(f"vertices must differ, got {a} twice")
-    for v in (a, b):
-        if not (1 <= v <= h.k):
-            raise VertexOutOfRangeError(-1, v, h.k)
-    rest = [v for v in range(1, h.k + 1) if v not in (a, b)]
-    best = None
-    for mask in range(2 ** len(rest)):
-        side = {a}
-        for bit, v in enumerate(rest):
-            if mask >> bit & 1:
-                side.add(v)
-        count = len(h.crossing(frozenset(side)))
-        if best is None or count < best:
-            best = count
-    assert best is not None
-    return best
-
-
-def _unit_max_flow(arcs: dict, source, sink) -> tuple[int, dict]:
-    """Edmonds-Karp on unit capacities; returns (value, net positive flow)."""
-    residual = {u: dict(nbrs) for u, nbrs in arcs.items()}
-    value = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v, cap in residual.get(u, {}).items():
-                if cap > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            break
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[u][v] -= 1
-            residual.setdefault(v, {})[u] = residual.get(v, {}).get(u, 0) + 1
-            v = u
-        value += 1
-    flow = {}
-    for u, nbrs in arcs.items():
-        for v, cap in nbrs.items():
-            used = cap - residual[u][v]
-            if used > 0:
-                flow.setdefault(u, {})[v] = used
-    return value, flow
+    _require_vertex_pair(h, a, b)
+    return _unit_max_flow(_incidence_network(h), [a], [b])[0]
 
 
 def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
@@ -355,46 +425,32 @@ def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
     A path is a list of edge indices in which consecutive edges share a
     vertex, the first contains a and the last contains b.  Computed by
     unit-capacity max-flow on the vertex-edge incidence network (each edge
-    node capped at one use), then decomposed deterministically.
+    node capped at one use), then decomposed deterministically: each step
+    takes the smallest edge index, then the smallest vertex, that carries
+    flow.  By Menger's theorem there are min_cut_separating(h, a, b) paths.
     """
     _require_cut_preconditions(h)
-    if a == b:
-        raise SameVertexError(f"vertices must differ, got {a} twice")
-    arcs: dict = {}
+    _require_vertex_pair(h, a, b)
+    net = _incidence_network(h)
+    head, adj = net
+    value, residual = _unit_max_flow(net, [a], [b])
 
-    def add(u, v):
-        arcs.setdefault(u, {})[v] = 1
-        arcs.setdefault(v, {}).setdefault(u, 0)
-
-    for i, e in enumerate(h.edges):
-        add(("in", i), ("out", i))
-        for v in sorted(e.vertices):
-            add(("v", v), ("in", i))
-            add(("out", i), ("v", v))
-    source, sink = ("v", a), ("v", b)
-    arcs.setdefault(source, {})
-    arcs.setdefault(sink, {})
-    value, flow = _unit_max_flow(arcs, source, sink)
-
-    def take(u, v):
-        flow[u][v] -= 1
-        if flow[u][v] == 0:
-            del flow[u][v]
+    def follow(node: int) -> int:
+        # use up one unit on the first unit arc out of node that carries flow
+        arc = next(x for x in adj[node] if not x & 1 and residual[x ^ 1])
+        residual[arc ^ 1] -= 1
+        return head[arc]
 
     paths = []
     for _ in range(value):
         path: list[int] = []
-        trail = [source]
-        pos = {source: 0}
-        node = source
-        while node != sink:
-            i = min(i for (_, i) in flow.get(node, {}) if flow[node][("in", i)] > 0)
-            take(node, ("in", i))
-            take(("in", i), ("out", i))
-            w = min(v for (_, v) in flow.get(("out", i), {}))
-            take(("out", i), ("v", w))
-            path.append(i)
-            node = ("v", w)
+        trail = [a]
+        pos = {a: 0}
+        node = a
+        while node != b:
+            e_in = follow(node)
+            path.append((e_in - h.k - 1) // 2)
+            node = follow(e_in + 1)
             if node in pos:
                 # walked around a flow cycle: splice it out of the path
                 j = pos[node]

@@ -38,7 +38,6 @@ from .hypergraph import (
     edge_disjoint_paths,
     line_graph,
     min_cut_rank,
-    min_cut_separating,
     validate,
     _require_cut_preconditions,
 )
@@ -818,8 +817,9 @@ class EprRate:
 def epr_rate(h: Hypergraph, a: int, b: int) -> EprRate:
     """EPR pairs distillable between a and b per copy: one per 1/t copies.
 
-    t is the minimum a-b cut; Menger matches it with t edge-disjoint
-    connecting paths, returned as witnesses.
+    t is the minimum a-b cut.  By Menger's theorem it is also the number
+    of edge-disjoint a-b paths, which come from one max-flow and are
+    returned as witnesses.
     """
     validate(h)
     for idx, e in enumerate(h.edges):
@@ -827,6 +827,5 @@ def epr_rate(h: Hypergraph, a: int, b: int) -> EprRate:
             raise LevelsUnsupportedError(
                 f"edge {idx} has level {e.level}; EPR rates assume level 2"
             )
-    t = min_cut_separating(h, a, b)
     paths = edge_disjoint_paths(h, a, b)
-    return EprRate(a, b, t, tuple(tuple(p) for p in paths))
+    return EprRate(a, b, len(paths), tuple(tuple(p) for p in paths))

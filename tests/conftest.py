@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
+from math import prod
 
 from ghzcert.hypergraph import (
+    Cut,
     Hypergraph,
     complete_uniform,
     cycle_hypergraph,
@@ -54,3 +57,28 @@ def assert_valid_path_family(h: Hypergraph, a: int, b: int, paths) -> None:
             assert h.edges[e].vertices & h.edges[f].vertices, (
                 f"edges {e},{f} do not touch"
             )
+
+
+# -- bipartition-enumeration reference, independent of the max-flow code ----
+
+
+@lru_cache(maxsize=4)
+def ref_cuts(h: Hypergraph) -> tuple[Cut, ...]:
+    """Every side containing vertex 1 except the full set, in mask order
+    (bit v - 2 set when vertex v is on the side), with its crossing edges."""
+    cuts = []
+    for mask in range(2 ** (h.k - 1) - 1):
+        side = frozenset([1] + [v for v in range(2, h.k + 1) if mask >> (v - 2) & 1])
+        crossing = h.crossing(side)
+        cuts.append(Cut(side, crossing, prod(h.edges[i].level for i in crossing)))
+    return tuple(cuts)
+
+
+def ref_min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
+    """First side in mask order with the fewest crossing edges (weighted: the
+    smallest product of crossing levels)."""
+    return min(ref_cuts(h), key=lambda c: c.rank if weighted else len(c.crossing))
+
+
+def ref_min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
+    return min(len(c.crossing) for c in ref_cuts(h) if (a in c.side) != (b in c.side))

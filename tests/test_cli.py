@@ -171,3 +171,63 @@ def test_verify_bad_certificate_format(tmp_path, capsys):
     assert run(["verify", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "BadFormat"
+
+
+# Byte-exact outputs, captured before cuts moved from bipartition enumeration
+# to max-flow; the witness side and path order must not change.
+GOLDEN_K3 = {
+    ("connectivity",): (
+        "lambda = 2\n"
+        "min cut: side [1] crossing edges [0, 2]\n"
+        "min cut rank = 4 (side [1], crossing [0, 2])\n"
+    ),
+    ("rate",): "lambda=2, rate: 1/2 copies per GHZ (2 GHZ per copy)\n",
+    ("epr", "--a", "1", "--b", "2"): (
+        "t = 2\n"
+        "rate: 1/2 EPR per copy\n"
+        "path: edges [0]\n"
+        "path: edges [2, 1]\n"
+    ),
+}
+
+H16_EDGES = [
+    [1, 2, 3], [3, 4, 5], [5, 6, 7], [7, 8, 9], [9, 10, 11], [11, 12, 13],
+    [13, 14, 15], [1, 15, 16], [1, 5, 14], [5, 7, 13, 16], [4, 10, 12],
+    [3, 5, 13, 16], [9, 15], [2, 5, 12, 16], [8, 11], [4, 6, 7, 15],
+    [7, 8, 9, 14], [1, 9, 13, 16],
+]
+GOLDEN_H16_CONNECTIVITY_JSON = (
+    '{"lambda": 2, "min_cut": {"crossing": [4, 10], "rank": 4, '
+    '"side": [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16]}, '
+    '"min_cut_rank": 4, "weighted_min_cut": {"crossing": [4, 10], "rank": 4, '
+    '"side": [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16]}}\n'
+)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_K3))
+def test_readme_k3_transcripts_byte_exact(command, k3_file, capsys):
+    assert run([command[0], k3_file, *command[1:]]) == 0
+    assert capsys.readouterr().out == GOLDEN_K3[command]
+
+
+def test_connectivity_json_byte_exact_16_vertices(tmp_path, capsys):
+    path = tmp_path / "h16.json"
+    path.write_text(json.dumps(hypergraph(16, H16_EDGES).to_json_dict()))
+    assert run(["connectivity", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == GOLDEN_H16_CONNECTIVITY_JSON
+
+
+@pytest.mark.parametrize(
+    "a, b, error",
+    [
+        ("1", "99", {"code": "VertexOutOfRange",
+                     "message": "edge -1 contains vertex 99, outside 1..3"}),
+        ("0", "2", {"code": "VertexOutOfRange",
+                    "message": "edge -1 contains vertex 0, outside 1..3"}),
+        ("2", "2", {"code": "SameVertex",
+                    "message": "vertices must differ, got 2 twice"}),
+    ],
+)
+def test_epr_bad_vertices_exit_3(a, b, error, k3_file, capsys):
+    assert run(["epr", k3_file, "--a", a, "--b", b]) == 3
+    assert json.loads(capsys.readouterr().err) == error

@@ -3,7 +3,13 @@ from math import comb
 
 import pytest
 
-from conftest import assert_valid_path_family, corpus, random_connected_hypergraph
+from conftest import (
+    assert_valid_path_family,
+    corpus,
+    random_connected_hypergraph,
+    ref_min_cut,
+    ref_min_cut_separating,
+)
 from ghzcert.errors import (
     BadLevelError,
     DisconnectedError,
@@ -34,6 +40,7 @@ from ghzcert.hypergraph import (
     validate,
     vertex_connectivity,
 )
+from ghzcert.protocol import epr_rate
 
 
 def test_validate_reports_edge_index():
@@ -110,10 +117,52 @@ def test_removal_oracle_guard():
 
 
 def test_cut_guards():
+    # only the min-cut rank with unequal levels enumerates bipartitions
+    everyone = set(range(1, 26))
     with pytest.raises(TooLargeError):
-        edge_connectivity(single_full_edge(25))
+        min_cut_rank(hypergraph(25, [everyone, everyone], [2, 3]))
     with pytest.raises(DisconnectedError):
         edge_connectivity(hypergraph(4, [{1, 2}, {3, 4}]))
+    assert edge_connectivity(single_full_edge(25)) == 1
+    c40 = cycle_hypergraph(40)
+    cut = min_cut(c40)
+    assert len(cut.crossing) == 2 and cut.side == frozenset({1})
+    assert epr_rate(c40, 1, 21).t == 2
+
+
+def _random_cut_instance(rng: random.Random) -> Hypergraph:
+    """Connected, k <= 9, with singleton, full and parallel edges; levels all
+    2, all 3, all 5 or mixed."""
+    while True:
+        k = rng.randint(2, 9)
+        edges: list[set[int]] = []
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.random()
+            if kind < 0.1:
+                edges.append({rng.randint(1, k)})
+            elif kind < 0.2:
+                edges.append(set(range(1, k + 1)))
+            elif kind < 0.3 and edges:
+                edges.append(set(rng.choice(edges)))
+            else:
+                edges.append(set(rng.sample(range(1, k + 1), rng.randint(2, min(k, 4)))))
+        level = rng.choice([2, 3, 5, None])
+        levels = [level or rng.choice([2, 3, 5]) for _ in edges]
+        h = hypergraph(k, edges, levels)
+        if is_connected(h):
+            return h
+
+
+def test_cuts_match_enumeration_reference():
+    rng = random.Random(2024)
+    for _ in range(500):
+        h = _random_cut_instance(rng)
+        assert min_cut(h) == ref_min_cut(h)
+        assert min_cut(h, weighted=True) == ref_min_cut(h, weighted=True)
+        for a in range(1, h.k + 1):
+            for b in range(1, h.k + 1):
+                if a != b:
+                    assert min_cut_separating(h, a, b) == ref_min_cut_separating(h, a, b)
 
 
 def test_min_cut_separating():
@@ -132,6 +181,14 @@ def test_edge_disjoint_paths_path_and_cycle():
     paths = edge_disjoint_paths(c6, 1, 4)
     assert len(paths) == 2
     assert_valid_path_family(c6, 1, 4, paths)
+
+
+def test_edge_disjoint_paths_rejects_vertices_out_of_range():
+    c4 = cycle_hypergraph(4)
+    with pytest.raises(VertexOutOfRangeError):
+        edge_disjoint_paths(c4, 1, 99)
+    with pytest.raises(VertexOutOfRangeError):
+        edge_disjoint_paths(c4, 0, 2)
 
 
 def test_edge_disjoint_paths_through_hyperedges():
