@@ -129,3 +129,17 @@ class GridTooLargeError(GhzcertError):
 
 class LevelsUnsupportedError(GhzcertError):
     code = "LevelsUnsupported"
+
+
+class BadGridLimitError(GhzcertError):
+    code = "BadGridLimit"
+
+    def __init__(self, raw: str):
+        self.raw = raw
+        super().__init__(
+            f"GHZCERT_MAX_GRID={raw!r} is not a positive integer"
+        )
+
+
+class NotGeneralPositionError(GhzcertError):
+    code = "NotGeneralPosition"

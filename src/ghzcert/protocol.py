@@ -10,6 +10,13 @@ Applying epsilon^(local share) diagonally at every site sends the n-level
 edge-product state to a GHZ state with M terms as epsilon -> 0, where M
 is the solution count.  Everything needed to replay that claim is packed
 into a Certificate.
+
+Counting is exact integer work.  The value histogram behind the choice of
+g convolves edge by edge on d-vectors packed into single offset integers,
+whose order is lexicographic.  The solutions are solved for, not searched:
+general position makes the last d vectors a basis, so each of the n^lam
+assignments to the first lam edges fixes the last d indices through one
+integer solve, and M <= n^lam holds by construction.
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import islice, product
 
 from .errors import (
+    BadGridLimitError,
     BadLevelError,
     DimMismatchError,
+    GhzcertError,
     GridTooLargeError,
     LevelsUnsupportedError,
+    NotGeneralPositionError,
     NotOrthRepError,
     RetriesExhaustedError,
 )
@@ -53,6 +63,7 @@ DEFAULT_GRID_LIMIT = 10**8
 DEEP_GRID_LIMIT = 10**6
 SOLUTION_LIST_CAP = 10**4
 CANDIDATE_COUNT = 4
+_HASH_CHUNK = 4096
 
 
 def _grid_limit() -> int:
@@ -60,9 +71,12 @@ def _grid_limit() -> int:
     if raw is None:
         return DEFAULT_GRID_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return DEFAULT_GRID_LIMIT
+        raise BadGridLimitError(raw) from None
+    if limit < 1:
+        raise BadGridLimitError(raw)
+    return limit
 
 
 def _check_grid(l: int, n: int) -> None:
@@ -221,100 +235,167 @@ def build_exponent_assignment(
 # -- solution counting -------------------------------------------------------
 
 
-def value_histogram(rep: OrthRep, n: int) -> dict[tuple[int, ...], int]:
-    """Counts of sum_e i_e c_e over the grid, by convolution edge by edge."""
+def _packed_histogram(rep: OrthRep, n: int) -> tuple[dict[int, int], int, int]:
+    """Counts of sum_e i_e c_e over the grid, keyed by packed integers.
+
+    With off = C'(n-1) and base B = 2 off + 1, the d-vector v is stored as
+    sum_t (v_t + off) B^(d-1-t).  Every partial sum over a prefix of the
+    edges lies in the box [-off, off]^d, so each digit stays in [0, B):
+    packing is injective and integer order is lexicographic order.  Returns
+    (histogram, off, B).
+    """
     _check_grid(rep.graph.n, n)
-    d = rep.d
-    hist: dict[tuple[int, ...], int] = {(0,) * d: 1}
+    if any(len(v) != rep.d for v in rep.vectors):
+        raise DimMismatchError(f"edge vectors must all have dimension {rep.d}")
+    off = c_prime(rep) * (n - 1)
+    base = 2 * off + 1
+
+    def pack(v) -> int:
+        key = 0
+        for x in v:
+            key = key * base + x
+        return key
+
+    hist = {pack((off,) * rep.d): 1}
     for ce in rep.vectors:
-        nxt: dict[tuple[int, ...], int] = {}
-        for val, cnt in hist.items():
-            for i in range(n):
-                v2 = tuple(a + i * b for a, b in zip(val, ce))
-                nxt[v2] = nxt.get(v2, 0) + cnt
+        step = pack(ce)
+        shifts = [i * step for i in range(1, n)]
+        nxt = dict(hist)  # the shift by 0
+        get = nxt.get
+        for key, cnt in hist.items():
+            for s in shifts:
+                s += key
+                nxt[s] = get(s, 0) + cnt
         hist = nxt
-    return hist
+    return hist, off, base
+
+
+def _unpack(key: int, d: int, off: int, base: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(d):
+        key, r = divmod(key, base)
+        digits.append(r - off)
+    return tuple(reversed(digits))
+
+
+def value_histogram(rep: OrthRep, n: int) -> dict[tuple[int, ...], int]:
+    """Counts of sum_e i_e c_e over the grid.
+
+    A view of the packed-integer convolution behind :func:`choose_g`: each
+    edge shifts the histogram by i * pack(c_e) for i in [0, n-1], and the
+    keys are unpacked into d-vectors only here.
+    """
+    hist, off, base = _packed_histogram(rep, n)
+    return {_unpack(key, rep.d, off, base): cnt for key, cnt in hist.items()}
 
 
 def choose_g(rep: OrthRep, n: int) -> tuple[tuple[int, ...], int]:
-    """Most frequent grid value of sum_e i_e c_e (lex-smallest on ties)."""
-    hist = value_histogram(rep, n)
-    best_g = None
-    best_m = -1
-    for g in sorted(hist):
-        if hist[g] > best_m:
-            best_g, best_m = g, hist[g]
-    return best_g, best_m
+    """Most frequent grid value of sum_e i_e c_e (lex-smallest on ties).
+
+    Packed keys order like their vectors, so the winner is the smallest key
+    holding the largest count; nothing is sorted and only it is unpacked.
+    """
+    hist, off, base = _packed_histogram(rep, n)
+    best_m = max(hist.values())
+    best_key = min(key for key, cnt in hist.items() if cnt == best_m)
+    return _unpack(best_key, rep.d, off, base), best_m
 
 
-def _iter_solutions(vectors, n: int, g: tuple[int, ...]):
+def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
+    """Integer A and D > 0 with A C_P = D I, C_P having the pivots as columns.
+
+    Gauss-Jordan over Fraction on [C_P | I]; D is the least common
+    denominator of C_P^-1.  A singular block means the vectors are not in
+    general position.
+    """
+    d = len(pivots)
+    rows = [
+        [Fraction(pivots[col][row]) for col in range(d)]
+        + [Fraction(int(row == j)) for j in range(d)]
+        for row in range(d)
+    ]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col] != 0), None)
+        if piv is None:
+            raise NotGeneralPositionError(
+                f"the last {d} edge vectors are linearly dependent"
+            )
+        rows[col], rows[piv] = rows[piv], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    inv = [row[d:] for row in rows]
+    den = math.lcm(1, *(x.denominator for row in inv for x in row))
+    return [[int(x * den) for x in row] for row in inv], den
+
+
+def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     """Grid tuples with sum_e i_e c_e = g, in lexicographic order.
 
-    Depth-first with per-coordinate reachability pruning: at each depth we
-    know the least and greatest the remaining edges can still add.
+    The last d = len(g) edges are pivots and the first lam are free.  For
+    each free assignment, taken in lexicographic order, the pivot indices
+    are i_P = (A g - sum_free i_e A c_e) / D, kept when the division is
+    exact and each lies in [0, n-1].  That is n^lam solves of lam * d
+    products each, whatever l is, and at most n^lam solutions.
     """
-    l = len(vectors)
-    d = len(g)
-    suffix_lo = [[0] * d for _ in range(l + 1)]
-    suffix_hi = [[0] * d for _ in range(l + 1)]
-    for e in range(l - 1, -1, -1):
+    l, d = len(vectors), len(g)
+    if any(len(v) != d for v in vectors):
+        raise DimMismatchError(f"edge vectors must all have dimension {d}")
+    if l < d:
+        raise DimMismatchError(f"{l} edge vectors cannot fix {d} coordinates")
+    lam = l - d
+    adj, den = _pivot_inverse(vectors[lam:])
+    target = [_iinner(row, g) for row in adj]
+    steps = [[_iinner(row, vectors[e]) for row in adj] for e in range(lam)]
+    top = den * (n - 1)
+    for free in product(range(n), repeat=lam):
+        pivot = []
         for t in range(d):
-            c = vectors[e][t] * (n - 1)
-            suffix_lo[e][t] = suffix_lo[e + 1][t] + min(0, c)
-            suffix_hi[e][t] = suffix_hi[e + 1][t] + max(0, c)
-
-    prefix: list[int] = []
-    partial = [0] * d
-
-    def feasible(depth: int) -> bool:
-        for t in range(d):
-            if not (
-                partial[t] + suffix_lo[depth][t]
-                <= g[t]
-                <= partial[t] + suffix_hi[depth][t]
-            ):
-                return False
-        return True
-
-    def walk(depth: int):
-        if depth == l:
-            yield tuple(prefix)
-            return
-        ce = vectors[depth]
-        for i in range(n):
-            for t in range(d):
-                partial[t] += i * ce[t]
-            if feasible(depth + 1):
-                prefix.append(i)
-                yield from walk(depth + 1)
-                prefix.pop()
-            for t in range(d):
-                partial[t] -= i * ce[t]
-
-    if feasible(0):
-        yield from walk(0)
+            r = target[t]
+            for i, step in zip(free, steps):
+                r -= i * step[t]
+            q, rem = divmod(r, den)
+            if rem or not 0 <= r <= top:
+                break
+            pivot.append(q)
+        else:
+            yield free + tuple(pivot)
 
 
 def enumerate_solutions(
     rep: OrthRep, n: int, g: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
-    """All i in [0, n-1]^l with sum_e i_e c_e = g, lexicographically."""
+    """All i in [0, n-1]^l with sum_e i_e c_e = g, lexicographically.
+
+    Solved, not searched: the first lam indices range over [0, n-1]^lam and
+    the last d follow from one exact integer solve each, so the cost is
+    n^lam whatever l is.  Raises NotGeneralPositionError when the last d
+    vectors are dependent.
+    """
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
     _check_grid(rep.graph.n, n)
-    return list(_iter_solutions(rep.vectors, n, g))
+    return list(_pivot_solutions(rep.vectors, n, g))
 
 
 def solution_hash(solutions) -> str:
-    """sha256 of the compact JSON of the lex-sorted solution list."""
+    """sha256 of the compact JSON of the lex-sorted solution list.
+
+    Each solution is formatted as "[a,b,...]", the bytes json.dumps gives
+    an int list with separators (",", ":"), and fed to the hasher in chunks
+    so a hash-only list never sits in memory whole.
+    """
     hasher = hashlib.sha256()
     hasher.update(b"[")
-    first = True
-    for s in solutions:
-        if not first:
-            hasher.update(b",")
-        first = False
-        hasher.update(json.dumps(list(s), separators=(",", ":")).encode())
+    it = iter(solutions)
+    sep = ""
+    while chunk := list(islice(it, _HASH_CHUNK)):
+        body = "],[".join(",".join(map(str, s)) for s in chunk)
+        hasher.update(f"{sep}[{body}]".encode())
+        sep = ","
     hasher.update(b"]")
     return hasher.hexdigest()
 
@@ -441,10 +522,10 @@ def build_certificate(
     assignment = build_exponent_assignment(h, rep, g)
     if m > SOLUTION_LIST_CAP:
         # certificate stays bounded: keep the count and a digest only
-        digest = solution_hash(_iter_solutions(rep.vectors, n, g))
+        digest = solution_hash(_pivot_solutions(rep.vectors, n, g))
         stored = None
     else:
-        listed = tuple(_iter_solutions(rep.vectors, n, g))
+        listed = tuple(_pivot_solutions(rep.vectors, n, g))
         digest = solution_hash(listed)
         stored = listed
     return Certificate(
@@ -561,11 +642,22 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
         checks.append(CheckResult(name, status, detail))
 
+    # The recount runs outside run(), so a c that cannot be solved (wrong
+    # shape, dependent pivot block) is caught here and failed by counting.
     true_sols: tuple[tuple[int, ...], ...] | None = None
-    if grid_small and len(cert.rep.vectors) == l and all(
-        len(v) == len(cert.g) for v in cert.rep.vectors
-    ):
-        true_sols = tuple(_iter_solutions(cert.rep.vectors, cert.n, cert.g))
+    recount_error = None
+    if grid_small:
+        try:
+            if len(cert.rep.vectors) != l:
+                raise DimMismatchError(
+                    f"c has {len(cert.rep.vectors)} vectors, hypergraph has "
+                    f"{l} edges"
+                )
+            true_sols = tuple(
+                _pivot_solutions(cert.rep.vectors, cert.n, cert.g)
+            )
+        except GhzcertError as exc:
+            recount_error = f"cannot recount M: {exc.code}: {exc}"
 
     # 1: the vectors form a general-position orthogonal representation
     def check_rep():
@@ -705,6 +797,12 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             detail.append(f"g has {len(cert.g)} entries, d = {cert.d}")
         if cert.cprime != c_prime(cert.rep):
             detail.append(f"C' {cert.cprime} != recomputed {c_prime(cert.rep)}")
+        # the converse: the min-cut flattening has rank n^lambda, and a
+        # degeneration cannot raise rank
+        if cert.m_count > cert.n**lam_re:
+            detail.append(f"M {cert.m_count} above n^lambda = {cert.n**lam_re}")
+        if recount_error is not None:
+            detail.append(recount_error)
         if true_sols is not None:
             if len(true_sols) != cert.m_count:
                 detail.append(
@@ -733,8 +831,10 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     def check_degeneration():
         if not deep:
             return "skipped", "deep=False"
-        if not grid_small or true_sols is None:
+        if not grid_small:
             return "skipped", "grid too large for deep check"
+        if true_sols is None:
+            return "skipped", "no recounted solutions to compare against"
         detail = []
         t = ghz_state(h, cert.n)
         for j in range(1, h.k + 1):

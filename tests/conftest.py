@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from ghzcert.hypergraph import (
@@ -82,3 +83,24 @@ def ref_min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
 
 def ref_min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     return min(len(c.crossing) for c in ref_cuts(h) if (a in c.side) != (b in c.side))
+
+
+# -- grid-sweep reference for solution counting, independent of the solver --
+
+
+def ref_grid_values(vectors, n: int):
+    """(i, sum_e i_e c_e) for every i in [0, n-1]^l, in lexicographic order."""
+    d = len(vectors[0]) if vectors else 0
+    for i in product(range(n), repeat=len(vectors)):
+        yield i, tuple(sum(c[t] * x for c, x in zip(vectors, i)) for t in range(d))
+
+
+def ref_histogram(vectors, n: int) -> dict[tuple[int, ...], int]:
+    hist: dict[tuple[int, ...], int] = {}
+    for _, v in ref_grid_values(vectors, n):
+        hist[v] = hist.get(v, 0) + 1
+    return hist
+
+
+def ref_solutions(vectors, n: int, g: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [i for i, v in ref_grid_values(vectors, n) if v == g]

@@ -165,12 +165,32 @@ def test_certify_grid_guard_exit_3(k3_file, tmp_path, monkeypatch, capsys):
     assert err["code"] == "GridTooLarge"
 
 
+@pytest.mark.parametrize("raw", ["lots", "0"])
+def test_certify_bad_grid_limit_exit_3(raw, k3_file, monkeypatch, capsys):
+    monkeypatch.setenv("GHZCERT_MAX_GRID", raw)
+    assert run(["certify", k3_file, "--n", "4"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadGridLimit"
+
+
 def test_verify_bad_certificate_format(tmp_path, capsys):
     path = tmp_path / "noncert.json"
     path.write_text(json.dumps({"hello": 1}))
     assert run(["verify", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "BadFormat"
+
+
+def test_verify_dependent_pivots_exit_1(tmp_path, capsys):
+    cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
+    obj = cert.to_json_dict()
+    obj["c"][2:] = [[1, 1], [2, 2]]
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["counting"]["status"] == "fail"
+    assert "NotGeneralPosition" in checks["counting"]["detail"]
 
 
 # Byte-exact outputs, captured before cuts moved from bipartition enumeration

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,16 +7,24 @@ from itertools import product
 
 import pytest
 
-from conftest import corpus, random_connected_hypergraph
+from conftest import (
+    corpus,
+    random_connected_hypergraph,
+    ref_histogram,
+    ref_solutions,
+)
 from ghzcert.errors import (
+    BadGridLimitError,
     BadLevelError,
     DimMismatchError,
     DisconnectedError,
     GridTooLargeError,
     LevelsUnsupportedError,
+    NotGeneralPositionError,
     NotOrthRepError,
     SameVertexError,
 )
+from ghzcert.cli import run as cli_run
 from ghzcert.gpor import OrthRep, find_gpor
 from ghzcert.hypergraph import (
     Graph,
@@ -159,14 +168,52 @@ def test_histogram_matches_brute_force():
             d,
             vectors,
         )
-        hist = value_histogram(rep, n)
-        brute = {}
-        for i in product(range(n), repeat=l):
-            v = tuple(
-                sum(vectors[e][t] * i[e] for e in range(l)) for t in range(d)
-            )
-            brute[v] = brute.get(v, 0) + 1
-        assert hist == brute
+        assert value_histogram(rep, n) == ref_histogram(vectors, n)
+
+
+def random_gp_reps(seed: int, count: int):
+    """(rep, n) for general-position reps of small random hypergraphs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h = random_connected_hypergraph(rng, kmax=5, emax=6)
+        d = h.l - edge_connectivity(h)
+        if d > 3:
+            continue
+        rep = find_gpor(line_graph(h), d, seed=len(out))
+        out.append((rep, rng.randint(2, 4)))
+    return out
+
+
+def test_counting_matches_grid_sweep_on_random_reps():
+    rng = random.Random(7)
+    dims = set()
+    for rep, n in random_gp_reps(seed=2024, count=40):
+        dims.add(rep.d)
+        hist = ref_histogram(rep.vectors, n)
+        assert value_histogram(rep, n) == hist
+        mode = max(hist.values())
+        want_g = min(v for v, c in hist.items() if c == mode)
+        assert choose_g(rep, n) == (want_g, mode)
+        off_grid = tuple(x + 10**6 for x in want_g)
+        for g in (want_g, rng.choice(sorted(hist)), off_grid):
+            sols = enumerate_solutions(rep, n, g)
+            assert sols == ref_solutions(rep.vectors, n, g), (rep, n, g)
+            assert len(sols) <= n ** (rep.graph.n - rep.d)
+    assert dims == {0, 1, 2, 3}
+
+
+def test_enumerate_solutions_rejects_unsolvable_vectors():
+    dependent = OrthRep(Graph(3), 2, ((1, 0), (1, 1), (2, 2)))
+    with pytest.raises(NotGeneralPositionError) as err:
+        enumerate_solutions(dependent, 3, (2, 2))
+    assert err.value.code == "NotGeneralPosition"
+    with pytest.raises(DimMismatchError):
+        enumerate_solutions(scalar_rep([1, 1, 1]), 3, (2, 2))
+    with pytest.raises(DimMismatchError):  # l = 1 < d = 2
+        enumerate_solutions(OrthRep(Graph(1), 2, ((1, 0),)), 3, (0, 0))
+    with pytest.raises(DimMismatchError):
+        choose_g(OrthRep(Graph(2), 1, ((1,), (1, 0))), 3)
 
 
 def test_enumerate_solutions_examples():
@@ -192,6 +239,16 @@ def test_grid_guard_env_override(monkeypatch):
     assert len(enumerate_solutions(rep, 4, (4,))) == 12
 
 
+@pytest.mark.parametrize("raw", ["ten", "1e3", "2.5", "", "0", "-4"])
+def test_grid_guard_rejects_bad_env_value(monkeypatch, raw):
+    monkeypatch.setenv("GHZCERT_MAX_GRID", raw)
+    with pytest.raises(BadGridLimitError) as err:
+        choose_g(scalar_rep([1, 1, 1]), 4)
+    assert err.value.code == "BadGridLimit"
+    with pytest.raises(BadGridLimitError):
+        synthesize_certificate(K3, 4)
+
+
 def test_c_prime_and_floor():
     assert c_prime(scalar_rep([1, 1, 1])) == 3
     band = OrthRep(
@@ -208,6 +265,51 @@ def test_solution_hash_is_order_and_content_sensitive():
     c = solution_hash([(0, 1), (1, 0)])
     assert a == c and a != b
     assert len(a) == 64 and int(a, 16) >= 0
+
+
+def test_solution_hash_equals_hash_of_compact_json():
+    rng = random.Random(5)
+    for count in (0, 1, 7, 4095, 4096, 4097, 9000):
+        width = rng.randint(0, 4)
+        sols = [
+            tuple(rng.randint(-10**12, 10**12) for _ in range(width))
+            for _ in range(count)
+        ]
+        blob = json.dumps([list(s) for s in sols], separators=(",", ":"))
+        want = hashlib.sha256(blob.encode()).hexdigest()
+        assert solution_hash(sols) == want
+        assert solution_hash(iter(sols)) == want
+
+
+# sha256 of `ghzcert certify --n N --seed 0` output, captured before counting
+# moved from a depth-first search to the pivot solve; a certificate's bytes
+# must not depend on how its solutions were found.
+GOLDEN_CERTIFY_SHA256 = [
+    ("K3", cycle_hypergraph(3), 4,
+     "397ee6b526ecaac1a09bcfb6957e135ef4f81e6b07a45ae10cd9dc3834c672b6"),
+    ("full3", single_full_edge(3), 3,
+     "b79f53b2aaf4fb93ecb1a99e628290adb7915892ba25618b531063fc2e0771d6"),
+    ("C6", cycle_hypergraph(6), 6,
+     "4dcf2b1bbebf6c461ccd1da98d719aa51314f3d9bbc86b98d702528afcae8568"),
+    ("C4", cycle_hypergraph(4), 32,
+     "8a98160124e60b2514fa4a5166684bfcd36e2d5eba48dee2cbd9d0ee1fde2369"),
+    ("K4^3", complete_uniform(4, 3), 20,
+     "1d24d3a42fcb323a6a9a24e478bb5b1e82f3297ac2deb307cb9aaeec0a7caab0"),
+    ("K4^3", complete_uniform(4, 3), 32,  # hash-only
+     "7e336e067b2e28cfdea1a46aca039fd6a0b7f2f4cf52d4db8533c823258df5b7"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, h, n, digest", GOLDEN_CERTIFY_SHA256,
+    ids=[f"{c[0]}-n{c[2]}" for c in GOLDEN_CERTIFY_SHA256],
+)
+def test_certify_bytes_golden(name, h, n, digest, tmp_path):
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps(h.to_json_dict()))
+    out = tmp_path / "cert.json"
+    assert cli_run(["certify", str(src), "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -330,6 +432,58 @@ def test_verify_survives_malformed_vectors():
     bad = dataclasses.replace(cert, rep=bad_rep)
     report = verify_certificate(bad)  # must report, not raise
     assert not report.ok
+
+
+def test_verify_fails_counting_when_pivots_are_dependent():
+    cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
+    vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
+    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
+    report = verify_certificate(bad, deep=True)  # must report, not raise
+    assert not report.ok
+    counting = report.check("counting")
+    assert counting.status == "fail"
+    assert "NotGeneralPosition" in counting.detail
+    assert "grid too large" not in report.check("degeneration").detail
+
+
+@pytest.mark.parametrize(
+    "vectors, g",
+    [
+        (((1, 0), (1, 0), (1, 0)), (4,)),  # vectors wider than g
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), (0, 0, 0, 0)),  # l < d
+    ],
+)
+def test_verify_fails_counting_on_malformed_shapes(vectors, g):
+    cert = synthesize_certificate(K3, 4, seed=0)
+    bad = dataclasses.replace(
+        cert, g=g, rep=dataclasses.replace(cert.rep, vectors=vectors)
+    )
+    report = verify_certificate(bad)
+    assert not report.ok
+    counting = report.check("counting")
+    assert counting.status == "fail" and "DimMismatch" in counting.detail
+
+
+def test_verify_rejects_listed_count_above_n_to_the_lambda():
+    # K3 at n = 2: M = 3 <= n^lambda = 4.  Claim the whole grid instead.
+    cert = synthesize_certificate(K3, 2, seed=0)
+    grid = tuple(product(range(2), repeat=3))
+    bad = dataclasses.replace(
+        cert, m_count=len(grid), solutions=grid, sol_hash=solution_hash(grid)
+    )
+    counting = verify_certificate(bad).check("counting")
+    assert counting.status == "fail"
+    assert "M 8 above n^lambda = 4" in counting.detail
+
+
+def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
+    # C6 at n = 11: a 1.77e6 grid, too large to recount; M = 10^5 claims
+    # rate 4.8 against lambda = 2.
+    cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
+    bad = dataclasses.replace(cert, m_count=100000, solutions=None)
+    report = verify_certificate(bad)
+    assert not report.ok
+    assert "M 100000 above n^lambda = 121" in report.check("counting").detail
 
 
 # -- rates -------------------------------------------------------------------
