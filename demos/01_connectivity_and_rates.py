@@ -8,13 +8,16 @@ number of edges crossing any bipartition of the parties.  This script
 computes cuts and rates for a few small hypergraphs.
 """
 
+from itertools import combinations
+
 from ghzcert import (
+    Hypergraph,
     cycle_hypergraph,
     complete_uniform,
     edge_connectivity,
-    edge_connectivity_by_removal,
     ghz_rate_bound,
     hypergraph,
+    is_connected,
     min_cut,
     path_hypergraph,
     single_full_edge,
@@ -27,7 +30,16 @@ print("K_3: lambda =", edge_connectivity(k3))
 print("     witness side", sorted(cut.side), "crossing edges", list(cut.crossing))
 
 # Removing edges until the hypergraph disconnects gives the same number.
-print("     removal oracle agrees:", edge_connectivity_by_removal(k3))
+def removal_lambda(h):
+    """Fewest edges whose removal disconnects h, trying every edge subset."""
+    for size in range(1, h.l + 1):
+        for removed in combinations(range(h.l), size):
+            kept = tuple(e for i, e in enumerate(h.edges) if i not in removed)
+            if not is_connected(Hypergraph(h.k, kept)):
+                return size
+
+
+print("     removal oracle agrees:", removal_lambda(k3))
 
 # A path is worth exactly one GHZ_2 per copy; complete uniform hypergraphs
 # follow the binomial pattern lambda(K_k^l) = C(k-1, l-1).

@@ -29,13 +29,10 @@ from .errors import (
     SameVertexError,
     TooFewVerticesError,
     TooLargeError,
-    TooManyEdgesError,
     VertexOutOfRangeError,
 )
 
 MAX_CUT_ENUM_VERTICES = 24
-MAX_REMOVAL_ORACLE_EDGES = 12
-MAX_VERTEX_CONN_ORACLE = 10
 
 # (head, adj) of the incidence network; see _incidence_network
 _Network = tuple[list[int], list[list[int]]]
@@ -338,32 +335,6 @@ def min_cut_rank(h: Hypergraph) -> int:
     return min_cut(h, weighted=True).rank
 
 
-def edge_connectivity_by_removal(h: Hypergraph) -> int:
-    """Brute-force oracle: smallest number of edges whose removal disconnects.
-
-    Tries every edge subset by increasing size; intended for tests only and
-    guarded to |E| <= 12.
-    """
-    validate(h)
-    if h.k < 2:
-        raise TooFewVerticesError(f"k={h.k}; connectivity needs at least 2 vertices")
-    if len(h.edges) > MAX_REMOVAL_ORACLE_EDGES:
-        raise TooManyEdgesError(
-            f"|E|={len(h.edges)} exceeds the removal-oracle bound "
-            f"{MAX_REMOVAL_ORACLE_EDGES}"
-        )
-    if not is_connected(h):
-        raise DisconnectedError("hypergraph is disconnected")
-    m = len(h.edges)
-    for size in range(1, m + 1):
-        for removed in combinations(range(m), size):
-            kept = [e for i, e in enumerate(h.edges) if i not in removed]
-            if not is_connected(Hypergraph(h.k, tuple(kept))):
-                return size
-    # removing everything leaves k >= 2 isolated vertices, so we never get here
-    raise AssertionError("unreachable")
-
-
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on edge indices; two edges are adjacent iff they share a vertex."""
     validate(h)
@@ -375,41 +346,6 @@ def line_graph(h: Hypergraph) -> Graph:
         if h.edges[i].vertices & h.edges[j].vertices
     }
     return Graph(m, frozenset(pairs))
-
-
-def graph_is_connected(g: Graph, alive: frozenset[int] | None = None) -> bool:
-    verts = sorted(alive) if alive is not None else list(range(g.n))
-    if len(verts) <= 1:
-        return True
-    vset = set(verts)
-    seen = {verts[0]}
-    queue = deque([verts[0]])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v in vset and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(verts)
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Exhaustive vertex-connectivity oracle (complete graph: n - 1)."""
-    if g.n > MAX_VERTEX_CONN_ORACLE:
-        raise TooLargeError(
-            f"n={g.n} exceeds the vertex-connectivity oracle bound "
-            f"{MAX_VERTEX_CONN_ORACLE}"
-        )
-    if not graph_is_connected(g):
-        raise DisconnectedError("graph is disconnected")
-    if g.is_complete():
-        return g.n - 1
-    for size in range(0, g.n - 1):
-        for removed in combinations(range(g.n), size):
-            alive = frozenset(range(g.n)) - frozenset(removed)
-            if not graph_is_connected(g, alive):
-                return size
-    raise AssertionError("non-complete graph must have a vertex cut")
 
 
 def min_cut_separating(h: Hypergraph, a: int, b: int) -> int:

@@ -1,20 +1,21 @@
-"""Sparse multiparty tensors with symbolic ε-graded coefficients.
+"""Sparse multiparty tensors whose entries are unit monomials in ε.
 
 A SparseTensor stores a k-site tensor as a map from label tuples (one label
-per site, each label itself a tuple of integers) to Laurent polynomials in
-a formal parameter ε.  This is exactly enough to express the product of GHZ
-states attached to a hypergraph, act on it with local diagonal operators
-whose entries are monomials ε^m, and read off the ε → 0 leading term.
+per site, each label itself a tuple of integers) to one int exponent m per
+entry, standing for the term 1·ε^m.  That is all the degeneration uses:
+every entry of the product of GHZ states attached to a hypergraph has
+coefficient 1, each local diagonal operator with monomial entries ε^m adds
+an exponent, and the ε → 0 leading term keeps the entries at exponent 0.
 
-Everything is exact: coefficients are Fractions and exponents integers, so
-"leading term" is a symbolic statement, never a numerical limit.
+Everything is exact: exponents are ints and coefficients are 1, so "leading
+term" is a symbolic statement, never a numerical limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import compress, product, tee
+from operator import add, itemgetter, not_
 from typing import Callable, Iterable
 
 from .errors import (
@@ -29,130 +30,77 @@ from .ratlinalg import rank
 
 FLATTEN_SIDE_LIMIT = 4096
 
-
-class LaurentPoly:
-    """Polynomial in ε and ε^{-1} with rational coefficients.
-
-    Immutable by convention; stored as exponent -> nonzero Fraction.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
-        object.__setattr__(self, "_coeffs", clean)
-
-    @classmethod
-    def term(cls, coeff, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: Fraction(coeff)})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)})
-
-    def coefficient(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def is_scalar(self) -> bool:
-        """True when the only (possible) exponent is 0."""
-        return set(self._coeffs) <= {0}
-
-    def constant(self) -> Fraction:
-        return self.coefficient(0)
-
-    def min_exponent(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
-
-    def shift(self, s: int) -> "LaurentPoly":
-        """Multiply by ε^s."""
-        return LaurentPoly({e + s: c for e, c in self._coeffs.items()})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self._coeffs!r})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            parts.append(str(c) if e == 0 else f"{c}*e^{e}")
-        return " + ".join(parts)
-
-
 Label = tuple[int, ...]
 EntryKey = tuple[Label, ...]
 
 
 @dataclass(frozen=True, eq=True)
 class SparseTensor:
-    """k-site tensor over declared per-site label alphabets."""
+    """k-site tensor over declared per-site label alphabets.
+
+    ``entries`` maps each stored key to the exponent m of its term 1·ε^m.
+    """
 
     k: int
     alphabets: tuple[tuple[Label, ...], ...]
-    entries: dict[EntryKey, LaurentPoly]
+    entries: dict[EntryKey, int]
 
     def __post_init__(self):
         if len(self.alphabets) != self.k:
             raise ValueError(
                 f"{len(self.alphabets)} alphabets for {self.k} sites"
             )
-        sets = [set(a) for a in self.alphabets]
-        for key, poly in self.entries.items():
-            if len(key) != self.k:
-                raise ValueError(f"entry key {key} has {len(key)} sites")
-            for j, label in enumerate(key):
-                if label not in sets[j]:
-                    raise ValueError(
-                        f"label {label} at site {j} not in the declared alphabet"
-                    )
-            if poly.is_zero():
-                raise ValueError(f"zero coefficient stored at {key}")
+        entries = self.entries
+        widths = set(map(len, entries)) - {self.k}
+        if widths:
+            raise ValueError(f"entry keys with {sorted(widths)} sites, not {self.k}")
+        for j, alphabet in enumerate(self.alphabets):
+            foreign = set(map(itemgetter(j), entries)).difference(alphabet)
+            if foreign:
+                raise ValueError(
+                    f"label {min(foreign)} at site {j} not in the declared alphabet"
+                )
+        if not set(map(type, entries.values())) <= {int}:
+            raise ValueError("entry exponents must be ints")
 
     def __hash__(self):
         return hash((self.k, self.alphabets, frozenset(self.entries)))
+
+
+def _trusted(k: int, alphabets, entries: dict[EntryKey, int]) -> SparseTensor:
+    """A tensor whose keys and int exponents are valid by construction: the
+    grid of ghz_state, or the keys of an already validated tensor."""
+    t = object.__new__(SparseTensor)
+    for name, value in (("k", k), ("alphabets", alphabets), ("entries", entries)):
+        object.__setattr__(t, name, value)
+    return t
+
+
+def _label_getter(inc: tuple[int, ...]) -> itemgetter:
+    """Maps a grid point i to its site label (i[e] for e in inc), a tuple."""
+    if len(inc) > 1:
+        return itemgetter(*inc)
+    return itemgetter(slice(inc[0], inc[0] + 1) if inc else slice(0, 0))
+
+
+def _first_exponent(t: SparseTensor, pred) -> tuple[EntryKey, int]:
+    return next((key, m) for key, m in t.entries.items() if pred(m))
+
+
+def _require_scalar(t: SparseTensor) -> None:
+    if any(t.entries.values()):
+        key, m = _first_exponent(t, bool)
+        raise NonScalarCoefficientsError(
+            f"entry {key} has ε-dependent coefficient 1*e^{m}"
+        )
 
 
 def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
     """Product of n-level GHZ states, one per hyperedge of h.
 
     Site j - 1 belongs to vertex j; its label lists the indices of the
-    incident edges' terms, in ascending edge order.  One unit entry per
-    point of [0, n-1]^l.
+    incident edges' terms, in ascending edge order.  One unit entry
+    (exponent 0) per point of [0, n-1]^l.
     """
     validate(h)
     if n < 2:
@@ -161,23 +109,24 @@ def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
     alphabets = tuple(
         tuple(sorted(product(range(n), repeat=len(inc)))) for inc in incident
     )
-    entries: dict[EntryKey, LaurentPoly] = {}
-    one = LaurentPoly.one()
-    for i in product(range(n), repeat=h.l):
-        key = tuple(tuple(i[e] for e in inc) for inc in incident)
-        entries[key] = one
-    return SparseTensor(h.k, alphabets, entries)
+    grids = tee(product(range(n), repeat=h.l), h.k)
+    keys = zip(*(map(_label_getter(inc), grid) for inc, grid in zip(incident, grids)))
+    return _trusted(h.k, alphabets, dict.fromkeys(keys, 0))
 
 
 def apply_local_diagonal(
     t: SparseTensor, vertex: int, exp_fn: Callable[[Label], int]
 ) -> SparseTensor:
-    """Act at one site with the diagonal operator label -> ε^{exp_fn(label)}."""
+    """Act at one site with the diagonal operator label -> ε^{exp_fn(label)}.
+
+    ``exp_fn`` is called once per label of the site's alphabet.
+    """
     j = vertex - 1
-    entries = {
-        key: poly.shift(int(exp_fn(key[j]))) for key, poly in t.entries.items()
-    }
-    return SparseTensor(t.k, t.alphabets, entries)
+    shift = {label: int(exp_fn(label)) for label in t.alphabets[j]}
+    keys = t.entries.keys()
+    shifts = map(shift.__getitem__, map(itemgetter(j), keys))
+    entries = dict(zip(keys, map(add, t.entries.values(), shifts)))
+    return _trusted(t.k, t.alphabets, entries)
 
 
 def leading_term(t: SparseTensor) -> SparseTensor:
@@ -186,41 +135,32 @@ def leading_term(t: SparseTensor) -> SparseTensor:
     Rejects tensors with any negative ε exponent: those do not converge as
     ε → 0, so the operator assignment that produced them is wrong.
     """
-    entries: dict[EntryKey, LaurentPoly] = {}
-    for key, poly in t.entries.items():
-        m = poly.min_exponent()
-        if m is not None and m < 0:
-            raise NegativeExponentError(key, m)
-        c = poly.coefficient(0)
-        if c != 0:
-            entries[key] = LaurentPoly.term(c)
-    return SparseTensor(t.k, t.alphabets, entries)
+    if t.entries and min(t.entries.values()) < 0:
+        raise NegativeExponentError(*_first_exponent(t, lambda m: m < 0))
+    kept = compress(t.entries, map(not_, t.entries.values()))
+    return _trusted(t.k, t.alphabets, dict.fromkeys(kept, 0))
 
 
 def flattening_rank(t: SparseTensor, side: Iterable[int]) -> int:
     """Exact rank of t viewed as a matrix: sites of ``side`` vs the rest.
 
-    ``side`` holds 1-based vertex numbers, nonempty and proper.  All
-    coefficients must be ε-free.  Only labels realized by some entry
+    ``side`` holds 1-based vertex numbers, nonempty and proper.  Every
+    exponent must be 0, so the matrix is 0/1.  Only labels realized by some entry
     become matrix rows and columns; dense materialization is refused
     when either realized side exceeds 4096 labels.
     """
     s = frozenset(side)
     if not s or not (s < frozenset(range(1, t.k + 1))):
         raise ValueError(f"side {sorted(s)} is not a proper nonempty vertex subset")
-    for key, poly in t.entries.items():
-        if not poly.is_scalar():
-            raise NonScalarCoefficientsError(
-                f"entry {key} has ε-dependent coefficient {poly}"
-            )
+    _require_scalar(t)
     row_sites = [j for j in range(t.k) if j + 1 in s]
     col_sites = [j for j in range(t.k) if j + 1 not in s]
-    cells: dict[tuple, dict[tuple, Fraction]] = {}
+    cells: dict[tuple, list[tuple]] = {}
     cols: set[tuple] = set()
-    for key, poly in t.entries.items():
+    for key in t.entries:
         r = tuple(key[j] for j in row_sites)
         c = tuple(key[j] for j in col_sites)
-        cells.setdefault(r, {})[c] = poly.constant()
+        cells.setdefault(r, []).append(c)
         cols.add(c)
     for size, name in ((len(cells), "side"), (len(cols), "complement")):
         if size > FLATTEN_SIDE_LIMIT:
@@ -232,9 +172,9 @@ def flattening_rank(t: SparseTensor, side: Iterable[int]) -> int:
     col_pos = {c: i for i, c in enumerate(col_order)}
     rows = []
     for r in sorted(cells):
-        vec = [Fraction(0)] * len(col_order)
-        for c, val in cells[r].items():
-            vec[col_pos[c]] = val
+        vec = [0] * len(col_order)
+        for c in cells[r]:
+            vec[col_pos[c]] = 1
         rows.append(tuple(vec))
     return rank(rows)
 
@@ -246,11 +186,7 @@ def check_ghz_structure(t: SparseTensor) -> int:
     entry.  Then the entries are pairwise distinguishable at every site and
     local diagonal maps rescale t to the standard r-level GHZ, r = #entries.
     """
-    for key, poly in t.entries.items():
-        if not poly.is_scalar():
-            raise NonScalarCoefficientsError(
-                f"entry {key} has ε-dependent coefficient {poly}"
-            )
+    _require_scalar(t)
     for j in range(t.k):
         seen: set[Label] = set()
         for key in t.entries:
@@ -265,5 +201,6 @@ def dump(t: SparseTensor) -> str:
     """Debug listing, one entry per line, deterministic order."""
     lines = []
     for key in sorted(t.entries):
-        lines.append(f"{key} : {t.entries[key]}")
+        m = t.entries[key]
+        lines.append(f"{key} : {f'1*e^{m}' if m else '1'}")
     return "\n".join(lines)

@@ -1,10 +1,19 @@
+import json
 import random
+from collections import deque
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
+from ghzcert.errors import (
+    DisconnectedError,
+    TooFewVerticesError,
+    TooLargeError,
+    TooManyEdgesError,
+)
 from ghzcert.hypergraph import (
     Cut,
+    Graph,
     Hypergraph,
     complete_uniform,
     cycle_hypergraph,
@@ -12,7 +21,11 @@ from ghzcert.hypergraph import (
     is_connected,
     path_hypergraph,
     single_full_edge,
+    validate,
 )
+
+MAX_REMOVAL_ORACLE_EDGES = 12
+MAX_VERTEX_CONN_ORACLE = 10
 
 
 def corpus() -> list[tuple[str, Hypergraph]]:
@@ -85,6 +98,72 @@ def ref_min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     return min(len(c.crossing) for c in ref_cuts(h) if (a in c.side) != (b in c.side))
 
 
+# -- brute-force connectivity oracles, independent of the max-flow code ------
+
+
+def edge_connectivity_by_removal(h: Hypergraph) -> int:
+    """Brute-force oracle: smallest number of edges whose removal disconnects.
+
+    Tries every edge subset by increasing size; intended for tests only and
+    guarded to |E| <= 12.
+    """
+    validate(h)
+    if h.k < 2:
+        raise TooFewVerticesError(f"k={h.k}; connectivity needs at least 2 vertices")
+    if len(h.edges) > MAX_REMOVAL_ORACLE_EDGES:
+        raise TooManyEdgesError(
+            f"|E|={len(h.edges)} exceeds the removal-oracle bound "
+            f"{MAX_REMOVAL_ORACLE_EDGES}"
+        )
+    if not is_connected(h):
+        raise DisconnectedError("hypergraph is disconnected")
+    m = len(h.edges)
+    for size in range(1, m + 1):
+        for removed in combinations(range(m), size):
+            kept = [e for i, e in enumerate(h.edges) if i not in removed]
+            if not is_connected(Hypergraph(h.k, tuple(kept))):
+                return size
+    # removing everything leaves k >= 2 isolated vertices, so we never get here
+    raise AssertionError("unreachable")
+
+
+def graph_is_connected(g: Graph, alive: frozenset[int] | None = None) -> bool:
+    """Breadth-first search over the ``alive`` vertices (default: all)."""
+    verts = sorted(alive) if alive is not None else list(range(g.n))
+    if len(verts) <= 1:
+        return True
+    vset = set(verts)
+    seen = {verts[0]}
+    queue = deque([verts[0]])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if v in vset and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(verts)
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Exhaustive vertex-connectivity oracle (complete graph: n - 1)."""
+    if g.n > MAX_VERTEX_CONN_ORACLE:
+        raise TooLargeError(
+            f"n={g.n} exceeds the vertex-connectivity oracle bound "
+            f"{MAX_VERTEX_CONN_ORACLE}"
+        )
+    if not graph_is_connected(g):
+        raise DisconnectedError("graph is disconnected")
+    if g.is_complete():
+        return g.n - 1
+    for size in range(0, g.n - 1):
+        for removed in combinations(range(g.n), size):
+            alive = frozenset(range(g.n)) - frozenset(removed)
+            if not graph_is_connected(g, alive):
+                return size
+    raise AssertionError("non-complete graph must have a vertex cut")
+
+
+
 # -- grid-sweep reference for solution counting, independent of the solver --
 
 
@@ -104,3 +183,91 @@ def ref_histogram(vectors, n: int) -> dict[tuple[int, ...], int]:
 
 def ref_solutions(vectors, n: int, g: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [i for i, v in ref_grid_values(vectors, n) if v == g]
+
+
+# -- grid-sweep reference for the verifier's completeness and exponent_sign --
+
+
+def _inner(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def ref_completeness(cert) -> tuple[str, str]:
+    """Locality, the aggregate coefficients, then the value at every grid
+    point against ||c.i - g||^2 (the sweep the verifier no longer makes)."""
+    h, vectors, g, qa = cert.hypergraph, cert.rep.vectors, cert.g, cert.assignment
+    l = h.l
+    detail = []
+    nonlocal_vertices = [
+        j for j in range(1, h.k + 1) if not qa.mentioned_edges(j) <= set(h.incident(j))
+    ]
+    if nonlocal_vertices:
+        detail.append(f"nonlocal terms at vertices {nonlocal_vertices}")
+    quad, lin, const = qa.aggregate()
+    want_quad = {(e, e): _inner(vectors[e], vectors[e]) for e in range(l)}
+    want_quad.update(
+        {(e, f): 2 * _inner(vectors[e], vectors[f])
+         for e in range(l) for f in range(e + 1, l)}
+    )
+    want_lin = {e: -2 * _inner(vectors[e], g) for e in range(l)}
+    if (
+        quad != {key: v for key, v in want_quad.items() if v}
+        or lin != {e: v for e, v in want_lin.items() if v}
+        or const != _inner(g, g)
+    ):
+        detail.append("aggregate coefficients differ from the square expansion")
+    if not detail:
+        for i in product(range(cert.n), repeat=l):
+            total = qa.total_exponent(i)
+            direct = sum(
+                (sum(vectors[e][t] * i[e] for e in range(l)) - g[t]) ** 2
+                for t in range(len(g))
+            )
+            if total != direct:
+                detail.append(f"grid mismatch at {i}: {total} != {direct}")
+                break
+    return ("fail", "; ".join(detail)) if detail else ("pass", "")
+
+
+def ref_exponent_sign(cert, solutions) -> tuple[str, str]:
+    """Listed solutions solve c.i = g; with the true ``solutions`` (None when
+    there is no recount), the total is >= 0 everywhere and 0 exactly on them."""
+    vectors, g = cert.rep.vectors, cert.g
+    detail = []
+    for i in cert.solutions or ():
+        v = tuple(sum(c[t] * x for c, x in zip(vectors, i)) for t in range(len(g)))
+        if v != g:
+            detail.append(f"listed solution {i} has c.i = {v} != g")
+            break
+    if solutions is None:
+        if detail:
+            return "fail", "; ".join(detail)
+        return ("skipped", "") if cert.solutions is None else ("pass", "")
+    sol_set = set(solutions)
+    for i in product(range(cert.n), repeat=cert.hypergraph.l):
+        total = cert.assignment.total_exponent(i)
+        if total < 0:
+            detail.append(f"negative total exponent at {i}")
+            break
+        if (total == 0) != (i in sol_set):
+            detail.append(f"zero-set mismatch at {i}")
+            break
+    return ("fail", "; ".join(detail)) if detail else ("pass", "")
+
+
+def tamper_certificate(obj: dict, kind: str, rng: random.Random) -> dict:
+    """A copy of certificate JSON ``obj`` with one false field: M moved by one,
+    one c or g entry raised by one, or one assignment term raised by one."""
+    obj = json.loads(json.dumps(obj))
+    if kind in ("c", "g") and obj["d"] == 0:
+        kind = "assignment"
+    if kind == "M":
+        obj["M"] += rng.choice((-1, 1)) if obj["M"] > 1 else 1
+    elif kind == "c":
+        obj["c"][rng.randrange(len(obj["c"]))][rng.randrange(obj["d"])] += 1
+    elif kind == "g":
+        obj["g"][rng.randrange(obj["d"])] += 1
+    elif kind == "assignment":
+        terms = [term for row in obj["assignment"]["vertices"] for term in row["quad"]]
+        rng.choice(terms)[2] += 1
+    return obj

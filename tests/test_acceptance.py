@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     assert_valid_path_family,
     corpus,
+    edge_connectivity_by_removal,
     random_connected_hypergraph,
 )
 from ghzcert.gpor import OrthRep, find_gpor, orthogonalize_map, verify_orthrep
@@ -26,7 +27,6 @@ from ghzcert.hypergraph import (
     complete_uniform,
     cycle_hypergraph,
     edge_connectivity,
-    edge_connectivity_by_removal,
     edge_disjoint_paths,
     graph,
     line_graph,

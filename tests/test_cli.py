@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,12 @@ import sys
 import pytest
 
 from ghzcert.cli import run
-from ghzcert.hypergraph import cycle_hypergraph, hypergraph, path_hypergraph
+from ghzcert.hypergraph import (
+    complete_uniform,
+    cycle_hypergraph,
+    hypergraph,
+    path_hypergraph,
+)
 from ghzcert.protocol import synthesize_certificate
 
 
@@ -251,3 +257,48 @@ def test_connectivity_json_byte_exact_16_vertices(tmp_path, capsys):
 def test_epr_bad_vertices_exit_3(a, b, error, k3_file, capsys):
     assert run(["epr", k3_file, "--a", a, "--b", b]) == 3
     assert json.loads(capsys.readouterr().err) == error
+
+
+# sha256 of the concatenated `verify --json --deep` stdout over the honest
+# certificate (seed 0) and four one-field tampers of each instance below,
+# captured before the tensor layer moved to int exponents and the verifier
+# stopped sweeping the grid; the reports must not depend on either.
+GOLDEN_VERIFY_INSTANCES = [
+    (cycle_hypergraph(3), 4),
+    (cycle_hypergraph(5), 3),
+    (complete_uniform(4, 2), 3),
+    (cycle_hypergraph(6), 4),
+]
+GOLDEN_VERIFY_SHA256 = (
+    "d588126058da73c8e91d094d1210875693c8d992ea8684db7875b5e8b07040b9"
+)
+
+
+def _tampered(obj: dict) -> list[tuple[str, dict]]:
+    """The certificate itself, then M, c, g and one assignment term moved."""
+    out = [("honest", obj)]
+    for kind in ("M", "c", "g", "assignment"):
+        bad = json.loads(json.dumps(obj))
+        if kind == "M":
+            bad["M"] += 1
+        elif kind == "c":
+            bad["c"][0][0] += 1
+        elif kind == "g":
+            bad["g"][0] += 1
+        else:
+            bad["assignment"]["vertices"][0]["quad"][0][2] += 1
+        out.append((kind, bad))
+    return out
+
+
+def test_verify_deep_reports_golden(tmp_path, capsys):
+    blob = hashlib.sha256()
+    for h, n in GOLDEN_VERIFY_INSTANCES:
+        obj = synthesize_certificate(h, n, seed=0).to_json_dict()
+        for kind, cert in _tampered(obj):
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(cert))
+            rc = run(["verify", str(path), "--json", "--deep"])
+            assert rc == (0 if kind == "honest" else 1), (h, n, kind)
+            blob.update(capsys.readouterr().out.encode())
+    assert blob.hexdigest() == GOLDEN_VERIFY_SHA256

@@ -6,9 +6,12 @@ import pytest
 from conftest import (
     assert_valid_path_family,
     corpus,
+    edge_connectivity_by_removal,
+    graph_is_connected,
     random_connected_hypergraph,
     ref_min_cut,
     ref_min_cut_separating,
+    vertex_connectivity,
 )
 from ghzcert.errors import (
     BadLevelError,
@@ -25,10 +28,8 @@ from ghzcert.hypergraph import (
     complete_uniform,
     cycle_hypergraph,
     edge_connectivity,
-    edge_connectivity_by_removal,
     edge_disjoint_paths,
     graph,
-    graph_is_connected,
     hypergraph,
     is_connected,
     line_graph,
@@ -38,7 +39,6 @@ from ghzcert.hypergraph import (
     path_hypergraph,
     single_full_edge,
     validate,
-    vertex_connectivity,
 )
 from ghzcert.protocol import epr_rate
 

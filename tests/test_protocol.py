@@ -10,8 +10,11 @@ import pytest
 from conftest import (
     corpus,
     random_connected_hypergraph,
+    ref_completeness,
+    ref_exponent_sign,
     ref_histogram,
     ref_solutions,
+    tamper_certificate,
 )
 from ghzcert.errors import (
     BadGridLimitError,
@@ -22,6 +25,7 @@ from ghzcert.errors import (
     LevelsUnsupportedError,
     NotGeneralPositionError,
     NotOrthRepError,
+    GhzcertError,
     SameVertexError,
 )
 from ghzcert.cli import run as cli_run
@@ -37,6 +41,7 @@ from ghzcert.hypergraph import (
     path_hypergraph,
     single_full_edge,
 )
+from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     Certificate,
     QuadraticAssignment,
@@ -484,6 +489,110 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     report = verify_certificate(bad)
     assert not report.ok
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
+
+
+def test_verify_without_recount_says_so():
+    # C4 at n = 3 with dependent pivot vectors: the grid is small, but the
+    # pivot solve cannot recount M, so no check may lean on a recount
+    cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
+    vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
+    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
+    report = verify_certificate(bad, deep=True)
+    assert not report.ok
+    reason = report.check("counting").detail
+    assert report.check("counting").status == "fail"
+    assert "cannot recount M: NotGeneralPosition" in reason
+    injectivity = report.check("injectivity")
+    assert injectivity.status == "skipped"
+    assert injectivity.detail in reason
+    assert "grid too large" not in report.check("exponent_sign").detail
+    hash_only = dataclasses.replace(bad, solutions=None)
+    sign = verify_certificate(hash_only).check("exponent_sign")
+    assert sign.status == "skipped" and "cannot recount M" in sign.detail
+
+
+def _local_edits(cert) -> list:
+    """Hand-made assignments: a zero-coefficient key off the vertex's edges,
+    a cross term under the reversed key (f, e), and a term moved to another
+    vertex incident to both of its edges."""
+    h, qa = cert.hypergraph, cert.assignment
+    out = []
+
+    def edited(j, quad_j, j2=None, quad_j2=None):
+        quad = list(qa.quad)
+        quad[j] = quad_j
+        if j2 is not None:
+            quad[j2] = quad_j2
+        return dataclasses.replace(
+            cert, assignment=dataclasses.replace(qa, quad=tuple(quad))
+        )
+
+    far = [(j, e) for j in range(h.k) for e in range(h.l) if e not in h.incident(j + 1)]
+    if far:
+        j, e = far[0]
+        lin = list(qa.lin)
+        lin[j] = {**lin[j], e: 0}
+        out.append(dataclasses.replace(
+            cert, assignment=dataclasses.replace(qa, lin=tuple(lin))
+        ))
+    terms = [(j, key) for j in range(h.k) for key in sorted(qa.quad[j])]
+    cross = [(j, (e, f)) for j, (e, f) in terms if e != f]
+    if cross:
+        j, (e, f) = cross[0]
+        quad_j = dict(qa.quad[j])
+        quad_j[(f, e)] = quad_j.pop((e, f))
+        out.append(edited(j, quad_j))
+    for j, (e, f) in cross + terms:
+        shared = h.edges[e].vertices & h.edges[f].vertices - {j + 1}
+        if shared:
+            j2 = min(shared) - 1
+            quad_j, quad_j2 = dict(qa.quad[j]), dict(qa.quad[j2])
+            quad_j2[(e, f)] = quad_j2.get((e, f), 0) + quad_j.pop((e, f))
+            out.append(edited(j, quad_j, j2, quad_j2))
+            break
+    return out
+
+
+def test_verifier_matches_grid_sweep_reference():
+    rng = random.Random(404)
+    seen = set()
+    for name, h in corpus():
+        for n in (2, 3, 4):
+            cert = synthesize_certificate(h, n, seed=0)
+            obj = cert.to_json_dict()
+            cases = [cert] + [
+                Certificate.from_json_dict(tamper_certificate(obj, kind, rng))
+                for kind in ("M", "c", "g", "assignment")
+            ] + _local_edits(cert)
+            for case in cases:
+                report = verify_certificate(case)
+                try:  # no recount when the pivot solve refuses c
+                    enumerate_solutions(case.rep, n, case.g)
+                    sols = ref_solutions(case.rep.vectors, n, case.g)
+                except GhzcertError:
+                    sols = None
+                want = ref_completeness(case)
+                assert report.check("completeness").status == want[0], (name, n)
+                assert report.check("completeness").detail == want[1], (name, n)
+                sign = ref_exponent_sign(case, sols)
+                assert report.check("exponent_sign").status == sign[0], (name, n)
+                seen.add((want[0], sign[0]))
+    # the reference saw both verdicts of each check
+    assert {status for status, _ in seen} == {"pass", "fail"}
+    assert {status for _, status in seen} == {"pass", "fail"}
+
+
+def test_deep_exponents_are_the_total_form():
+    h, n = cycle_hypergraph(6), 3
+    cert = synthesize_certificate(h, n, seed=0)
+    t = ghz_state(h, n)
+    for j in range(1, h.k + 1):
+        t = apply_local_diagonal(t, j, cert.assignment.site_function(h, j))
+    incident = [h.incident(j) for j in range(1, h.k + 1)]
+    assert len(t.entries) == n**h.l
+    for i in product(range(n), repeat=h.l):
+        key = tuple(tuple(i[e] for e in inc) for inc in incident)
+        assert t.entries[key] == cert.assignment.total_exponent(i)
 
 
 # -- rates -------------------------------------------------------------------
