@@ -304,32 +304,37 @@ def choose_g(rep: OrthRep, n: int) -> tuple[tuple[int, ...], int]:
 def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
     """Integer A and D > 0 with A C_P = D I, C_P having the pivots as columns.
 
-    Gauss-Jordan over Fraction on [C_P | I]; D is the least common
-    denominator of C_P^-1.  A singular block means the vectors are not in
-    general position.
+    Fraction-free Gauss-Jordan (Bareiss) on [C_P | I]: every entry stays a
+    minor of it, so each division by the previous pivot is exact, and the
+    last pivot p leaves [p I | p C_P^-1].  Dividing by the gcd of p and the
+    right block gives the least D, the common denominator of C_P^-1; the
+    solutions do not depend on it.  A singular block means the vectors are
+    not in general position.
     """
     d = len(pivots)
     rows = [
-        [Fraction(pivots[col][row]) for col in range(d)]
-        + [Fraction(int(row == j)) for j in range(d)]
+        [pivots[col][row] for col in range(d)] + [int(row == j) for j in range(d)]
         for row in range(d)
     ]
+    prev = 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col] != 0), None)
+        piv = next((r for r in range(col, d) if rows[r][col]), None)
         if piv is None:
             raise NotGeneralPositionError(
                 f"the last {d} edge vectors are linearly dependent"
             )
         rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
+        top = rows[col]
+        p = top[col]
         for r in range(d):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    inv = [row[d:] for row in rows]
-    den = math.lcm(1, *(x.denominator for row in inv for x in row))
-    return [[int(x * den) for x in row] for row in inv], den
+            if r != col:
+                a = rows[r][col]
+                rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+    step = math.gcd(prev, *(x for row in rows for x in row[d:]))
+    if prev < 0:
+        step = -step
+    return [[x // step for x in row[d:]] for row in rows], prev // step
 
 
 def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
@@ -666,11 +671,18 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         except GhzcertError as exc:
             recount_error = f"cannot recount M: {exc.code}: {exc}"
 
-    # 1: the vectors form a general-position orthogonal representation
+    # 1: the vectors have d coordinates and form a general-position
+    # orthogonal representation
     def check_rep():
         r = verify_orthrep(cert.rep)
         if r.ok:
             return "pass", ""
+        if r.wrong_width:
+            widths = sorted({len(cert.rep.vectors[e]) for e in r.wrong_width})
+            return "fail", (
+                f"c vectors must have d = {cert.rep.d} coordinates; edges "
+                f"{list(r.wrong_width)} have {', '.join(map(str, widths))}"
+            )
         return "fail", (
             f"violations={r.orthogonality_violations} "
             f"dependent={r.dependent_subsets} zero={r.zero_vectors}"
@@ -683,7 +695,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         bad = []
         for j in range(1, h.k + 1):
             away = [
-                tuple(Fraction(x) for x in cert.rep.vectors[e])
+                cert.rep.vectors[e]
                 for e in range(l)
                 if j not in h.edges[e].vertices
             ]

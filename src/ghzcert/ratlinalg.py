@@ -1,9 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers, with rational views.
 
-Scalars are :class:`fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator); vectors are plain tuples of Fractions.  There is no
-floating point and no tolerance anywhere in this module: orthogonality, rank
-and linear independence are decided exactly.
+The working vectors are plain tuples of Python ints.  Rank is Bareiss's
+fraction-free elimination: every intermediate entry is a minor of the input,
+so each division by the previous pivot is exact and no gcd is ever taken.
+Rows with rational entries are first scaled by the lcm of their
+denominators, which leaves the rank unchanged.
+
+Orthogonal projection runs as integer Gram-Schmidt.  Each orthogonalized
+vector is kept as a primitive integer direction (the gcd divided out, the
+sign kept), and removing the component along g_m from r is
+r <- <g_m, g_m> r - <g_m, r> g_m, a positive multiple of the rational
+residual.  The span, and so the projection, depends only on directions;
+the exact rationals of :func:`project_onto_span` are recovered from the
+residual's direction at the end.  :func:`vector` and the Fraction results
+are the public rational views.
+
+There is no floating point and no tolerance anywhere in this module:
+orthogonality, rank and linear independence are decided exactly.
 """
 
 from __future__ import annotations
@@ -11,12 +24,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import DimMismatchError, TooLargeError
 
-Rational = Fraction
 RatVector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 #: subset-enumeration guard for general-position checks
 GENERAL_POSITION_SUBSET_LIMIT = 10**6
@@ -41,65 +55,112 @@ def vec_sub(u: Sequence, v: Sequence) -> RatVector:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
 
 
-def vec_scale(c, v: Sequence) -> RatVector:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
+def _int_row(row: Iterable) -> list[int]:
+    """The row itself if every entry is an int, else the row times the lcm
+    of its denominators (entries as :func:`vector` reads them)."""
+    row = list(row)
+    try:
+        return list(map(index, row))
+    except TypeError:
+        q = vector(row)
+        den = math.lcm(*(x.denominator for x in q))
+        return [x.numerator * (den // x.denominator) for x in q]
 
 
-def is_zero_vector(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
+def _primitive(v: Sequence[int]) -> IntVector:
+    """v divided by the gcd of its entries (zero stays zero)."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Exact rank by Bareiss fraction-free elimination on integer rows."""
+    m = [_int_row(row) for row in rows]
     if not m:
         return 0
     ncols = len(m[0])
     if any(len(row) != ncols for row in m):
         raise DimMismatchError("rows of unequal length")
-    r = 0
+    r, prev = 0, 1
     for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][col]
+        top = m[r]
+        p = top[col]
         for i in range(r + 1, len(m)):
-            if m[i][col] != 0:
-                factor = m[i][col] / pivot
-                for c in range(col, ncols):
-                    m[i][c] -= factor * m[r][c]
+            a = m[i][col]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         r += 1
         if r == len(m):
             break
     return r
 
 
-def project_onto_span(basis: Sequence[Sequence], x: Sequence) -> RatVector:
-    """Orthogonal projection of x onto span(basis).
+def _residual(
+    ortho: Sequence[tuple[IntVector, int]], x: IntVector
+) -> tuple[IntVector, bool]:
+    """x minus its projection onto span(ortho), as a primitive direction.
 
-    Gram-Schmidt in input order; intermediate vectors that come out exactly
-    zero are excluded from the sums.  An empty basis projects to zero.
+    ``ortho`` holds mutually orthogonal nonzero integer vectors with their
+    squared norms.  The flag is False exactly when every coefficient
+    <g_m, x> is 0, that is when x is already orthogonal to the span; x is
+    then returned as given.
+    """
+    r = x
+    moved = False
+    for gm, norm in ortho:
+        c = sum(map(mul, gm, r))
+        if c:
+            r = [norm * a - c * b for a, b in zip(r, gm)]
+            moved = True
+    return (_primitive(r), True) if moved else (x, False)
+
+
+def _orthogonal_basis(vectors: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
+    """Gram-Schmidt in input order over the integers, skipping vectors that
+    reduce to zero; each kept vector comes with its squared norm."""
+    ortho: list[tuple[IntVector, int]] = []
+    for b in vectors:
+        if ortho and len(ortho) == len(b):
+            break  # the span is already everything
+        r, _ = _residual(ortho, b)
+        if any(r):
+            ortho.append((r, sum(map(mul, r, r))))
+    return ortho
+
+
+def _component(x: Sequence, r: IntVector) -> RatVector:
+    """The exact component of x along the integer direction r."""
+    x = vector(x)
+    norm = sum(map(mul, r, r))
+    if not norm:
+        return tuple(Fraction(0) for _ in x)
+    c = sum(map(mul, r, x), Fraction(0)) / norm
+    return tuple(c * a for a in r)
+
+
+def project_onto_span(basis: Sequence[Sequence], x: Sequence) -> RatVector:
+    """Orthogonal projection of x onto span(basis), in exact rationals.
+
+    Gram-Schmidt in input order over the integer directions of the basis;
+    vectors that reduce exactly to zero are skipped, and an empty basis
+    projects to zero.  The residual x - p is orthogonal to the span, so it
+    is the component of x along the integer residual direction, and
+    p = x minus that component.
     """
     x = vector(x)
     dim = len(x)
-    ortho: list[RatVector] = []
+    ints = []
     for b in basis:
-        b = vector(b)
+        b = _int_row(b)
         if len(b) != dim:
             raise DimMismatchError(f"basis vector dim {len(b)}, expected {dim}")
-        g = b
-        for gm in ortho:
-            g = vec_sub(g, vec_scale(inner(gm, b) / inner(gm, gm), gm))
-        if not is_zero_vector(g):
-            ortho.append(g)
-    p = tuple(Fraction(0) for _ in range(dim))
-    for gm in ortho:
-        p = tuple(
-            a + b for a, b in zip(p, vec_scale(inner(gm, x) / inner(gm, gm), gm))
-        )
-    return p
+        ints.append(_primitive(b))
+    r, _ = _residual(_orthogonal_basis(ints), _primitive(_int_row(x)))
+    return vec_sub(x, _component(x, r))
 
 
 def is_general_position(vectors: Sequence[Sequence], d: int) -> bool:
@@ -108,7 +169,7 @@ def is_general_position(vectors: Sequence[Sequence], d: int) -> bool:
     Checked exhaustively with exact ranks; guarded to
     C(len(vectors), d) <= 10^6 subsets.
     """
-    vecs = [vector(v) for v in vectors]
+    vecs = [scale_to_integers(v) for v in vectors]
     for v in vecs:
         if len(v) != d:
             raise DimMismatchError(f"vector dim {len(v)}, expected {d}")
@@ -123,21 +184,13 @@ def is_general_position(vectors: Sequence[Sequence], d: int) -> bool:
     return all(rank(subset) == m for subset in combinations(vecs, m))
 
 
-def scale_to_integers(v: Sequence) -> tuple[int, ...]:
+def scale_to_integers(v: Sequence) -> IntVector:
     """Smallest parallel integer vector pointing the same way.
 
     Multiplies by the lcm of denominators, then divides out the gcd of the
     entries; the zero vector maps to zero.
     """
-    v = vector(v)
-    if not v:
-        return ()
-    m = math.lcm(*(q.denominator for q in v))
-    ints = [int(q * m) for q in v]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return _primitive(_int_row(v))
 
 
 def format_rational(q) -> str:

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
@@ -162,6 +163,84 @@ def vertex_connectivity(g: Graph) -> int:
                 return size
     raise AssertionError("non-complete graph must have a vertex cut")
 
+
+
+# -- Fraction references for the integer rank and sweep ----------------------
+
+
+def ref_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    assert all(len(row) == ncols for row in m)
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][col] != 0:
+                factor = m[i][col] / m[r][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def _ref_inner(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def ref_project_onto_span(basis, x) -> tuple[Fraction, ...]:
+    """Projection by Gram-Schmidt over Fraction in input order, skipping
+    intermediate vectors that come out exactly zero."""
+    x = tuple(Fraction(a) for a in x)
+    ortho = []
+    for b in basis:
+        b = tuple(Fraction(a) for a in b)
+        assert len(b) == len(x)
+        w = b
+        for gm in ortho:
+            c = _ref_inner(gm, b) / _ref_inner(gm, gm)
+            w = tuple(a - c * q for a, q in zip(w, gm))
+        if any(w):
+            ortho.append(w)
+    p = tuple(Fraction(0) for _ in x)
+    for gm in ortho:
+        c = _ref_inner(gm, x) / _ref_inner(gm, gm)
+        p = tuple(a + c * q for a, q in zip(p, gm))
+    return p
+
+
+def ref_orthogonalize_map(g: Graph, f, ordering=None) -> dict:
+    """One re-orthogonalization sweep over Fraction: each output is f(v)
+    minus its projection onto the earlier non-adjacent nonzero outputs."""
+    if ordering is None:
+        ordering = tuple(range(g.n))
+    out = {}
+    for idx, v in enumerate(ordering):
+        span = [
+            out[u] for u in ordering[:idx] if not g.adjacent(u, v) and any(out[u])
+        ]
+        p = ref_project_onto_span(span, f[v])
+        out[v] = tuple(Fraction(a) - b for a, b in zip(f[v], p))
+    return out
+
+
+def ref_settle(g: Graph, f, sweeps: int = 8):
+    """Sweep until the map stops changing; None if it has not after
+    ``sweeps`` sweeps."""
+    cur = {v: tuple(Fraction(a) for a in w) for v, w in f.items()}
+    for _ in range(sweeps):
+        nxt = ref_orthogonalize_map(g, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+    return None
 
 
 # -- grid-sweep reference for solution counting, independent of the solver --

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,6 +14,7 @@ from conftest import (
     ref_completeness,
     ref_exponent_sign,
     ref_histogram,
+    ref_rank,
     ref_solutions,
     tamper_certificate,
 )
@@ -43,6 +45,7 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
+    _pivot_inverse,
     Certificate,
     QuadraticAssignment,
     build_certificate,
@@ -489,6 +492,42 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     report = verify_certificate(bad)
     assert not report.ok
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
+
+
+def test_verify_rejects_vectors_wider_than_d():
+    # C6 at n = 11 with a zero coordinate appended to every c: orthogonality
+    # and general position survive, but c no longer lives in Q^d
+    cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
+    wide = tuple(v + (0,) for v in cert.rep.vectors)
+    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=wide))
+    report = verify_certificate(bad)
+    assert not report.ok
+    rep_check = report.check("orthogonal_representation")
+    assert rep_check.status == "fail"
+    assert rep_check.detail == (
+        "c vectors must have d = 4 coordinates; edges [0, 1, 2, 3, 4, 5] have 5"
+    )
+
+
+def test_pivot_inverse_is_the_least_integer_adjugate():
+    rng = random.Random(61)
+    singular = 0
+    for _ in range(2000):
+        d = rng.randint(1, 5)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+        try:
+            adj, den = _pivot_inverse(cols)
+        except NotGeneralPositionError:
+            singular += 1
+            assert ref_rank(cols) < d
+            continue
+        assert ref_rank(cols) == d and den > 0
+        for r in range(d):
+            for c in range(d):
+                got = sum(adj[r][t] * cols[c][t] for t in range(d))
+                assert got == (den if r == c else 0)
+        assert math.gcd(den, *(x for row in adj for x in row)) == 1
+    assert singular > 100
 
 
 def test_verify_without_recount_says_so():

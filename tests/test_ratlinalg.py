@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_project_onto_span, ref_rank
 from ghzcert.errors import DimMismatchError, TooLargeError
 from ghzcert.ratlinalg import (
     format_rational,
@@ -51,6 +52,50 @@ def test_rank_invariance_under_row_ops():
             tuple(Fraction(-2) * x for x in rows[2]),
         ]
         assert rank(scaled) == r
+
+
+def _random_rows(rng, as_fraction):
+    """Rows with zero rows, repeated rows and sums of earlier rows mixed in."""
+    ncols = rng.randint(0, 5)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * ncols
+        elif kind < 0.45 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [rng.randint(-4, 4) for _ in range(ncols)]
+        if as_fraction:
+            row = [Fraction(x, rng.randint(1, 6)) for x in row]
+        rows.append(tuple(row))
+    return rows
+
+
+def test_rank_matches_fraction_reference():
+    rng = random.Random(41)
+    for trial in range(3000):
+        rows = _random_rows(rng, as_fraction=trial % 2 == 1)
+        assert rank(rows) == ref_rank(rows), rows
+
+
+def test_rank_accepts_mixed_and_string_entries():
+    assert rank([(1, "1/2"), (Fraction(2), 1)]) == 1
+    assert rank([(Fraction(1, 3), 0), (0, Fraction(-2, 7))]) == 2
+    with pytest.raises(DimMismatchError):
+        rank([(1, 2), (1,)])
+
+
+def test_project_matches_fraction_reference():
+    rng = random.Random(43)
+    for trial in range(1500):
+        rows = _random_rows(rng, as_fraction=trial % 2 == 1)
+        if not rows:
+            continue
+        x, basis = rows[0], rows[1:]
+        assert project_onto_span(basis, x) == ref_project_onto_span(basis, x)
 
 
 def test_project_examples():
