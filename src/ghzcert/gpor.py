@@ -251,6 +251,8 @@ class OrthRepReport:
     zero_vectors: tuple[int, ...]
     #: vertices whose vector does not have exactly d coordinates
     wrong_width: tuple[int, ...] = ()
+    #: the number of vectors, when it is not the number of vertices
+    vector_count: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -259,6 +261,7 @@ class OrthRepReport:
             or self.dependent_subsets
             or self.zero_vectors
             or self.wrong_width
+            or self.vector_count is not None
         )
 
 
@@ -266,13 +269,15 @@ def verify_orthrep(rep: OrthRep) -> OrthRepReport:
     """Exhaustively check width, orthogonality, general position and
     nonzeroness.
 
-    Every vector must have exactly ``rep.d`` coordinates; if one does not,
-    that is the whole report.  Orthogonality is an integer dot product per
-    non-adjacent pair, and general position one exact integer rank per
-    d-subset.
+    There must be one vector per vertex, each with exactly ``rep.d``
+    coordinates; if not, that is the whole report.  Orthogonality is an
+    integer dot product per non-adjacent pair, and general position one
+    exact integer rank per d-subset.
     """
     g = rep.graph
     vecs = rep.vectors
+    if len(vecs) != g.n:
+        return OrthRepReport((), (), (), vector_count=len(vecs))
     wrong = tuple(v for v in range(g.n) if len(vecs[v]) != rep.d)
     if wrong:
         return OrthRepReport((), (), (), wrong)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 from typing import Iterable, Sequence
 
@@ -36,6 +36,29 @@ MAX_CUT_ENUM_VERTICES = 24
 
 # (head, adj) of the incidence network; see _incidence_network
 _Network = tuple[list[int], list[list[int]]]
+
+_INT = frozenset((int,))
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string is not."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
+def _json_ints(values, field: str) -> tuple[int, ...]:
+    row = tuple(values)
+    if not _INT.issuperset(map(type, row)):
+        raise TypeError(f"{field} must hold integers only")
+    return row
+
+
+def _json_int_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
+    out = tuple(map(tuple, rows))
+    if not _INT.issuperset(map(type, chain.from_iterable(out))):
+        raise TypeError(f"{field} must hold integers only")
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,9 +102,12 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
-        k = int(obj["k"])
+        k = _json_int(obj["k"], "k")
         edges = tuple(
-            Edge(frozenset(int(v) for v in e["vertices"]), int(e.get("level", 2)))
+            Edge(
+                frozenset(_json_ints(e["vertices"], "edge vertices")),
+                _json_int(e.get("level", 2), "edge level"),
+            )
             for e in obj["edges"]
         )
         return cls(k, edges)

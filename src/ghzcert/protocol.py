@@ -16,7 +16,14 @@ g convolves edge by edge on d-vectors packed into single offset integers,
 whose order is lexicographic.  The solutions are solved for, not searched:
 general position makes the last d vectors a basis, so each of the n^lam
 assignments to the first lam edges fixes the last d indices through one
-integer solve, and M <= n^lam holds by construction.
+integer solve, and M <= n^lam holds by construction.  Along the last free
+index the solve is linear, so the solutions come in n^(lam-1) blocks, each
+an arithmetic progression zipped from ranges.
+
+Certificates are written in the layout of json.dumps(indent=2,
+sort_keys=True), and solution hashes over compact JSON, but rows of ints
+are formatted by %-templates and joins rather than by the pure-Python
+encoder; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from functools import lru_cache
+from itertools import chain, islice, product, repeat
+from operator import mul
 
 from .errors import (
     BadGridLimitError,
@@ -49,6 +58,10 @@ from .hypergraph import (
     line_graph,
     min_cut_rank,
     validate,
+    _INT,
+    _json_int,
+    _json_int_rows,
+    _json_ints,
     _require_cut_preconditions,
 )
 from .ratlinalg import rank
@@ -181,10 +194,11 @@ class QuadraticAssignment:
     def from_json_dict(cls, obj: dict, l: int) -> "QuadraticAssignment":
         rows = obj["vertices"]
         quad = tuple(
-            {(int(e), int(f)): int(q) for e, f, q in row["quad"]} for row in rows
+            {(e, f): q for e, f, q in _json_int_rows(row["quad"], "quad terms")}
+            for row in rows
         )
-        lin = tuple({int(e): int(c) for e, c in row["lin"]} for row in rows)
-        const = tuple(int(row["const"]) for row in rows)
+        lin = tuple(dict(_json_int_rows(row["lin"], "lin terms")) for row in rows)
+        const = _json_ints([row["const"] for row in rows], "const")
         return cls(len(rows), l, quad, lin, const)
 
 
@@ -295,10 +309,15 @@ def choose_g(rep: OrthRep, n: int) -> tuple[tuple[int, ...], int]:
     Packed keys order like their vectors, so the winner is the smallest key
     holding the largest count; nothing is sorted and only it is unpacked.
     """
-    hist, off, base = _packed_histogram(rep, n)
-    best_m = max(hist.values())
+    packed = _packed_histogram(rep, n)
+    best_m = max(packed[0].values())
+    return _lex_smallest_mode(packed, best_m, rep.d), best_m
+
+
+def _lex_smallest_mode(packed, best_m: int, d: int) -> tuple[int, ...]:
+    hist, off, base = packed
     best_key = min(key for key, cnt in hist.items() if cnt == best_m)
-    return _unpack(best_key, rep.d, off, base), best_m
+    return _unpack(best_key, d, off, base)
 
 
 def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
@@ -340,11 +359,18 @@ def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
 def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     """Grid tuples with sum_e i_e c_e = g, in lexicographic order.
 
-    The last d = len(g) edges are pivots and the first lam are free.  For
-    each free assignment, taken in lexicographic order, the pivot indices
-    are i_P = (A g - sum_free i_e A c_e) / D, kept when the division is
-    exact and each lies in [0, n-1].  That is n^lam solves of lam * d
-    products each, whatever l is, and at most n^lam solutions.
+    The last d = len(g) edges are pivots and the first lam are free.  A free
+    assignment fixes the pivot indices i_P = (A g - sum_free i_e A c_e) / D,
+    kept when the division is exact and each lies in [0, n-1].  Only the
+    first lam - 1 free indices are looped over.  The last one, i, moves each
+    pivot residual linearly, r_t - i s_t, so the admissible i form one
+    arithmetic progression: its interval comes from 0 <= r_t - i s_t <=
+    D (n-1) for every t, its period D / gcd(D, s_1..s_d) from the
+    divisibility condition, and its start from a scan of at most one
+    period.  The pivot indices are progressions in i as well, so each block
+    of solutions is zipped from ranges without a loop per point: n^(lam-1)
+    blocks of lam * d products each, whatever l is, and at most n^lam
+    solutions.
     """
     l, d = len(vectors), len(g)
     if any(len(v) != d for v in vectors):
@@ -354,20 +380,49 @@ def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     lam = l - d
     adj, den = _pivot_inverse(vectors[lam:])
     target = [_iinner(row, g) for row in adj]
-    steps = [[_iinner(row, vectors[e]) for row in adj] for e in range(lam)]
     top = den * (n - 1)
-    for free in product(range(n), repeat=lam):
-        pivot = []
-        for t in range(d):
-            r = target[t]
-            for i, step in zip(free, steps):
-                r -= i * step[t]
-            q, rem = divmod(r, den)
-            if rem or not 0 <= r <= top:
-                break
-            pivot.append(q)
-        else:
-            yield free + tuple(pivot)
+    if lam == 0:
+        if all(r % den == 0 and 0 <= r <= top for r in target):
+            yield tuple(r // den for r in target)
+        return
+    # cols[t][e] = (A c_e)_t over the looped free edges; last[t] = s_t
+    cols = [[_iinner(row, vectors[e]) for e in range(lam - 1)] for row in adj]
+    last = [_iinner(row, vectors[lam - 1]) for row in adj]
+    period = den // math.gcd(den, *last)
+    # each step of the progression in i moves pivot t by this much
+    pivot_steps = [-s * period // den for s in last]
+    for prefix in product(range(n), repeat=lam - 1):
+        res = [r - sum(map(mul, prefix, col)) for r, col in zip(target, cols)]
+        lo, hi = 0, n - 1
+        for r, s in zip(res, last):
+            if s > 0:
+                lo, hi = max(lo, -((top - r) // s)), min(hi, r // s)
+            elif s < 0:
+                lo, hi = max(lo, -(-r // s)), min(hi, (r - top) // s)
+            elif not 0 <= r <= top:
+                hi = -1
+        start = lo
+        if den > 1:
+            start = next(
+                (
+                    i
+                    for i in range(lo, min(lo + period, hi + 1))
+                    if not any((r - i * s) % den for r, s in zip(res, last))
+                ),
+                hi + 1,
+            )
+        if start > hi:
+            continue
+        count = (hi - start) // period + 1
+        pivots = [
+            range(p, p + count * step, step) if step else repeat(p, count)
+            for p, step in zip(
+                [(r - start * s) // den for r, s in zip(res, last)], pivot_steps
+            )
+        ]
+        yield from map(
+            prefix.__add__, zip(range(start, hi + 1, period), *pivots)
+        )
 
 
 def enumerate_solutions(
@@ -376,9 +431,9 @@ def enumerate_solutions(
     """All i in [0, n-1]^l with sum_e i_e c_e = g, lexicographically.
 
     Solved, not searched: the first lam indices range over [0, n-1]^lam and
-    the last d follow from one exact integer solve each, so the cost is
-    n^lam whatever l is.  Raises NotGeneralPositionError when the last d
-    vectors are dependent.
+    the last d follow from one exact integer solve, in blocks along the
+    last free index, so the cost is n^(lam-1) blocks whatever l is.  Raises
+    NotGeneralPositionError when the last d vectors are dependent.
     """
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
@@ -386,20 +441,49 @@ def enumerate_solutions(
     return list(_pivot_solutions(rep.vectors, n, g))
 
 
+@lru_cache(maxsize=256)
+def _int_list_format(width: int, pad: str | None) -> str:
+    """%-template writing ``width`` ints as a JSON list.
+
+    With pad None the list is compact, as json.dumps writes it with
+    separators (",", ":"); otherwise it has one entry a line, as
+    json.dumps(indent=2) writes it at indentation ``pad``.
+    """
+    if width == 0:
+        return "[]"
+    if pad is None:
+        return "[" + ",".join(["%d"] * width) + "]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + pad + "]"
+
+
+def _int_rows_text(rows, pad: str | None, sep: str) -> str:
+    """Int rows of one length as JSON lists joined by ``sep``: one template
+    repeated per row, filled by a single % over the flattened entries."""
+    template = sep.join([_int_list_format(len(rows[0]), pad)] * len(rows))
+    return template % tuple(chain.from_iterable(rows))
+
+
 def solution_hash(solutions) -> str:
     """sha256 of the compact JSON of the lex-sorted solution list.
 
-    Each solution is formatted as "[a,b,...]", the bytes json.dumps gives
-    an int list with separators (",", ":"), and fed to the hasher in chunks
-    so a hash-only list never sits in memory whole.
+    The solutions are int tuples, fed to the hasher in chunks so a
+    hash-only list never sits in memory whole.  A chunk is written by one
+    "[%d,...,%d]" template, repeated and filled by a single %: the bytes
+    json.dumps gives a list of int lists with separators (",", ":").  A
+    chunk whose solutions differ in length (a malformed certificate's list)
+    takes a template each.
     """
     hasher = hashlib.sha256()
     hasher.update(b"[")
     it = iter(solutions)
     sep = ""
     while chunk := list(islice(it, _HASH_CHUNK)):
-        body = "],[".join(",".join(map(str, s)) for s in chunk)
-        hasher.update(f"{sep}[{body}]".encode())
+        if len(set(map(len, chunk))) == 1:
+            body = _int_rows_text(chunk, None, ",")
+        else:
+            body = ",".join([_int_list_format(len(s), None) % tuple(s) for s in chunk])
+        hasher.update(f"{sep}{body}".encode())
         sep = ","
     hasher.update(b"]")
     return hasher.hexdigest()
@@ -426,6 +510,40 @@ def counting_floor(rep: OrthRep, n: int) -> int:
 
 
 # -- certificates ------------------------------------------------------------
+
+_ROW = frozenset((list, tuple))
+
+
+def _json_text(value, pad: str) -> str:
+    """What json.dumps(value, indent=2, sort_keys=True) writes at ``pad``.
+
+    Dicts (with str keys) and lists are laid out here; other leaves go
+    through json.dumps.  A list of ints, or of int lists of one length, is
+    written by a %-template and one join instead of a call per entry.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if _INT.issuperset(map(type, value)):
+        return _int_list_format(len(value), pad) % tuple(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if (
+        _ROW.issuperset(map(type, value))
+        and len(set(map(len, value))) == 1
+        and _INT.issuperset(map(type, chain.from_iterable(value)))
+    ):
+        body = _int_rows_text(value, inner, sep)
+    else:
+        body = sep.join([_json_text(v, inner) for v in value])
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 @dataclass(frozen=True)
@@ -478,40 +596,38 @@ class Certificate:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        ).encode()
+        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout."""
+        return (_json_text(self.to_json_dict(), "") + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
         h = Hypergraph.from_json_dict(obj["hypergraph"])
-        d = int(obj["d"])
-        vectors = tuple(tuple(int(x) for x in v) for v in obj["c"])
-        rep = OrthRep(line_graph(h), d, vectors)
+        d = _json_int(obj["d"], "d")
+        rep = OrthRep(line_graph(h), d, _json_int_rows(obj["c"], "c"))
         raw_sols = obj["solutions"]
+        m = _json_int(obj["M"], "M")
         if isinstance(raw_sols, dict):
             solutions = None
             sol_hash = str(raw_sols["hash"])
-            m = int(raw_sols["count"])
+            m = _json_int(raw_sols["count"], "solution count")
         else:
-            solutions = tuple(tuple(int(x) for x in s) for s in raw_sols)
+            solutions = _json_int_rows(raw_sols, "solutions")
             sol_hash = solution_hash(solutions)
-            m = int(obj["M"])
         return cls(
             hypergraph=h,
-            lam=int(obj["lambda"]),
+            lam=_json_int(obj["lambda"], "lambda"),
             d=d,
             rep=rep,
-            cprime=int(obj["C_prime"]),
-            n=int(obj["n"]),
-            g=tuple(int(x) for x in obj["g"]),
+            cprime=_json_int(obj["C_prime"], "C_prime"),
+            n=_json_int(obj["n"], "n"),
+            g=_json_ints(obj["g"], "g"),
             m_count=m,
             solutions=solutions,
             sol_hash=sol_hash,
             assignment=QuadraticAssignment.from_json_dict(
                 obj["assignment"], h.l
             ),
-            seed=int(obj["seed"]),
+            seed=_json_int(obj["seed"], "seed"),
             version=str(obj.get("version", "1")),
         )
 
@@ -585,8 +701,16 @@ def synthesize_certificate(
         for rep in gpor_candidates(lg, d, seed=seed, count=candidates):
             if rep not in reps:
                 reps.append(rep)
-        scored = [(choose_g(rep, n), rep) for rep in reps]
-        (g, m), rep = max(scored, key=lambda item: item[0][1])
+        # Score by the mode count alone; only the winner's mode is located.
+        best = None
+        for rep in reps:
+            packed = _packed_histogram(rep, n)
+            m = max(packed[0].values())
+            if best is None or m > best[0]:
+                best = m, rep, packed
+            del packed  # a losing histogram goes before the next is built
+        m, rep, packed = best
+        g = _lex_smallest_mode(packed, m, rep.d)
     else:
         rep = find_gpor(lg, d, seed=seed)
         g, m = choose_g(rep, n)
@@ -677,6 +801,8 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         r = verify_orthrep(cert.rep)
         if r.ok:
             return "pass", ""
+        if r.vector_count is not None:
+            return "fail", f"c has {r.vector_count} vectors, hypergraph has {l} edges"
         if r.wrong_width:
             widths = sorted({len(cert.rep.vectors[e]) for e in r.wrong_width})
             return "fail", (

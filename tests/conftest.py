@@ -24,6 +24,7 @@ from ghzcert.hypergraph import (
     single_full_edge,
     validate,
 )
+from ghzcert.protocol import _pivot_inverse
 
 MAX_REMOVAL_ORACLE_EDGES = 12
 MAX_VERTEX_CONN_ORACLE = 10
@@ -246,6 +247,10 @@ def ref_settle(g: Graph, f, sweeps: int = 8):
 # -- grid-sweep reference for solution counting, independent of the solver --
 
 
+def _inner(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def ref_grid_values(vectors, n: int):
     """(i, sum_e i_e c_e) for every i in [0, n-1]^l, in lexicographic order."""
     d = len(vectors[0]) if vectors else 0
@@ -264,11 +269,38 @@ def ref_solutions(vectors, n: int, g: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [i for i, v in ref_grid_values(vectors, n) if v == g]
 
 
+def ref_pivot_solutions(vectors, n: int, g: tuple[int, ...]):
+    """The pivot solve one free assignment at a time: for each of the n^lam
+    assignments in lexicographic order, i_P = (A g - sum_free i_e A c_e) / D,
+    kept when the division is exact and each index lies in [0, n-1]."""
+    d = len(g)
+    lam = len(vectors) - d
+    adj, den = _pivot_inverse(vectors[lam:])
+    target = [_inner(row, g) for row in adj]
+    steps = [[_inner(row, vectors[e]) for row in adj] for e in range(lam)]
+    top = den * (n - 1)
+    for free in product(range(n), repeat=lam):
+        pivot = []
+        for t in range(d):
+            r = target[t]
+            for i, step in zip(free, steps):
+                r -= i * step[t]
+            q, rem = divmod(r, den)
+            if rem or not 0 <= r <= top:
+                break
+            pivot.append(q)
+        else:
+            yield free + tuple(pivot)
+
+
+# -- the pure-Python indenting encoder, reference for certificate bytes ------
+
+
+def ref_to_json_bytes(cert) -> bytes:
+    return (json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
 # -- grid-sweep reference for the verifier's completeness and exponent_sign --
-
-
-def _inner(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def ref_completeness(cert) -> tuple[str, str]:

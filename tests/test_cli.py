@@ -187,6 +187,35 @@ def test_verify_bad_certificate_format(tmp_path, capsys):
     assert err["code"] == "BadFormat"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("M", 12.5), ("n", 4.9), ("c", 1.25), ("solutions", 0.5), ("M", True),
+     ("n", "4")],
+)
+def test_verify_non_integer_field_is_bad_format(field, value, tmp_path, capsys):
+    # K3 at n = 4; each of these verified ok while fields went through int()
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    if field == "c":
+        obj["c"][1][0] = value
+    elif field == "solutions":
+        obj["solutions"][3][0] = value
+    else:
+        obj[field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert "must be an integer" in err["message"] or "integers only" in err["message"]
+
+
+def test_hypergraph_with_non_integer_vertex_is_bad_format(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"k": 3, "edges": [{"vertices": [1, 2.5]}]}))
+    assert run(["connectivity", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "BadFormat"
+
+
 def test_verify_dependent_pivots_exit_1(tmp_path, capsys):
     cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
     obj = cert.to_json_dict()

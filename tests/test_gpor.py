@@ -170,6 +170,10 @@ def test_verify_orthrep_reports_each_defect():
     wide = OrthRep(g, 2, ((1, 0, 0), (0, 1), (0, 1, 0)))
     report = verify_orthrep(wide)
     assert not report.ok and report.wrong_width == (0, 2)
+    for vectors in (((1, 0), (0, 1)), ((1, 0), (0, 1), (0, 1), (1, 1))):
+        report = verify_orthrep(OrthRep(g, 2, vectors))
+        assert not report.ok and report.vector_count == len(vectors)
+    assert verify_orthrep(OrthRep(g, 2, ((1, 0), (1, 1), (0, 1)))).vector_count is None
 
 
 def test_fixed_point_property_of_verified_reps():

@@ -14,8 +14,10 @@ from conftest import (
     ref_completeness,
     ref_exponent_sign,
     ref_histogram,
+    ref_pivot_solutions,
     ref_rank,
     ref_solutions,
+    ref_to_json_bytes,
     tamper_certificate,
 )
 from ghzcert.errors import (
@@ -28,10 +30,11 @@ from ghzcert.errors import (
     NotGeneralPositionError,
     NotOrthRepError,
     GhzcertError,
+    RetriesExhaustedError,
     SameVertexError,
 )
 from ghzcert.cli import run as cli_run
-from ghzcert.gpor import OrthRep, find_gpor
+from ghzcert.gpor import OrthRep, find_gpor, gpor_candidates
 from ghzcert.hypergraph import (
     Graph,
     complete_uniform,
@@ -45,7 +48,9 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
+    _json_text,
     _pivot_inverse,
+    _pivot_solutions,
     Certificate,
     QuadraticAssignment,
     build_certificate,
@@ -235,6 +240,71 @@ def test_enumerate_solutions_examples():
     assert enumerate_solutions(pair, 4, (99,)) == []
 
 
+def _random_pivot_case(rng: random.Random, n: int):
+    """Random int vectors whose last d form an invertible pivot block, with
+    the pivot inverse's D and the last free column's steps s_t = (A c)_t."""
+    while True:
+        l = rng.randint(1, 5 if n <= 3 else 4)
+        d = rng.randint(0, min(l, 3))
+        vectors = tuple(
+            tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(l)
+        )
+        try:
+            adj, den = _pivot_inverse(vectors[l - d:])
+        except NotGeneralPositionError:
+            continue
+        last = vectors[l - d - 1] if l > d else ()
+        steps = [sum(a * b for a, b in zip(row, last)) for row in adj]
+        return vectors, den, steps
+
+
+def test_pivot_solutions_match_grid_sweep():
+    rng = random.Random(2718)
+    seen = set()
+    for case in range(400):
+        n = 2 + case % 4
+        vectors, den, steps = _random_pivot_case(rng, n)
+        l, d = len(vectors), len(vectors[0])
+        hist = ref_histogram(vectors, n)
+        mode = max(hist.values())
+        box = c_prime(OrthRep(Graph(l), d, vectors)) * (n - 1)
+        targets = [
+            min(v for v, c in hist.items() if c == mode),  # the mode
+            rng.choice(sorted(hist)),  # any grid value
+            tuple(rng.randint(-box, box) for _ in range(d)),  # often off-grid
+            tuple(box + 1 + rng.randint(0, 3) for _ in range(d)),  # off the box
+        ]
+        for g in targets:
+            got = list(_pivot_solutions(vectors, n, g))
+            assert got == ref_solutions(vectors, n, g), (vectors, n, g)
+        seen.add(("lam", min(l - d, 2)))
+        seen.add(("d", min(d, 1)))
+        if den > 1:
+            seen.add("D > 1")
+        seen.update(("step", (s > 0) - (s < 0)) for s in steps)
+    assert seen == {
+        ("lam", 0), ("lam", 1), ("lam", 2), ("d", 0), ("d", 1),
+        "D > 1", ("step", -1), ("step", 0), ("step", 1),
+    }
+
+
+def test_pivot_solutions_match_per_assignment_solve():
+    rng = random.Random(3141)
+    for case in range(200):
+        n = rng.choice([2, 3, 5, 8, 13])
+        vectors, _, _ = _random_pivot_case(rng, 5)
+        d = len(vectors[0])
+        g = tuple(rng.randint(-4 * n, 4 * n) for _ in range(d))
+        want = list(ref_pivot_solutions(vectors, n, g))
+        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
+    for name, h in corpus():
+        for n in (5, 9):
+            cert = synthesize_certificate(h, n, seed=1)
+            want = list(ref_pivot_solutions(cert.rep.vectors, n, cert.g))
+            assert list(_pivot_solutions(cert.rep.vectors, n, cert.g)) == want, name
+            assert len(want) == cert.m_count
+
+
 def test_grid_guard_env_override(monkeypatch):
     rep = scalar_rep([1, 1, 1])
     monkeypatch.setenv("GHZCERT_MAX_GRID", "10")
@@ -289,6 +359,17 @@ def test_solution_hash_equals_hash_of_compact_json():
         assert solution_hash(iter(sols)) == want
 
 
+def test_solution_hash_of_solutions_of_different_lengths():
+    rng = random.Random(6)
+    for count in (2, 5, 4097):
+        sols = [
+            tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 3)))
+            for _ in range(count)
+        ]
+        blob = json.dumps([list(s) for s in sols], separators=(",", ":"))
+        assert solution_hash(sols) == hashlib.sha256(blob.encode()).hexdigest()
+
+
 # sha256 of `ghzcert certify --n N --seed 0` output, captured before counting
 # moved from a depth-first search to the pivot solve; a certificate's bytes
 # must not depend on how its solutions were found.
@@ -336,6 +417,30 @@ def test_synthesize_deterministic():
     assert a.to_json_bytes() == b.to_json_bytes()
 
 
+def test_synthesis_keeps_the_first_candidate_with_the_largest_mode():
+    # the several-candidate branch, spelled out with choose_g per candidate
+    ties = 0
+    for h, n in [(cycle_hypergraph(6), 3), (cycle_hypergraph(4), 5),
+                 (complete_uniform(4, 2), 2), (K3, 7), (path_hypergraph(4), 6)]:
+        lg, d = line_graph(h), h.l - edge_connectivity(h)
+        for seed in (0, 1, 2):
+            reps = []
+            try:
+                reps += gpor_candidates(
+                    lg, d, seed=seed, count=4, bound=3, max_retries=16
+                )
+            except RetriesExhaustedError:
+                pass
+            more = gpor_candidates(lg, d, seed=seed, count=4)
+            reps += [r for r in more if r not in reps]
+            scored = [(choose_g(rep, n), rep) for rep in reps]
+            (g, m), rep = max(scored, key=lambda item: item[0][1])
+            ties += sum(gm[1] == m for gm, _ in scored) > 1
+            cert = synthesize_certificate(h, n, seed=seed)
+            assert (cert.g, cert.m_count, cert.rep) == (g, m, rep), (h, n, seed)
+    assert ties
+
+
 def test_synthesize_rejects_bad_inputs():
     with pytest.raises(DisconnectedError):
         synthesize_certificate(hypergraph(4, [{1, 2}, {3, 4}]), 2)
@@ -353,6 +458,76 @@ def test_certificate_round_trip():
     assert back.to_json_bytes() == cert.to_json_bytes()
 
 
+def _json_value(rng: random.Random, depth: int):
+    kind = rng.choice(
+        ["int", "int", "row", "rows", "float", "str", "bool", "none", "list", "dict"]
+        if depth < 3 else ["int", "float", "str", "bool", "none"]
+    )
+    if kind == "int":
+        return rng.randint(-10**20, 10**20)
+    if kind == "row":
+        return rng.choice([list, tuple])(
+            rng.randint(-99, 99) for _ in range(rng.randint(0, 4))
+        )
+    if kind == "rows":  # one length, except now and then
+        width = rng.randint(0, 3)
+        rows = [
+            [rng.randint(-9, 9) for _ in range(width)] for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            rows[-1].append(rng.choice([1, True, 2.5, "x"]))
+        return rows
+    if kind == "float":
+        return rng.choice([0.0, -1.5, 1e300, 2.0, 1 / 3, float("inf")])
+    if kind == "str":
+        return rng.choice(["", "a", "\u00e9\"\n", "hash"])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "list":
+        return [_json_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    keys = rng.sample(["B", "a", "b", "c_x", "C", "\u00e9", ""], rng.randint(0, 4))
+    return {key: _json_value(rng, depth + 1) for key in keys}
+
+
+def test_json_text_matches_the_indenting_encoder():
+    rng = random.Random(77)
+    for _ in range(3000):
+        value = _json_value(rng, 0)
+        assert _json_text(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _serialization_cases():
+    rng = random.Random(12)
+    for name, h in corpus():
+        for n in (2, 3, 4):
+            cert = synthesize_certificate(h, n, seed=0)
+            yield f"{name}-n{n}", cert
+            obj = cert.to_json_dict()
+            for kind in ("M", "c", "g", "assignment"):
+                tampered = tamper_certificate(obj, kind, rng)
+                yield f"{name}-n{n}-{kind}", Certificate.from_json_dict(tampered)
+    for name, h, n in [
+        ("C4", cycle_hypergraph(4), 32),
+        ("K4^3", complete_uniform(4, 3), 20),
+        ("K4^3", complete_uniform(4, 3), 32),  # hash-only
+    ]:
+        yield f"{name}-n{n}", synthesize_certificate(h, n, seed=0)
+    # full3 has d = 0: c is one empty row and g is empty
+    cert = synthesize_certificate(single_full_edge(3), 3, seed=0)
+    yield "full3-ragged", dataclasses.replace(cert, solutions=((0,), (1, 2), ()))
+
+
+def test_to_json_bytes_matches_the_indenting_encoder():
+    seen_d0 = seen_hash_only = 0
+    for key, cert in _serialization_cases():
+        assert cert.to_json_bytes() == ref_to_json_bytes(cert), key
+        seen_d0 += cert.to_json_dict()["c"][0] == []
+        seen_hash_only += cert.solutions is None
+    assert seen_d0 and seen_hash_only
+
+
 def test_certificate_schema_fields():
     cert = synthesize_certificate(K3, 4, seed=0)
     obj = cert.to_json_dict()
@@ -364,6 +539,53 @@ def test_certificate_schema_fields():
     assert set(obj["achieved_rate"]) == {"log2_M", "log2_n"}
     assert isinstance(obj["solutions"], list)
     assert obj["seed"] == 0
+
+
+def _set_field(obj: dict, path: tuple, value) -> dict:
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+NOT_INTEGERS = [
+    (("M",), 12.5),
+    (("n",), 4.9),
+    (("c", 1, 0), 1.25),
+    (("solutions", 3, 0), 0.5),
+    (("M",), 12.0),
+    (("lambda",), True),
+    (("n",), "4"),
+    (("g", 0), "4"),
+    (("seed",), False),
+    (("d",), None),
+    (("C_prime",), 3.0),
+    (("solutions", 0, 1), True),
+    (("c", 0), "1"),
+    (("assignment", "vertices", 0, "const"), 0.5),
+    (("assignment", "vertices", 0, "quad", 0, 2), 2.0),
+    (("assignment", "vertices", 0, "lin", 0, 1), "-8"),
+    (("hypergraph", "k"), 3.0),
+    (("hypergraph", "edges", 0, "vertices", 0), True),
+    (("hypergraph", "edges", 0, "level"), 2.0),
+]
+
+
+@pytest.mark.parametrize("path, value", NOT_INTEGERS)
+def test_certificate_parse_accepts_only_integers(path, value):
+    # each of these verified ok while integer fields went through int()
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    with pytest.raises(TypeError):
+        Certificate.from_json_dict(_set_field(obj, path, value))
+
+
+def test_hash_only_certificate_parse_accepts_only_integers():
+    obj = synthesize_certificate(path_hypergraph(2), 20000, seed=0).to_json_dict()
+    for path, value in [(("solutions", "count"), 20000.0), (("M",), 20000.5)]:
+        with pytest.raises(TypeError):
+            Certificate.from_json_dict(_set_field(obj, path, value))
 
 
 def test_solution_cap_keeps_count_and_hash():
@@ -440,6 +662,9 @@ def test_verify_survives_malformed_vectors():
     bad = dataclasses.replace(cert, rep=bad_rep)
     report = verify_certificate(bad)  # must report, not raise
     assert not report.ok
+    rep_check = report.check("orthogonal_representation")
+    assert rep_check.status == "fail"
+    assert rep_check.detail == "c has 2 vectors, hypergraph has 3 edges"
 
 
 def test_verify_fails_counting_when_pivots_are_dependent():
