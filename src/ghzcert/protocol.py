@@ -20,6 +20,11 @@ integer solve, and M <= n^lam holds by construction.  Along the last free
 index the solve is linear, so the solutions come in n^(lam-1) blocks, each
 an arithmetic progression zipped from ranges.
 
+The verifier recounts every certificate by the same pivot solve, bounded
+by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
+and per-vertex injectivity from the checks that imply them; no check sweeps
+the grid, and a claim that is not recomputed fails.
+
 Certificates are written in the layout of json.dumps(indent=2,
 sort_keys=True), and solution hashes over compact JSON, but rows of ints
 are formatted by %-templates and joins rather than by the pure-Python
@@ -35,14 +40,13 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
-from operator import mul
+from itertools import chain, count, islice, product, repeat
+from operator import itemgetter, mul
 
 from .errors import (
     BadGridLimitError,
     BadLevelError,
     DimMismatchError,
-    GhzcertError,
     GridTooLargeError,
     LevelsUnsupportedError,
     NotGeneralPositionError,
@@ -609,7 +613,9 @@ class Certificate:
         if isinstance(raw_sols, dict):
             solutions = None
             sol_hash = str(raw_sols["hash"])
-            m = _json_int(raw_sols["count"], "solution count")
+            counted = _json_int(raw_sols["count"], "solution count")
+            if counted != m:
+                raise ValueError(f"M {m} != solution count {counted}")
         else:
             solutions = _json_int_rows(raw_sols, "solutions")
             sol_hash = solution_hash(solutions)
@@ -754,21 +760,26 @@ class CertificateReport:
 def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateReport:
     """Replay every claim a certificate makes, exactly.
 
-    The true solution set is re-derived from (c, n, g); the listed
-    solutions are evidence to be checked against it, never trusted.  All
-    findings land in the report; nothing raises.
+    The true solution set is recounted from (c, n, g) by the pivot solve,
+    whose work n^lam is bounded by GHZCERT_MAX_GRID; M, the hash and the
+    listed solutions are evidence checked against it, never trusted.  The
+    recount is counted and hashed in one streamed pass, so the set is never
+    held in memory.  A claim that could not be recomputed fails; only the
+    deep check may be skipped.  All findings land in the report; nothing
+    raises but BadGridLimitError, for a malformed GHZCERT_MAX_GRID.
 
     Completeness is a symbolic identity: the per-vertex forms mention only
-    local edges and sum, coefficient for coefficient, to ||c.i - g||^2, so
-    they agree with it at every grid point without a sweep.  exponent_sign
-    then follows too (the total is a square, zero exactly on the recounted
-    solutions), so it sweeps the grid only when that identity fails.  The
-    deep check is the independent simulation: it runs the degeneration on
-    the full tensor and is gated on a 10^6 grid.
+    local edges and sum, coefficient for coefficient, to ||c.i - g||^2.
+    Two checks follow from the algebra instead of a sweep: exponent_sign
+    holds exactly when that identity does (the total is then a square, zero
+    exactly on the solutions), and injectivity exactly when decodability
+    does (two solutions with the same labels at vertex j differ only on the
+    edges away from j, whose vectors are independent).  The deep check is
+    the independent simulation: it runs the degeneration on the full tensor
+    and is gated on a 10^6 grid.
     """
     h = cert.hypergraph
     l = h.l
-    grid_small = cert.n**l <= DEEP_GRID_LIMIT
     checks: list[CheckResult] = []
 
     def run(name: str, fn) -> None:
@@ -778,22 +789,36 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
         checks.append(CheckResult(name, status, detail))
 
+    def derive(name: str, premise: str) -> None:
+        held = next(c.status for c in checks if c.name == premise) == "pass"
+        checks.append(
+            CheckResult(name, "pass", "")
+            if held
+            else CheckResult(name, "fail", f"follows from {premise}, which failed")
+        )
+
     # The recount runs outside run(), so a c that cannot be solved (wrong
-    # shape, dependent pivot block) is caught here and failed by counting.
-    true_sols: tuple[tuple[int, ...], ...] | None = None
+    # shape, dependent pivot block, too much work) is caught here and failed
+    # by counting.
+    recount: tuple[int, str] | None = None
     recount_error = None
-    if grid_small:
-        try:
-            if len(cert.rep.vectors) != l:
-                raise DimMismatchError(
-                    f"c has {len(cert.rep.vectors)} vectors, hypergraph has "
-                    f"{l} edges"
-                )
-            true_sols = tuple(
-                _pivot_solutions(cert.rep.vectors, cert.n, cert.g)
+    try:
+        if len(cert.rep.vectors) != l:
+            raise DimMismatchError(
+                f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
             )
-        except GhzcertError as exc:
-            recount_error = f"cannot recount M: {exc.code}: {exc}"
+        _check_grid(max(l - len(cert.g), 0), cert.n)
+        # zip stops when the solutions run out, so the tally ends at their number
+        tally = count()
+        digest = solution_hash(
+            map(
+                itemgetter(0),
+                zip(_pivot_solutions(cert.rep.vectors, cert.n, cert.g), tally),
+            )
+        )
+        recount = next(tally), digest
+    except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
+        recount_error = f"cannot recount M: {exc.code}: {exc}"
 
     # 1: the vectors have d coordinates and form a general-position
     # orthogonal representation
@@ -836,10 +861,9 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     # 3: the local forms sum to ||c.i - g||^2, and mention only local edges.
     # Both are exact coefficient comparisons; when they hold, the summed
     # form and the square are one polynomial.
-    identity = False
-
     def check_completeness():
-        nonlocal identity
+        if cert.assignment.k != h.k:
+            return "fail", f"{cert.assignment.k} vertex shares for {h.k} vertices"
         detail = []
         nonlocal_vertices = [
             j
@@ -870,69 +894,21 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             detail.append(
                 f"c vectors are not all of dimension len(g) = {len(cert.g)}"
             )
-        if detail:
-            return "fail", "; ".join(detail)
-        identity = True
-        return "pass", "" if grid_small else "symbolic only; grid too large"
-
-    run("completeness", check_completeness)
-
-    # 4: totals are nonnegative, zero exactly on solutions.  Given the
-    # completeness identity the total is ||c.i - g||^2, which is zero exactly
-    # on the recounted set, so the sweep runs only when the identity fails.
-    def check_sign():
-        detail = []
-        if cert.solutions is not None:
-            for i in cert.solutions:
-                v = tuple(
-                    sum(cert.rep.vectors[e][t] * i[e] for e in range(l))
-                    for t in range(len(cert.g))
-                )
-                if v != cert.g:
-                    detail.append(f"listed solution {i} has c.i = {v} != g")
-                    break
-        if true_sols is None:
-            if not detail:
-                if cert.solutions is None:
-                    return "skipped", recount_error or "grid too large to sweep"
-                why = recount_error or "grid too large"
-                return "pass", f"listed solutions only; {why}"
-        elif not identity:
-            sol_set = set(true_sols)
-            for i in product(range(cert.n), repeat=l):
-                total = cert.assignment.total_exponent(i)
-                if total < 0:
-                    detail.append(f"negative total exponent at {i}")
-                    break
-                if (total == 0) != (i in sol_set):
-                    detail.append(f"zero-set mismatch at {i}")
-                    break
         return ("fail", "; ".join(detail)) if detail else ("pass", "")
 
-    run("exponent_sign", check_sign)
-
+    run("completeness", check_completeness)
+    # 4: totals are nonnegative, zero exactly on solutions
+    derive("exponent_sign", "completeness")
     # 5: solutions are recoverable from any one vertex's labels
-    def check_injectivity():
-        if recount_error is not None:
-            return "skipped", recount_error
-        sols = true_sols if true_sols is not None else cert.solutions
-        if sols is None:
-            return "skipped", "solution list unavailable"
-        bad = []
-        for j in range(1, h.k + 1):
-            inc = h.incident(j)
-            labels = {tuple(i[e] for e in inc) for i in sols}
-            if len(labels) != len(sols):
-                bad.append(j)
-        if bad:
-            return "fail", f"label collisions at vertices {bad}"
-        return "pass", ""
-
-    run("injectivity", check_injectivity)
+    derive("injectivity", "decodability")
 
     # 6: the counted quantities are what the certificate says
     def check_counting():
         detail = []
+        # the rate is claimed against lambda, the bound for uniform level 2
+        other_levels = [idx for idx, e in enumerate(h.edges) if e.level != 2]
+        if other_levels:
+            detail.append(f"edges {other_levels} are not of level 2")
         lam_re = edge_connectivity(h)
         if lam_re != cert.lam:
             detail.append(f"lambda {cert.lam} != recomputed {lam_re}")
@@ -946,24 +922,16 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         # degeneration cannot raise rank
         if cert.m_count > cert.n**lam_re:
             detail.append(f"M {cert.m_count} above n^lambda = {cert.n**lam_re}")
-        if recount_error is not None:
+        if recount is None:
             detail.append(recount_error)
-        if true_sols is not None:
-            if len(true_sols) != cert.m_count:
-                detail.append(
-                    f"M {cert.m_count} != recounted {len(true_sols)}"
-                )
-            if solution_hash(true_sols) != cert.sol_hash:
+        else:
+            m_true, digest = recount
+            if m_true != cert.m_count:
+                detail.append(f"M {cert.m_count} != recounted {m_true}")
+            if digest != cert.sol_hash:
                 detail.append("solution hash mismatch")
-            if cert.solutions is not None and cert.solutions != true_sols:
+            if cert.solutions is not None and solution_hash(cert.solutions) != digest:
                 detail.append("listed solutions differ from the true set")
-        elif cert.solutions is not None:
-            if len(cert.solutions) != cert.m_count:
-                detail.append(
-                    f"M {cert.m_count} != listed count {len(cert.solutions)}"
-                )
-            if solution_hash(cert.solutions) != cert.sol_hash:
-                detail.append("solution hash mismatch")
         if cert.m_count < counting_floor(cert.rep, cert.n):
             detail.append(
                 f"M {cert.m_count} below floor {counting_floor(cert.rep, cert.n)}"
@@ -976,10 +944,13 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     def check_degeneration():
         if not deep:
             return "skipped", "deep=False"
-        if not grid_small:
+        if cert.n**l > DEEP_GRID_LIMIT:
             return "skipped", "grid too large for deep check"
-        if true_sols is None:
-            return "skipped", "no recounted solutions to compare against"
+        incident = [h.incident(j) for j in range(1, h.k + 1)]
+        expected = {
+            tuple(tuple(i[e] for e in inc) for inc in incident)
+            for i in _pivot_solutions(cert.rep.vectors, cert.n, cert.g)
+        }
         detail = []
         t = ghz_state(h, cert.n)
         for j in range(1, h.k + 1):
@@ -988,11 +959,6 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         r = check_ghz_structure(lt)
         if r != cert.m_count:
             detail.append(f"leading term has {r} entries, M = {cert.m_count}")
-        incident = [h.incident(j) for j in range(1, h.k + 1)]
-        expected = {
-            tuple(tuple(i[e] for e in inc) for inc in incident)
-            for i in true_sols
-        }
         if set(lt.entries) != expected:
             detail.append("leading entries differ from the solution set")
         return ("fail", "; ".join(detail)) if detail else ("pass", "")

@@ -300,7 +300,7 @@ def ref_to_json_bytes(cert) -> bytes:
     return (json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
-# -- grid-sweep reference for the verifier's completeness and exponent_sign --
+# -- grid-sweep references for the verifier's derived checks ----------------
 
 
 def ref_completeness(cert) -> tuple[str, str]:
@@ -366,14 +366,30 @@ def ref_exponent_sign(cert, solutions) -> tuple[str, str]:
     return ("fail", "; ".join(detail)) if detail else ("pass", "")
 
 
+def ref_injectivity(cert, solutions) -> tuple[str, str]:
+    """The per-vertex label pass: distinct ``solutions`` keep distinct labels
+    (their indices on the vertex's incident edges) at every vertex."""
+    h = cert.hypergraph
+    bad = [
+        j
+        for j in range(1, h.k + 1)
+        if len({tuple(i[e] for e in h.incident(j)) for i in solutions})
+        != len(solutions)
+    ]
+    return ("fail", f"label collisions at vertices {bad}") if bad else ("pass", "")
+
+
 def tamper_certificate(obj: dict, kind: str, rng: random.Random) -> dict:
-    """A copy of certificate JSON ``obj`` with one false field: M moved by one,
-    one c or g entry raised by one, or one assignment term raised by one."""
+    """A copy of certificate JSON ``obj`` with one false field: M moved by one
+    (with the count of a hash-only list, which must agree with it), one c or
+    g entry raised by one, or one assignment term raised by one."""
     obj = json.loads(json.dumps(obj))
     if kind in ("c", "g") and obj["d"] == 0:
         kind = "assignment"
     if kind == "M":
         obj["M"] += rng.choice((-1, 1)) if obj["M"] > 1 else 1
+        if isinstance(obj["solutions"], dict):
+            obj["solutions"]["count"] = obj["M"]
     elif kind == "c":
         obj["c"][rng.randrange(len(obj["c"]))][rng.randrange(obj["d"])] += 1
     elif kind == "g":

@@ -179,6 +179,44 @@ def test_certify_bad_grid_limit_exit_3(raw, k3_file, monkeypatch, capsys):
     assert err["code"] == "BadGridLimit"
 
 
+def test_verify_bad_grid_limit_exit_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cert.json"
+    path.write_bytes(synthesize_certificate(cycle_hypergraph(3), 4).to_json_bytes())
+    monkeypatch.setenv("GHZCERT_MAX_GRID", "lots")
+    assert run(["verify", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "BadGridLimit"
+
+
+def test_verify_hash_only_m_other_than_its_count_is_bad_format(tmp_path, capsys):
+    obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
+    obj["M"] += 5
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert "M 21861 != solution count 21856" in err["message"]
+
+
+@pytest.mark.parametrize("instance", ["K4^3-n32-hash-only", "C6-n11-listed"])
+def test_verify_rejects_false_counts_above_the_deep_grid(instance, tmp_path, capsys):
+    # both verified ok while only grids up to 10^6 were recounted
+    if instance == "K4^3-n32-hash-only":
+        obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
+        obj["M"] += 1
+        obj["solutions"]["count"] += 1
+    else:
+        obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
+        del obj["solutions"][7]
+        obj["M"] = 30
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["counting"]["status"] == "fail"
+    assert "!= recounted" in checks["counting"]["detail"]
+
+
 def test_verify_bad_certificate_format(tmp_path, capsys):
     path = tmp_path / "noncert.json"
     path.write_text(json.dumps({"hello": 1}))
@@ -289,9 +327,10 @@ def test_epr_bad_vertices_exit_3(a, b, error, k3_file, capsys):
 
 
 # sha256 of the concatenated `verify --json --deep` stdout over the honest
-# certificate (seed 0) and four one-field tampers of each instance below,
-# captured before the tensor layer moved to int exponents and the verifier
-# stopped sweeping the grid; the reports must not depend on either.
+# certificate (seed 0) and four one-field tampers of each instance below.
+# Statuses and exit codes are those of the grid-sweeping verifier; only the
+# exponent_sign detail of a tamper changed, to "follows from completeness,
+# which failed", when that check came to be derived from completeness.
 GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(3), 4),
     (cycle_hypergraph(5), 3),
@@ -299,7 +338,7 @@ GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(6), 4),
 ]
 GOLDEN_VERIFY_SHA256 = (
-    "d588126058da73c8e91d094d1210875693c8d992ea8684db7875b5e8b07040b9"
+    "43652cb7db8e452f1ad63a0419d9ce9aecf16677174fa1b6dad69bb9d7d0b6bd"
 )
 
 

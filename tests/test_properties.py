@@ -1,0 +1,155 @@
+"""Property test of the verifier: a certificate with one field mutated is
+rejected, or is the same certificate, or is another true certificate by the
+grid-sweep references."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import tempfile
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    corpus,
+    edge_connectivity_by_removal,
+    ref_completeness,
+    ref_exponent_sign,
+    ref_injectivity,
+    ref_solutions,
+)
+from ghzcert.cli import run
+from ghzcert.errors import GhzcertError
+from ghzcert.gpor import verify_orthrep
+from ghzcert.hypergraph import complete_uniform, cycle_hypergraph
+from ghzcert.protocol import (
+    Certificate,
+    solution_hash,
+    synthesize_certificate,
+    verify_certificate,
+)
+
+# what the CLI reports as BadFormat (exit 3) when a certificate does not parse
+PARSE_ERRORS = (KeyError, TypeError, ValueError, GhzcertError)
+
+
+@lru_cache(maxsize=1)
+def honest() -> tuple[dict, ...]:
+    """Corpus certificates at n = 3, C4 at n = 32 (listed) and K4^3 at n = 32
+    (hash-only), as JSON."""
+    certs = [synthesize_certificate(h, 3, seed=0) for _, h in corpus()]
+    certs.append(synthesize_certificate(cycle_hypergraph(4), 32, seed=0))
+    certs.append(synthesize_certificate(complete_uniform(4, 3), 32, seed=0))
+    return tuple(json.loads(c.to_json_bytes()) for c in certs)
+
+
+def _paths(value, prefix=()):
+    """Every path to a node below the root, the node's own before its
+    children's."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, prefix + (key,))
+
+
+@lru_cache(maxsize=None)
+def paths(idx: int) -> tuple[tuple, ...]:
+    return tuple(_paths(honest()[idx]))
+
+
+def _claims(cert: Certificate) -> Certificate:
+    """The certificate without its provenance: the synthesis seed and the
+    format version are recorded, not claimed."""
+    return dataclasses.replace(cert, seed=0, version="1")
+
+
+def true_by_reference(cert: Certificate) -> bool:
+    """Every claim of ``cert`` holds by the grid sweeps and oracles of the
+    tests and by the deep simulation; the grid must be small enough."""
+    h, n = cert.hypergraph, cert.n
+    assert 2 <= n and n**h.l <= 10**5, "no reference for this grid"
+    sols = ref_solutions(cert.rep.vectors, n, cert.g)
+    return (
+        verify_orthrep(cert.rep).ok
+        and edge_connectivity_by_removal(h) == cert.lam == h.l - cert.d
+        and ref_completeness(cert)[0] == "pass"
+        and ref_exponent_sign(cert, sols)[0] == "pass"
+        and ref_injectivity(cert, sols)[0] == "pass"
+        and len(sols) == cert.m_count
+        and solution_hash(sols) == cert.sol_hash
+        and cert.solutions in (None, tuple(sols))
+        and verify_certificate(cert, deep=True).check("degeneration").status
+        == "pass"
+    )
+
+
+SCALARS = st.one_of(
+    st.integers(-40, 40),
+    st.none(),
+    st.booleans(),
+    st.floats(-40, 40, allow_nan=False),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+    st.just([0]),
+)
+
+
+@st.composite
+def mutants(draw) -> tuple[int, dict]:
+    idx = draw(st.integers(0, len(honest()) - 1))
+    obj = json.loads(json.dumps(honest()[idx]))
+    path = draw(st.sampled_from(paths(idx)))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    op = draw(st.sampled_from(["shift", "replace", "delete", "duplicate"]))
+    if op == "shift" and type(old) is int:
+        parent[key] = old + draw(st.integers(-3, 3).filter(bool))
+    elif op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(old)))
+    else:
+        parent[key] = draw(SCALARS)
+    return idx, obj
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutants())
+def test_a_mutated_certificate_is_rejected_or_the_same(case):
+    # The assignment does not depend on n, so moving n can leave a true
+    # certificate (every solution still on the grid, M above the floor);
+    # such a mutant must pass the references instead.
+    idx, obj = case
+    want = _claims(Certificate.from_json_dict(honest()[idx]))
+    try:
+        cert = Certificate.from_json_dict(obj)
+    except PARSE_ERRORS:
+        ok = None  # rejected before verification
+    else:
+        ok = verify_certificate(cert).ok
+        if _claims(cert) == want:
+            assert ok
+        elif ok:
+            assert true_by_reference(cert)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = run(["verify", path, "--json"])
+    assert rc == {None: 3, True: 0, False: 1}[ok]

@@ -14,6 +14,7 @@ from conftest import (
     ref_completeness,
     ref_exponent_sign,
     ref_histogram,
+    ref_injectivity,
     ref_pivot_solutions,
     ref_rank,
     ref_solutions,
@@ -588,6 +589,15 @@ def test_hash_only_certificate_parse_accepts_only_integers():
             Certificate.from_json_dict(_set_field(obj, path, value))
 
 
+def test_hash_only_certificate_parse_rejects_m_other_than_its_count():
+    # K4^3 at n = 32 is hash-only; M alone raised by 5 used to parse to the
+    # honest certificate, verify ok and re-serialize to the honest bytes
+    obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
+    assert isinstance(obj["solutions"], dict)
+    with pytest.raises(ValueError, match="M 21861 != solution count 21856"):
+        Certificate.from_json_dict(_set_field(obj, ("M",), obj["M"] + 5))
+
+
 def test_solution_cap_keeps_count_and_hash():
     # single level-2 edge: every grid point is a solution, M = n
     h = path_hypergraph(2)
@@ -710,8 +720,8 @@ def test_verify_rejects_listed_count_above_n_to_the_lambda():
 
 
 def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
-    # C6 at n = 11: a 1.77e6 grid, too large to recount; M = 10^5 claims
-    # rate 4.8 against lambda = 2.
+    # C6 at n = 11 (a 1.77e6 grid): M = 10^5 claims rate 4.8 against
+    # lambda = 2.
     cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
     bad = dataclasses.replace(cert, m_count=100000, solutions=None)
     report = verify_certificate(bad)
@@ -732,6 +742,88 @@ def test_verify_rejects_vectors_wider_than_d():
     assert rep_check.detail == (
         "c vectors must have d = 4 coordinates; edges [0, 1, 2, 3, 4, 5] have 5"
     )
+
+
+def test_verify_recounts_hash_only_certificates_above_the_deep_grid():
+    # K4^3 at n = 32 (grid 32^4, n^lambda = 32768): M and the hash-only count
+    # both raised by one verified ok while only small grids were recounted
+    obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
+    obj["M"] += 1
+    obj["solutions"]["count"] += 1
+    counting = verify_certificate(Certificate.from_json_dict(obj)).check("counting")
+    assert counting.status == "fail"
+    assert counting.detail == "M 21857 != recounted 21856"
+
+
+def test_verify_recounts_listed_certificates_above_the_deep_grid():
+    # C6 at n = 11 (grid 1.77e6): one listed solution dropped, M set from 31
+    # to 30 and the list re-hashed by the parser verified ok the same way
+    obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
+    assert obj["M"] == 31
+    del obj["solutions"][7]
+    obj["M"] = 30
+    report = verify_certificate(Certificate.from_json_dict(obj))
+    assert not report.ok
+    counting = report.check("counting")
+    assert counting.status == "fail"
+    assert "M 30 != recounted 31" in counting.detail
+
+
+def test_verify_skips_no_claim():
+    # every check but the deep simulation is recomputed or fails, on honest
+    # and tampered certificates of every size
+    rng = random.Random(7)
+    certs = [
+        synthesize_certificate(h, n, seed=0) for _, h in corpus() for n in (2, 3, 4)
+    ] + [
+        synthesize_certificate(cycle_hypergraph(4), 32, seed=0),
+        synthesize_certificate(complete_uniform(4, 3), 32, seed=0),
+    ]
+    verdicts = set()
+    for cert in certs:
+        obj = cert.to_json_dict()
+        cases = [cert] + [
+            Certificate.from_json_dict(tamper_certificate(obj, kind, rng))
+            for kind in ("M", "c", "g", "assignment")
+        ]
+        for case in cases:
+            report = verify_certificate(case)
+            skipped = [c.name for c in report.checks if c.status == "skipped"]
+            assert skipped == ["degeneration"], (cert.hypergraph, cert.n, skipped)
+            verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
+def test_verify_bounds_the_recount_by_the_grid_limit(monkeypatch):
+    # K3 at n = 4 recounts over n^lambda = 16 free assignments
+    cert = synthesize_certificate(K3, 4, seed=0)
+    monkeypatch.setenv("GHZCERT_MAX_GRID", "16")
+    assert verify_certificate(cert).ok
+    monkeypatch.setenv("GHZCERT_MAX_GRID", "15")
+    counting = verify_certificate(cert).check("counting")
+    assert counting.status == "fail"
+    assert counting.detail.startswith("cannot recount M: GridTooLarge")
+    monkeypatch.setenv("GHZCERT_MAX_GRID", "lots")
+    with pytest.raises(BadGridLimitError):
+        verify_certificate(cert)
+
+
+def test_verify_rejects_shares_of_absent_vertices_and_other_levels():
+    # both verified ok: a share for a fourth vertex escaped the locality
+    # check, and no check read the edge levels
+    cert = synthesize_certificate(K3, 4, seed=0)
+    qa = cert.assignment
+    moved = dataclasses.replace(
+        qa, k=4, quad=qa.quad + ({},), lin=qa.lin + ({},),
+        const=(0,) + qa.const[1:] + (qa.const[0],),
+    )
+    report = verify_certificate(dataclasses.replace(cert, assignment=moved))
+    assert report.check("completeness").status == "fail"
+    assert report.check("completeness").detail == "4 vertex shares for 3 vertices"
+    level3 = hypergraph(3, [e.vertices for e in K3.edges], [2, 2, 3])
+    report = verify_certificate(dataclasses.replace(cert, hypergraph=level3))
+    assert report.check("counting").status == "fail"
+    assert report.check("counting").detail == "edges [2] are not of level 2"
 
 
 def test_pivot_inverse_is_the_least_integer_adjugate():
@@ -757,22 +849,20 @@ def test_pivot_inverse_is_the_least_integer_adjugate():
 
 def test_verify_without_recount_says_so():
     # C4 at n = 3 with dependent pivot vectors: the grid is small, but the
-    # pivot solve cannot recount M, so no check may lean on a recount
+    # pivot solve cannot recount M, so the claims that rest on it fail
     cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
     vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
     bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
-    report = verify_certificate(bad, deep=True)
-    assert not report.ok
-    reason = report.check("counting").detail
-    assert report.check("counting").status == "fail"
-    assert "cannot recount M: NotGeneralPosition" in reason
-    injectivity = report.check("injectivity")
-    assert injectivity.status == "skipped"
-    assert injectivity.detail in reason
-    assert "grid too large" not in report.check("exponent_sign").detail
-    hash_only = dataclasses.replace(bad, solutions=None)
-    sign = verify_certificate(hash_only).check("exponent_sign")
-    assert sign.status == "skipped" and "cannot recount M" in sign.detail
+    for case in (bad, dataclasses.replace(bad, solutions=None)):
+        report = verify_certificate(case, deep=True)
+        assert not report.ok
+        assert "skipped" not in {c.status for c in report.checks}
+        counting = report.check("counting")
+        assert counting.status == "fail"
+        assert "cannot recount M: NotGeneralPosition" in counting.detail
+        for name in ("exponent_sign", "injectivity", "degeneration"):
+            assert report.check(name).status == "fail", name
+        assert "NotGeneralPosition" in report.check("degeneration").detail
 
 
 def _local_edits(cert) -> list:
@@ -818,16 +908,22 @@ def _local_edits(cert) -> list:
 
 
 def test_verifier_matches_grid_sweep_reference():
+    # exponent_sign and injectivity are derived from completeness and
+    # decodability; the grid sweeps they replace must agree wherever the
+    # derivation says pass, and any sweep failure must fail the report
     rng = random.Random(404)
     seen = set()
     for name, h in corpus():
         for n in (2, 3, 4):
             cert = synthesize_certificate(h, n, seed=0)
             obj = cert.to_json_dict()
+            zeroed = dataclasses.replace(
+                cert.rep, vectors=((0,) * cert.d,) + cert.rep.vectors[1:]
+            )
             cases = [cert] + [
                 Certificate.from_json_dict(tamper_certificate(obj, kind, rng))
                 for kind in ("M", "c", "g", "assignment")
-            ] + _local_edits(cert)
+            ] + _local_edits(cert) + [dataclasses.replace(cert, rep=zeroed)]
             for case in cases:
                 report = verify_certificate(case)
                 try:  # no recount when the pivot solve refuses c
@@ -839,11 +935,21 @@ def test_verifier_matches_grid_sweep_reference():
                 assert report.check("completeness").status == want[0], (name, n)
                 assert report.check("completeness").detail == want[1], (name, n)
                 sign = ref_exponent_sign(case, sols)
-                assert report.check("exponent_sign").status == sign[0], (name, n)
-                seen.add((want[0], sign[0]))
-    # the reference saw both verdicts of each check
-    assert {status for status, _ in seen} == {"pass", "fail"}
-    assert {status for _, status in seen} == {"pass", "fail"}
+                labels = ("skipped", "") if sols is None else ref_injectivity(case, sols)
+                for check, premise, ref in (
+                    ("exponent_sign", "completeness", sign),
+                    ("injectivity", "decodability", labels),
+                ):
+                    status = report.check(check).status
+                    assert status == report.check(premise).status, (name, n, check)
+                    if status == "pass":
+                        assert ref[0] == "pass", (name, n, check)
+                    if ref[0] == "fail":
+                        assert not report.ok, (name, n, check)
+                seen.add((want[0], sign[0], labels[0]))
+    # the references saw both verdicts of each check
+    for k in range(3):
+        assert {"pass", "fail"} <= {s[k] for s in seen}, k
 
 
 def test_deep_exponents_are_the_total_form():
