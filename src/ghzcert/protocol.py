@@ -13,12 +13,15 @@ into a Certificate.
 
 Counting is exact integer work.  The value histogram behind the choice of
 g convolves edge by edge on d-vectors packed into single offset integers,
-whose order is lexicographic.  The solutions are solved for, not searched:
-general position makes the last d vectors a basis, so each of the n^lam
-assignments to the first lam edges fixes the last d indices through one
-integer solve, and M <= n^lam holds by construction.  Along the last free
-index the solve is linear, so the solutions come in n^(lam-1) blocks, each
-an arithmetic progression zipped from ranges.
+whose order is lexicographic.  The last edge's stage is never built, only
+evaluated where its lex-smallest maximum can sit, and a candidate
+representation that cannot beat the best so far stops early.  The
+solutions are solved for, not searched: general position makes the last d
+vectors a basis, so each of the n^lam assignments to the first lam edges
+fixes the last d indices through one integer solve, and M <= n^lam holds
+by construction.  Along the last free index the solve is linear, so the
+solutions come in n^(lam-1) blocks, each an arithmetic progression zipped
+from ranges.
 
 The verifier recounts every certificate by the same pivot solve, bounded
 by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
@@ -253,39 +256,26 @@ def build_exponent_assignment(
 # -- solution counting -------------------------------------------------------
 
 
-def _packed_histogram(rep: OrthRep, n: int) -> tuple[dict[int, int], int, int]:
-    """Counts of sum_e i_e c_e over the grid, keyed by packed integers.
+def _packing(rep: OrthRep, n: int) -> tuple[int, int]:
+    """(off, base) of the packed keys, once the grid and widths are checked.
 
     With off = C'(n-1) and base B = 2 off + 1, the d-vector v is stored as
     sum_t (v_t + off) B^(d-1-t).  Every partial sum over a prefix of the
     edges lies in the box [-off, off]^d, so each digit stays in [0, B):
-    packing is injective and integer order is lexicographic order.  Returns
-    (histogram, off, B).
+    packing is injective and integer order is lexicographic order.
     """
     _check_grid(rep.graph.n, n)
     if any(len(v) != rep.d for v in rep.vectors):
         raise DimMismatchError(f"edge vectors must all have dimension {rep.d}")
     off = c_prime(rep) * (n - 1)
-    base = 2 * off + 1
+    return off, 2 * off + 1
 
-    def pack(v) -> int:
-        key = 0
-        for x in v:
-            key = key * base + x
-        return key
 
-    hist = {pack((off,) * rep.d): 1}
-    for ce in rep.vectors:
-        step = pack(ce)
-        shifts = [i * step for i in range(1, n)]
-        nxt = dict(hist)  # the shift by 0
-        get = nxt.get
-        for key, cnt in hist.items():
-            for s in shifts:
-                s += key
-                nxt[s] = get(s, 0) + cnt
-        hist = nxt
-    return hist, off, base
+def _pack(v, base: int) -> int:
+    key = 0
+    for x in v:
+        key = key * base + x
+    return key
 
 
 def _unpack(key: int, d: int, off: int, base: int) -> tuple[int, ...]:
@@ -296,32 +286,104 @@ def _unpack(key: int, d: int, off: int, base: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _stages(vectors, n: int, d: int, off: int, base: int):
+    """Packed histograms of sum_{e<j} i_e c_e for j = 0, 1, ..., len(vectors):
+    each edge shifts the previous one by i * pack(c_e) for i in [0, n-1]."""
+    hist = {_pack((off,) * d, base): 1}
+    yield hist
+    for ce in vectors:
+        step = _pack(ce, base)
+        shifts = [i * step for i in range(1, n)]
+        nxt = dict(hist)  # the shift by 0
+        get = nxt.get
+        for key, cnt in hist.items():
+            for s in shifts:
+                s += key
+                nxt[s] = get(s, 0) + cnt
+        hist = nxt
+        yield hist
+
+
 def value_histogram(rep: OrthRep, n: int) -> dict[tuple[int, ...], int]:
     """Counts of sum_e i_e c_e over the grid.
 
-    A view of the packed-integer convolution behind :func:`choose_g`: each
-    edge shifts the histogram by i * pack(c_e) for i in [0, n-1], and the
-    keys are unpacked into d-vectors only here.
+    A view of the packed-integer convolution behind :func:`choose_g`, run
+    through every edge: each shifts the histogram by i * pack(c_e) for i in
+    [0, n-1], and the keys are unpacked into d-vectors only here.
     """
-    hist, off, base = _packed_histogram(rep, n)
+    off, base = _packing(rep, n)
+    for hist in _stages(rep.vectors, n, rep.d, off, base):
+        pass
     return {_unpack(key, rep.d, off, base): cnt for key, cnt in hist.items()}
+
+
+def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]:
+    """Largest F(k) = sum_{i<n} H(k - i step) and the smallest key with it,
+    without building F.
+
+    With t = |step| > 0 and G(k) = sum_{i<n} H(k - i t), the smallest
+    maximizer of G is a key of H: off H, G(k - t) = G(k) + H(k - n t) >=
+    G(k).  G at the keys is a window of n along each residue chain mod t,
+    kept by one pass over the keys in chain order.  A negative step turns
+    F into G shifted by (n-1) step; a zero step makes F = n H.
+    """
+    t = abs(step)
+    if t == 0:
+        best = max(hist.values())
+        return n * best, min(key for key, cnt in hist.items() if cnt == best)
+    span = n * t
+    order = sorted(sorted(hist), key=t.__rmod__)  # chains, each ascending
+    best = best_key = window = tail = 0
+    chain = None
+    for j, key in enumerate(order):
+        if key % t != chain:
+            chain, window, tail = key % t, 0, j
+        window += hist[key]
+        while order[tail] <= key - span:
+            window -= hist[order[tail]]
+            tail += 1
+        if window > best or (window == best and key < best_key):
+            best, best_key = window, key
+    return best, best_key + (n - 1) * min(step, 0)
+
+
+def _mode(rep: OrthRep, n: int, beat: int = 0) -> tuple[tuple[int, ...], int] | None:
+    """(g, M): the lex-smallest most frequent value of sum_e i_e c_e and its
+    count, or None exactly when M <= beat.
+
+    Every edge but the last is convolved; the last stage is evaluated only
+    where its maximum can sit.  After e of the l edges the final count is
+    at most max(H_e) n^(l-e), so a candidate that cannot exceed ``beat``
+    stops there; that max is taken only once beat >= n^(l-e).
+    """
+    off, base = _packing(rep, n)
+    head, last = rep.vectors[:-1], rep.vectors[-1:]
+    cap = n ** len(rep.vectors)
+    for hist in _stages(head, n, rep.d, off, base):
+        if beat >= cap and max(hist.values()) * cap <= beat:
+            return None
+        cap //= n
+    if last:
+        m, key = _last_stage_mode(hist, _pack(last[0], base), n)
+    else:  # no edges: the one grid point
+        m, key = 1, next(iter(hist))
+    return (_unpack(key, rep.d, off, base), m) if m > beat else None
 
 
 def choose_g(rep: OrthRep, n: int) -> tuple[tuple[int, ...], int]:
     """Most frequent grid value of sum_e i_e c_e (lex-smallest on ties).
 
     Packed keys order like their vectors, so the winner is the smallest key
-    holding the largest count; nothing is sorted and only it is unpacked.
+    holding the largest count, and only it is unpacked.  The last edge's
+    convolution is never built: with H the histogram over the other edges
+    and t = |pack(c_last)| > 0, the smallest maximizer of the final count
+    F(k) = sum_{i<n} H(k - i t) is a key of H, and F there is a window sum
+    along H's residue chain mod t.  Synthesis scores several candidates by
+    the same routine and drops one as soon as max(H_e) n^(l-e), a bound on
+    its final count after e of the l edges, is no more than the best count
+    so far.
     """
-    packed = _packed_histogram(rep, n)
-    best_m = max(packed[0].values())
-    return _lex_smallest_mode(packed, best_m, rep.d), best_m
-
-
-def _lex_smallest_mode(packed, best_m: int, d: int) -> tuple[int, ...]:
-    hist, off, base = packed
-    best_key = min(key for key, cnt in hist.items() if cnt == best_m)
-    return _unpack(best_key, d, off, base)
+    return _mode(rep, n)
 
 
 def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
@@ -619,13 +681,28 @@ class Certificate:
         else:
             solutions = _json_int_rows(raw_sols, "solutions")
             sol_hash = solution_hash(solutions)
+        lam = _json_int(obj["lambda"], "lambda")
+        n = _json_int(obj["n"], "n")
+        # the stated rate is derived data: it must be what M, n and lambda give
+        rate = obj["achieved_rate"]
+        for field, value in (("M", m), ("n", n)):
+            if value < 1:
+                raise ValueError(f"{field} {value} has no log2")
+            stated = rate[f"log2_{field}"]
+            if type(stated) is not float or stated != math.log2(value):
+                raise ValueError(
+                    f"achieved_rate.log2_{field} {stated!r} != "
+                    f"log2({field}) = {math.log2(value)!r}"
+                )
+        if _json_int(obj["bound_rate"], "bound_rate") != lam:
+            raise ValueError(f"bound_rate {obj['bound_rate']} != lambda {lam}")
         return cls(
             hypergraph=h,
-            lam=_json_int(obj["lambda"], "lambda"),
+            lam=lam,
             d=d,
             rep=rep,
             cprime=_json_int(obj["C_prime"], "C_prime"),
-            n=_json_int(obj["n"], "n"),
+            n=n,
             g=_json_ints(obj["g"], "g"),
             m_count=m,
             solutions=solutions,
@@ -707,16 +784,13 @@ def synthesize_certificate(
         for rep in gpor_candidates(lg, d, seed=seed, count=candidates):
             if rep not in reps:
                 reps.append(rep)
-        # Score by the mode count alone; only the winner's mode is located.
-        best = None
-        for rep in reps:
-            packed = _packed_histogram(rep, n)
-            m = max(packed[0].values())
-            if best is None or m > best[0]:
-                best = m, rep, packed
-            del packed  # a losing histogram goes before the next is built
-        m, rep, packed = best
-        g = _lex_smallest_mode(packed, m, rep.d)
+        # Score by the mode count; a candidate that cannot beat the best so
+        # far (the first wins ties) stops convolving as soon as that shows.
+        m = 0
+        for cand in reps:
+            found = _mode(cand, n, beat=m)
+            if found is not None:
+                (g, m), rep = found, cand
     else:
         rep = find_gpor(lg, d, seed=seed)
         g, m = choose_g(rep, n)
@@ -724,6 +798,16 @@ def synthesize_certificate(
 
 
 # -- verification ------------------------------------------------------------
+
+
+def _gaps(covered: list[int], k: int) -> str:
+    """The vertices of 1..k missing from ascending ``covered``, as runs."""
+    runs, nxt = [], 1
+    for v in covered + [k + 1]:
+        if v > nxt:
+            runs.append(f"{nxt}..{v - 1}" if v - 1 > nxt else str(nxt))
+        nxt = v + 1
+    return ", ".join(runs)
 
 
 @dataclass(frozen=True)
@@ -841,20 +925,35 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
 
     run("orthogonal_representation", check_rep)
 
-    # 2: away-from-vertex independence, the decoding condition
+    # 2: away-from-vertex independence, the decoding condition.  Vertices
+    # with the same away-set share one rank, so the work grows with the
+    # edges, not with k.
     def check_decodability():
-        bad = []
-        for j in range(1, h.k + 1):
-            away = [
-                cert.rep.vectors[e]
-                for e in range(l)
-                if j not in h.edges[e].vertices
-            ]
-            if away and rank(away) < len(away):
-                bad.append(j)
-        if bad:
-            return "fail", f"dependent away-sets at vertices {bad}"
-        return "pass", ""
+        covered = sorted(
+            {v for e in h.edges for v in e.vertices if 1 <= v <= h.k}
+        )
+        away_at = {
+            j: tuple(e for e in range(l) if j not in h.edges[e].vertices)
+            for j in covered
+        }
+        uncovered = h.k - len(covered)
+        everything = tuple(range(l))  # the away-set of a vertex in no edge
+        aways = dict.fromkeys(away_at.values())
+        if uncovered:
+            aways[everything] = None
+        dependent = {
+            away: rank([cert.rep.vectors[e] for e in away]) < len(away)
+            for away in aways
+            if away
+        }
+        bad = [j for j in covered if dependent.get(away_at[j])]
+        detail = [f"dependent away-sets at vertices {bad}"] if bad else []
+        if uncovered and dependent.get(everything):
+            detail.append(
+                f"dependent away-set at the {uncovered} vertices in no edge "
+                f"({_gaps(covered, h.k)})"
+            )
+        return ("fail", "; ".join(detail)) if detail else ("pass", "")
 
     run("decodability", check_decodability)
 
@@ -946,6 +1045,8 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             return "skipped", "deep=False"
         if cert.n**l > DEEP_GRID_LIMIT:
             return "skipped", "grid too large for deep check"
+        if cert.assignment.k != h.k:  # one share is applied at every site
+            return "fail", f"{cert.assignment.k} vertex shares for {h.k} vertices"
         incident = [h.incident(j) for j in range(1, h.k + 1)]
         expected = {
             tuple(tuple(i[e] for e in inc) for inc in incident)

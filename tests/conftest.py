@@ -4,7 +4,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import log2, prod
 
 from ghzcert.errors import (
     DisconnectedError,
@@ -379,15 +379,23 @@ def ref_injectivity(cert, solutions) -> tuple[str, str]:
     return ("fail", f"label collisions at vertices {bad}") if bad else ("pass", "")
 
 
+def set_m(obj: dict, m: int) -> None:
+    """Set certificate JSON ``obj``'s M and the log2 of it that the stated
+    rate carries, which must agree with it."""
+    obj["M"] = m
+    obj["achieved_rate"]["log2_M"] = log2(m)
+
+
 def tamper_certificate(obj: dict, kind: str, rng: random.Random) -> dict:
     """A copy of certificate JSON ``obj`` with one false field: M moved by one
-    (with the count of a hash-only list, which must agree with it), one c or
-    g entry raised by one, or one assignment term raised by one."""
+    (with its stated log2 and the count of a hash-only list, which must agree
+    with it), one c or g entry raised by one, or one assignment term raised by
+    one."""
     obj = json.loads(json.dumps(obj))
     if kind in ("c", "g") and obj["d"] == 0:
         kind = "assignment"
     if kind == "M":
-        obj["M"] += rng.choice((-1, 1)) if obj["M"] > 1 else 1
+        set_m(obj, obj["M"] + (rng.choice((-1, 1)) if obj["M"] > 1 else 1))
         if isinstance(obj["solutions"], dict):
             obj["solutions"]["count"] = obj["M"]
     elif kind == "c":

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,8 @@ from ghzcert.hypergraph import (
     path_hypergraph,
 )
 from ghzcert.protocol import synthesize_certificate
+
+from conftest import set_m
 
 
 @pytest.fixture
@@ -203,12 +206,12 @@ def test_verify_rejects_false_counts_above_the_deep_grid(instance, tmp_path, cap
     # both verified ok while only grids up to 10^6 were recounted
     if instance == "K4^3-n32-hash-only":
         obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
-        obj["M"] += 1
+        set_m(obj, obj["M"] + 1)
         obj["solutions"]["count"] += 1
     else:
         obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
         del obj["solutions"][7]
-        obj["M"] = 30
+        set_m(obj, 30)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
     assert run(["verify", str(path), "--json"]) == 1
@@ -348,7 +351,7 @@ def _tampered(obj: dict) -> list[tuple[str, dict]]:
     for kind in ("M", "c", "g", "assignment"):
         bad = json.loads(json.dumps(obj))
         if kind == "M":
-            bad["M"] += 1
+            set_m(bad, bad["M"] + 1)
         elif kind == "c":
             bad["c"][0][0] += 1
         elif kind == "g":
@@ -370,3 +373,38 @@ def test_verify_deep_reports_golden(tmp_path, capsys):
             assert rc == (0 if kind == "honest" else 1), (h, n, kind)
             blob.update(capsys.readouterr().out.encode())
     assert blob.hexdigest() == GOLDEN_VERIFY_SHA256
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("log2_M", 100.0, "achieved_rate.log2_M 100.0 != log2(M)"),
+     ("bound_rate", 7, "bound_rate 7 != lambda 2")],
+)
+def test_verify_rate_other_than_its_counts_is_bad_format(
+    field, value, message, tmp_path, capsys
+):
+    # K3 at n = 4 stating log2_M 100 and bound_rate 7 verified ok
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    if field == "log2_M":
+        obj["achieved_rate"]["log2_M"] = value
+    else:
+        obj[field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert message in err["message"]
+
+
+def test_verify_huge_k_is_rejected_quickly(tmp_path, capsys):
+    # K3 at n = 4 claiming k = 200,000 took 1.8 s, one rank per vertex
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    obj["hypergraph"]["k"] = 10**7
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert run(["verify", str(path), "--json", "--deep"]) == 1
+    assert time.perf_counter() - start < 1.0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert "(4..10000000)" in checks["decodability"]["detail"]

@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import sys
+
 import ghzcert
 
 
@@ -6,3 +10,23 @@ def test_all_names_resolve_without_duplicates():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(ghzcert, name)]
     assert not missing
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime stays stdlib-only: every import in src/ghzcert names a
+    # standard-library module or the package itself
+    src = pathlib.Path(ghzcert.__file__).parent
+    foreign = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "ghzcert":
+                    foreign.setdefault(path.name, []).append(name)
+    assert not foreign

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +20,7 @@ from conftest import (
     ref_rank,
     ref_solutions,
     ref_to_json_bytes,
+    set_m,
     tamper_certificate,
 )
 from ghzcert.errors import (
@@ -50,6 +52,7 @@ from ghzcert.hypergraph import (
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _json_text,
+    _mode,
     _pivot_inverse,
     _pivot_solutions,
     Certificate,
@@ -183,6 +186,55 @@ def test_histogram_matches_brute_force():
             vectors,
         )
         assert value_histogram(rep, n) == ref_histogram(vectors, n)
+
+
+def _last_vector(rng: random.Random, kind: str, vectors, d: int):
+    """A last edge vector whose packed step is zero, a multiple of an
+    earlier vector, negative or positive (the sign of its first nonzero
+    coordinate)."""
+    if kind == "dependent" and vectors:
+        return tuple(rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(vectors))
+    if kind in ("zero", "dependent") or d == 0:
+        return (0,) * d
+    while True:
+        v = tuple(rng.randint(-3, 3) for _ in range(d))
+        lead = next((x for x in v if x), 0)
+        if lead and (lead > 0) == (kind == "positive"):
+            return v
+
+
+def test_mode_matches_the_histogram_reference():
+    # the last edge is never convolved, and a candidate that cannot beat the
+    # best so far stops early; both must leave (M, lex-smallest mode) exact
+    rng = random.Random(1500)
+    seen = set()
+    for case in range(480):
+        n, d = 2 + case % 4, case // 4 % 4
+        kind = ("zero", "dependent", "negative", "positive")[case // 16 % 4]
+        l = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(l - 1)]
+        vectors = tuple(vectors + [_last_vector(rng, kind, vectors, d)])
+        rep = OrthRep(Graph(l), d, vectors)
+        hist = ref_histogram(vectors, n)
+        m = max(hist.values())
+        g = min(v for v, c in hist.items() if c == m)
+        assert choose_g(rep, n) == (g, m), (vectors, n)
+        for beat in (0, m - 1, m, n**l):
+            assert _mode(rep, n, beat) == ((g, m) if m > beat else None), (
+                vectors, n, beat
+            )
+        lead = next((x for x in vectors[-1] if x), 0)
+        seen.add((d, (lead > 0) - (lead < 0)))
+        seen.add(("dependent", kind == "dependent" and l > 1 and d > 0))
+    assert seen >= {(d, 0) for d in range(4)} | {
+        (d, s) for d in (1, 2, 3) for s in (-1, 1)
+    } | {("dependent", True)}
+
+
+def test_mode_of_no_edges_is_the_one_grid_point():
+    rep = OrthRep(Graph(0), 2, ())
+    assert choose_g(rep, 3) == ((0, 0), 1)
+    assert _mode(rep, 3, beat=1) is None
 
 
 def random_gp_reps(seed: int, count: int):
@@ -387,6 +439,12 @@ GOLDEN_CERTIFY_SHA256 = [
      "1d24d3a42fcb323a6a9a24e478bb5b1e82f3297ac2deb307cb9aaeec0a7caab0"),
     ("K4^3", complete_uniform(4, 3), 32,  # hash-only
      "7e336e067b2e28cfdea1a46aca039fd6a0b7f2f4cf52d4db8533c823258df5b7"),
+    # captured while the mode was still read off the full histogram: the
+    # single-representation branch at d = 4, and eight scored candidates
+    ("C6", cycle_hypergraph(6), 11,
+     "d2fd17e30079140751af53e15da70d6da51f31964902715b7573701b0e1ed72b"),
+    ("K4^2", complete_uniform(4, 2), 4,
+     "f9d761777af231f4f08ccfecf7577524bcff216f8dd6b26a8968f6d26529b04e"),
 ]
 
 
@@ -598,6 +656,56 @@ def test_hash_only_certificate_parse_rejects_m_other_than_its_count():
         Certificate.from_json_dict(_set_field(obj, ("M",), obj["M"] + 5))
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("achieved_rate", "log2_M"), 100.0),
+        (("achieved_rate", "log2_M"), math.log2(13)),
+        (("achieved_rate", "log2_n"), 3.0),
+        (("achieved_rate", "log2_n"), 2),  # an int, though log2(4) == 2
+        (("bound_rate",), 7),
+        (("M",), 0),
+    ],
+)
+def test_certificate_parse_rejects_a_rate_other_than_its_counts(path, value):
+    # K3 at n = 4 stating log2_M 100 and bound_rate 7 verified ok: the
+    # stated rate was written but never read
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    with pytest.raises(ValueError, match=f"{path[-1]} "):
+        Certificate.from_json_dict(_set_field(obj, path, value))
+
+
+def test_verify_cost_does_not_grow_with_k():
+    # K3 at n = 4 claiming k = 200,000 took 1.8 s to be rejected, one rank
+    # per vertex; each distinct away-set is now ranked once
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    obj["hypergraph"]["k"] = 10**7
+    cert = Certificate.from_json_dict(obj)
+    for deep in (False, True):
+        start = time.perf_counter()
+        report = verify_certificate(cert, deep=deep)
+        assert time.perf_counter() - start < 1.0
+        assert not report.ok
+        assert report.check("decodability").detail == (
+            "dependent away-set at the 9999997 vertices in no edge (4..10000000)"
+        )
+        if deep:
+            assert report.check("degeneration").detail == (
+                "3 vertex shares for 10000000 vertices"
+            )
+
+
+def test_decodability_names_the_vertices_in_no_edge_as_runs():
+    cert = synthesize_certificate(K3, 4, seed=0)
+    h = hypergraph(7, [{1, 2}, {2, 5}, {1, 3}])
+    # vertices 3 and 5 have two edges away each, dependent in d = 1
+    report = verify_certificate(dataclasses.replace(cert, hypergraph=h))
+    assert report.check("decodability").detail == (
+        "dependent away-sets at vertices [3, 5]; dependent away-set at the 3 "
+        "vertices in no edge (4, 6..7)"
+    )
+
+
 def test_solution_cap_keeps_count_and_hash():
     # single level-2 edge: every grid point is a solution, M = n
     h = path_hypergraph(2)
@@ -748,7 +856,7 @@ def test_verify_recounts_hash_only_certificates_above_the_deep_grid():
     # K4^3 at n = 32 (grid 32^4, n^lambda = 32768): M and the hash-only count
     # both raised by one verified ok while only small grids were recounted
     obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
-    obj["M"] += 1
+    set_m(obj, obj["M"] + 1)
     obj["solutions"]["count"] += 1
     counting = verify_certificate(Certificate.from_json_dict(obj)).check("counting")
     assert counting.status == "fail"
@@ -761,7 +869,7 @@ def test_verify_recounts_listed_certificates_above_the_deep_grid():
     obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
     assert obj["M"] == 31
     del obj["solutions"][7]
-    obj["M"] = 30
+    set_m(obj, 30)
     report = verify_certificate(Certificate.from_json_dict(obj))
     assert not report.ok
     counting = report.check("counting")
