@@ -15,7 +15,7 @@ import sys
 
 from .errors import GhzcertError
 from .gpor import find_gpor, verify_orthrep
-from .hypergraph import Hypergraph, edge_connectivity, line_graph, min_cut, validate
+from .hypergraph import Hypergraph, edge_connectivity, line_graph, min_cuts, validate
 from .protocol import (
     Certificate,
     epr_rate,
@@ -36,7 +36,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise GhzcertError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
         err = GhzcertError(f"{path} is not valid JSON: {exc}")
         err.code = "BadJson"
         raise err from exc
@@ -56,8 +57,7 @@ def _load_hypergraph(path: str) -> Hypergraph:
 
 def _cmd_connectivity(args) -> int:
     h = _load_hypergraph(args.file)
-    cut = min_cut(h)
-    wcut = min_cut(h, weighted=True)
+    cut, wcut = min_cuts(h)
     if args.json:
         print(
             json.dumps(
@@ -275,9 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: run() keeps no state between calls, so one parser
+# serves every call in the process.
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except GhzcertError as exc:

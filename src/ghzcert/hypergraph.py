@@ -10,8 +10,11 @@ from one unit-capacity max-flow on the vertex-edge incidence network (each
 edge is a node of capacity one; Menger's theorem for hypergraphs, Lawler
 1973).  lambda is the least of the k - 1 flows from vertex 1 to each other
 vertex; the witness side is then fixed one vertex at a time with k - 1 more
-flows.  Only the weighted cut with unequal levels, whose product of levels
-is not an additive capacity, enumerates bipartitions (k <= 24).
+flows.  With equal levels L every cut has rank L^|crossing|, so the weighted
+minimum cut is the lambda cut and the minimum cut rank is L^lambda, which
+needs no witness side.  Only the weighted cut with unequal levels, whose
+product of levels is not an additive capacity, enumerates bipartitions
+(k <= 24).
 """
 
 from __future__ import annotations
@@ -321,7 +324,7 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     """
     _require_cut_preconditions(h)
     levels = h.levels()
-    if weighted and len(set(levels)) > 1:
+    if weighted and _equal_level(h) is None:
         return _min_rank_cut_by_enumeration(h, levels)
     net = _incidence_network(h)
     lam = _lambda(h, net)
@@ -332,6 +335,22 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     side = frozenset(inside)
     crossing = h.crossing(side)
     return Cut(side, crossing, prod(levels[i] for i in crossing))
+
+
+def _equal_level(h: Hypergraph) -> int | None:
+    """The level L every edge has, or None when levels differ.
+
+    With equal levels the rank of a cut is L^|crossing|: the weighted
+    minimum cut is the unweighted one and the minimum cut rank is L^lambda.
+    """
+    levels = set(h.levels())
+    return levels.pop() if len(levels) == 1 else None
+
+
+def min_cuts(h: Hypergraph) -> tuple[Cut, Cut]:
+    """``(min_cut(h), min_cut(h, weighted=True))``, one cut when levels are equal."""
+    cut = min_cut(h)
+    return cut, (cut if _equal_level(h) is not None else min_cut(h, weighted=True))
 
 
 def _min_rank_cut_by_enumeration(h: Hypergraph, levels: tuple[int, ...]) -> Cut:
@@ -357,8 +376,25 @@ def edge_connectivity(h: Hypergraph) -> int:
 
 
 def min_cut_rank(h: Hypergraph) -> int:
-    """Minimum over bipartitions of the product of crossing-edge levels."""
-    return min_cut(h, weighted=True).rank
+    """Minimum over bipartitions of the product of crossing-edge levels.
+
+    With equal levels L it is L^lambda, from the k - 1 flows for lambda and
+    no witness side.
+    """
+    level = _equal_level(h)
+    if level is None:
+        return min_cut(h, weighted=True).rank
+    return level ** edge_connectivity(h)
+
+
+def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:
+    """``(edge_connectivity(h), min_cut_rank(h))`` with lambda computed once.
+
+    With equal levels L the rank is L^lambda: k - 1 flows in all.
+    """
+    lam = edge_connectivity(h)
+    level = _equal_level(h)
+    return lam, min_cut_rank(h) if level is None else level**lam
 
 
 def line_graph(h: Hypergraph) -> Graph:

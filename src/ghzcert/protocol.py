@@ -61,15 +61,14 @@ from .hypergraph import (
     Graph,
     Hypergraph,
     edge_connectivity,
+    edge_connectivity_and_rank,
     edge_disjoint_paths,
     line_graph,
-    min_cut_rank,
     validate,
     _INT,
     _json_int,
     _json_int_rows,
     _json_ints,
-    _require_cut_preconditions,
 )
 from .ratlinalg import rank
 from .tensor import (
@@ -696,6 +695,9 @@ class Certificate:
                 )
         if _json_int(obj["bound_rate"], "bound_rate") != lam:
             raise ValueError(f"bound_rate {obj['bound_rate']} != lambda {lam}")
+        version = obj.get("version")
+        if version != "1":
+            raise ValueError(f'version must be the string "1", not {version!r}')
         return cls(
             hypergraph=h,
             lam=lam,
@@ -711,7 +713,7 @@ class Certificate:
                 obj["assignment"], h.l
             ),
             seed=_json_int(obj["seed"], "seed"),
-            version=str(obj.get("version", "1")),
+            version=version,
         )
 
 
@@ -1096,11 +1098,10 @@ def ghz_rate_bound(h: Hypergraph) -> RateBound:
 
     Uniform level 2: exactly lam(H) two-level GHZ states per copy (the
     inverse of the transformation rate).  Mixed levels: log2 of the
-    weighted minimum cut rank.
+    weighted minimum cut rank.  With equal levels L that rank is L^lam,
+    so lam is computed once and no witness side is fixed.
     """
-    _require_cut_preconditions(h)
-    lam = edge_connectivity(h)
-    r = min_cut_rank(h)
+    lam, r = edge_connectivity_and_rank(h)
     uniform = all(e.level == 2 for e in h.edges)
     return RateBound(lam, r, uniform)
 

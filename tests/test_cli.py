@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -408,3 +409,183 @@ def test_verify_huge_k_is_rejected_quickly(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert "(4..10000000)" in checks["decodability"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "version", [[7], 2, "2", None], ids=["list", "int", "string-2", "missing"]
+)
+def test_verify_version_other_than_1_is_bad_format(version, tmp_path, capsys):
+    # K3 at n = 4 with each of these verified ok; [7] re-serialized as "[7]"
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    if version is None:
+        del obj["version"]
+    else:
+        obj["version"] = version
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert 'version must be the string "1"' in err["message"]
+
+
+@pytest.mark.parametrize("command", ["connectivity", "verify"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b"[" * 200_000 + b"]" * 200_000, b'{"k": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "nested-200000-deep", "integer-5000-digits"],
+)
+def test_unreadable_json_is_bad_json(command, content, tmp_path, capsys):
+    # each raised UnicodeDecodeError, RecursionError or ValueError out of run()
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run([command, str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadJson"
+    assert "is not valid JSON" in err["message"]
+
+
+# -- one parser serves every call of run() in a process ----------------------
+
+
+def test_reused_parser_forgets_deep(k3_file, tmp_path, capsys):
+    path = str(tmp_path / "cert.json")
+    assert run(["certify", k3_file, "--n", "4", "--out", path]) == 0
+    assert run(["verify", path, "--deep", "--json"]) == 0
+    assert run(["verify", path, "--json"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    checks = {c["name"]: c for c in json.loads(out[-1])["checks"]}
+    assert checks["degeneration"]["status"] == "skipped"
+    assert checks["degeneration"]["detail"] == "deep=False"
+
+
+def test_reused_parser_forgets_seed(k3_file, capsys):
+    assert run(["certify", k3_file, "--n", "4", "--seed", "0"]) == 0
+    first = capsys.readouterr().out
+    assert run(["certify", k3_file, "--n", "4", "--seed", "5"]) == 0
+    assert capsys.readouterr().out != first
+    assert run(["certify", k3_file, "--n", "4"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_reused_parser_survives_usage_error(k3_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["certify", k3_file])  # --n is required
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(["rate", k3_file]) == 0
+    assert capsys.readouterr().out == GOLDEN_K3[("rate",)]
+
+
+def test_reused_parser_forgets_json(k3_file, capsys):
+    assert run(["connectivity", k3_file, "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert run(["connectivity", k3_file]) == 0
+    assert capsys.readouterr().out == GOLDEN_K3[("connectivity",)]
+
+
+# -- connectivity, rate and epr: outputs and max-flow work --------------------
+
+
+# Benchmark-shaped instances: k vertices, k + 2 edges of 3 vertices (a few of
+# 2) spanning them.  Two more repeat the k = 10 edges, at levels 2, 3, 4 in
+# turn and all at level 3.
+CUTS_INSTANCES = {
+    8: [[1, 2, 8], [2, 4, 5], [2, 3, 6], [1, 2, 4], [2, 4, 5], [3, 4, 6],
+        [4, 5], [1, 2, 5], [4, 5, 8], [4, 6, 7]],
+    9: [[6, 7, 9], [1, 2, 5], [4, 5, 6], [2, 4, 9], [5, 7, 9], [5, 6, 9],
+        [3, 7, 9], [1, 6, 8], [1, 3, 5], [1, 2, 4], [2, 6, 9]],
+    10: [[2, 3, 4], [3, 5, 9], [2, 8], [6, 7, 10], [1, 7, 8], [1, 4, 7],
+         [5, 6, 10], [1, 9, 10], [2, 3, 7], [3, 4, 5], [3, 9, 10], [1, 5, 9]],
+    11: [[3, 5, 7], [6, 9, 11], [3, 6, 7], [1, 7, 10], [3, 5, 8], [7, 9, 11],
+         [2, 3, 8], [1, 2, 4], [2, 6, 11], [7, 8, 9], [5, 6, 9], [4, 6, 7],
+         [1, 5, 10]],
+    12: [[7, 8, 10], [1, 9, 11], [1, 5, 7], [4, 8, 11], [9, 10, 11],
+         [8, 9, 12], [1, 5, 11], [5, 7, 11], [5, 7], [6, 10, 12], [4, 5, 9],
+         [2, 4, 8], [3, 4, 8], [1, 2, 8]],
+    13: [[4, 11, 12], [3, 4, 11], [3, 10, 11], [1, 9, 10], [2, 10, 11],
+         [2, 5, 8], [2, 9, 10], [1, 2, 12], [3, 4, 7], [2, 10, 13],
+         [2, 10, 12], [4, 10, 13], [3, 6, 9], [3, 8, 13], [1, 8, 12]],
+    14: [[6, 10], [6, 7, 8], [2, 4, 13], [3, 8, 10], [5, 12, 13], [2, 4, 14],
+         [3, 11, 14], [5, 12, 13], [9, 11, 13], [1, 6, 7], [1, 5, 8],
+         [2, 5, 9], [3, 4, 5], [8, 9, 13], [2, 6, 10], [3, 11, 12]],
+    15: [[1, 8, 12], [3, 10, 14], [2, 7, 9], [10, 11, 15], [1, 4, 14],
+         [5, 10, 15], [3, 7, 9], [8, 11, 12], [7, 12, 15], [6, 11, 13],
+         [2, 14, 15], [1, 3, 15], [3, 4, 8], [6, 12, 13], [4, 8, 13],
+         [4, 6, 7], [2, 5, 14]],
+    16: [[1, 2, 6], [1, 6, 11], [2, 13, 15], [2, 3, 13], [1, 3, 5],
+         [8, 12, 15], [6, 10, 15], [1, 5, 11], [2, 9, 14], [1, 3, 12],
+         [4, 10, 13], [1, 11], [1, 9, 10], [9, 14, 16], [6, 7, 9],
+         [7, 13, 14], [7, 8, 13], [4, 5, 6]],
+}
+
+
+def _cuts_instance(name):
+    edges = CUTS_INSTANCES[10]
+    if name == "k10-mixed":
+        return hypergraph(10, edges, [2 + i % 3 for i in range(len(edges))])
+    if name == "k10-level3":
+        return hypergraph(10, edges, [3] * len(edges))
+    return hypergraph(name, CUTS_INSTANCES[name])
+
+
+def _cuts_transcript(h, path, capsys) -> bytes:
+    """Exit code, stdout and stderr of connectivity, rate and epr 1-k, --json."""
+    path.write_text(json.dumps(h.to_json_dict()))
+    f = str(path)
+    out = []
+    for argv in (
+        ["connectivity", f, "--json"],
+        ["rate", f, "--json"],
+        ["epr", f, "--a", "1", "--b", str(h.k), "--json"],
+    ):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        out.append(f"{rc}\n{captured.out}{captured.err}")
+    return "".join(out).encode()
+
+
+# sha256 of _cuts_transcript, captured before connectivity and rate derived
+# the weighted cut and the rank from lambda
+GOLDEN_CUTS_SHA256 = {
+    8: "2f2730d64be35652c64efbce3a53ea4c2d910d827d59fc616fc7acdc0ad69d93",
+    9: "c317475fc2d1196dbf4c38d37387d78f4c5f4d83a747dffeca0cb541ae3f7462",
+    10: "98aa8e088a032b6cbbe2e6b35b76ec91b9590523a125306c16963f050445c0c3",
+    11: "a8e12bab9840ef9d01cd1f8a44f10791178eb9154f52abcf3967282bfc09ed95",
+    12: "9ce2a2189f0485081aaade01c53512270c994e9d3cd9d15b636ed1920af9755b",
+    13: "89d8ccd67c3d5017e18ed7a9bc03c3cbab7fcdf174ba92a995f65711297818b0",
+    14: "9a269a4215aae2c77f0c34949a5b263e8177054e93fd64b72eb776304ca2feb3",
+    15: "cb455537fa72fd903cae894c4a4bd993ed6879be7fd34f357a5a9c5c43322bc6",
+    16: "c02278089b746daeb4b598f1c09f7a7c5c1ea90c26e1d5acd9820cddb8265ac1",
+    "k10-mixed": "dc68ee97b82729e362a7a6c0c6c3a51f321e645358956083c77ca884879ed977",
+    "k10-level3": "572304afadb946368db66ddf4ea1e958f1c5dbbf82cb9563121920cbc9e58dbd",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CUTS_SHA256))
+def test_cuts_transcripts_byte_exact(name, tmp_path, capsys):
+    transcript = _cuts_transcript(_cuts_instance(name), tmp_path / "h.json", capsys)
+    assert hashlib.sha256(transcript).hexdigest() == GOLDEN_CUTS_SHA256[name]
+
+
+@pytest.mark.parametrize("command, flows", [("connectivity", 2), ("rate", 1)])
+@pytest.mark.parametrize("name", [8, 12, 16, "k10-level3"])
+def test_equal_levels_cut_once(command, flows, name, tmp_path, monkeypatch):
+    # with equal levels the weighted cut is the lambda cut and the rank is
+    # L^lambda: connectivity fixes one witness side, 2(k - 1) flows, and
+    # rate computes lambda only, k - 1 flows
+    h = _cuts_instance(name)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    # ghzcert.hypergraph is the function hypergraph(), not the module
+    module = importlib.import_module("ghzcert.hypergraph")
+    flow = module._unit_max_flow
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_unit_max_flow", counted)
+    assert run([command, str(path), "--json"]) == 0
+    assert len(calls) <= flows * (h.k - 1)

@@ -28,6 +28,7 @@ from ghzcert.hypergraph import (
     complete_uniform,
     cycle_hypergraph,
     edge_connectivity,
+    edge_connectivity_and_rank,
     edge_disjoint_paths,
     graph,
     hypergraph,
@@ -36,6 +37,7 @@ from ghzcert.hypergraph import (
     min_cut,
     min_cut_rank,
     min_cut_separating,
+    min_cuts,
     path_hypergraph,
     single_full_edge,
     validate,
@@ -157,8 +159,12 @@ def test_cuts_match_enumeration_reference():
     rng = random.Random(2024)
     for _ in range(500):
         h = _random_cut_instance(rng)
-        assert min_cut(h) == ref_min_cut(h)
-        assert min_cut(h, weighted=True) == ref_min_cut(h, weighted=True)
+        cut, wcut = ref_min_cut(h), ref_min_cut(h, weighted=True)
+        assert min_cut(h) == cut
+        assert min_cut(h, weighted=True) == wcut
+        assert min_cuts(h) == (cut, wcut)
+        assert min_cut_rank(h) == wcut.rank
+        assert edge_connectivity_and_rank(h) == (len(cut.crossing), wcut.rank)
         for a in range(1, h.k + 1):
             for b in range(1, h.k + 1):
                 if a != b:

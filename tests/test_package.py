@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import subprocess
 import sys
 
 import ghzcert
@@ -30,3 +31,17 @@ def test_the_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "ghzcert":
                     foreign.setdefault(path.name, []).append(name)
     assert not foreign
+
+
+def test_importing_the_package_builds_no_command_line_parser():
+    # ghzcert.cli builds its parser at import; library users must not pay it
+    src = str(pathlib.Path(ghzcert.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ghzcert; "
+        "print(sorted({'ghzcert.cli', 'argparse'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -640,6 +640,20 @@ def test_certificate_parse_accepts_only_integers(path, value):
         Certificate.from_json_dict(_set_field(obj, path, value))
 
 
+@pytest.mark.parametrize(
+    "version", [[7], 2, "2", None], ids=["list", "int", "string-2", "missing"]
+)
+def test_certificate_parse_accepts_only_version_string_1(version):
+    # each verified ok while version went through str(obj.get("version", "1"))
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    if version is None:
+        del obj["version"]
+    else:
+        obj["version"] = version
+    with pytest.raises(ValueError, match='version must be the string "1"'):
+        Certificate.from_json_dict(obj)
+
+
 def test_hash_only_certificate_parse_accepts_only_integers():
     obj = synthesize_certificate(path_hypergraph(2), 20000, seed=0).to_json_dict()
     for path, value in [(("solutions", "count"), 20000.0), (("M",), 20000.5)]:
