@@ -6,19 +6,17 @@ The protocol construction needs, for each hyperedge, an integer vector
 c_e in dimension d = |E| - lambda(H), such that vectors of disjoint
 edges are orthogonal and the family is in general position.  These are
 orthogonal representations of the complement of the line graph, found
-here by seeding a vector per edge and running a single orthogonalizing
-sweep.
+by seeding a vector per edge and sweeping: each vector is projected off
+the span of the earlier non-neighbors' vectors until nothing moves.
 """
 
-from fractions import Fraction
-
 from ghzcert import (
+    OrthRep,
     cycle_hypergraph,
     edge_connectivity,
     find_gpor,
     graph,
     line_graph,
-    orthogonalize_map,
     verify_orthrep,
 )
 
@@ -39,11 +37,12 @@ print("c1 . c3 =", sum(a * b for a, b in zip(rep.vectors[1], rep.vectors[3])))
 report = verify_orthrep(rep)
 print("verified:", report.ok)
 
-# The sweep itself is usable directly: project each vertex's vector away
-# from the span of earlier non-neighbors.  One pass is enough, and reps
-# that already verify do not move.
-g = graph(3, [(0, 1), (1, 2)])  # a path; 0 and 2 are non-adjacent
-f = {0: (Fraction(1), Fraction(0)), 1: (Fraction(1), Fraction(1)), 2: (Fraction(1), Fraction(1))}
-out = orthogonalize_map(g, f)
-print("sweep:", {v: tuple(str(x) for x in vec) for v, vec in out.items()})
-print("0 . 2 after sweep:", sum(a * b for a, b in zip(out[0], out[2])))
+# The verifier names what is wrong with a representation made by hand.
+# On the path 0 - 1 - 2, vertices 0 and 2 are non-adjacent, so their
+# vectors must be orthogonal; (1, 0) and (1, 2) are not.
+g = graph(3, [(0, 1), (1, 2)])
+bad = OrthRep(g, 2, ((1, 0), (1, 1), (1, 2)))
+report = verify_orthrep(bad)
+print("hand-made rep verified:", report.ok)
+for u, v, ip in report.orthogonality_violations:
+    print(f"  c{u} . c{v} = {ip}, but {u} and {v} are non-adjacent")

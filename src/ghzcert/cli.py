@@ -165,8 +165,11 @@ def _cmd_certify(args) -> int:
     cert = synthesize_certificate(h, args.n, seed=args.seed)
     blob = cert.to_json_bytes()
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise GhzcertError(f"cannot write {args.out}: {exc}") from exc
         if args.json:
             print(
                 json.dumps(

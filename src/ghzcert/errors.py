@@ -20,12 +20,11 @@ class EmptyEdgeError(GhzcertError):
 class VertexOutOfRangeError(GhzcertError):
     code = "VertexOutOfRange"
 
-    def __init__(self, edge_index: int, vertex: int, k: int):
+    def __init__(self, edge_index: int | None, vertex: int, k: int):
         self.edge_index = edge_index
         self.vertex = vertex
-        super().__init__(
-            f"edge {edge_index} contains vertex {vertex}, outside 1..{k}"
-        )
+        where = "" if edge_index is None else f"edge {edge_index} contains "
+        super().__init__(f"{where}vertex {vertex}, outside 1..{k}")
 
 
 class BadLevelError(GhzcertError):

@@ -24,6 +24,9 @@ sweep leaves the map fixed exactly when every projection coefficient is 0,
 which is when the rational sweep returns its input unchanged; so both settle
 at the same sweep or not at all, and the primitive vectors they end with are
 identical.
+
+The search is one loop, :func:`gpor_candidates`; :func:`find_gpor` is its
+first result, and :func:`verify_orthrep` the one general-position check.
 """
 
 from __future__ import annotations
@@ -34,28 +37,15 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .errors import (
-    DimMismatchError,
-    DimensionInfeasibleError,
-    RetriesExhaustedError,
-    TooLargeError,
-)
+from .errors import DimensionInfeasibleError, RetriesExhaustedError, TooLargeError
 from .hypergraph import Graph
-from .ratlinalg import (
-    GENERAL_POSITION_SUBSET_LIMIT,
-    IntVector,
-    RatVector,
-    _component,
-    _int_row,
-    _orthogonal_basis,
-    _primitive,
-    _residual,
-    rank,
-    vector,
-)
+from .ratlinalg import IntVector, _orthogonal_basis, _primitive, _residual, rank
 
 DEFAULT_SEED_BOUND = 1000
 DEFAULT_MAX_RETRIES = 32
+
+#: subset-enumeration guard for the general-position check
+GENERAL_POSITION_SUBSET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -65,9 +55,6 @@ class OrthRep:
     graph: Graph
     d: int
     vectors: tuple[tuple[int, ...], ...]
-
-    def vector(self, v: int) -> RatVector:
-        return vector(self.vectors[v])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "vectors": [list(v) for v in self.vectors]}
@@ -95,32 +82,6 @@ def _sweep(
         out[v], m = _residual(_orthogonal_basis([out[u] for u in before]), f[v])
         moved = moved or m
     return out, moved
-
-
-def orthogonalize_map(
-    g: Graph,
-    f: dict[int, RatVector],
-    ordering: tuple[int, ...] | None = None,
-) -> dict[int, RatVector]:
-    """One sweep of the re-orthogonalization operator, in exact rationals.
-
-    Processes vertices in ``ordering`` (default 0..n-1).  The output at v is
-    f(v) minus its projection onto the span of the outputs already produced
-    at vertices non-adjacent to v; exact zero vectors contribute nothing to
-    the span.  A fixed point of this sweep assigns orthogonal vectors to
-    every non-adjacent pair.
-
-    The sweep itself runs on the integer directions of f; the output at v
-    is the exact component of f(v) along its integer output direction, which
-    is orthogonal to the span it was projected off.
-    """
-    if ordering is None:
-        ordering = tuple(range(g.n))
-    ints = {v: _primitive(_int_row(f[v])) for v in ordering}
-    if len({len(w) for w in ints.values()}) > 1:
-        raise DimMismatchError("vectors of unequal dimension")
-    out, _ = _sweep(_plan(g, ordering), ints)
-    return {v: _component(f[v], out[v]) for v in ordering}
 
 
 def _band_vectors(n: int, d: int) -> list[tuple[int, ...]]:
@@ -188,29 +149,8 @@ def find_gpor(
     bound: int = DEFAULT_SEED_BOUND,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> OrthRep:
-    """Search for a general-position orthogonal representation in Q^d.
-
-    Attempt 0 uses the deterministic banded seed; later attempts draw
-    integer vectors uniformly from [-bound, bound]^d (resampling any zero
-    vector) with a RNG seeded from ``seed``, so the whole search is
-    reproducible.  Raises RetriesExhausted if no attempt verifies.
-    """
-    if d < 0:
-        raise DimensionInfeasibleError(f"dimension {d} is negative")
-    if d == 0:
-        # Every pair of edges shares a vertex and lam = m: the only
-        # representation is m empty vectors, vacuously orthogonal and in
-        # general position.
-        return OrthRep(g, 0, tuple(() for _ in range(g.n)))
-    rep = _rep_from_map(g, d, dict(enumerate(_band_vectors(g.n, d))))
-    if rep is not None:
-        return rep
-    rng = random.Random(seed)
-    for _ in range(max_retries):
-        rep = _rep_from_map(g, d, _random_map(rng, g.n, d, bound))
-        if rep is not None:
-            return rep
-    raise RetriesExhaustedError(max_retries, bound)
+    """The first verified representation of :func:`gpor_candidates`."""
+    return gpor_candidates(g, d, seed, 1, bound, max_retries)[0]
 
 
 def gpor_candidates(
@@ -221,13 +161,22 @@ def gpor_candidates(
     bound: int = DEFAULT_SEED_BOUND,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> list[OrthRep]:
-    """Up to ``count`` distinct verified representations, banded seed first.
+    """Up to ``count`` distinct general-position orthogonal representations
+    in Z^d, banded seed first.
 
-    Used by certificate synthesis to pick the candidate with the best
-    solution count; always deterministic for a given seed.
+    Attempt 0 uses the deterministic banded seed; then up to ``max_retries``
+    attempts draw integer vectors uniformly from [-bound, bound]^d
+    (resampling any zero vector) with a RNG seeded from ``seed``, until
+    ``count`` distinct representations verify, so the whole search is
+    reproducible.  Raises RetriesExhausted if no attempt verifies.
     """
-    if d <= 0:
-        return [find_gpor(g, d, seed=seed, bound=bound, max_retries=max_retries)]
+    if d < 0:
+        raise DimensionInfeasibleError(f"dimension {d} is negative")
+    if d == 0:
+        # Every pair of edges shares a vertex and lam = m: the only
+        # representation is m empty vectors, vacuously orthogonal and in
+        # general position.
+        return [OrthRep(g, 0, tuple(() for _ in range(g.n)))]
     found: list[OrthRep] = []
     rep = _rep_from_map(g, d, dict(enumerate(_band_vectors(g.n, d))))
     if rep is not None:

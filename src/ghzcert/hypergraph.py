@@ -64,6 +64,12 @@ def _json_int_rows(rows, field: str) -> tuple[tuple[int, ...], ...]:
     return out
 
 
+def _repeated(keys: Iterable):
+    """The first key that occurs twice in ``keys``."""
+    seen = set()
+    return next(key for key in keys if key in seen or seen.add(key))
+
+
 @dataclass(frozen=True)
 class Edge:
     vertices: frozenset[int]
@@ -106,14 +112,15 @@ class Hypergraph:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
         k = _json_int(obj["k"], "k")
-        edges = tuple(
-            Edge(
-                frozenset(_json_ints(e["vertices"], "edge vertices")),
-                _json_int(e.get("level", 2), "edge level"),
-            )
-            for e in obj["edges"]
-        )
-        return cls(k, edges)
+        edges = []
+        for i, e in enumerate(obj["edges"]):
+            row = _json_ints(e["vertices"], "edge vertices")
+            vertices = frozenset(row)
+            if len(vertices) != len(row):
+                # a set keeps one of a repeated vertex
+                raise ValueError(f"edge {i} vertices repeat {_repeated(row)}")
+            edges.append(Edge(vertices, _json_int(e.get("level", 2), "edge level")))
+        return cls(k, tuple(edges))
 
 
 def hypergraph(
@@ -125,6 +132,8 @@ def hypergraph(
     sets = [frozenset(s) for s in edge_sets]
     if levels is None:
         levels = [2] * len(sets)
+    elif len(levels) != len(sets):
+        raise ValueError(f"{len(levels)} levels for {len(sets)} edges")
     return Hypergraph(k, tuple(Edge(s, lv) for s, lv in zip(sets, levels)))
 
 
@@ -222,7 +231,7 @@ def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
         raise SameVertexError(f"vertices must differ, got {a} twice")
     for v in (a, b):
         if not (1 <= v <= h.k):
-            raise VertexOutOfRangeError(-1, v, h.k)
+            raise VertexOutOfRangeError(None, v, h.k)
 
 
 def _incidence_network(h: Hypergraph) -> _Network:

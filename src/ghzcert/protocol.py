@@ -69,6 +69,7 @@ from .hypergraph import (
     _json_int,
     _json_int_rows,
     _json_ints,
+    _repeated,
 )
 from .ratlinalg import rank
 from .tensor import (
@@ -110,6 +111,14 @@ def _iinner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
 
 
 # -- exponent assignment -----------------------------------------------------
+
+
+def _json_terms(pairs, field: str) -> dict:
+    """dict(pairs), refusing a key stated twice, of which dict keeps the last."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise ValueError(f"{field} repeat {_repeated(key for key, _ in pairs)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,10 +209,16 @@ class QuadraticAssignment:
     def from_json_dict(cls, obj: dict, l: int) -> "QuadraticAssignment":
         rows = obj["vertices"]
         quad = tuple(
-            {(e, f): q for e, f, q in _json_int_rows(row["quad"], "quad terms")}
+            _json_terms(
+                [((e, f), q) for e, f, q in _json_int_rows(row["quad"], "quad terms")],
+                "quad terms",
+            )
             for row in rows
         )
-        lin = tuple(dict(_json_int_rows(row["lin"], "lin terms")) for row in rows)
+        lin = tuple(
+            _json_terms(_json_int_rows(row["lin"], "lin terms"), "lin terms")
+            for row in rows
+        )
         const = _json_ints([row["const"] for row in rows], "const")
         return cls(len(rows), l, quad, lin, const)
 

@@ -6,6 +6,9 @@ entry, standing for the term 1·ε^m.  That is all the degeneration uses:
 every entry of the product of GHZ states attached to a hypergraph has
 coefficient 1, each local diagonal operator with monomial entries ε^m adds
 an exponent, and the ε → 0 leading term keeps the entries at exponent 0.
+The module carries only what the deep degeneration check replays: the GHZ
+product state, local diagonal operators, the leading term and the test that
+the result is a GHZ state.
 
 Everything is exact: exponents are ints and coefficients are 1, so "leading
 term" is a symbolic statement, never a numerical limit.
@@ -16,19 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, product, tee
 from operator import add, itemgetter, not_
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import (
     BadLevelError,
     GhzStructureError,
     NegativeExponentError,
     NonScalarCoefficientsError,
-    TooLargeError,
 )
 from .hypergraph import Hypergraph, validate
-from .ratlinalg import rank
-
-FLATTEN_SIDE_LIMIT = 4096
 
 Label = tuple[int, ...]
 EntryKey = tuple[Label, ...]
@@ -139,44 +138,6 @@ def leading_term(t: SparseTensor) -> SparseTensor:
         raise NegativeExponentError(*_first_exponent(t, lambda m: m < 0))
     kept = compress(t.entries, map(not_, t.entries.values()))
     return _trusted(t.k, t.alphabets, dict.fromkeys(kept, 0))
-
-
-def flattening_rank(t: SparseTensor, side: Iterable[int]) -> int:
-    """Exact rank of t viewed as a matrix: sites of ``side`` vs the rest.
-
-    ``side`` holds 1-based vertex numbers, nonempty and proper.  Every
-    exponent must be 0, so the matrix is 0/1.  Only labels realized by some entry
-    become matrix rows and columns; dense materialization is refused
-    when either realized side exceeds 4096 labels.
-    """
-    s = frozenset(side)
-    if not s or not (s < frozenset(range(1, t.k + 1))):
-        raise ValueError(f"side {sorted(s)} is not a proper nonempty vertex subset")
-    _require_scalar(t)
-    row_sites = [j for j in range(t.k) if j + 1 in s]
-    col_sites = [j for j in range(t.k) if j + 1 not in s]
-    cells: dict[tuple, list[tuple]] = {}
-    cols: set[tuple] = set()
-    for key in t.entries:
-        r = tuple(key[j] for j in row_sites)
-        c = tuple(key[j] for j in col_sites)
-        cells.setdefault(r, []).append(c)
-        cols.add(c)
-    for size, name in ((len(cells), "side"), (len(cols), "complement")):
-        if size > FLATTEN_SIDE_LIMIT:
-            raise TooLargeError(
-                f"{name} has {size} realized labels, over the dense "
-                f"flattening limit {FLATTEN_SIDE_LIMIT}"
-            )
-    col_order = sorted(cols)
-    col_pos = {c: i for i, c in enumerate(col_order)}
-    rows = []
-    for r in sorted(cells):
-        vec = [0] * len(col_order)
-        for c in cells[r]:
-            vec[col_pos[c]] = 1
-        rows.append(tuple(vec))
-    return rank(rows)
 
 
 def check_ghz_structure(t: SparseTensor) -> int:

@@ -4,7 +4,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import log2, prod
+from math import gcd, lcm, log2, prod
 
 from ghzcert.errors import (
     DisconnectedError,
@@ -25,6 +25,8 @@ from ghzcert.hypergraph import (
     validate,
 )
 from ghzcert.protocol import _pivot_inverse
+from ghzcert.ratlinalg import rank
+from ghzcert.tensor import _require_scalar
 
 MAX_REMOVAL_ORACLE_EDGES = 12
 MAX_VERTEX_CONN_ORACLE = 10
@@ -244,6 +246,60 @@ def ref_settle(g: Graph, f, sweeps: int = 8):
     return None
 
 
+def ref_primitive(v) -> tuple[int, ...]:
+    """The primitive integer vector along the rational vector v (the lcm
+    of the denominators multiplied in, the gcd divided out, the sign kept)."""
+    v = [Fraction(a) for a in v]
+    den = lcm(*(a.denominator for a in v))
+    ints = [a.numerator * (den // a.denominator) for a in v]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
+
+
+# -- flattening ranks: the bipartite log-rank the rate is the minimum of ----
+
+FLATTEN_SIDE_LIMIT = 4096
+
+
+def flattening_rank(t, side) -> int:
+    """Exact rank of the tensor t viewed as a matrix: sites of ``side`` vs
+    the rest.
+
+    ``side`` holds 1-based vertex numbers, nonempty and proper.  Every
+    exponent must be 0, so the matrix is 0/1.  Only labels realized by some
+    entry become matrix rows and columns; dense materialization is refused
+    when either realized side exceeds 4096 labels.
+    """
+    s = frozenset(side)
+    if not s or not (s < frozenset(range(1, t.k + 1))):
+        raise ValueError(f"side {sorted(s)} is not a proper nonempty vertex subset")
+    _require_scalar(t)
+    row_sites = [j for j in range(t.k) if j + 1 in s]
+    col_sites = [j for j in range(t.k) if j + 1 not in s]
+    cells: dict[tuple, list[tuple]] = {}
+    cols: set[tuple] = set()
+    for key in t.entries:
+        r = tuple(key[j] for j in row_sites)
+        c = tuple(key[j] for j in col_sites)
+        cells.setdefault(r, []).append(c)
+        cols.add(c)
+    for size, name in ((len(cells), "side"), (len(cols), "complement")):
+        if size > FLATTEN_SIDE_LIMIT:
+            raise TooLargeError(
+                f"{name} has {size} realized labels, over the dense "
+                f"flattening limit {FLATTEN_SIDE_LIMIT}"
+            )
+    col_order = sorted(cols)
+    col_pos = {c: i for i, c in enumerate(col_order)}
+    rows = []
+    for r in sorted(cells):
+        vec = [0] * len(col_order)
+        for c in cells[r]:
+            vec[col_pos[c]] = 1
+        rows.append(tuple(vec))
+    return rank(rows)
+
+
 # -- grid-sweep reference for solution counting, independent of the solver --
 
 
@@ -405,4 +461,28 @@ def tamper_certificate(obj: dict, kind: str, rng: random.Random) -> dict:
     elif kind == "assignment":
         terms = [term for row in obj["assignment"]["vertices"] for term in row["quad"]]
         rng.choice(terms)[2] += 1
+    return obj
+
+
+# Each case prepends one entry to a list of the K3 n = 4 certificate that
+# states again a key the list already has: (path to the list, the entry, the
+# parse error).  Every one verified ok, the last statement winning, while
+# the lists went through dict() and frozenset().
+REPEATED_KEYS = {
+    "quad": (("assignment", "vertices", 0, "quad"), [0, 0, 999],
+             "quad terms repeat (0, 0)"),
+    "lin": (("assignment", "vertices", 0, "lin"), [0, 5], "lin terms repeat 0"),
+    "edge-vertices": (("hypergraph", "edges", 0, "vertices"), 1,
+                      "edge 0 vertices repeat 1"),
+}
+
+
+def repeat_key(obj: dict, case: str) -> dict:
+    """A copy of the certificate dict with the ``case`` entry prepended."""
+    obj = json.loads(json.dumps(obj))
+    path, entry, _ = REPEATED_KEYS[case]
+    target = obj
+    for key in path:
+        target = target[key]
+    target.insert(0, entry)
     return obj

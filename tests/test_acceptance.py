@@ -20,9 +20,10 @@ from conftest import (
     assert_valid_path_family,
     corpus,
     edge_connectivity_by_removal,
+    flattening_rank,
     random_connected_hypergraph,
 )
-from ghzcert.gpor import OrthRep, find_gpor, orthogonalize_map, verify_orthrep
+from ghzcert.gpor import OrthRep, _plan, _sweep, find_gpor, verify_orthrep
 from ghzcert.hypergraph import (
     complete_uniform,
     cycle_hypergraph,
@@ -44,7 +45,6 @@ from ghzcert.protocol import (
 from ghzcert.tensor import (
     apply_local_diagonal,
     check_ghz_structure,
-    flattening_rank,
     ghz_state,
     leading_term,
 )
@@ -302,35 +302,26 @@ def test_criterion_10_orthogonalization_properties(scorecard):
                 if rng.random() < 0.5
             ]
             g = graph(n, pairs)
-            f = {
-                v: tuple(
-                    Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    for _ in range(d)
-                )
-                for v in range(n)
-            }
-            out = orthogonalize_map(g, f)
+            plan = _plan(g, tuple(range(n)))
+            f = {v: tuple(rng.randint(-9, 9) for _ in range(d)) for v in range(n)}
+            out, _ = _sweep(plan, f)
             for u in range(n):
                 for v in range(u + 1, n):
                     if not g.adjacent(u, v):
                         assert sum(
                             out[u][t] * out[v][t] for t in range(d)
                         ) == 0
-            again = orthogonalize_map(g, {v: out[v] for v in range(n)})
-            assert again == out
+            again, moved = _sweep(plan, out)
+            assert again == out and not moved
         # verified representations do not move under the sweep
         for _, h in corpus():
             d = h.l - edge_connectivity(h)
             rep = find_gpor(line_graph(h), d, seed=0)
             if rep.d == 0:
                 continue
-            fixed = orthogonalize_map(
-                rep.graph,
-                {v: rep.vector(v) for v in range(rep.graph.n)},
-            )
-            assert all(
-                fixed[v] == rep.vector(v) for v in range(rep.graph.n)
-            )
+            vecs = dict(enumerate(rep.vectors))
+            fixed, moved = _sweep(_plan(rep.graph, tuple(range(rep.graph.n))), vecs)
+            assert fixed == vecs and not moved
 
     _criterion(scorecard, 10, "sweep orthogonalizes, is idempotent, fixes verified reps", 30.0, body)
 

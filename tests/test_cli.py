@@ -16,7 +16,7 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.protocol import synthesize_certificate
 
-from conftest import set_m
+from conftest import REPEATED_KEYS, repeat_key, set_m
 
 
 @pytest.fixture
@@ -251,6 +251,38 @@ def test_verify_non_integer_field_is_bad_format(field, value, tmp_path, capsys):
     assert "must be an integer" in err["message"] or "integers only" in err["message"]
 
 
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_verify_repeated_key_is_bad_format(case, tmp_path, capsys):
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(repeat_key(obj, case)))
+    for flags in ([], ["--deep"]):
+        assert run(["verify", str(path), *flags]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "BadFormat"
+        assert REPEATED_KEYS[case][2] in err["message"]
+
+
+def test_connectivity_repeated_vertex_is_bad_format(tmp_path, capsys):
+    obj = cycle_hypergraph(3).to_json_dict()
+    obj["edges"][0]["vertices"] = [1, 1, 2]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(obj))
+    assert run(["connectivity", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert "edge 0 vertices repeat 1" in err["message"]
+
+
+def test_certify_unwritable_out_exit_3(k3_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.cert"
+    assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "Error"
+    assert err["message"].startswith(f"cannot write {out}: ")
+    assert not out.exists()
+
+
 def test_hypergraph_with_non_integer_vertex_is_bad_format(tmp_path, capsys):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({"k": 3, "edges": [{"vertices": [1, 2.5]}]}))
@@ -318,9 +350,9 @@ def test_connectivity_json_byte_exact_16_vertices(tmp_path, capsys):
     "a, b, error",
     [
         ("1", "99", {"code": "VertexOutOfRange",
-                     "message": "edge -1 contains vertex 99, outside 1..3"}),
+                     "message": "vertex 99, outside 1..3"}),
         ("0", "2", {"code": "VertexOutOfRange",
-                    "message": "edge -1 contains vertex 0, outside 1..3"}),
+                    "message": "vertex 0, outside 1..3"}),
         ("2", "2", {"code": "SameVertex",
                     "message": "vertices must differ, got 2 twice"}),
     ],

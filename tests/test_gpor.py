@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,15 +8,17 @@ from conftest import (
     corpus,
     random_connected_hypergraph,
     ref_orthogonalize_map,
+    ref_primitive,
     ref_settle,
 )
 from ghzcert.errors import DimensionInfeasibleError, RetriesExhaustedError
 from ghzcert.gpor import (
     OrthRep,
+    _plan,
     _settle,
+    _sweep,
     find_gpor,
     gpor_candidates,
-    orthogonalize_map,
     verify_orthrep,
 )
 from ghzcert.hypergraph import (
@@ -27,7 +28,7 @@ from ghzcert.hypergraph import (
     graph,
     line_graph,
 )
-from ghzcert.ratlinalg import inner, scale_to_integers, vector
+from ghzcert.ratlinalg import _primitive
 
 
 def random_graph(rng, n):
@@ -41,12 +42,19 @@ def random_graph(rng, n):
 
 
 def random_map(rng, n, d):
-    return {
-        v: vector(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
-        )
-        for v in range(n)
-    }
+    return {v: tuple(rng.randint(-9, 9) for _ in range(d)) for v in range(n)}
+
+
+def sweep(g, f, ordering=None):
+    """One integer sweep over the primitive directions of the int map f:
+    the outputs, and whether any of them moved."""
+    if ordering is None:
+        ordering = tuple(range(g.n))
+    return _sweep(_plan(g, ordering), {v: _primitive(f[v]) for v in ordering})
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def test_single_sweep_orthogonalizes_every_nonadjacent_pair():
@@ -54,11 +62,11 @@ def test_single_sweep_orthogonalizes_every_nonadjacent_pair():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 7))
         d = rng.randint(1, 4)
-        out = orthogonalize_map(g, random_map(rng, g.n, d))
+        out, _ = sweep(g, random_map(rng, g.n, d))
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.adjacent(u, v):
-                    assert inner(out[u], out[v]) == 0
+                    assert dot(out[u], out[v]) == 0
 
 
 def test_sweep_is_idempotent():
@@ -66,32 +74,27 @@ def test_sweep_is_idempotent():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 6))
         d = rng.randint(1, 3)
-        once = orthogonalize_map(g, random_map(rng, g.n, d))
-        assert orthogonalize_map(g, once) == once
+        once, _ = sweep(g, random_map(rng, g.n, d))
+        assert sweep(g, once) == (once, False)
 
 
 def test_sweep_respects_custom_ordering():
     g = graph(3, [])  # no edges: all pairs non-adjacent
-    f = {v: vector([1, 1]) for v in range(3)}
-    out = orthogonalize_map(g, f, ordering=(2, 0, 1))
-    # the first processed vertex keeps its input
-    assert out[2] == vector([1, 1])
-    assert inner(out[0], out[2]) == 0
-    assert inner(out[1], out[2]) == 0 and inner(out[1], out[0]) == 0
+    f = {0: (1, 0, 0), 1: (1, 1, 0), 2: (1, 1, 1)}
+    out, _ = sweep(g, f, ordering=(2, 0, 1))
+    # the first processed vertex keeps its input; the rest follow in order
+    assert out == {2: (1, 1, 1), 0: (2, -1, -1), 1: (0, 1, -1)}
+    assert list(out) == [2, 0, 1]
+    assert sweep(g, f)[0] == {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
 
 
 def test_projection_span_skips_exact_zeros():
     # vertex 1's output collapses to zero; vertex 2 must still end up
     # orthogonal to vertex 0 and ignore the dead vector
     g = graph(3, [])
-    f = {
-        0: vector([1, 0]),
-        1: vector([1, 0]),
-        2: vector([1, 1]),
-    }
-    out = orthogonalize_map(g, f)
-    assert out[1] == vector([0, 0])
-    assert out[2] == vector([0, 1])
+    out, _ = sweep(g, {0: (1, 0), 1: (1, 0), 2: (1, 1)})
+    assert out[1] == (0, 0)
+    assert out[2] == (0, 1)
 
 
 def test_find_gpor_on_corpus():
@@ -120,8 +123,8 @@ def test_band_seed_survives_on_paths():
         # banded two-entry vectors, already settled
         for j, v in enumerate(rep.vectors):
             assert sum(1 for x in v if x) <= 2
-        f = {v: vector(w) for v, w in enumerate(rep.vectors)}
-        assert orthogonalize_map(rep.graph, f) == f
+        f = dict(enumerate(rep.vectors))
+        assert sweep(rep.graph, f) == (f, False)
 
 
 def test_zero_dimension_trivial_rep():
@@ -183,14 +186,13 @@ def test_fixed_point_property_of_verified_reps():
         if d == 0:
             continue
         rep = find_gpor(line_graph(h), d, seed=1)
-        f = {v: vector(w) for v, w in enumerate(rep.vectors)}
-        assert orthogonalize_map(rep.graph, f) == f, name
+        f = dict(enumerate(rep.vectors))
+        assert sweep(rep.graph, f) == (f, False), name
 
 
 def _random_input(rng, n, d):
-    """Integer or Fraction vectors, some zero and some repeated, so that
-    outputs collapse to zero now and then."""
-    as_fraction = rng.random() < 0.5
+    """Integer vectors, some zero, some repeated and some not primitive, so
+    that outputs collapse to zero now and then."""
     f = {}
     for v in range(n):
         kind = rng.random()
@@ -200,8 +202,8 @@ def _random_input(rng, n, d):
             w = f[rng.randrange(v)]
         else:
             w = tuple(rng.randint(-3, 3) for _ in range(d))
-        if as_fraction:
-            w = tuple(Fraction(x, rng.randint(1, 5)) for x in w)
+        if rng.random() < 0.3:
+            w = tuple(rng.randint(2, 5) * x for x in w)
         f[v] = w
     return f
 
@@ -217,9 +219,10 @@ def test_sweep_matches_fraction_reference():
         if rng.random() < 0.5:
             ordering = tuple(rng.sample(range(g.n), g.n))
             reordered += 1
-        out = orthogonalize_map(g, f, ordering)
+        out, _ = sweep(g, f, ordering)
         want = ref_orthogonalize_map(g, f, ordering)
-        assert out == want and list(out) == list(want)
+        assert out == {v: ref_primitive(w) for v, w in want.items()}
+        assert list(out) == list(want)
         collapsed += sum(not any(w) and any(f[v]) for v, w in out.items())
     assert collapsed > 50 and reordered > 200
 
@@ -242,7 +245,7 @@ def test_settle_matches_fraction_reference():
         got, want = _settle(g, f, sweeps), ref_settle(g, f, sweeps)
         assert (got is None) == (want is None)
         if want is not None:
-            assert got == {v: scale_to_integers(w) for v, w in want.items()}
+            assert got == {v: ref_primitive(w) for v, w in want.items()}
         outcomes.add(want is None)
     assert outcomes == {True, False}
 

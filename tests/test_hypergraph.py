@@ -55,6 +55,16 @@ def test_validate_reports_edge_index():
         validate(hypergraph(3, [{1, 2}], [1]))
 
 
+def test_levels_of_another_length_are_refused():
+    # zip kept one edge of the triangle, which then was disconnected
+    triangle = [{1, 2}, {2, 3}, {1, 3}]
+    with pytest.raises(ValueError, match="1 levels for 3 edges"):
+        hypergraph(3, triangle, [3])
+    with pytest.raises(ValueError, match="4 levels for 3 edges"):
+        hypergraph(3, triangle, [2, 2, 2, 2])
+    assert hypergraph(3, triangle, [3, 3, 3]).levels() == (3, 3, 3)
+
+
 def test_is_connected():
     assert is_connected(path_hypergraph(5))
     assert not is_connected(hypergraph(4, [{1, 2}, {3, 4}]))

@@ -45,3 +45,32 @@ def test_importing_the_package_builds_no_command_line_parser():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_linear_algebra_gpor_and_tensor_carry_no_test_only_functions():
+    # a public function of these modules that neither another module of the
+    # package nor a demo calls is a test oracle and belongs in tests/
+    src = pathlib.Path(ghzcert.__file__).parent
+    demos = src.parent.parent / "demos"
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    used: dict[pathlib.Path, set[str]] = {
+        path: {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        for path, tree in trees.items()
+    }
+    unused = []
+    for name in ("ratlinalg.py", "gpor.py", "tensor.py"):
+        module = src / name
+        for node in trees[module].body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not any(node.name in names for path, names in used.items()
+                           if path != module):
+                    unused.append(f"{name}:{node.name}")
+    assert not unused

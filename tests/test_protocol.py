@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from itertools import product
 import pytest
 
 from conftest import (
+    REPEATED_KEYS,
     corpus,
     random_connected_hypergraph,
     ref_completeness,
@@ -20,6 +22,7 @@ from conftest import (
     ref_rank,
     ref_solutions,
     ref_to_json_bytes,
+    repeat_key,
     set_m,
     tamper_certificate,
 )
@@ -652,6 +655,13 @@ def test_certificate_parse_accepts_only_version_string_1(version):
         obj["version"] = version
     with pytest.raises(ValueError, match='version must be the string "1"'):
         Certificate.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_certificate_parse_rejects_repeated_keys(case):
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    with pytest.raises(ValueError, match=re.escape(REPEATED_KEYS[case][2])):
+        Certificate.from_json_dict(repeat_key(obj, case))
 
 
 def test_hash_only_certificate_parse_accepts_only_integers():

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from conftest import random_connected_hypergraph
+from conftest import flattening_rank, random_connected_hypergraph
 from ghzcert.errors import (
     BadLevelError,
     GhzStructureError,
@@ -25,7 +25,6 @@ from ghzcert.tensor import (
     apply_local_diagonal,
     check_ghz_structure,
     dump,
-    flattening_rank,
     ghz_state,
     leading_term,
 )
