@@ -1,14 +1,23 @@
 """Sparse multiparty tensors whose entries are unit monomials in ε.
 
-A SparseTensor stores a k-site tensor as a map from label tuples (one label
-per site, each label itself a tuple of integers) to one int exponent m per
-entry, standing for the term 1·ε^m.  That is all the degeneration uses:
-every entry of the product of GHZ states attached to a hypergraph has
+A SparseTensor stands for a k-site tensor: a set of entries, each a key
+(one label per site, each label itself a tuple of integers) with one int
+exponent m, standing for the term 1·ε^m.  That is all the degeneration
+uses: every entry of the product of GHZ states attached to a hypergraph has
 coefficient 1, each local diagonal operator with monomial entries ε^m adds
 an exponent, and the ε → 0 leading term keeps the entries at exponent 0.
 The module carries only what the deep degeneration check replays: the GHZ
 product state, local diagonal operators, the leading term and the test that
 the result is a GHZ state.
+
+The tensor is stored column-wise.  Each site has one int list, the code of
+every entry's label there (its index in the site's alphabet), and the
+tensor has one exponent list, both in entry order.  A diagonal operator at
+a site is a table indexed by code, so applying it is one pass of int adds
+over that site's column; the columns are shared between a tensor and the
+tensors derived from it and never mutated.  Keys, tuples of k label tuples,
+are never formed for the n^l grid: only for the entries ``entries`` lists
+when asked, and for the one entry an error names.
 
 Everything is exact: exponents are ints and coefficients are 1, so "leading
 term" is a symbolic statement, never a numerical limit.
@@ -16,10 +25,9 @@ term" is a symbolic statement, never a numerical limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress, product, tee
+from itertools import chain, compress, count, product, repeat
 from operator import add, itemgetter, not_
-from typing import Callable
+from typing import Callable, Mapping
 
 from .errors import (
     BadLevelError,
@@ -27,71 +35,120 @@ from .errors import (
     NegativeExponentError,
     NonScalarCoefficientsError,
 )
-from .hypergraph import Hypergraph, validate
+from .hypergraph import Hypergraph, _repeated, validate
 
 Label = tuple[int, ...]
 EntryKey = tuple[Label, ...]
 
 
-@dataclass(frozen=True, eq=True)
 class SparseTensor:
     """k-site tensor over declared per-site label alphabets.
 
-    ``entries`` maps each stored key to the exponent m of its term 1·ε^m.
+    ``SparseTensor(k, alphabets, entries)`` takes ``entries`` as a map from
+    each key to the exponent m of its term 1·ε^m.  ``entries`` gives that
+    dict back, in the same order, built from the columns on first use.
     """
 
-    k: int
-    alphabets: tuple[tuple[Label, ...], ...]
-    entries: dict[EntryKey, int]
+    __slots__ = ("k", "alphabets", "_codes", "_exps", "_entries")
 
-    def __post_init__(self):
-        if len(self.alphabets) != self.k:
-            raise ValueError(
-                f"{len(self.alphabets)} alphabets for {self.k} sites"
-            )
-        entries = self.entries
-        widths = set(map(len, entries)) - {self.k}
+    def __init__(
+        self,
+        k: int,
+        alphabets: tuple[tuple[Label, ...], ...],
+        entries: Mapping[EntryKey, int],
+    ):
+        if len(alphabets) != k:
+            raise ValueError(f"{len(alphabets)} alphabets for {k} sites")
+        widths = set(map(len, entries)) - {k}
         if widths:
-            raise ValueError(f"entry keys with {sorted(widths)} sites, not {self.k}")
-        for j, alphabet in enumerate(self.alphabets):
-            foreign = set(map(itemgetter(j), entries)).difference(alphabet)
+            raise ValueError(f"entry keys with {sorted(widths)} sites, not {k}")
+        codes = []
+        for j, alphabet in enumerate(alphabets):
+            labels = list(map(itemgetter(j), entries))
+            foreign = set(labels).difference(alphabet)
             if foreign:
                 raise ValueError(
                     f"label {min(foreign)} at site {j} not in the declared alphabet"
                 )
-        if not set(map(type, entries.values())) <= {int}:
+            index = {label: c for c, label in enumerate(alphabet)}
+            codes.append(list(map(index.__getitem__, labels)))
+        exps = list(entries.values())
+        if not set(map(type, exps)) <= {int}:
             raise ValueError("entry exponents must be ints")
+        _fill(self, k, alphabets, tuple(codes), exps)
+
+    @property
+    def entries(self) -> dict[EntryKey, int]:
+        if self._entries is None:
+            labels = [map(a.__getitem__, col) for a, col in zip(self.alphabets, self._codes)]
+            keys = zip(*labels) if labels else repeat((), len(self._exps))
+            self._entries = dict(zip(keys, self._exps))
+        return self._entries
+
+    def _key(self, i: int) -> EntryKey:
+        return tuple(a[col[i]] for a, col in zip(self.alphabets, self._codes))
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseTensor):
+            return NotImplemented
+        return (self.k, self.alphabets, self.entries) == (
+            other.k,
+            other.alphabets,
+            other.entries,
+        )
 
     def __hash__(self):
         return hash((self.k, self.alphabets, frozenset(self.entries)))
 
+    def __repr__(self):
+        return (
+            f"SparseTensor(k={self.k!r}, alphabets={self.alphabets!r}, "
+            f"entries={self.entries!r})"
+        )
 
-def _trusted(k: int, alphabets, entries: dict[EntryKey, int]) -> SparseTensor:
-    """A tensor whose keys and int exponents are valid by construction: the
-    grid of ghz_state, or the keys of an already validated tensor."""
-    t = object.__new__(SparseTensor)
-    for name, value in (("k", k), ("alphabets", alphabets), ("entries", entries)):
-        object.__setattr__(t, name, value)
+
+def _fill(t: SparseTensor, k: int, alphabets, codes, exps) -> SparseTensor:
+    t.k, t.alphabets, t._codes, t._exps, t._entries = k, alphabets, codes, exps, None
     return t
 
 
-def _label_getter(inc: tuple[int, ...]) -> itemgetter:
-    """Maps a grid point i to its site label (i[e] for e in inc), a tuple."""
-    if len(inc) > 1:
-        return itemgetter(*inc)
-    return itemgetter(slice(inc[0], inc[0] + 1) if inc else slice(0, 0))
+def _trusted(k: int, alphabets, codes, exps: list[int]) -> SparseTensor:
+    """A tensor whose columns are valid by construction: the grid of
+    ghz_state, or columns of an already validated tensor."""
+    return _fill(object.__new__(SparseTensor), k, alphabets, codes, exps)
 
 
-def _first_exponent(t: SparseTensor, pred) -> tuple[EntryKey, int]:
-    return next((key, m) for key, m in t.entries.items() if pred(m))
+def _first(t: SparseTensor, pred) -> tuple[EntryKey, int]:
+    i = next(compress(count(), map(pred, t._exps)))
+    return t._key(i), t._exps[i]
 
 
 def _require_scalar(t: SparseTensor) -> None:
-    if any(t.entries.values()):
-        key, m = _first_exponent(t, bool)
+    if any(t._exps):
+        key, m = _first(t, bool)
         raise NonScalarCoefficientsError(
             f"entry {key} has ε-dependent coefficient 1*e^{m}"
         )
+
+
+def _grid_codes(inc: tuple[int, ...], n: int, l: int) -> list[int]:
+    """Codes of one site's labels over [0, n-1]^l in lexicographic order.
+
+    The label of grid point i is (i[e] for e in inc); in the sorted
+    alphabet its index is the base-n number of those digits.  The column is
+    built from the last coordinate up: a coordinate the site does not see
+    repeats the column n times, one it sees adds its digit times its place
+    value to n copies.
+    """
+    place = {e: n ** p for p, e in enumerate(reversed(inc))}
+    col = [0]
+    for e in reversed(range(l)):
+        w = place.get(e)
+        if w is None:
+            col = col * n
+        else:
+            col = list(chain(col, *(map((w * v).__add__, col) for v in range(1, n))))
+    return col
 
 
 def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
@@ -99,18 +156,15 @@ def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
 
     Site j - 1 belongs to vertex j; its label lists the indices of the
     incident edges' terms, in ascending edge order.  One unit entry
-    (exponent 0) per point of [0, n-1]^l.
+    (exponent 0) per point of [0, n-1]^l, in lexicographic order.
     """
     validate(h)
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
     incident = [h.incident(j) for j in range(1, h.k + 1)]
-    alphabets = tuple(
-        tuple(sorted(product(range(n), repeat=len(inc)))) for inc in incident
-    )
-    grids = tee(product(range(n), repeat=h.l), h.k)
-    keys = zip(*(map(_label_getter(inc), grid) for inc, grid in zip(incident, grids)))
-    return _trusted(h.k, alphabets, dict.fromkeys(keys, 0))
+    alphabets = tuple(tuple(product(range(n), repeat=len(inc))) for inc in incident)
+    codes = tuple(_grid_codes(inc, n, h.l) for inc in incident)
+    return _trusted(h.k, alphabets, codes, [0] * n**h.l)
 
 
 def apply_local_diagonal(
@@ -121,11 +175,9 @@ def apply_local_diagonal(
     ``exp_fn`` is called once per label of the site's alphabet.
     """
     j = vertex - 1
-    shift = {label: int(exp_fn(label)) for label in t.alphabets[j]}
-    keys = t.entries.keys()
-    shifts = map(shift.__getitem__, map(itemgetter(j), keys))
-    entries = dict(zip(keys, map(add, t.entries.values(), shifts)))
-    return _trusted(t.k, t.alphabets, entries)
+    shift = [int(exp_fn(label)) for label in t.alphabets[j]]
+    exps = list(map(add, t._exps, map(shift.__getitem__, t._codes[j])))
+    return _trusted(t.k, t.alphabets, t._codes, exps)
 
 
 def leading_term(t: SparseTensor) -> SparseTensor:
@@ -134,10 +186,12 @@ def leading_term(t: SparseTensor) -> SparseTensor:
     Rejects tensors with any negative ε exponent: those do not converge as
     ε → 0, so the operator assignment that produced them is wrong.
     """
-    if t.entries and min(t.entries.values()) < 0:
-        raise NegativeExponentError(*_first_exponent(t, lambda m: m < 0))
-    kept = compress(t.entries, map(not_, t.entries.values()))
-    return _trusted(t.k, t.alphabets, dict.fromkeys(kept, 0))
+    exps = t._exps
+    if exps and min(exps) < 0:
+        raise NegativeExponentError(*_first(t, lambda m: m < 0))
+    kept = list(compress(count(), map(not_, exps)))
+    codes = tuple(list(map(col.__getitem__, kept)) for col in t._codes)
+    return _trusted(t.k, t.alphabets, codes, [0] * len(kept))
 
 
 def check_ghz_structure(t: SparseTensor) -> int:
@@ -148,14 +202,10 @@ def check_ghz_structure(t: SparseTensor) -> int:
     local diagonal maps rescale t to the standard r-level GHZ, r = #entries.
     """
     _require_scalar(t)
-    for j in range(t.k):
-        seen: set[Label] = set()
-        for key in t.entries:
-            label = key[j]
-            if label in seen:
-                raise GhzStructureError(j + 1, label)
-            seen.add(label)
-    return len(t.entries)
+    for j, col in enumerate(t._codes):
+        if len(set(col)) < len(col):
+            raise GhzStructureError(j + 1, t.alphabets[j][_repeated(col)])
+    return len(t._exps)
 
 
 def dump(t: SparseTensor) -> str:

@@ -1,6 +1,6 @@
 import json
 import random
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -8,6 +8,9 @@ from math import gcd, lcm, log2, prod
 
 from ghzcert.errors import (
     DisconnectedError,
+    GhzStructureError,
+    NegativeExponentError,
+    NonScalarCoefficientsError,
     TooFewVerticesError,
     TooLargeError,
     TooManyEdgesError,
@@ -486,3 +489,72 @@ def repeat_key(obj: dict, case: str) -> dict:
         target = target[key]
     target.insert(0, entry)
     return obj
+
+
+# Vertex 1's cross term [0, 2, 2] of the K3 n = 4 certificate written as
+# [2, 0, 2]: (path to the list, the term, its reversal, the parse error).
+# The parser kept the key as given, so completeness failed (exit 1) on a
+# term that states the same monomial.
+REVERSED_QUAD = (("assignment", "vertices", 0, "quad"), [0, 2, 2], [2, 0, 2],
+                 "quad term (2, 0) has e > f")
+
+
+def reverse_quad(obj: dict) -> dict:
+    """A copy of the certificate dict with the REVERSED_QUAD term reversed."""
+    obj = json.loads(json.dumps(obj))
+    path, term, backwards, _ = REVERSED_QUAD
+    target = obj
+    for key in path:
+        target = target[key]
+    target[target.index(term)] = backwards
+    return obj
+
+
+# -- the dict tensor: reference for ghzcert.tensor ---------------------------
+#
+# One dict from key (one label tuple per site) to exponent, rebuilt by every
+# operation; the package stores the same tensor column-wise.
+
+RefTensor = namedtuple("RefTensor", "k alphabets entries")
+
+
+def ref_ghz_state(h: Hypergraph, n: int) -> RefTensor:
+    incident = [h.incident(j) for j in range(1, h.k + 1)]
+    alphabets = tuple(
+        tuple(sorted(product(range(n), repeat=len(inc)))) for inc in incident
+    )
+    entries = {
+        tuple(tuple(i[e] for e in inc) for inc in incident): 0
+        for i in product(range(n), repeat=h.l)
+    }
+    return RefTensor(h.k, alphabets, entries)
+
+
+def ref_apply_local_diagonal(t: RefTensor, vertex: int, exp_fn) -> RefTensor:
+    j = vertex - 1
+    shift = {label: int(exp_fn(label)) for label in t.alphabets[j]}
+    entries = {key: m + shift[key[j]] for key, m in t.entries.items()}
+    return RefTensor(t.k, t.alphabets, entries)
+
+
+def ref_leading_term(t: RefTensor) -> RefTensor:
+    for key, m in t.entries.items():
+        if m < 0:
+            raise NegativeExponentError(key, m)
+    kept = {key: 0 for key, m in t.entries.items() if m == 0}
+    return RefTensor(t.k, t.alphabets, kept)
+
+
+def ref_check_ghz_structure(t: RefTensor) -> int:
+    for key, m in t.entries.items():
+        if m:
+            raise NonScalarCoefficientsError(
+                f"entry {key} has ε-dependent coefficient 1*e^{m}"
+            )
+    for j in range(t.k):
+        seen = set()
+        for key in t.entries:
+            if key[j] in seen:
+                raise GhzStructureError(j + 1, key[j])
+            seen.add(key[j])
+    return len(t.entries)

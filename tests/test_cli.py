@@ -1,9 +1,11 @@
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,11 @@ from ghzcert.hypergraph import (
     hypergraph,
     path_hypergraph,
 )
-from ghzcert.protocol import synthesize_certificate
+from ghzcert.protocol import DEEP_GRID_LIMIT, synthesize_certificate
 
-from conftest import REPEATED_KEYS, repeat_key, set_m
+from conftest import REPEATED_KEYS, REVERSED_QUAD, repeat_key, reverse_quad, set_m
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -263,6 +267,17 @@ def test_verify_repeated_key_is_bad_format(case, tmp_path, capsys):
         assert REPEATED_KEYS[case][2] in err["message"]
 
 
+def test_verify_reversed_quad_key_is_bad_format(tmp_path, capsys):
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(reverse_quad(obj)))
+    for flags in ([], ["--deep"]):
+        assert run(["verify", str(path), *flags]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == "BadFormat"
+        assert REVERSED_QUAD[3] in err["message"]
+
+
 def test_connectivity_repeated_vertex_is_bad_format(tmp_path, capsys):
     obj = cycle_hypergraph(3).to_json_dict()
     obj["edges"][0]["vertices"] = [1, 1, 2]
@@ -478,6 +493,30 @@ def test_unreadable_json_is_bad_json(command, content, tmp_path, capsys):
 
 
 # -- one parser serves every call of run() in a process ----------------------
+
+
+def test_verify_deep_at_the_grid_cap_fits_320_mb(tmp_path):
+    # C6 at n = 10: the grid is 10^6 = DEEP_GRID_LIMIT, the largest one the
+    # deep check runs on; a dict of n^l keys needed about 640 MB here
+    resource = pytest.importorskip("resource")
+    cap = 320 << 20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    h = cycle_hypergraph(6)
+    assert 10**h.l == DEEP_GRID_LIMIT
+    path = tmp_path / "c6.json"
+    path.write_bytes(synthesize_certificate(h, 10, seed=0).to_json_bytes())
+    done = subprocess.run(
+        [sys.executable, "-m", "ghzcert.cli", "verify", str(path), "--deep", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    checks = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    assert checks["degeneration"] == {"name": "degeneration", "status": "pass", "detail": ""}
 
 
 def test_reused_parser_forgets_deep(k3_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; every demo is deterministic
+STDOUT_SHA256 = {
+    "01_connectivity_and_rates.py":
+        "32d9e582bb5ace3fb6f640a0dbb250053cbf5d6633724124f179f0e4e750892a",
+    "02_orthogonal_representations.py":
+        "c597e5a846743d169353736173ae5b10be1b09c7a9039ecbfe55bd8ecfe8854c",
+    "03_strassen_degeneration.py":
+        "6414cca050cdc17a3ccfcb8aec66b56435e42c1c7479bc9df1dc3c2efa4d5784",
+    "04_certificates.py":
+        "62147630bd4939e1167f7e8104cb5ed3f5124310f78aef30be9f10d8ed834e33",
+    "05_epr_distillation.py":
+        "683fe1ef14756aa3e6ee4bf02071bbff2e5adbe6216b5f0df3a3160e68efc5d4",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
@@ -17,7 +32,7 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path,
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     REPEATED_KEYS,
+    REVERSED_QUAD,
     corpus,
     random_connected_hypergraph,
     ref_completeness,
@@ -23,6 +24,7 @@ from conftest import (
     ref_solutions,
     ref_to_json_bytes,
     repeat_key,
+    reverse_quad,
     set_m,
     tamper_certificate,
 )
@@ -39,6 +41,7 @@ from ghzcert.errors import (
     RetriesExhaustedError,
     SameVertexError,
 )
+import ghzcert.protocol
 from ghzcert.cli import run as cli_run
 from ghzcert.gpor import OrthRep, find_gpor, gpor_candidates
 from ghzcert.hypergraph import (
@@ -664,6 +667,12 @@ def test_certificate_parse_rejects_repeated_keys(case):
         Certificate.from_json_dict(repeat_key(obj, case))
 
 
+def test_certificate_parse_rejects_a_reversed_quad_key():
+    obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    with pytest.raises(ValueError, match=re.escape(REVERSED_QUAD[3])):
+        Certificate.from_json_dict(reverse_quad(obj))
+
+
 def test_hash_only_certificate_parse_accepts_only_integers():
     obj = synthesize_certificate(path_hypergraph(2), 20000, seed=0).to_json_dict()
     for path, value in [(("solutions", "count"), 20000.0), (("M",), 20000.5)]:
@@ -759,6 +768,23 @@ def test_verify_skips_deep_by_default():
     report = verify_certificate(cert)
     assert report.ok
     assert report.check("degeneration").status == "skipped"
+
+
+def test_deep_out_of_memory_is_skipped_not_failed(monkeypatch):
+    def out_of_memory(h, n):
+        raise MemoryError
+
+    monkeypatch.setattr(ghzcert.protocol, "ghz_state", out_of_memory)
+    cert = synthesize_certificate(K3, 4, seed=0)
+    report = verify_certificate(cert, deep=True)
+    assert report.ok
+    deep = report.check("degeneration")
+    assert (deep.status, deep.detail) == ("skipped", "out of memory on the 4^3 grid")
+    obj = cert.to_json_dict()
+    set_m(obj, obj["M"] + 1)
+    tampered = verify_certificate(Certificate.from_json_dict(obj), deep=True)
+    assert [c.name for c in tampered.checks if c.status == "fail"] == ["counting"]
+    assert tampered.check("degeneration").status == "skipped"
 
 
 def test_verify_catches_zeroed_vector():

@@ -1,11 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import mul
 
 import pytest
 
-from conftest import flattening_rank, random_connected_hypergraph
+from conftest import (
+    flattening_rank,
+    random_connected_hypergraph,
+    ref_apply_local_diagonal,
+    ref_check_ghz_structure,
+    ref_ghz_state,
+    ref_leading_term,
+)
 from ghzcert.errors import (
     BadLevelError,
     GhzStructureError,
@@ -259,3 +268,71 @@ def test_dump_format():
     ]
     graded = apply_local_diagonal(t, 1, lambda lab: 2 * lab[0])
     assert "((1,), (1,)) : 1*e^2" in dump(graded)
+
+
+# -- the column layout against the dict reference ----------------------------
+
+TENSOR_ERRORS = (NegativeExponentError, NonScalarCoefficientsError, GhzStructureError)
+
+
+def _agree(fn, ref_fn, t, ref):
+    """fn(t) and ref_fn(ref) return alike or raise the same error with the
+    same message.  Returns (result, reference result) or the error code."""
+    try:
+        want = ref_fn(ref)
+    except TENSOR_ERRORS as exc:
+        with pytest.raises(TENSOR_ERRORS) as got:
+            fn(t)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return exc.code
+    return fn(t), want
+
+
+def _site_function(rng, alphabet):
+    """Integer values on one site's labels: a square or a signed linear form
+    in the label digits, or a table of small values, some negative."""
+    a = [rng.randint(-2, 2) for _ in alphabet[0]]
+    b = rng.randint(0, 2)
+    kind = rng.choice(("square", "linear", "table"))
+    if kind == "square":
+        return lambda label: (sum(map(mul, a, label)) - b) ** 2
+    if kind == "linear":
+        return lambda label: sum(map(mul, a, label)) - b
+    return {label: rng.choice((0, 0, 0, 1, 2, -1)) for label in alphabet}.__getitem__
+
+
+def test_columns_match_the_dict_reference():
+    rng = random.Random(2011)
+    seen = Counter()
+
+    def ghz_terms(t, ref):
+        r = _agree(check_ghz_structure, ref_check_ghz_structure, t, ref)
+        if isinstance(r, tuple):
+            assert r[0] == r[1]
+            r = "ghz" if r[0] > 1 else "trivial"
+        seen[r] += 1
+
+    for _ in range(40):
+        h = random_connected_hypergraph(rng, kmax=5, emax=6)
+        n = rng.choice((2, 3))
+        t, ref = ghz_state(h, n), ref_ghz_state(h, n)
+        assert t.alphabets == ref.alphabets
+        assert list(t.entries.items()) == list(ref.entries.items())
+        shuffled = list(ref.entries.items())
+        rng.shuffle(shuffled)
+        built = SparseTensor(h.k, ref.alphabets, dict(shuffled))
+        assert list(built.entries.items()) == shuffled
+        assert built == t and hash(built) == hash(t)
+        for j in rng.sample(range(1, h.k + 1), h.k):
+            fn = _site_function(rng, t.alphabets[j - 1])
+            t = apply_local_diagonal(t, j, fn)
+            ref = ref_apply_local_diagonal(ref, j, fn)
+            assert list(t.entries.items()) == list(ref.entries.items())
+            ghz_terms(t, ref)
+            lead = _agree(leading_term, ref_leading_term, t, ref)
+            if isinstance(lead, str):
+                seen[lead] += 1
+            else:
+                assert list(lead[0].entries.items()) == list(lead[1].entries.items())
+                ghz_terms(*lead)
+    assert {"NegativeExponent", "NonScalarCoefficients", "NotGhz", "ghz"} <= set(seen)
