@@ -20,8 +20,10 @@ solutions are solved for, not searched: general position makes the last d
 vectors a basis, so each of the n^lam assignments to the first lam edges
 fixes the last d indices through one integer solve, and M <= n^lam holds
 by construction.  Along the last free index the solve is linear, so the
-solutions come in n^(lam-1) blocks, each an arithmetic progression zipped
-from ranges.
+solutions come in n^(lam-1) blocks, each an arithmetic progression of
+ranges.  The blocks are the one unit of enumeration, counting, hashing and
+writing: a block is formatted by one %-template with its constant prefix
+already written in, and rows are a view of the blocks.
 
 The verifier recounts every certificate by the same pivot solve, bounded
 by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
@@ -31,7 +33,9 @@ the grid, and a claim that is not recomputed fails.
 Certificates are written in the layout of json.dumps(indent=2,
 sort_keys=True), and solution hashes over compact JSON, but rows of ints
 are formatted by %-templates and joins rather than by the pure-Python
-encoder; the bytes are the same.
+encoder; the bytes are the same.  A listed certificate's solutions are
+formatted once, in the file's layout, and hashed over that text with its
+whitespace deleted, which is the compact JSON.
 """
 
 from __future__ import annotations
@@ -40,11 +44,12 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, count, islice, product, repeat
-from operator import itemgetter, mul
+from functools import cached_property, lru_cache
+from itertools import chain, islice, product
+from operator import mul
 
 from .errors import (
     BadGridLimitError,
@@ -84,6 +89,7 @@ DEEP_GRID_LIMIT = 10**6
 SOLUTION_LIST_CAP = 10**4
 CANDIDATE_COUNT = 4
 _HASH_CHUNK = 4096
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 def _grid_limit() -> int:
@@ -439,8 +445,8 @@ def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
     return [[x // step for x in row[d:]] for row in rows], prev // step
 
 
-def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
-    """Grid tuples with sum_e i_e c_e = g, in lexicographic order.
+def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
+    """Grid tuples with sum_e i_e c_e = g, in lexicographic blocks.
 
     The last d = len(g) edges are pivots and the first lam are free.  A free
     assignment fixes the pivot indices i_P = (A g - sum_free i_e A c_e) / D,
@@ -450,10 +456,16 @@ def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     arithmetic progression: its interval comes from 0 <= r_t - i s_t <=
     D (n-1) for every t, its period D / gcd(D, s_1..s_d) from the
     divisibility condition, and its start from a scan of at most one
-    period.  The pivot indices are progressions in i as well, so each block
-    of solutions is zipped from ranges without a loop per point: n^(lam-1)
-    blocks of lam * d products each, whatever l is, and at most n^lam
-    solutions.
+    period.  The pivot indices are progressions in i as well, so a block
+    costs lam * d products and no loop per point, and there are n^(lam-1)
+    blocks whatever l is, with at most n^lam solutions in all.
+
+    Each nonempty block is yielded as (prefix, rows, columns): the first
+    lam - 1 free indices, constant over the block; its solution count; and
+    the d + 1 remaining indices as columns of that length, each a range or
+    a constant tuple, so a block may be read more than once.  Row j is
+    prefix + tuple(col[j] for col in columns).  With lam = 0 there is at
+    most one block, of one row, with an empty prefix and d columns.
     """
     l, d = len(vectors), len(g)
     if any(len(v) != d for v in vectors):
@@ -466,7 +478,7 @@ def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     top = den * (n - 1)
     if lam == 0:
         if all(r % den == 0 and 0 <= r <= top for r in target):
-            yield tuple(r // den for r in target)
+            yield (), 1, [(r // den,) for r in target]
         return
     # cols[t][e] = (A c_e)_t over the looped free edges; last[t] = s_t
     cols = [[_iinner(row, vectors[e]) for e in range(lam - 1)] for row in adj]
@@ -496,16 +508,26 @@ def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
             )
         if start > hi:
             continue
-        count = (hi - start) // period + 1
-        pivots = [
-            range(p, p + count * step, step) if step else repeat(p, count)
+        rows = (hi - start) // period + 1
+        yield prefix, rows, [range(start, hi + 1, period)] + [
+            range(p, p + rows * step, step) if step else (p,) * rows
             for p, step in zip(
                 [(r - start * s) // den for r, s in zip(res, last)], pivot_steps
             )
         ]
-        yield from map(
-            prefix.__add__, zip(range(start, hi + 1, period), *pivots)
-        )
+
+
+def _block_rows(blocks):
+    """The rows of pivot blocks as tuples, in order."""
+    for prefix, _, columns in blocks:
+        # no columns only when l = 0: the one solution is the empty prefix
+        yield from map(prefix.__add__, zip(*columns)) if columns else (prefix,)
+
+
+def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
+    """Grid tuples with sum_e i_e c_e = g in lexicographic order: a row view
+    of _pivot_blocks, raising as it does on the first step."""
+    return _block_rows(_pivot_blocks(vectors, n, g))
 
 
 def enumerate_solutions(
@@ -547,11 +569,72 @@ def _int_rows_text(rows, pad: str | None, sep: str) -> str:
     return template % tuple(chain.from_iterable(rows))
 
 
+@lru_cache(maxsize=256)
+def _block_row_format(fixed: int, width: int, pad: str | None) -> str:
+    """_int_list_format(width, pad) with every %d after the first ``fixed``
+    escaped to %%d: filled with a block's prefix by one %, it is the
+    template of each row of the block."""
+    escaped = _int_list_format(width, pad).replace("%d", "%%d")
+    return escaped.replace("%%d", "%d", fixed)
+
+
+def _block_text(prefix, rows: int, columns, pad: str | None, sep: str) -> str:
+    """One pivot block's rows as JSON lists joined by ``sep``.
+
+    The prefix is written into the row template once, so only the columns
+    are formatted per row, by a single % over them interleaved (one slice
+    assignment per column).
+    """
+    width = len(columns)
+    row = _block_row_format(len(prefix), len(prefix) + width, pad) % prefix
+    values = [0] * (width * rows)
+    for t, col in enumerate(columns):
+        values[t::width] = col
+    return sep.join([row] * rows) % tuple(values)
+
+
+def _blocks_digest(blocks) -> tuple[int, str]:
+    """(row count, solution_hash of the rows) of pivot blocks, in one pass.
+
+    Blocks are written compactly and fed to the hasher about every
+    _HASH_CHUNK rows; a longer block is first cut into slices of that many
+    rows, so a hash-only solution set never sits in memory whole.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(b"[")
+    total = held = 0
+    texts: list[str] = []
+    lead = ""
+    for prefix, rows, columns in blocks:
+        total += rows
+        for lo in range(0, rows, _HASH_CHUNK):
+            size = min(rows - lo, _HASH_CHUNK)
+            part = [col[lo:lo + size] for col in columns] if size < rows else columns
+            texts.append(_block_text(prefix, size, part, None, ","))
+            held += size
+            if held >= _HASH_CHUNK:
+                hasher.update((lead + ",".join(texts)).encode())
+                texts, held, lead = [], 0, ","
+    if texts:
+        hasher.update((lead + ",".join(texts)).encode())
+    hasher.update(b"]")
+    return total, hasher.hexdigest()
+
+
+def _listed_text(blocks) -> str:
+    """The solution list as a certificate file writes it (the value of its
+    top-level "solutions" key), formatted block by block."""
+    pad, sep = "    ", ",\n    "
+    body = sep.join([_block_text(*block, pad, sep) for block in blocks])
+    return f"[\n{pad}{body}\n  ]" if body else "[]"
+
+
 def solution_hash(solutions) -> str:
     """sha256 of the compact JSON of the lex-sorted solution list.
 
-    The solutions are int tuples, fed to the hasher in chunks so a
-    hash-only list never sits in memory whole.  A chunk is written by one
+    The solutions are int tuples from any iterable, fed to the hasher in
+    chunks so a stream of them never sits in memory whole (the pivot solve's
+    own rows go through _blocks_digest instead).  A chunk is written by one
     "[%d,...,%d]" template, repeated and filled by a single %: the bytes
     json.dumps gives a list of int lists with separators (",", ":").  A
     chunk whose solutions differ in length (a malformed certificate's list)
@@ -597,6 +680,10 @@ def counting_floor(rep: OrthRep, n: int) -> int:
 _ROW = frozenset((list, tuple))
 
 
+class _Text(str):
+    """JSON text already laid out, which _json_text writes as it stands."""
+
+
 def _json_text(value, pad: str) -> str:
     """What json.dumps(value, indent=2, sort_keys=True) writes at ``pad``.
 
@@ -613,7 +700,7 @@ def _json_text(value, pad: str) -> str:
         )
         return "{\n" + inner + body + "\n" + pad + "}"
     if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
+        return value if type(value) is _Text else json.dumps(value)
     if _INT.issuperset(map(type, value)):
         return _int_list_format(len(value), pad) % tuple(value)
     inner = pad + "  "
@@ -653,11 +740,25 @@ class Certificate:
     def bound_rate(self) -> int:
         return self.lam
 
+    @cached_property
+    def _solutions_text(self) -> str:
+        """The listed solutions as the file writes them.
+
+        build_certificate seeds it with the text it hashed; otherwise, after
+        parsing or dataclasses.replace (a new instance, with nothing cached),
+        it is formatted here from the solutions.
+        """
+        return _json_text(self.solutions, "  ")
+
     def to_json_dict(self) -> dict:
         if self.solutions is not None:
             sols = [list(s) for s in self.solutions]
         else:
             sols = {"count": self.m_count, "hash": self.sol_hash}
+        return self._json_fields(sols)
+
+    def _json_fields(self, sols) -> dict:
+        """The certificate's JSON object, with ``sols`` under "solutions"."""
         return {
             "hypergraph": self.hypergraph.to_json_dict(),
             "lambda": self.lam,
@@ -679,8 +780,16 @@ class Certificate:
         }
 
     def to_json_bytes(self) -> bytes:
-        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout."""
-        return (_json_text(self.to_json_dict(), "") + "\n").encode()
+        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout.
+
+        Listed solutions are not copied or formatted again: their text is
+        the one build_certificate hashed, or is formatted once per instance.
+        """
+        if self.solutions is not None:
+            sols = _Text(self._solutions_text)
+        else:
+            sols = {"count": self.m_count, "hash": self.sol_hash}
+        return (_json_text(self._json_fields(sols), "") + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -691,7 +800,11 @@ class Certificate:
         m = _json_int(obj["M"], "M")
         if isinstance(raw_sols, dict):
             solutions = None
-            sol_hash = str(raw_sols["hash"])
+            sol_hash = raw_sols["hash"]
+            if type(sol_hash) is not str or not _SHA256_HEX.fullmatch(sol_hash):
+                raise ValueError(
+                    f"solution hash must be 64 lowercase hex digits, not {sol_hash!r}"
+                )
             counted = _json_int(raw_sols["count"], "solution count")
             if counted != m:
                 raise ValueError(f"M {m} != solution count {counted}")
@@ -744,15 +857,19 @@ def build_certificate(
     seed: int,
 ) -> Certificate:
     assignment = build_exponent_assignment(h, rep, g)
+    text = None
     if m > SOLUTION_LIST_CAP:
         # certificate stays bounded: keep the count and a digest only
-        digest = solution_hash(_pivot_solutions(rep.vectors, n, g))
+        _, digest = _blocks_digest(_pivot_blocks(rep.vectors, n, g))
         stored = None
     else:
-        listed = tuple(_pivot_solutions(rep.vectors, n, g))
-        digest = solution_hash(listed)
-        stored = listed
-    return Certificate(
+        # formatted once, for the file.  Rows of ints hold no whitespace, so
+        # that text without spaces and newlines is the compact JSON hashed.
+        blocks = list(_pivot_blocks(rep.vectors, n, g))
+        stored = tuple(_block_rows(blocks))
+        text = _listed_text(blocks)
+        digest = hashlib.sha256(text.encode().translate(None, b" \n")).hexdigest()
+    cert = Certificate(
         hypergraph=h,
         lam=h.l - rep.d,
         d=rep.d,
@@ -767,6 +884,9 @@ def build_certificate(
         seed=seed,
         version="1",
     )
+    if text is not None:
+        cert.__dict__["_solutions_text"] = text
+    return cert
 
 
 def synthesize_certificate(
@@ -913,15 +1033,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
                 f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
             )
         _check_grid(max(l - len(cert.g), 0), cert.n)
-        # zip stops when the solutions run out, so the tally ends at their number
-        tally = count()
-        digest = solution_hash(
-            map(
-                itemgetter(0),
-                zip(_pivot_solutions(cert.rep.vectors, cert.n, cert.g), tally),
-            )
-        )
-        recount = next(tally), digest
+        recount = _blocks_digest(_pivot_blocks(cert.rep.vectors, cert.n, cert.g))
     except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
         recount_error = f"cannot recount M: {exc.code}: {exc}"
 

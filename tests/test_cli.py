@@ -206,6 +206,23 @@ def test_verify_hash_only_m_other_than_its_count_is_bad_format(tmp_path, capsys)
     assert "M 21861 != solution count 21856" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "value", [12345, ["7e33" * 16], "7E33" * 16, "7e33" * 15 + "7e3", None],
+    ids=["int", "list", "upper-case", "63-digits", "null"],
+)
+def test_verify_hash_other_than_a_sha256_digest_is_bad_format(value, tmp_path, capsys):
+    # an int or a one-element list was stored as its str() and reported as
+    # "solution hash mismatch" by counting, exit 1
+    obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
+    obj["solutions"]["hash"] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--json"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert "solution hash must be 64 lowercase hex digits" in err["message"]
+
+
 @pytest.mark.parametrize("instance", ["K4^3-n32-hash-only", "C6-n11-listed"])
 def test_verify_rejects_false_counts_above_the_deep_grid(instance, tmp_path, capsys):
     # both verified ok while only grids up to 10^6 were recounted

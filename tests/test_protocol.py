@@ -57,8 +57,10 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
+    _blocks_digest,
     _json_text,
     _mode,
+    _pivot_blocks,
     _pivot_inverse,
     _pivot_solutions,
     Certificate,
@@ -364,6 +366,49 @@ def test_pivot_solutions_match_per_assignment_solve():
             assert len(want) == cert.m_count
 
 
+@pytest.mark.parametrize("chunk", [4096, 3], ids=["chunk-4096", "chunk-3"])
+def test_block_stream_matches_the_row_reference(chunk, monkeypatch):
+    # With 3-row chunks nearly every block is cut into slices before hashing.
+    monkeypatch.setattr(ghzcert.protocol, "_HASH_CHUNK", chunk)
+    rng = random.Random(1603)
+    seen = set()
+    cases = []
+    for case in range(300):
+        n = rng.choice([2, 3, 4, 7, 11])
+        vectors, den, _ = _random_pivot_case(rng, n)
+        d = len(vectors[0])
+        box = c_prime(OrthRep(Graph(len(vectors)), d, vectors)) * (n - 1)
+        g = tuple(rng.randint(-box, box) for _ in range(d))
+        cases.append((vectors, n, g))
+        seen.add(("lam", min(len(vectors) - d, 2)))
+        if den > 1:
+            seen.add("D > 1")
+    # one block longer than 4096 rows: lam = 1, and the pivot index is fixed
+    cases.append((((0,), (1,)), 5000, (3,)))
+    # no edges at all: the one solution is the empty tuple
+    cases.append(((), 3, ()))
+    for vectors, n, g in cases:
+        want = list(ref_pivot_solutions(vectors, n, g))
+        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
+        assert _blocks_digest(_pivot_blocks(vectors, n, g)) == (
+            len(want),
+            solution_hash(want),
+        ), (vectors, n, g)
+        seen.add("empty" if not want else "nonempty")
+    assert seen == {("lam", 0), ("lam", 1), ("lam", 2), "D > 1", "empty", "nonempty"}
+    # a malformed c raises as before, from the blocks and from their rows
+    for vectors, g, error in [
+        (((1, 0), (0,)), (0, 0), DimMismatchError),  # ragged vectors
+        (((1, 0),), (0, 0), DimMismatchError),  # fewer vectors than d
+        (((1, 1), (1, 2), (2, 4)), (1, 1), NotGeneralPositionError),
+    ]:
+        for stream in (_pivot_solutions, _pivot_blocks):
+            with pytest.raises(error):
+                next(stream(vectors, 3, g))
+        with pytest.raises(error):
+            _blocks_digest(_pivot_blocks(vectors, 3, g))
+
+
 def test_grid_guard_env_override(monkeypatch):
     rep = scalar_rep([1, 1, 1])
     monkeypatch.setenv("GHZCERT_MAX_GRID", "10")
@@ -452,6 +497,56 @@ GOLDEN_CERTIFY_SHA256 = [
     ("K4^2", complete_uniform(4, 2), 4,
      "f9d761777af231f4f08ccfecf7577524bcff216f8dd6b26a8968f6d26529b04e"),
 ]
+
+
+# sha256 of synthesize_certificate(h, n, seed=0).to_json_bytes(), captured
+# while solutions were still enumerated row by row and formatted twice, once
+# for the hash and once for the file.
+GOLDEN_CERTIFICATE_BYTES = {
+    ("K3", 2): "3871619cb7eb7cb192ca5b0d9bf86eac8f7def2d815b2c10d7827f62f9f6aa70",
+    ("K3", 3): "9634fbdb34d48312d7cb1d3f8719ba180da3d49f705a5625916b2964dc72cfc4",
+    ("K3", 4): "397ee6b526ecaac1a09bcfb6957e135ef4f81e6b07a45ae10cd9dc3834c672b6",
+    ("C4", 2): "2fbd44aa71060a91709bae1efac0241b244c601682b4d68a95955daa1d074d97",
+    ("C4", 3): "671462499a2e109da45ed04204f7dfa92fbd013a7cb17fcc9b573184cb23f1b3",
+    ("C4", 4): "d54d1df5c4aa38884d7970aaa257bbcaa7250a4185710eb1c434d2275f58709f",
+    ("C5", 2): "0aec5e0bf9143bc7e6c663cf6e0b1f7b29f5601fa65b4854cf959f8c2db508d7",
+    ("C5", 3): "57776ccf019b288efdf94a24cf0e264e579b89eceb296a6bbb17e9af729e7193",
+    ("C5", 4): "71e5cfcec2a9c6b63bdb664e0aab8c664ba207e6c509afafed6b4995731bdfcb",
+    ("K4^2", 2): "a1f6b80b67d5b7ecd31e60860b2c63a62154b89c757beeeea9ddd11b7a135b0c",
+    ("K4^2", 3): "8b55d486fb796544e9d229f0922ed3948e41c428a4346502cb5067b53345d30b",
+    ("K4^2", 4): "f9d761777af231f4f08ccfecf7577524bcff216f8dd6b26a8968f6d26529b04e",
+    ("K4^3", 2): "808b73933d080454d810d9e9a1fec678e9bf7b0117d2af23805ad34c7e4d1f9e",
+    ("K4^3", 3): "5a594f207fa8efc2b04ddd6bb8356a3b26e81973e9f8d84dd86fb584fc6004d3",
+    ("K4^3", 4): "cb20f576a739eb4c3adeb4374c816330bafe1f440e88371d84770260c46291c9",
+    ("path3", 2): "76acb766ac04104cbc1b218ee111070c81a6d6745269f61d709a0327806abbc0",
+    ("path3", 3): "9c02b6b5d2f35e3379a9ee670d588e464b5a87b233c203e3751f255c20669ab3",
+    ("path3", 4): "7abaa73928829d3f025416e7397b4b2204dd9c7277328f19eec2fe8393e80ac1",
+    ("path4", 2): "accea98825a18dedd18229daddea83360a450c64474ab01754e00d004196e41a",
+    ("path4", 3): "db0bd6c6918ef36656822d276bbf83854325d1f906bb271fec3866aeb0719500",
+    ("path4", 4): "4b767c434a05b76e80cc0c68d82153146a984eb6401f6cef8a580bc2fdcd09c7",
+    ("path5", 2): "d5d9dc6e53061dca025bdd5afe6be9c6827d85df00633c3f39f4e76c43dae58a",
+    ("path5", 3): "337a0e9b982830f4035239936880c5f3a7bb646bfc454b5b322ce4fda32507b0",
+    ("path5", 4): "173d9005fe4441654c3e24fa2f6de215c5c99343de6fcd7a668fa01939d4657c",
+    ("full3", 2): "0c966a7b5475fe2672eea07e3cc096439f794cfd35a2599c226f228cc3c395d1",
+    ("full3", 3): "b79f53b2aaf4fb93ecb1a99e628290adb7915892ba25618b531063fc2e0771d6",
+    ("full3", 4): "a171fc76737f8a8cf03af10d8beaa45f711ee2e54600747ad6fc021820b6b792",
+    ("C6", 6): "4dcf2b1bbebf6c461ccd1da98d719aa51314f3d9bbc86b98d702528afcae8568",
+    ("C6", 11): "d2fd17e30079140751af53e15da70d6da51f31964902715b7573701b0e1ed72b",
+    ("C4", 32): "8a98160124e60b2514fa4a5166684bfcd36e2d5eba48dee2cbd9d0ee1fde2369",
+    ("K4^3", 20): "1d24d3a42fcb323a6a9a24e478bb5b1e82f3297ac2deb307cb9aaeec0a7caab0",
+    ("K4^3", 32): "7e336e067b2e28cfdea1a46aca039fd6a0b7f2f4cf52d4db8533c823258df5b7",
+}
+
+
+def test_certificate_bytes_golden():
+    instances = dict(corpus(), C6=cycle_hypergraph(6))
+    listed = set()
+    for (name, n), digest in GOLDEN_CERTIFICATE_BYTES.items():
+        cert = synthesize_certificate(instances[name], n, seed=0)
+        blob = cert.to_json_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, (name, n)
+        listed.add(cert.solutions is not None)
+    assert listed == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -591,6 +686,32 @@ def test_to_json_bytes_matches_the_indenting_encoder():
         seen_d0 += cert.to_json_dict()["c"][0] == []
         seen_hash_only += cert.solutions is None
     assert seen_d0 and seen_hash_only
+
+
+def test_listed_text_is_never_stale():
+    cert = synthesize_certificate(complete_uniform(4, 3), 4, seed=0)
+    assert "_solutions_text" in vars(cert)  # seeded by build_certificate
+    blob = cert.to_json_bytes()
+    assert blob == ref_to_json_bytes(cert)
+    # a replaced certificate is a new instance, formatted from its own rows
+    rows = cert.solutions[:-1] + ((9, 9, 9, 9),)
+    other = dataclasses.replace(
+        cert, solutions=rows, m_count=len(rows), sol_hash=solution_hash(rows)
+    )
+    assert "_solutions_text" not in vars(other)
+    assert other.to_json_bytes() == ref_to_json_bytes(other) != blob
+    assert cert.to_json_bytes() == blob
+    # parsed: the file's own bytes, and the hash of its rows
+    parsed = Certificate.from_json_dict(json.loads(blob))
+    assert parsed.to_json_bytes() == blob
+    assert parsed.sol_hash == cert.sol_hash == solution_hash(cert.solutions)
+    # other shapes take the generic path: rows of mixed widths, no rows
+    for rows in [((0,), (1, 2), ()), ((0, 1, 2, 3), (4,)), ()]:
+        odd = dataclasses.replace(cert, solutions=rows)
+        assert odd.to_json_bytes() == ref_to_json_bytes(odd), rows
+        assert odd.to_json_bytes() == (
+            json.dumps(odd.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        ).encode()
 
 
 def test_certificate_schema_fields():
