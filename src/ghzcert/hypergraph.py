@@ -5,22 +5,22 @@ r >= 2 (the number of terms of the shared state living on that edge).  Edge
 identity is positional: the same vertex set may occur several times and each
 occurrence is a distinct edge, addressed by its 0-based index.
 
-Edge-connectivity, minimum cuts, a-b cuts and edge-disjoint paths all come
-from one unit-capacity max-flow on the vertex-edge incidence network (each
-edge is a node of capacity one; Menger's theorem for hypergraphs, Lawler
-1973).  lambda is the least of the k - 1 flows from vertex 1 to each other
-vertex; the witness side is then fixed one vertex at a time with k - 1 more
-flows.  With equal levels L every cut has rank L^|crossing|, so the weighted
-minimum cut is the lambda cut and the minimum cut rank is L^lambda, which
-needs no witness side.  Only the weighted cut with unequal levels, whose
-product of levels is not an additive capacity, enumerates bipartitions
-(k <= 24).
+Every cut is one Edmonds-Karp max-flow on the vertex-edge incidence network
+(Menger's theorem for hypergraphs, Lawler 1973) whose edge nodes have
+capacity 1, to count crossing edges, or their level, to multiply levels:
+max-flow needs only +, -, min and comparison, so it runs exactly in the
+ordered group (Q+, *), where 1 is zero.  The minimum is the least of the
+k - 1 flows from vertex 1 to each other vertex; the witness side is then
+fixed one vertex at a time with k - 1 more flows.  With equal levels L
+every cut has rank L^|crossing|, so the weighted minimum cut is the lambda
+cut and the minimum cut rank is L^lambda, both from unit capacities.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations
 from math import prod
 from typing import Iterable, Sequence
@@ -31,14 +31,11 @@ from .errors import (
     EmptyEdgeError,
     SameVertexError,
     TooFewVerticesError,
-    TooLargeError,
     VertexOutOfRangeError,
 )
 
-MAX_CUT_ENUM_VERTICES = 24
-
-# (head, adj) of the incidence network; see _incidence_network
-_Network = tuple[list[int], list[list[int]]]
+# (head, adj, capacity) of the incidence network; see _incidence_network
+_Network = tuple[list[int], list[list[int]], list]
 
 _INT = frozenset((int,))
 
@@ -207,17 +204,6 @@ def is_connected(h: Hypergraph) -> bool:
     return len(seen) == h.k
 
 
-def _iter_sides(k: int):
-    # All bipartition sides containing vertex 1, excluding the full set:
-    # 2^(k-1) - 1 of them, in mask order.
-    for mask in range(2 ** (k - 1) - 1):
-        side = {1}
-        for bit in range(k - 1):
-            if mask >> bit & 1:
-                side.add(bit + 2)
-        yield frozenset(side)
-
-
 def _require_cut_preconditions(h: Hypergraph) -> None:
     validate(h)
     if h.k < 2:
@@ -234,18 +220,37 @@ def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
             raise VertexOutOfRangeError(None, v, h.k)
 
 
-def _incidence_network(h: Hypergraph) -> _Network:
-    """Unit-capacity vertex-edge incidence network as (head, adj).
+@dataclass(order=True, slots=True)
+class _Level:
+    """A level as a capacity, in (Q+, *) written additively: + multiplies,
+    - divides and 1 is zero, so a flow value is a product of levels."""
+
+    value: Fraction
+
+    def __add__(self, other: _Level) -> _Level:
+        return _Level(self.value * other.value)
+
+    def __sub__(self, other: _Level) -> _Level:
+        return _Level(self.value / other.value)
+
+    def __bool__(self) -> bool:
+        return self.value != 1
+
+
+def _incidence_network(h: Hypergraph, by_level: bool = False) -> _Network:
+    """Vertex-edge incidence network as (head, adj, capacity).
 
     Node v is vertex v; edge i is split into nodes k+1+2i (in) and k+2+2i
-    (out) joined by one unit arc, so each edge carries at most one path.
-    Arcs come in pairs: even arc ids are the unit arcs, arc ^ 1 is the
-    reverse.  adj[u] lists the arcs leaving u in a fixed order (a vertex's
-    edges ascending; an edge's vertices ascending), which is what makes
-    augmenting paths, and so the decomposed paths, deterministic.
+    (out) joined by one arc.  Every arc of edge i has capacity 1 (each edge
+    carries at most one path) or, ``by_level``, its level as a _Level.  Arc
+    a ^ 1 is the reverse of forward arc a (even), with capacity zero.
+    adj[u] lists the arcs leaving u in a fixed order (a vertex's edges
+    ascending; an edge's vertices ascending), which is what makes augmenting
+    paths, and so the decomposed paths, deterministic.
     """
     head: list[int] = []
     adj: list[list[int]] = [[] for _ in range(h.k + 1 + 2 * len(h.edges))]
+    cap: list = []
 
     def arc(u: int, v: int) -> None:
         adj[u].append(len(head))
@@ -259,28 +264,31 @@ def _incidence_network(h: Hypergraph) -> _Network:
         for v in sorted(e.vertices):
             arc(v, e_in)
             arc(e_in + 1, v)
-    return head, adj
+        if by_level:
+            c = _Level(Fraction(e.level))
+            cap += (c, c - c) * (1 + 2 * len(e.vertices))
+    return head, adj, cap if by_level else [1, 0] * (len(head) // 2)
 
 
-def _unit_max_flow(
-    net: _Network,
-    sources: Sequence[int],
-    sinks: Sequence[int],
-    limit: int | None = None,
-) -> tuple[int, list[int]]:
+def _max_flow(
+    net: _Network, sources: list[int], sinks: list[int], residual: list | None = None
+):
     """Edmonds-Karp from a vertex set to a disjoint vertex set.
 
-    Returns (value, residual capacities); the flow on unit arc a is
-    residual[a ^ 1].  Stops as soon as the value exceeds ``limit``, so the
-    value is exact only when it is at most ``limit``.
+    Yields the flow value, zero first and then after each augmenting path,
+    so each caller stops once it knows enough; run out, the last value is
+    the maximum.  ``residual`` (default: a copy of the capacities) is
+    updated in place: the flow on forward arc a is residual[a ^ 1].
     """
-    head, adj = net
-    residual = [1, 0] * (len(head) // 2)
+    head, adj, cap = net
+    if residual is None:
+        residual = list(cap)
     is_sink = [False] * len(adj)
     for t in sinks:
         is_sink[t] = True
-    value = 0
-    while limit is None or value <= limit:
+    value = cap[1]  # a reverse arc's capacity: zero
+    yield value
+    while True:
         via = [-1] * len(adj)  # arc each reached node was reached by
         for s in sources:
             via[s] = -2
@@ -298,22 +306,32 @@ def _unit_max_flow(
             if end >= 0:
                 break
         if end < 0:
-            break
+            return
+        step, v = residual[via[end]], end
+        while via[v] >= 0:  # the bottleneck, then the augmentation
+            a = via[v]
+            if residual[a] < step:
+                step = residual[a]
+            v = head[a ^ 1]
         while via[end] >= 0:
             a = via[end]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
+            residual[a] -= step
+            residual[a ^ 1] += step
             end = head[a ^ 1]
-        value += 1
-    return value, residual
+        value += step
+        yield value
 
 
-def _lambda(h: Hypergraph, net: _Network) -> int:
-    # Vertex 1 is on one side of every cut, so lambda is the least 1-b flow;
-    # each flow stops once it reaches the best value so far.
-    lam = len(h.incident(1))
-    for b in range(2, h.k + 1):
-        lam = min(lam, _unit_max_flow(net, [1], [b], limit=lam - 1)[0])
+def _lambda(h: Hypergraph, net: _Network) -> int | _Level:
+    # Vertex 1 is on one side of every cut, so the minimum is the least 1-b
+    # flow; each flow stops once it reaches the best value so far.
+    lam = max(_max_flow(net, [1], [2]))
+    for b in range(3, h.k + 1):
+        for value in _max_flow(net, [1], [b]):
+            if value >= lam:
+                break
+        else:
+            lam = value
     return lam
 
 
@@ -325,33 +343,29 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     Ties resolve to the first side containing vertex 1 in mask order (bit
     v - 2 set when vertex v is on the side), so results are deterministic.
 
-    When all levels are equal, L say, the product is L^|crossing| and both
-    cuts are the same.  It is found by k - 1 flows for lambda and k - 1 more
-    for the side: for v = k down to 2, v goes outside exactly when some
-    minimum cut still puts it there.  Unequal levels enumerate all
-    2^(k-1) - 1 sides, up to MAX_CUT_ENUM_VERTICES vertices.
+    Found by k - 1 flows for the minimum and k - 1 more for the side: for
+    v = k down to 2, v goes outside exactly when some minimum cut still puts
+    it there.  The weighted cut flows on levels unless all levels are equal,
+    L say: then the product is L^|crossing| and both cuts are the same.
     """
     _require_cut_preconditions(h)
-    levels = h.levels()
-    if weighted and _equal_level(h) is None:
-        return _min_rank_cut_by_enumeration(h, levels)
-    net = _incidence_network(h)
+    net = _incidence_network(h, by_level=weighted and _equal_level(h) is None)
     lam = _lambda(h, net)
     inside, outside = [1], []
     for v in range(h.k, 1, -1):
-        value, _ = _unit_max_flow(net, inside, outside + [v], limit=lam)
-        (outside if value == lam else inside).append(v)
+        for value in _max_flow(net, inside, outside + [v]):
+            if value > lam:
+                inside.append(v)
+                break
+        else:
+            outside.append(v)
     side = frozenset(inside)
     crossing = h.crossing(side)
-    return Cut(side, crossing, prod(levels[i] for i in crossing))
+    return Cut(side, crossing, prod(h.edges[i].level for i in crossing))
 
 
 def _equal_level(h: Hypergraph) -> int | None:
-    """The level L every edge has, or None when levels differ.
-
-    With equal levels the rank of a cut is L^|crossing|: the weighted
-    minimum cut is the unweighted one and the minimum cut rank is L^lambda.
-    """
+    """The level L every edge has, or None when levels differ."""
     levels = set(h.levels())
     return levels.pop() if len(levels) == 1 else None
 
@@ -360,22 +374,6 @@ def min_cuts(h: Hypergraph) -> tuple[Cut, Cut]:
     """``(min_cut(h), min_cut(h, weighted=True))``, one cut when levels are equal."""
     cut = min_cut(h)
     return cut, (cut if _equal_level(h) is not None else min_cut(h, weighted=True))
-
-
-def _min_rank_cut_by_enumeration(h: Hypergraph, levels: tuple[int, ...]) -> Cut:
-    if h.k > MAX_CUT_ENUM_VERTICES:
-        raise TooLargeError(
-            f"k={h.k} exceeds the bound {MAX_CUT_ENUM_VERTICES} on enumerating "
-            f"bipartitions for the min-cut rank with unequal levels"
-        )
-    best: Cut | None = None
-    for side in _iter_sides(h.k):
-        crossing = h.crossing(side)
-        r = prod(levels[i] for i in crossing)
-        if best is None or r < best.rank:
-            best = Cut(side, crossing, r)
-    assert best is not None
-    return best
 
 
 def edge_connectivity(h: Hypergraph) -> int:
@@ -387,20 +385,18 @@ def edge_connectivity(h: Hypergraph) -> int:
 def min_cut_rank(h: Hypergraph) -> int:
     """Minimum over bipartitions of the product of crossing-edge levels.
 
-    With equal levels L it is L^lambda, from the k - 1 flows for lambda and
-    no witness side.
+    k - 1 flows and no witness side: on level capacities, or with equal
+    levels L, L^lambda from unit ones.
     """
     level = _equal_level(h)
-    if level is None:
-        return min_cut(h, weighted=True).rank
-    return level ** edge_connectivity(h)
+    if level is not None:
+        return level ** edge_connectivity(h)
+    _require_cut_preconditions(h)
+    return int(_lambda(h, _incidence_network(h, by_level=True)).value)
 
 
 def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:
-    """``(edge_connectivity(h), min_cut_rank(h))`` with lambda computed once.
-
-    With equal levels L the rank is L^lambda: k - 1 flows in all.
-    """
+    """``(edge_connectivity(h), min_cut_rank(h))`` with lambda computed once."""
     lam = edge_connectivity(h)
     level = _equal_level(h)
     return lam, min_cut_rank(h) if level is None else level**lam
@@ -423,7 +419,7 @@ def min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     """Minimum crossing-edge count over bipartitions with a inside, b outside."""
     _require_cut_preconditions(h)
     _require_vertex_pair(h, a, b)
-    return _unit_max_flow(_incidence_network(h), [a], [b])[0]
+    return max(_max_flow(_incidence_network(h), [a], [b]))
 
 
 def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
@@ -439,11 +435,12 @@ def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
     _require_cut_preconditions(h)
     _require_vertex_pair(h, a, b)
     net = _incidence_network(h)
-    head, adj = net
-    value, residual = _unit_max_flow(net, [a], [b])
+    head, adj, cap = net
+    residual = list(cap)
+    value = max(_max_flow(net, [a], [b], residual))
 
     def follow(node: int) -> int:
-        # use up one unit on the first unit arc out of node that carries flow
+        # use up one unit on the first forward arc out of node that carries flow
         arc = next(x for x in adj[node] if not x & 1 and residual[x ^ 1])
         residual[arc ^ 1] -= 1
         return head[arc]

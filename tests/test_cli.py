@@ -69,6 +69,18 @@ def test_rate_json_mixed_levels(tmp_path, capsys):
     assert obj["min_cut_rank"] == 4 and obj["ghz2_per_copy"] == 2.0
 
 
+@pytest.mark.parametrize("command", ["connectivity", "rate"])
+def test_mixed_levels_above_24_vertices(command, tmp_path, capsys):
+    # a 30-vertex cycle whose edge i has level (2, 3, 4)[i % 3]; no cut
+    # enumerates bipartitions, so there is no vertex cap
+    edges = [{i, i % 30 + 1} for i in range(1, 31)]
+    h = hypergraph(30, edges, [(2, 3, 4)[i % 3] for i in range(30)])
+    path = tmp_path / "mixed30.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run([command, str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_cut_rank"] == 4
+
+
 def test_epr_endpoints(path4_file, k3_file, capsys):
     assert run(["epr", path4_file, "--a", "1", "--b", "4"]) == 0
     out = capsys.readouterr().out
@@ -656,24 +668,31 @@ def test_cuts_transcripts_byte_exact(name, tmp_path, capsys):
     assert hashlib.sha256(transcript).hexdigest() == GOLDEN_CUTS_SHA256[name]
 
 
-@pytest.mark.parametrize("command, flows", [("connectivity", 2), ("rate", 1)])
-@pytest.mark.parametrize("name", [8, 12, 16, "k10-level3"])
+@pytest.mark.parametrize(
+    "name, command, flows",
+    [
+        (name, command, flows * (2 if name == "k10-mixed" else 1))
+        for name in (8, 12, 16, "k10-level3", "k10-mixed")
+        for command, flows in (("connectivity", 2), ("rate", 1))
+    ],
+)
 def test_equal_levels_cut_once(command, flows, name, tmp_path, monkeypatch):
     # with equal levels the weighted cut is the lambda cut and the rank is
     # L^lambda: connectivity fixes one witness side, 2(k - 1) flows, and
-    # rate computes lambda only, k - 1 flows
+    # rate computes lambda only, k - 1 flows; unequal levels take as many
+    # flows again on level capacities, and no bipartition is enumerated
     h = _cuts_instance(name)
     path = tmp_path / "h.json"
     path.write_text(json.dumps(h.to_json_dict()))
     # ghzcert.hypergraph is the function hypergraph(), not the module
     module = importlib.import_module("ghzcert.hypergraph")
-    flow = module._unit_max_flow
+    flow = module._max_flow
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return flow(*args, **kwargs)
 
-    monkeypatch.setattr(module, "_unit_max_flow", counted)
+    monkeypatch.setattr(module, "_max_flow", counted)
     assert run([command, str(path), "--json"]) == 0
     assert len(calls) <= flows * (h.k - 1)

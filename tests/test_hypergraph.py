@@ -23,6 +23,7 @@ from ghzcert.errors import (
     VertexOutOfRangeError,
 )
 from ghzcert.hypergraph import (
+    Cut,
     Graph,
     Hypergraph,
     complete_uniform,
@@ -128,11 +129,24 @@ def test_removal_oracle_guard():
         edge_connectivity_by_removal(h)
 
 
+def _mixed_cycle(k: int) -> Hypergraph:
+    """Cycle on 1..k whose edge i has level (2, 3, 4)[i % 3]."""
+    edges = [e.vertices for e in cycle_hypergraph(k).edges]
+    return hypergraph(k, edges, [(2, 3, 4)[i % 3] for i in range(k)])
+
+
 def test_cut_guards():
-    # only the min-cut rank with unequal levels enumerates bipartitions
+    # no cut enumerates bipartitions, so unequal levels have no vertex cap
     everyone = set(range(1, 26))
-    with pytest.raises(TooLargeError):
-        min_cut_rank(hypergraph(25, [everyone, everyone], [2, 3]))
+    h25 = hypergraph(25, [everyone, everyone], [2, 3])
+    assert min_cut_rank(h25) == 6
+    assert min_cut(h25, weighted=True).side == frozenset({1})
+    # a cycle whose edge i has level (2, 3, 4)[i % 3]: its cheapest cuts
+    # sever two edges of level 2
+    m40 = _mixed_cycle(40)
+    assert min_cut_rank(m40) == 4
+    assert min_cut(m40, weighted=True) == Cut(frozenset({1}), (0, 39), 4)
+    assert min_cut_rank(_mixed_cycle(200)) == 4
     with pytest.raises(DisconnectedError):
         edge_connectivity(hypergraph(4, [{1, 2}, {3, 4}]))
     assert edge_connectivity(single_full_edge(25)) == 1
@@ -144,7 +158,9 @@ def test_cut_guards():
 
 def _random_cut_instance(rng: random.Random) -> Hypergraph:
     """Connected, k <= 9, with singleton, full and parallel edges; levels all
-    2, all 3, all 5 or mixed."""
+    2, all 3, all 5 or mixed.  Mixed levels include composites, so different
+    crossing sets can tie in rank (4 = 2 * 2) and the witness tie-break
+    shows."""
     while True:
         k = rng.randint(2, 9)
         edges: list[set[int]] = []
@@ -159,7 +175,7 @@ def _random_cut_instance(rng: random.Random) -> Hypergraph:
             else:
                 edges.append(set(rng.sample(range(1, k + 1), rng.randint(2, min(k, 4)))))
         level = rng.choice([2, 3, 5, None])
-        levels = [level or rng.choice([2, 3, 5]) for _ in edges]
+        levels = [level or rng.choice([2, 3, 4, 5, 6, 8]) for _ in edges]
         h = hypergraph(k, edges, levels)
         if is_connected(h):
             return h
