@@ -32,6 +32,8 @@ first result, and :func:`verify_orthrep` the one general-position check.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -130,16 +132,30 @@ def _settle(
     return None
 
 
-def _rep_from_map(g: Graph, d: int, f: dict[int, IntVector]) -> OrthRep | None:
+def _rep_from_map(
+    g: Graph, d: int, f: dict[int, IntVector], tried: dict
+) -> OrthRep | None:
+    """The verified representation that ``f`` settles to, or None.
+
+    ``tried`` maps vector tuples already handled to this result: each start
+    map, and each settled map, which is a fixed point of the sweep and so
+    settles to itself.  A start or a settled map met again is neither
+    settled nor verified again.
+    """
+    start = tuple(f[v] for v in range(g.n))
+    if start in tried:
+        return tried[start]
     settled = _settle(g, f)
-    if settled is None:
-        return None
-    vecs = tuple(settled[v] for v in range(g.n))
-    if not all(map(any, vecs)):
-        return None
-    rep = OrthRep(g, d, vecs)
-    report = verify_orthrep(rep)
-    return rep if report.ok else None
+    rep = None
+    if settled is not None:
+        vecs = tuple(settled[v] for v in range(g.n))
+        if vecs not in tried:
+            rep = OrthRep(g, d, vecs)
+            ok = all(map(any, vecs)) and verify_orthrep(rep).ok
+            tried[vecs] = rep if ok else None
+        rep = tried[vecs]
+    tried[start] = rep
+    return rep
 
 
 def find_gpor(
@@ -151,6 +167,23 @@ def find_gpor(
 ) -> OrthRep:
     """The first verified representation of :func:`gpor_candidates`."""
     return gpor_candidates(g, d, seed, 1, bound, max_retries)[0]
+
+
+#: per (graph, d), what the searches inside _one_check_each have tried
+_shared_tries: ContextVar[dict | None] = ContextVar("_shared_tries", default=None)
+
+
+@contextmanager
+def _one_check_each():
+    """Within the block, gpor_candidates calls on one graph and d share a
+    record of what they tried (see :func:`_rep_from_map`), so a start or a
+    representation met by an earlier call is not settled or verified again.
+    Results are what they would be without it."""
+    token = _shared_tries.set({})
+    try:
+        yield
+    finally:
+        _shared_tries.reset(token)
 
 
 def gpor_candidates(
@@ -170,6 +203,8 @@ def gpor_candidates(
     ``count`` distinct representations verify, so the whole search is
     reproducible.  Raises RetriesExhausted if no attempt verifies.
     """
+    shared = _shared_tries.get()
+    tried = {} if shared is None else shared.setdefault((g, d), {})
     if d < 0:
         raise DimensionInfeasibleError(f"dimension {d} is negative")
     if d == 0:
@@ -178,14 +213,14 @@ def gpor_candidates(
         # general position.
         return [OrthRep(g, 0, tuple(() for _ in range(g.n)))]
     found: list[OrthRep] = []
-    rep = _rep_from_map(g, d, dict(enumerate(_band_vectors(g.n, d))))
+    rep = _rep_from_map(g, d, dict(enumerate(_band_vectors(g.n, d))), tried)
     if rep is not None:
         found.append(rep)
     rng = random.Random(seed)
     attempts = 0
     while len(found) < count and attempts < max_retries:
         attempts += 1
-        rep = _rep_from_map(g, d, _random_map(rng, g.n, d, bound))
+        rep = _rep_from_map(g, d, _random_map(rng, g.n, d, bound), tried)
         if rep is not None and rep not in found:
             found.append(rep)
     if not found:

@@ -23,7 +23,9 @@ by construction.  Along the last free index the solve is linear, so the
 solutions come in n^(lam-1) blocks, each an arithmetic progression of
 ranges.  The blocks are the one unit of enumeration, counting, hashing and
 writing: a block is formatted by one %-template with its constant prefix
-already written in, and rows are a view of the blocks.
+already written in, and rows are a view of the blocks.  A block depends on
+its prefix only through one residual, so blocks whose residual repeats
+share one solved suffix, and its rows and text, through a bounded memo.
 
 The verifier recounts every certificate by the same pivot solve, bounded
 by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
@@ -61,7 +63,13 @@ from .errors import (
     NotOrthRepError,
     RetriesExhaustedError,
 )
-from .gpor import OrthRep, find_gpor, gpor_candidates, verify_orthrep
+from .gpor import (
+    OrthRep,
+    _one_check_each,
+    find_gpor,
+    gpor_candidates,
+    verify_orthrep,
+)
 from .hypergraph import (
     Graph,
     Hypergraph,
@@ -445,6 +453,40 @@ def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
     return [[x // step for x in row[d:]] for row in rows], prev // step
 
 
+_UNSOLVED = object()  # a residual the pivot-block memo does not hold
+
+
+class _Suffix:
+    """The last d + 1 indices of the pivot blocks that share one residual.
+
+    A block's row count and columns depend only on its pivot residual, so
+    every block with that residual gets this one instance.  The suffix
+    tuples and texts (what follows the prefix in each row) are built on
+    first use and reused by every later block.
+    """
+
+    __slots__ = ("rows", "columns", "_tuples", "_texts")
+
+    def __init__(self, rows: int, columns: list) -> None:
+        self.rows, self.columns = rows, columns
+        self._tuples: list[tuple[int, ...]] | None = None
+        self._texts: dict[str | None, str] = {}
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        if self._tuples is None:
+            self._tuples = list(zip(*self.columns))
+        return self._tuples
+
+    def text(self, tail: str, pad: str | None) -> str:
+        """The rows' suffix texts, each filled into the %-template ``tail``,
+        separated by NUL (which no JSON of ints holds), cached per pad."""
+        text = self._texts.get(pad)
+        if text is None:
+            values = _interleave(self.columns, self.rows)
+            text = self._texts[pad] = "\0".join([tail] * self.rows) % values
+        return text
+
+
 def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     """Grid tuples with sum_e i_e c_e = g, in lexicographic blocks.
 
@@ -460,12 +502,26 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     costs lam * d products and no loop per point, and there are n^(lam-1)
     blocks whatever l is, with at most n^lam solutions in all.
 
-    Each nonempty block is yielded as (prefix, rows, columns): the first
-    lam - 1 free indices, constant over the block; its solution count; and
-    the d + 1 remaining indices as columns of that length, each a range or
-    a constant tuple, so a block may be read more than once.  Row j is
-    prefix + tuple(col[j] for col in columns).  With lam = 0 there is at
-    most one block, of one row, with an empty prefix and d columns.
+    Each nonempty block is yielded as (prefix, rows, columns, suffix): the
+    first lam - 1 free indices, constant over the block; its solution count;
+    the d + 1 remaining indices as columns of that length, each a range or a
+    constant tuple, so a block may be read more than once; and the shared
+    _Suffix of those columns, or None.  Row j is prefix + tuple(col[j] for
+    col in columns).  With lam = 0 there is at most one block, of one row,
+    with an empty prefix and d columns.
+
+    Two prefixes share a residual exactly when their difference is a
+    relation among the looped columns A c_e, so residuals repeat only when
+    those columns are linearly dependent (all c_e = (1,) makes the residual
+    a function of the prefix sum).  Then each distinct residual is solved
+    once, memoized with its _Suffix (None for an empty block), and every
+    block with it shares that suffix and its cached tuples and texts.  The
+    memo holds at most _HASH_CHUNK rows, an empty block counting one, and
+    a block longer than that is solved each time and shares nothing.  When
+    the next residual would not fit, the memo is cleared, or dropped for
+    good if none of its residuals came back (the relations are too long
+    for the grid).  With independent columns every residual is new: nothing
+    is memoized and suffix is None, so the blocks cost what they did.
     """
     l, d = len(vectors), len(g)
     if any(len(v) != d for v in vectors):
@@ -478,7 +534,7 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     top = den * (n - 1)
     if lam == 0:
         if all(r % den == 0 and 0 <= r <= top for r in target):
-            yield (), 1, [(r // den,) for r in target]
+            yield (), 1, [(r // den,) for r in target], None
         return
     # cols[t][e] = (A c_e)_t over the looped free edges; last[t] = s_t
     cols = [[_iinner(row, vectors[e]) for e in range(lam - 1)] for row in adj]
@@ -486,8 +542,20 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     period = den // math.gcd(den, *last)
     # each step of the progression in i moves pivot t by this much
     pivot_steps = [-s * period // den for s in last]
+    # one looped column is nonzero in a general-position c; more than d
+    # columns are always dependent
+    memo = {} if lam > 2 and (lam - 1 > d or rank(cols) < lam - 1) else None
+    held = hits = 0
     for prefix in product(range(n), repeat=lam - 1):
         res = [r - sum(map(mul, prefix, col)) for r, col in zip(target, cols)]
+        if memo is not None:
+            key = tuple(res)
+            suffix = memo.get(key, _UNSOLVED)
+            if suffix is not _UNSOLVED:
+                hits += 1
+                if suffix is not None:
+                    yield prefix, suffix.rows, suffix.columns, suffix
+                continue
         lo, hi = 0, n - 1
         for r, s in zip(res, last):
             if s > 0:
@@ -507,21 +575,48 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
                 hi + 1,
             )
         if start > hi:
-            continue
-        rows = (hi - start) // period + 1
-        yield prefix, rows, [range(start, hi + 1, period)] + [
-            range(p, p + rows * step, step) if step else (p,) * rows
-            for p, step in zip(
-                [(r - start * s) // den for r, s in zip(res, last)], pivot_steps
-            )
-        ]
+            rows = 0
+        else:
+            rows = (hi - start) // period + 1
+            columns = [range(start, hi + 1, period)] + [
+                range(p, p + rows * step, step) if step else (p,) * rows
+                for p, step in zip(
+                    [(r - start * s) // den for r, s in zip(res, last)], pivot_steps
+                )
+            ]
+        suffix = None
+        if memo is not None and rows <= _HASH_CHUNK:
+            size = max(rows, 1)
+            if held + size > _HASH_CHUNK:
+                # a memo filled without a single hit is not kept up
+                memo = {} if hits else None
+                held = hits = 0
+            if memo is not None:
+                held += size
+                if rows:
+                    suffix = _Suffix(rows, columns)
+                memo[key] = suffix
+        if rows:
+            yield prefix, rows, columns, suffix
+
+
+def _interleave(columns, rows: int) -> tuple[int, ...]:
+    """The entries of ``rows`` rows of ``columns``, row after row."""
+    width = len(columns)
+    values = [0] * (width * rows)
+    for t, col in enumerate(columns):
+        values[t::width] = col
+    return tuple(values)
 
 
 def _block_rows(blocks):
     """The rows of pivot blocks as tuples, in order."""
-    for prefix, _, columns in blocks:
-        # no columns only when l = 0: the one solution is the empty prefix
-        yield from map(prefix.__add__, zip(*columns)) if columns else (prefix,)
+    for prefix, _, columns, suffix in blocks:
+        if suffix is not None:
+            yield from map(prefix.__add__, suffix.tuples())
+        else:
+            # no columns only when l = 0: the one solution is the empty prefix
+            yield from map(prefix.__add__, zip(*columns)) if columns else (prefix,)
 
 
 def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
@@ -578,19 +673,20 @@ def _block_row_format(fixed: int, width: int, pad: str | None) -> str:
     return escaped.replace("%%d", "%d", fixed)
 
 
-def _block_text(prefix, rows: int, columns, pad: str | None, sep: str) -> str:
+def _block_text(prefix, rows: int, columns, suffix, pad: str | None, sep: str) -> str:
     """One pivot block's rows as JSON lists joined by ``sep``.
 
-    The prefix is written into the row template once, so only the columns
-    are formatted per row, by a single % over them interleaved (one slice
-    assignment per column).
+    The prefix is written into the row template once.  A block whose
+    _Suffix is shared is then that prefix's text and one replace in the
+    suffix's cached text; otherwise only the columns are formatted per row,
+    by a single % over them interleaved.
     """
-    width = len(columns)
-    row = _block_row_format(len(prefix), len(prefix) + width, pad) % prefix
-    values = [0] * (width * rows)
-    for t, col in enumerate(columns):
-        values[t::width] = col
-    return sep.join([row] * rows) % tuple(values)
+    row = _block_row_format(len(prefix), len(prefix) + len(columns), pad) % prefix
+    if suffix is None:
+        return sep.join([row] * rows) % _interleave(columns, rows)
+    cut = row.index("%d")  # the first entry after the prefix
+    head = row[:cut]
+    return head + suffix.text(row[cut:], pad).replace("\0", sep + head)
 
 
 def _blocks_digest(blocks) -> tuple[int, str]:
@@ -598,19 +694,23 @@ def _blocks_digest(blocks) -> tuple[int, str]:
 
     Blocks are written compactly and fed to the hasher about every
     _HASH_CHUNK rows; a longer block is first cut into slices of that many
-    rows, so a hash-only solution set never sits in memory whole.
+    rows, so a hash-only solution set never sits in memory whole.  Blocks
+    that share a _Suffix (never longer than _HASH_CHUNK) reuse its compact
+    text, so each distinct residual's rows are formatted once per memo
+    fill; the memo holds at most _HASH_CHUNK rows, and the bound above
+    stands.
     """
     hasher = hashlib.sha256()
     hasher.update(b"[")
     total = held = 0
     texts: list[str] = []
     lead = ""
-    for prefix, rows, columns in blocks:
+    for prefix, rows, columns, suffix in blocks:
         total += rows
         for lo in range(0, rows, _HASH_CHUNK):
             size = min(rows - lo, _HASH_CHUNK)
             part = [col[lo:lo + size] for col in columns] if size < rows else columns
-            texts.append(_block_text(prefix, size, part, None, ","))
+            texts.append(_block_text(prefix, size, part, suffix, None, ","))
             held += size
             if held >= _HASH_CHUNK:
                 hasher.update((lead + ",".join(texts)).encode())
@@ -623,7 +723,8 @@ def _blocks_digest(blocks) -> tuple[int, str]:
 
 def _listed_text(blocks) -> str:
     """The solution list as a certificate file writes it (the value of its
-    top-level "solutions" key), formatted block by block."""
+    top-level "solutions" key), formatted block by block; blocks with a
+    shared _Suffix reuse its text in this layout."""
     pad, sep = "    ", ",\n    "
     body = sep.join([_block_text(*block, pad, sep) for block in blocks])
     return f"[\n{pad}{body}\n  ]" if body else "[]"
@@ -750,6 +851,16 @@ class Certificate:
         """
         return _json_text(self.solutions, "  ")
 
+    @cached_property
+    def _rows_hash(self) -> str:
+        """solution_hash of the listed solutions, which may differ from
+        sol_hash, the claim.
+
+        Parsing and build_certificate seed it with the hash they take of the
+        rows; otherwise (after dataclasses.replace, say) it is taken here.
+        """
+        return solution_hash(self.solutions)
+
     def to_json_dict(self) -> dict:
         if self.solutions is not None:
             sols = [list(s) for s in self.solutions]
@@ -829,7 +940,7 @@ class Certificate:
         version = obj.get("version")
         if version != "1":
             raise ValueError(f'version must be the string "1", not {version!r}')
-        return cls(
+        cert = cls(
             hypergraph=h,
             lam=lam,
             d=d,
@@ -846,6 +957,9 @@ class Certificate:
             seed=_json_int(obj["seed"], "seed"),
             version=version,
         )
+        if solutions is not None:
+            cert.__dict__["_rows_hash"] = sol_hash
+        return cert
 
 
 def build_certificate(
@@ -886,7 +1000,15 @@ def build_certificate(
     )
     if text is not None:
         cert.__dict__["_solutions_text"] = text
+        cert.__dict__["_rows_hash"] = digest
     return cert
+
+
+def _up_to_order_and_sign(vectors) -> tuple:
+    """One key for all vector lists equal up to order and the sign of each
+    vector.  Their value histograms are translates of one another (i -> n-1-i
+    flips c_e at the cost of a shift), so they have one mode count M."""
+    return tuple(sorted(max(v, tuple(-x for x in v)) for v in vectors))
 
 
 def synthesize_certificate(
@@ -914,20 +1036,30 @@ def synthesize_certificate(
     if n**h.l <= DEEP_GRID_LIMIT and candidates > 1:
         # Small coordinates concentrate the value histogram, so try a
         # low-bound search first and keep whichever candidate counts best.
+        # Both searches start from the banded seed and may meet the same
+        # representation; each is settled and verified once.
         reps: list = []
-        try:
-            reps += gpor_candidates(
-                lg, d, seed=seed, count=candidates, bound=3, max_retries=16
-            )
-        except RetriesExhaustedError:
-            pass
-        for rep in gpor_candidates(lg, d, seed=seed, count=candidates):
-            if rep not in reps:
-                reps.append(rep)
+        with _one_check_each():
+            try:
+                reps += gpor_candidates(
+                    lg, d, seed=seed, count=candidates, bound=3, max_retries=16
+                )
+            except RetriesExhaustedError:
+                pass
+            for rep in gpor_candidates(lg, d, seed=seed, count=candidates):
+                if rep not in reps:
+                    reps.append(rep)
         # Score by the mode count; a candidate that cannot beat the best so
-        # far (the first wins ties) stops convolving as soon as that shows.
+        # far (the first wins ties) stops convolving as soon as that shows,
+        # and one equal to an earlier candidate up to order and sign has
+        # that candidate's M, so it is not scored at all.
         m = 0
+        scored = set()
         for cand in reps:
+            shape = _up_to_order_and_sign(cand.vectors)
+            if shape in scored:
+                continue
+            scored.add(shape)
             found = _mode(cand, n, beat=m)
             if found is not None:
                 (g, m), rep = found, cand
@@ -1162,7 +1294,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
                 detail.append(f"M {cert.m_count} != recounted {m_true}")
             if digest != cert.sol_hash:
                 detail.append("solution hash mismatch")
-            if cert.solutions is not None and solution_hash(cert.solutions) != digest:
+            if cert.solutions is not None and cert._rows_hash != digest:
                 detail.append("listed solutions differ from the true set")
         if cert.m_count < counting_floor(cert.rep, cert.n):
             detail.append(

@@ -57,8 +57,10 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
+    _block_rows,
     _blocks_digest,
     _json_text,
+    _listed_text,
     _mode,
     _pivot_blocks,
     _pivot_inverse,
@@ -407,6 +409,112 @@ def test_block_stream_matches_the_row_reference(chunk, monkeypatch):
                 next(stream(vectors, 3, g))
         with pytest.raises(error):
             _blocks_digest(_pivot_blocks(vectors, 3, g))
+
+
+def _repeated_residual_cases(rng: random.Random):
+    """Vectors whose looped free columns are dependent, so that many pivot
+    blocks share a residual: all-ones d = 1 vectors (the residual is a
+    function of the prefix sum), and small entries with D > 1."""
+    cases = [(((1,),) * l, n, (g,)) for l in (3, 4, 5) for n in (2, 3, 7)
+             for g in (0, l * (n - 1) // 2, l * (n - 1))]
+    cases.append((((1,),) * 4, 20, (25,)))  # K4^3 at n = 20, the mode
+    while len(cases) < 60:
+        d = rng.randint(1, 2)
+        l = d + rng.randint(3, 4)
+        vectors = tuple(tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(l))
+        try:
+            _, den = _pivot_inverse(vectors[l - d:])
+        except NotGeneralPositionError:
+            continue
+        if den > 1:
+            n = rng.choice([2, 3, 5])
+            box = c_prime(OrthRep(Graph(l), d, vectors)) * (n - 1)
+            cases.append((vectors, n, tuple(rng.randint(-box, box) for _ in range(d))))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [4096, 3], ids=["memo-4096", "memo-3"])
+def test_blocks_with_one_residual_share_rows_and_text(chunk, monkeypatch):
+    # The memo of solved residuals holds at most _HASH_CHUNK rows: with 3 it
+    # is cleared every few blocks, and only blocks of up to 3 rows share.
+    monkeypatch.setattr(ghzcert.protocol, "_HASH_CHUNK", chunk)
+    seen = set()
+    for vectors, n, g in _repeated_residual_cases(random.Random(1964)):
+        want = list(ref_pivot_solutions(vectors, n, g))
+        blocks = list(_pivot_blocks(vectors, n, g))
+        suffixes = [block[3] for block in blocks if block[3] is not None]
+        if len(set(map(id, suffixes))) < len(suffixes):
+            seen.add("shared")
+        if any(block[1] > chunk for block in blocks):
+            seen.add("longer than the memo")
+        if _pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
+            seen.add("D > 1")
+        # read twice, as build_certificate reads them: rows, then text
+        stored = tuple(_block_rows(blocks))
+        text = _listed_text(blocks)
+        assert stored == tuple(want), (vectors, n, g)
+        assert text == json.dumps([list(r) for r in want], indent=2).replace(
+            "\n", "\n  "
+        ), (vectors, n, g)
+        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
+        assert _blocks_digest(_pivot_blocks(vectors, n, g)) == (
+            len(want),
+            solution_hash(want),
+        ), (vectors, n, g)
+    longer = {"longer than the memo"} if chunk == 3 else set()
+    assert seen == {"shared", "D > 1"} | longer
+    # K4^3, whose c is all ones: the stored rows, the file and the hash
+    h = complete_uniform(4, 3)
+    for n in (2, 5, 20):
+        rep = OrthRep(line_graph(h), 1, ((1,),) * 4)
+        g, m = choose_g(rep, n)
+        cert = build_certificate(h, n, rep, g, m, 0)
+        want = tuple(ref_pivot_solutions(rep.vectors, n, g))
+        assert cert.solutions == want
+        assert cert.sol_hash == solution_hash(want)
+        assert cert.to_json_bytes() == ref_to_json_bytes(cert)
+
+
+def test_mode_count_ignores_order_and_sign():
+    # Flipping c_e (i_e -> n-1-i_e) translates the value histogram and
+    # reordering leaves it as it is, so synthesis scores one of each.
+    rng = random.Random(1603)
+    for case in range(60):
+        n = rng.choice([2, 3, 4])
+        vectors, _, _ = _random_pivot_case(rng, n)
+        l, d = len(vectors), len(vectors[0])
+        m = _mode(OrthRep(Graph(l), d, vectors), n)[1]
+        for _ in range(4):
+            flipped = [v if rng.random() < 0.5 else tuple(-x for x in v) for v in vectors]
+            rng.shuffle(flipped)
+            other = OrthRep(Graph(l), d, tuple(flipped))
+            assert _mode(other, n)[1] == m == max(value_histogram(other, n).values())
+
+
+def test_synthesis_checks_and_scores_each_representation_once(monkeypatch):
+    import ghzcert.gpor
+
+    checked, scored = [], []
+    verify, mode = ghzcert.gpor.verify_orthrep, ghzcert.protocol._mode
+
+    def counting_verify(rep):
+        checked.append(rep.vectors)
+        return verify(rep)
+
+    def counting_mode(rep, n, beat=0):
+        scored.append(tuple(sorted(max(v, tuple(-x for x in v)) for v in rep.vectors)))
+        return mode(rep, n, beat)
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
+    monkeypatch.setattr(ghzcert.protocol, "_mode", counting_mode)
+    for h, n in [(complete_uniform(4, 3), 5), (cycle_hypergraph(6), 3),
+                 (complete_uniform(4, 2), 2), (path_hypergraph(4), 6)]:
+        for seed in (0, 1, 2):
+            checked.clear()
+            scored.clear()
+            synthesize_certificate(h, n, seed=seed)
+            assert checked and len(set(checked)) == len(checked), (h, n, seed)
+            assert scored and len(set(scored)) == len(scored), (h, n, seed)
 
 
 def test_grid_guard_env_override(monkeypatch):
@@ -1046,6 +1154,31 @@ def test_verify_recounts_listed_certificates_above_the_deep_grid():
     counting = report.check("counting")
     assert counting.status == "fail"
     assert "M 30 != recounted 31" in counting.detail
+
+
+def test_verify_hashes_listed_rows_once(monkeypatch):
+    # the parser hashes the rows and verify reuses that hash; a replaced
+    # certificate is a new instance and hashes its own rows
+    cert = synthesize_certificate(cycle_hypergraph(4), 9, seed=0)
+    parsed = Certificate.from_json_dict(json.loads(cert.to_json_bytes()))
+    calls = []
+    hash_rows = ghzcert.protocol.solution_hash
+    monkeypatch.setattr(
+        ghzcert.protocol, "solution_hash", lambda rows: calls.append(1) or hash_rows(rows)
+    )
+    for honest in (cert, parsed):
+        assert verify_certificate(honest).ok
+    assert calls == []
+    rows = cert.solutions[:-1] + ((8, 8, 8, 8),)
+    mismatch, differ = "solution hash mismatch", "listed solutions differ from the true set"
+    for claim, listed, want in [
+        ("0" * 64, parsed.solutions, [mismatch]),
+        (parsed.sol_hash, rows, [differ]),
+        (hash_rows(rows), rows, [mismatch, differ]),
+    ]:
+        bad = dataclasses.replace(parsed, sol_hash=claim, solutions=listed)
+        counting = verify_certificate(bad).check("counting")
+        assert [text for text in (mismatch, differ) if text in counting.detail] == want
 
 
 def test_verify_skips_no_claim():
