@@ -3,10 +3,10 @@ Self-contained protocol certificates
 ====================================
 
 A certificate records everything needed to audit a distillation claim:
-the hypergraph, the edge vectors, the target g, the solution list, and
-the per-vertex exponent shares.  Serialization is canonical, so the same
-input and seed always give the same bytes, and verification replays
-every claim from scratch.
+the hypergraph, the edge vectors, the target g, the solution count and
+hash, and the per-vertex exponent shares.  Serialization is canonical, so
+the same input and seed always give the same bytes, and verification
+replays every claim from scratch, recounting the solutions itself.
 """
 
 import dataclasses

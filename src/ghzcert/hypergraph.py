@@ -165,12 +165,6 @@ class Graph:
         a, b = (u, v) if u < v else (v, u)
         return (a, b) in self.edges
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.adjacent(u, v))
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
-
 
 def graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(tuple(sorted(p)) for p in pairs))

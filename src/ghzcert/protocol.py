@@ -21,8 +21,8 @@ vectors a basis, so each of the n^lam assignments to the first lam edges
 fixes the last d indices through one integer solve, and M <= n^lam holds
 by construction.  Along the last free index the solve is linear, so the
 solutions come in n^(lam-1) blocks, each an arithmetic progression of
-ranges.  The blocks are the one unit of enumeration, counting, hashing and
-writing: a block is formatted by one %-template with its constant prefix
+ranges.  The blocks are the one unit of enumeration, counting and
+hashing: a block is formatted by one %-template with its constant prefix
 already written in, and rows are a view of the blocks.  A block depends on
 its prefix only through one residual, so blocks whose residual repeats
 share one solved suffix, and its rows and text, through a bounded memo.
@@ -32,12 +32,13 @@ by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
 and per-vertex injectivity from the checks that imply them; no check sweeps
 the grid, and a claim that is not recomputed fails.
 
-Certificates are written in the layout of json.dumps(indent=2,
-sort_keys=True), and solution hashes over compact JSON, but rows of ints
-are formatted by %-templates and joins rather than by the pure-Python
-encoder; the bytes are the same.  A listed certificate's solutions are
-formatted once, in the file's layout, and hashed over that text with its
-whitespace deleted, which is the compact JSON.
+A certificate carries its solutions as their count and the sha256 of
+their compact JSON, never as a list: the verifier recounts them anyway.
+A version-1 file that lists them is read as the hash of its list.  The
+file is written in the layout of json.dumps(indent=2, sort_keys=True),
+and the hash is taken over compact JSON, but lists of ints are formatted
+by %-templates and joins rather than by the pure-Python encoder; the
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice, product
 from operator import mul
 
@@ -71,7 +72,6 @@ from .gpor import (
     verify_orthrep,
 )
 from .hypergraph import (
-    Graph,
     Hypergraph,
     edge_connectivity,
     edge_connectivity_and_rank,
@@ -94,7 +94,6 @@ from .tensor import (
 
 DEFAULT_GRID_LIMIT = 10**8
 DEEP_GRID_LIMIT = 10**6
-SOLUTION_LIST_CAP = 10**4
 CANDIDATE_COUNT = 4
 _HASH_CHUNK = 4096
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
@@ -159,18 +158,6 @@ class QuadraticAssignment:
     quad: tuple[dict[tuple[int, int], int], ...]
     lin: tuple[dict[int, int], ...]
     const: tuple[int, ...]
-
-    def local_exponent(self, vertex: int, i: tuple[int, ...]) -> int:
-        j = vertex - 1
-        total = self.const[j]
-        for (e, f), q in self.quad[j].items():
-            total += q * i[e] * i[f]
-        for e, lam_e in self.lin[j].items():
-            total += lam_e * i[e]
-        return total
-
-    def total_exponent(self, i: tuple[int, ...]) -> int:
-        return sum(self.local_exponent(j, i) for j in range(1, self.k + 1))
 
     def site_function(self, h: Hypergraph, vertex: int):
         """Callable on site labels of ghz_state(h, n), for diagonal action."""
@@ -335,19 +322,6 @@ def _stages(vectors, n: int, d: int, off: int, base: int):
         yield hist
 
 
-def value_histogram(rep: OrthRep, n: int) -> dict[tuple[int, ...], int]:
-    """Counts of sum_e i_e c_e over the grid.
-
-    A view of the packed-integer convolution behind :func:`choose_g`, run
-    through every edge: each shifts the histogram by i * pack(c_e) for i in
-    [0, n-1], and the keys are unpacked into d-vectors only here.
-    """
-    off, base = _packing(rep, n)
-    for hist in _stages(rep.vectors, n, rep.d, off, base):
-        pass
-    return {_unpack(key, rep.d, off, base): cnt for key, cnt in hist.items()}
-
-
 def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]:
     """Largest F(k) = sum_{i<n} H(k - i step) and the smallest key with it,
     without building F.
@@ -461,30 +435,29 @@ class _Suffix:
 
     A block's row count and columns depend only on its pivot residual, so
     every block with that residual gets this one instance.  The suffix
-    tuples and texts (what follows the prefix in each row) are built on
+    tuples and text (what follows the prefix in each row) are built on
     first use and reused by every later block.
     """
 
-    __slots__ = ("rows", "columns", "_tuples", "_texts")
+    __slots__ = ("rows", "columns", "_tuples", "_text")
 
     def __init__(self, rows: int, columns: list) -> None:
         self.rows, self.columns = rows, columns
         self._tuples: list[tuple[int, ...]] | None = None
-        self._texts: dict[str | None, str] = {}
+        self._text: str | None = None
 
     def tuples(self) -> list[tuple[int, ...]]:
         if self._tuples is None:
             self._tuples = list(zip(*self.columns))
         return self._tuples
 
-    def text(self, tail: str, pad: str | None) -> str:
+    def text(self, tail: str) -> str:
         """The rows' suffix texts, each filled into the %-template ``tail``,
-        separated by NUL (which no JSON of ints holds), cached per pad."""
-        text = self._texts.get(pad)
-        if text is None:
+        separated by NUL (which no JSON of ints holds)."""
+        if self._text is None:
             values = _interleave(self.columns, self.rows)
-            text = self._texts[pad] = "\0".join([tail] * self.rows) % values
-        return text
+            self._text = "\0".join([tail] * self.rows) % values
+        return self._text
 
 
 def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
@@ -515,7 +488,7 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     those columns are linearly dependent (all c_e = (1,) makes the residual
     a function of the prefix sum).  Then each distinct residual is solved
     once, memoized with its _Suffix (None for an empty block), and every
-    block with it shares that suffix and its cached tuples and texts.  The
+    block with it shares that suffix and its cached tuples and text.  The
     memo holds at most _HASH_CHUNK rows, an empty block counting one, and
     a block longer than that is solved each time and shares nothing.  When
     the next residual would not fit, the memo is cleared, or dropped for
@@ -657,36 +630,29 @@ def _int_list_format(width: int, pad: str | None) -> str:
     return "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + pad + "]"
 
 
-def _int_rows_text(rows, pad: str | None, sep: str) -> str:
-    """Int rows of one length as JSON lists joined by ``sep``: one template
-    repeated per row, filled by a single % over the flattened entries."""
-    template = sep.join([_int_list_format(len(rows[0]), pad)] * len(rows))
-    return template % tuple(chain.from_iterable(rows))
-
-
 @lru_cache(maxsize=256)
-def _block_row_format(fixed: int, width: int, pad: str | None) -> str:
-    """_int_list_format(width, pad) with every %d after the first ``fixed``
-    escaped to %%d: filled with a block's prefix by one %, it is the
-    template of each row of the block."""
-    escaped = _int_list_format(width, pad).replace("%d", "%%d")
+def _block_row_format(fixed: int, width: int) -> str:
+    """_int_list_format(width, None) with every %d after the first
+    ``fixed`` escaped to %%d: filled with a block's prefix by one %, it is
+    the template of each row of the block."""
+    escaped = _int_list_format(width, None).replace("%d", "%%d")
     return escaped.replace("%%d", "%d", fixed)
 
 
-def _block_text(prefix, rows: int, columns, suffix, pad: str | None, sep: str) -> str:
-    """One pivot block's rows as JSON lists joined by ``sep``.
+def _block_text(prefix, rows: int, columns, suffix) -> str:
+    """One pivot block's rows as compact JSON lists joined by commas.
 
     The prefix is written into the row template once.  A block whose
     _Suffix is shared is then that prefix's text and one replace in the
     suffix's cached text; otherwise only the columns are formatted per row,
     by a single % over them interleaved.
     """
-    row = _block_row_format(len(prefix), len(prefix) + len(columns), pad) % prefix
+    row = _block_row_format(len(prefix), len(prefix) + len(columns)) % prefix
     if suffix is None:
-        return sep.join([row] * rows) % _interleave(columns, rows)
+        return ",".join([row] * rows) % _interleave(columns, rows)
     cut = row.index("%d")  # the first entry after the prefix
     head = row[:cut]
-    return head + suffix.text(row[cut:], pad).replace("\0", sep + head)
+    return head + suffix.text(row[cut:]).replace("\0", "," + head)
 
 
 def _blocks_digest(blocks) -> tuple[int, str]:
@@ -694,11 +660,10 @@ def _blocks_digest(blocks) -> tuple[int, str]:
 
     Blocks are written compactly and fed to the hasher about every
     _HASH_CHUNK rows; a longer block is first cut into slices of that many
-    rows, so a hash-only solution set never sits in memory whole.  Blocks
-    that share a _Suffix (never longer than _HASH_CHUNK) reuse its compact
-    text, so each distinct residual's rows are formatted once per memo
-    fill; the memo holds at most _HASH_CHUNK rows, and the bound above
-    stands.
+    rows, so a solution set never sits in memory whole.  Blocks that share
+    a _Suffix (never longer than _HASH_CHUNK) reuse its compact text, so
+    each distinct residual's rows are formatted once per memo fill; the
+    memo holds at most _HASH_CHUNK rows, and the bound above stands.
     """
     hasher = hashlib.sha256()
     hasher.update(b"[")
@@ -710,7 +675,7 @@ def _blocks_digest(blocks) -> tuple[int, str]:
         for lo in range(0, rows, _HASH_CHUNK):
             size = min(rows - lo, _HASH_CHUNK)
             part = [col[lo:lo + size] for col in columns] if size < rows else columns
-            texts.append(_block_text(prefix, size, part, suffix, None, ","))
+            texts.append(_block_text(prefix, size, part, suffix))
             held += size
             if held >= _HASH_CHUNK:
                 hasher.update((lead + ",".join(texts)).encode())
@@ -719,15 +684,6 @@ def _blocks_digest(blocks) -> tuple[int, str]:
         hasher.update((lead + ",".join(texts)).encode())
     hasher.update(b"]")
     return total, hasher.hexdigest()
-
-
-def _listed_text(blocks) -> str:
-    """The solution list as a certificate file writes it (the value of its
-    top-level "solutions" key), formatted block by block; blocks with a
-    shared _Suffix reuse its text in this layout."""
-    pad, sep = "    ", ",\n    "
-    body = sep.join([_block_text(*block, pad, sep) for block in blocks])
-    return f"[\n{pad}{body}\n  ]" if body else "[]"
 
 
 def solution_hash(solutions) -> str:
@@ -747,7 +703,8 @@ def solution_hash(solutions) -> str:
     sep = ""
     while chunk := list(islice(it, _HASH_CHUNK)):
         if len(set(map(len, chunk))) == 1:
-            body = _int_rows_text(chunk, None, ",")
+            template = ",".join([_int_list_format(len(chunk[0]), None)] * len(chunk))
+            body = template % tuple(chain.from_iterable(chunk))
         else:
             body = ",".join([_int_list_format(len(s), None) % tuple(s) for s in chunk])
         hasher.update(f"{sep}{body}".encode())
@@ -778,19 +735,12 @@ def counting_floor(rep: OrthRep, n: int) -> int:
 
 # -- certificates ------------------------------------------------------------
 
-_ROW = frozenset((list, tuple))
-
-
-class _Text(str):
-    """JSON text already laid out, which _json_text writes as it stands."""
-
-
 def _json_text(value, pad: str) -> str:
     """What json.dumps(value, indent=2, sort_keys=True) writes at ``pad``.
 
     Dicts (with str keys) and lists are laid out here; other leaves go
-    through json.dumps.  A list of ints, or of int lists of one length, is
-    written by a %-template and one join instead of a call per entry.
+    through json.dumps.  A list of ints is written by one %-template
+    instead of a call per entry.
     """
     if isinstance(value, dict):
         if not value:
@@ -801,19 +751,11 @@ def _json_text(value, pad: str) -> str:
         )
         return "{\n" + inner + body + "\n" + pad + "}"
     if not isinstance(value, (list, tuple)):
-        return value if type(value) is _Text else json.dumps(value)
+        return json.dumps(value)
     if _INT.issuperset(map(type, value)):
         return _int_list_format(len(value), pad) % tuple(value)
     inner = pad + "  "
-    sep = ",\n" + inner
-    if (
-        _ROW.issuperset(map(type, value))
-        and len(set(map(len, value))) == 1
-        and _INT.issuperset(map(type, chain.from_iterable(value)))
-    ):
-        body = _int_rows_text(value, inner, sep)
-    else:
-        body = sep.join([_json_text(v, inner) for v in value])
+    body = (",\n" + inner).join([_json_text(v, inner) for v in value])
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -827,7 +769,6 @@ class Certificate:
     n: int
     g: tuple[int, ...]
     m_count: int
-    solutions: tuple[tuple[int, ...], ...] | None
     sol_hash: str
     assignment: QuadraticAssignment
     seed: int
@@ -841,35 +782,7 @@ class Certificate:
     def bound_rate(self) -> int:
         return self.lam
 
-    @cached_property
-    def _solutions_text(self) -> str:
-        """The listed solutions as the file writes them.
-
-        build_certificate seeds it with the text it hashed; otherwise, after
-        parsing or dataclasses.replace (a new instance, with nothing cached),
-        it is formatted here from the solutions.
-        """
-        return _json_text(self.solutions, "  ")
-
-    @cached_property
-    def _rows_hash(self) -> str:
-        """solution_hash of the listed solutions, which may differ from
-        sol_hash, the claim.
-
-        Parsing and build_certificate seed it with the hash they take of the
-        rows; otherwise (after dataclasses.replace, say) it is taken here.
-        """
-        return solution_hash(self.solutions)
-
     def to_json_dict(self) -> dict:
-        if self.solutions is not None:
-            sols = [list(s) for s in self.solutions]
-        else:
-            sols = {"count": self.m_count, "hash": self.sol_hash}
-        return self._json_fields(sols)
-
-    def _json_fields(self, sols) -> dict:
-        """The certificate's JSON object, with ``sols`` under "solutions"."""
         return {
             "hypergraph": self.hypergraph.to_json_dict(),
             "lambda": self.lam,
@@ -879,7 +792,7 @@ class Certificate:
             "n": self.n,
             "g": list(self.g),
             "M": self.m_count,
-            "solutions": sols,
+            "solutions": {"count": self.m_count, "hash": self.sol_hash},
             "assignment": self.assignment.to_json_dict(),
             "achieved_rate": {
                 "log2_M": math.log2(self.m_count),
@@ -891,16 +804,8 @@ class Certificate:
         }
 
     def to_json_bytes(self) -> bytes:
-        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout.
-
-        Listed solutions are not copied or formatted again: their text is
-        the one build_certificate hashed, or is formatted once per instance.
-        """
-        if self.solutions is not None:
-            sols = _Text(self._solutions_text)
-        else:
-            sols = {"count": self.m_count, "hash": self.sol_hash}
-        return (_json_text(self._json_fields(sols), "") + "\n").encode()
+        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout."""
+        return (_json_text(self.to_json_dict(), "") + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -910,7 +815,6 @@ class Certificate:
         raw_sols = obj["solutions"]
         m = _json_int(obj["M"], "M")
         if isinstance(raw_sols, dict):
-            solutions = None
             sol_hash = raw_sols["hash"]
             if type(sol_hash) is not str or not _SHA256_HEX.fullmatch(sol_hash):
                 raise ValueError(
@@ -919,11 +823,12 @@ class Certificate:
             counted = _json_int(raw_sols["count"], "solution count")
             if counted != m:
                 raise ValueError(f"M {m} != solution count {counted}")
-        else:
-            solutions = _json_int_rows(raw_sols, "solutions")
-            sol_hash = solution_hash(solutions)
+        else:  # a list of version 1 is read as the claim of its hash
+            sol_hash = solution_hash(_json_int_rows(raw_sols, "solutions"))
         lam = _json_int(obj["lambda"], "lambda")
         n = _json_int(obj["n"], "n")
+        if n < 2:
+            raise ValueError(f"level n={n} < 2")
         # the stated rate is derived data: it must be what M, n and lambda give
         rate = obj["achieved_rate"]
         for field, value in (("M", m), ("n", n)):
@@ -940,7 +845,7 @@ class Certificate:
         version = obj.get("version")
         if version != "1":
             raise ValueError(f'version must be the string "1", not {version!r}')
-        cert = cls(
+        return cls(
             hypergraph=h,
             lam=lam,
             d=d,
@@ -949,7 +854,6 @@ class Certificate:
             n=n,
             g=_json_ints(obj["g"], "g"),
             m_count=m,
-            solutions=solutions,
             sol_hash=sol_hash,
             assignment=QuadraticAssignment.from_json_dict(
                 obj["assignment"], h.l
@@ -957,9 +861,6 @@ class Certificate:
             seed=_json_int(obj["seed"], "seed"),
             version=version,
         )
-        if solutions is not None:
-            cert.__dict__["_rows_hash"] = sol_hash
-        return cert
 
 
 def build_certificate(
@@ -971,19 +872,8 @@ def build_certificate(
     seed: int,
 ) -> Certificate:
     assignment = build_exponent_assignment(h, rep, g)
-    text = None
-    if m > SOLUTION_LIST_CAP:
-        # certificate stays bounded: keep the count and a digest only
-        _, digest = _blocks_digest(_pivot_blocks(rep.vectors, n, g))
-        stored = None
-    else:
-        # formatted once, for the file.  Rows of ints hold no whitespace, so
-        # that text without spaces and newlines is the compact JSON hashed.
-        blocks = list(_pivot_blocks(rep.vectors, n, g))
-        stored = tuple(_block_rows(blocks))
-        text = _listed_text(blocks)
-        digest = hashlib.sha256(text.encode().translate(None, b" \n")).hexdigest()
-    cert = Certificate(
+    _, digest = _blocks_digest(_pivot_blocks(rep.vectors, n, g))
+    return Certificate(
         hypergraph=h,
         lam=h.l - rep.d,
         d=rep.d,
@@ -992,16 +882,11 @@ def build_certificate(
         n=n,
         g=g,
         m_count=m,
-        solutions=stored,
         sol_hash=digest,
         assignment=assignment,
         seed=seed,
         version="1",
     )
-    if text is not None:
-        cert.__dict__["_solutions_text"] = text
-        cert.__dict__["_rows_hash"] = digest
-    return cert
 
 
 def _up_to_order_and_sign(vectors) -> tuple:
@@ -1117,8 +1002,8 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     """Replay every claim a certificate makes, exactly.
 
     The true solution set is recounted from (c, n, g) by the pivot solve,
-    whose work n^lam is bounded by GHZCERT_MAX_GRID; M, the hash and the
-    listed solutions are evidence checked against it, never trusted.  The
+    whose work n^lam is bounded by GHZCERT_MAX_GRID; M and the solution
+    hash are evidence checked against it, never trusted.  The
     recount is counted and hashed in one streamed pass, so the set is never
     held in memory.  A claim that could not be recomputed fails; only the
     deep check may be skipped.  All findings land in the report; nothing
@@ -1294,8 +1179,6 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
                 detail.append(f"M {cert.m_count} != recounted {m_true}")
             if digest != cert.sol_hash:
                 detail.append("solution hash mismatch")
-            if cert.solutions is not None and cert._rows_hash != digest:
-                detail.append("listed solutions differ from the true set")
         if cert.m_count < counting_floor(cert.rep, cert.n):
             detail.append(
                 f"M {cert.m_count} below floor {counting_floor(cert.rep, cert.n)}"

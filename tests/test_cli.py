@@ -16,9 +16,24 @@ from ghzcert.hypergraph import (
     hypergraph,
     path_hypergraph,
 )
-from ghzcert.protocol import DEEP_GRID_LIMIT, synthesize_certificate
+from ghzcert.protocol import (
+    DEEP_GRID_LIMIT,
+    Certificate,
+    build_exponent_assignment,
+    enumerate_solutions,
+    solution_hash,
+    synthesize_certificate,
+)
 
-from conftest import REPEATED_KEYS, REVERSED_QUAD, repeat_key, reverse_quad, set_m
+from conftest import (
+    LISTED_K3_N4,
+    REPEATED_KEYS,
+    REVERSED_QUAD,
+    listed_k3_n4,
+    repeat_key,
+    reverse_quad,
+    set_m,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -242,8 +257,10 @@ def test_verify_rejects_false_counts_above_the_deep_grid(instance, tmp_path, cap
         obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
         set_m(obj, obj["M"] + 1)
         obj["solutions"]["count"] += 1
-    else:
-        obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
+    else:  # listed, as version 1 allows
+        cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
+        obj = cert.to_json_dict()
+        obj["solutions"] = [list(i) for i in enumerate_solutions(cert.rep, 11, cert.g)]
         del obj["solutions"][7]
         set_m(obj, 30)
     path = tmp_path / "cert.json"
@@ -252,6 +269,63 @@ def test_verify_rejects_false_counts_above_the_deep_grid(instance, tmp_path, cap
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["counting"]["status"] == "fail"
     assert "!= recounted" in checks["counting"]["detail"]
+
+
+def test_verify_level_below_2_is_bad_format(tmp_path, capsys):
+    # K3 at n = 1 (M = 1, g = 0 and the assignment rebuilt for it) verified
+    # ok, though its rate divides by log2(1) = 0 and --deep raised BadLevel
+    cert = synthesize_certificate(cycle_hypergraph(3), 2, seed=0)
+    obj = cert.to_json_dict()
+    obj["n"], obj["achieved_rate"]["log2_n"], obj["g"] = 1, 0.0, [0]
+    set_m(obj, 1)
+    obj["solutions"] = {"count": 1, "hash": solution_hash([(0, 0, 0)])}
+    obj["assignment"] = build_exponent_assignment(
+        cert.hypergraph, cert.rep, (0,)
+    ).to_json_dict()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    for flags in ([], ["--deep"]):
+        assert run(["verify", str(path), *flags]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "code": "BadFormat",
+            "message": f"{path}: malformed certificate: level n=1 < 2",
+        }
+
+
+def test_listed_certificate_of_version_1_verifies(capsys):
+    for flags, deep in (([], "skipped"), (["--deep"], "pass")):
+        assert run(["verify", str(LISTED_K3_N4), "--json", *flags]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert {c["status"] for c in checks.values()} == {"pass", deep}
+        assert checks["degeneration"]["status"] == deep
+
+
+def test_listed_certificate_of_version_1_is_rewritten_hash_only():
+    # the list is read as the hash of its compact JSON, and the certificate
+    # written back is the file with that count and hash in its place, which
+    # is what synthesis writes today
+    obj = listed_k3_n4()
+    rows = json.dumps(obj["solutions"], separators=(",", ":"))
+    obj["solutions"] = {
+        "count": obj["M"], "hash": hashlib.sha256(rows.encode()).hexdigest()
+    }
+    want = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    cert = Certificate.from_json_dict(listed_k3_n4())
+    assert cert.to_json_bytes() == want
+    assert want == synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_bytes()
+
+
+def test_listed_certificate_with_a_row_changed_fails_counting(tmp_path, capsys):
+    # a float in a row is BadFormat: test_verify_non_integer_field_is_bad_format
+    obj = listed_k3_n4()
+    obj["solutions"][5][1] = 3
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["counting"]["status"] == "fail"
+    assert checks["counting"]["detail"] == "solution hash mismatch"
 
 
 def test_verify_bad_certificate_format(tmp_path, capsys):
@@ -272,7 +346,8 @@ def test_verify_non_integer_field_is_bad_format(field, value, tmp_path, capsys):
     obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
     if field == "c":
         obj["c"][1][0] = value
-    elif field == "solutions":
+    elif field == "solutions":  # a row of a listed version-1 file
+        obj = listed_k3_n4()
         obj["solutions"][3][0] = value
     else:
         obj[field] = value
@@ -408,9 +483,11 @@ def test_epr_bad_vertices_exit_3(a, b, error, k3_file, capsys):
 
 # sha256 of the concatenated `verify --json --deep` stdout over the honest
 # certificate (seed 0) and four one-field tampers of each instance below.
-# Statuses and exit codes are those of the grid-sweeping verifier; only the
-# exponent_sign detail of a tamper changed, to "follows from completeness,
-# which failed", when that check came to be derived from completeness.
+# Statuses and exit codes are those of the grid-sweeping verifier.  Two
+# details changed: that of exponent_sign, to "follows from completeness,
+# which failed", when that check came to be derived from completeness; and
+# that of counting, which dropped "; listed solutions differ from the true
+# set" when certificates stopped listing their solutions.
 GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(3), 4),
     (cycle_hypergraph(5), 3),
@@ -418,17 +495,19 @@ GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(6), 4),
 ]
 GOLDEN_VERIFY_SHA256 = (
-    "43652cb7db8e452f1ad63a0419d9ce9aecf16677174fa1b6dad69bb9d7d0b6bd"
+    "b051dac35d65c866c990dd1219268ec66cff724bf15c617311b90771a5558fb6"
 )
 
 
 def _tampered(obj: dict) -> list[tuple[str, dict]]:
-    """The certificate itself, then M, c, g and one assignment term moved."""
+    """The certificate itself, then M (with the solution count, which must
+    agree with it), c, g and one assignment term moved."""
     out = [("honest", obj)]
     for kind in ("M", "c", "g", "assignment"):
         bad = json.loads(json.dumps(obj))
         if kind == "M":
             set_m(bad, bad["M"] + 1)
+            bad["solutions"]["count"] = bad["M"]
         elif kind == "c":
             bad["c"][0][0] += 1
         elif kind == "g":

@@ -8,6 +8,8 @@ from conftest import (
     corpus,
     edge_connectivity_by_removal,
     graph_is_connected,
+    is_complete,
+    neighbors,
     random_connected_hypergraph,
     ref_min_cut,
     ref_min_cut_separating,
@@ -247,7 +249,7 @@ def test_line_graph_shapes():
     lp = line_graph(path_hypergraph(4))
     assert lp.n == 3 and lp.edges == frozenset({(0, 1), (1, 2)})
     lt = line_graph(cycle_hypergraph(3))
-    assert lt.is_complete() and lt.n == 3
+    assert is_complete(lt) and lt.n == 3
     assert line_graph(single_full_edge(5)).n == 1
     # parallel edges share vertices, hence are adjacent
     lp2 = line_graph(hypergraph(2, [{1, 2}, {1, 2}]))
@@ -257,7 +259,7 @@ def test_line_graph_shapes():
 def test_graph_helpers():
     g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.adjacent(0, 1) and not g.adjacent(0, 2)
-    assert g.neighbors(0) == (1, 3)
+    assert neighbors(g, 0) == (1, 3)
     assert graph_is_connected(g)
     assert not graph_is_connected(g, frozenset({0, 2}))
     with pytest.raises(ValueError):

@@ -74,3 +74,32 @@ def test_linear_algebra_gpor_and_tensor_carry_no_test_only_functions():
                            if path != module):
                     unused.append(f"{name}:{node.name}")
     assert not unused
+
+
+def test_protocol_and_hypergraph_carry_no_uncalled_public_functions():
+    # a public function of these modules that nothing in the package (its
+    # own module included) or the demos calls, and that the package does not
+    # export, is a test oracle and belongs in tests/
+    src = pathlib.Path(ghzcert.__file__).parent
+    demos = src.parent.parent / "demos"
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))
+    }
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    uncalled = [
+        f"{name}:{node.name}"
+        for name in ("protocol.py", "hypergraph.py")
+        for node in trees[name].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in called
+        and node.name not in ghzcert.__all__
+    ]
+    assert not uncalled

@@ -14,6 +14,7 @@ from conftest import (
     REPEATED_KEYS,
     REVERSED_QUAD,
     corpus,
+    listed_k3_n4,
     random_connected_hypergraph,
     ref_completeness,
     ref_exponent_sign,
@@ -27,6 +28,7 @@ from conftest import (
     reverse_quad,
     set_m,
     tamper_certificate,
+    total_exponent,
 )
 from ghzcert.errors import (
     BadGridLimitError,
@@ -58,13 +60,16 @@ from ghzcert.hypergraph import (
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _block_rows,
+    _block_text,
     _blocks_digest,
     _json_text,
-    _listed_text,
     _mode,
+    _packing,
     _pivot_blocks,
     _pivot_inverse,
     _pivot_solutions,
+    _stages,
+    _unpack,
     Certificate,
     QuadraticAssignment,
     build_certificate,
@@ -77,7 +82,6 @@ from ghzcert.protocol import (
     ghz_rate_bound,
     solution_hash,
     synthesize_certificate,
-    value_histogram,
     verify_certificate,
 )
 
@@ -98,7 +102,7 @@ def test_assignment_totals_match_square_on_k3():
         qa = build_exponent_assignment(K3, rep, g)
         for i in product(range(4), repeat=3):
             want = (i[0] + i[1] + i[2] - g[0]) ** 2
-            assert qa.total_exponent(i) == want
+            assert total_exponent(qa, i) == want
 
 
 def test_assignment_single_edge():
@@ -109,7 +113,7 @@ def test_assignment_single_edge():
     assert qa.quad[1] == {} and qa.quad[2] == {}
     assert qa.lin == ({}, {}, {}) and qa.const == (0, 0, 0)
     for i in range(5):
-        assert qa.total_exponent((i,)) == i * i
+        assert total_exponent(qa, (i,)) == i * i
 
 
 def test_assignment_c4_identity_on_grid():
@@ -124,7 +128,7 @@ def test_assignment_c4_identity_on_grid():
             (sum(rep.vectors[e][t] * i[e] for e in range(4)) - g[t]) ** 2
             for t in range(2)
         )
-        assert qa.total_exponent(i) == direct
+        assert total_exponent(qa, i) == direct
 
 
 def test_assignment_locality():
@@ -182,6 +186,7 @@ def test_choose_g_single_edge_flat():
 
 
 def test_histogram_matches_brute_force():
+    # the packed convolution behind choose_g, run through every edge
     rng = random.Random(41)
     for _ in range(10):
         l = rng.randint(1, 4)
@@ -195,7 +200,11 @@ def test_histogram_matches_brute_force():
             d,
             vectors,
         )
-        assert value_histogram(rep, n) == ref_histogram(vectors, n)
+        off, base = _packing(rep, n)
+        for hist in _stages(vectors, n, d, off, base):
+            pass
+        unpacked = {_unpack(key, d, off, base): cnt for key, cnt in hist.items()}
+        assert unpacked == ref_histogram(vectors, n)
 
 
 def _last_vector(rng: random.Random, kind: str, vectors, d: int):
@@ -267,7 +276,6 @@ def test_counting_matches_grid_sweep_on_random_reps():
     for rep, n in random_gp_reps(seed=2024, count=40):
         dims.add(rep.d)
         hist = ref_histogram(rep.vectors, n)
-        assert value_histogram(rep, n) == hist
         mode = max(hist.values())
         want_g = min(v for v, c in hist.items() if c == mode)
         assert choose_g(rep, n) == (want_g, mode)
@@ -449,12 +457,11 @@ def test_blocks_with_one_residual_share_rows_and_text(chunk, monkeypatch):
             seen.add("longer than the memo")
         if _pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
             seen.add("D > 1")
-        # read twice, as build_certificate reads them: rows, then text
-        stored = tuple(_block_rows(blocks))
-        text = _listed_text(blocks)
-        assert stored == tuple(want), (vectors, n, g)
-        assert text == json.dumps([list(r) for r in want], indent=2).replace(
-            "\n", "\n  "
+        # read twice: rows, then text
+        assert tuple(_block_rows(blocks)) == tuple(want), (vectors, n, g)
+        text = ",".join([_block_text(*block) for block in blocks])
+        assert f"[{text}]" == json.dumps(
+            [list(r) for r in want], separators=(",", ":")
         ), (vectors, n, g)
         assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
         assert _blocks_digest(_pivot_blocks(vectors, n, g)) == (
@@ -463,14 +470,14 @@ def test_blocks_with_one_residual_share_rows_and_text(chunk, monkeypatch):
         ), (vectors, n, g)
     longer = {"longer than the memo"} if chunk == 3 else set()
     assert seen == {"shared", "D > 1"} | longer
-    # K4^3, whose c is all ones: the stored rows, the file and the hash
+    # K4^3, whose c is all ones: the count, the hash and the file
     h = complete_uniform(4, 3)
     for n in (2, 5, 20):
         rep = OrthRep(line_graph(h), 1, ((1,),) * 4)
         g, m = choose_g(rep, n)
         cert = build_certificate(h, n, rep, g, m, 0)
         want = tuple(ref_pivot_solutions(rep.vectors, n, g))
-        assert cert.solutions == want
+        assert cert.m_count == len(want)
         assert cert.sol_hash == solution_hash(want)
         assert cert.to_json_bytes() == ref_to_json_bytes(cert)
 
@@ -488,7 +495,7 @@ def test_mode_count_ignores_order_and_sign():
             flipped = [v if rng.random() < 0.5 else tuple(-x for x in v) for v in vectors]
             rng.shuffle(flipped)
             other = OrthRep(Graph(l), d, tuple(flipped))
-            assert _mode(other, n)[1] == m == max(value_histogram(other, n).values())
+            assert _mode(other, n)[1] == m == max(ref_histogram(other.vectors, n).values())
 
 
 def test_synthesis_checks_and_scores_each_representation_once(monkeypatch):
@@ -584,77 +591,77 @@ def test_solution_hash_of_solutions_of_different_lengths():
 
 # sha256 of `ghzcert certify --n N --seed 0` output, captured before counting
 # moved from a depth-first search to the pivot solve; a certificate's bytes
-# must not depend on how its solutions were found.
+# must not depend on how its solutions were found.  Re-captured when
+# certificates stopped listing up to 10^4 solutions: each file is the one
+# captured then with its "solutions" list replaced by {"count": M, "hash":
+# sha256 of that list's compact JSON}.  K4^3 at n = 32 was hash-only already.
 GOLDEN_CERTIFY_SHA256 = [
     ("K3", cycle_hypergraph(3), 4,
-     "397ee6b526ecaac1a09bcfb6957e135ef4f81e6b07a45ae10cd9dc3834c672b6"),
+     "d9d2268138e1af2f2b620a79c650140a7e253bfcfb2393e47c487e376e5f3a30"),
     ("full3", single_full_edge(3), 3,
-     "b79f53b2aaf4fb93ecb1a99e628290adb7915892ba25618b531063fc2e0771d6"),
+     "5dc8caed8cff1bd853072f897bdc3b1006ceabe079a696f0b3d8a15a9768ef20"),
     ("C6", cycle_hypergraph(6), 6,
-     "4dcf2b1bbebf6c461ccd1da98d719aa51314f3d9bbc86b98d702528afcae8568"),
+     "ccfa2f0fedc53e08dd587ebda447f45ec69bc924e957d7b64d52c53ab8cd0f0e"),
     ("C4", cycle_hypergraph(4), 32,
-     "8a98160124e60b2514fa4a5166684bfcd36e2d5eba48dee2cbd9d0ee1fde2369"),
+     "9c35046994936af69e0af0b064cbb2f3c507db360140e150f30f4b9028b16a3d"),
     ("K4^3", complete_uniform(4, 3), 20,
-     "1d24d3a42fcb323a6a9a24e478bb5b1e82f3297ac2deb307cb9aaeec0a7caab0"),
+     "4218d22d3fc82e306f352b3bc0c9a06aad76c9a28d2e0e803de422bacac0a14b"),
     ("K4^3", complete_uniform(4, 3), 32,  # hash-only
      "7e336e067b2e28cfdea1a46aca039fd6a0b7f2f4cf52d4db8533c823258df5b7"),
     # captured while the mode was still read off the full histogram: the
     # single-representation branch at d = 4, and eight scored candidates
     ("C6", cycle_hypergraph(6), 11,
-     "d2fd17e30079140751af53e15da70d6da51f31964902715b7573701b0e1ed72b"),
+     "5ad8054e63a2ea2775064c2b0bfb9ba08d9e413488198faa6c3815fc3738b47f"),
     ("K4^2", complete_uniform(4, 2), 4,
-     "f9d761777af231f4f08ccfecf7577524bcff216f8dd6b26a8968f6d26529b04e"),
+     "b98c316bd3e828e133c5eab56f0e61682a3b65c4a33112a30955b2c27e138e08"),
 ]
 
 
 # sha256 of synthesize_certificate(h, n, seed=0).to_json_bytes(), captured
 # while solutions were still enumerated row by row and formatted twice, once
-# for the hash and once for the file.
+# for the hash and once for the file, and re-captured as above.
 GOLDEN_CERTIFICATE_BYTES = {
-    ("K3", 2): "3871619cb7eb7cb192ca5b0d9bf86eac8f7def2d815b2c10d7827f62f9f6aa70",
-    ("K3", 3): "9634fbdb34d48312d7cb1d3f8719ba180da3d49f705a5625916b2964dc72cfc4",
-    ("K3", 4): "397ee6b526ecaac1a09bcfb6957e135ef4f81e6b07a45ae10cd9dc3834c672b6",
-    ("C4", 2): "2fbd44aa71060a91709bae1efac0241b244c601682b4d68a95955daa1d074d97",
-    ("C4", 3): "671462499a2e109da45ed04204f7dfa92fbd013a7cb17fcc9b573184cb23f1b3",
-    ("C4", 4): "d54d1df5c4aa38884d7970aaa257bbcaa7250a4185710eb1c434d2275f58709f",
-    ("C5", 2): "0aec5e0bf9143bc7e6c663cf6e0b1f7b29f5601fa65b4854cf959f8c2db508d7",
-    ("C5", 3): "57776ccf019b288efdf94a24cf0e264e579b89eceb296a6bbb17e9af729e7193",
-    ("C5", 4): "71e5cfcec2a9c6b63bdb664e0aab8c664ba207e6c509afafed6b4995731bdfcb",
-    ("K4^2", 2): "a1f6b80b67d5b7ecd31e60860b2c63a62154b89c757beeeea9ddd11b7a135b0c",
-    ("K4^2", 3): "8b55d486fb796544e9d229f0922ed3948e41c428a4346502cb5067b53345d30b",
-    ("K4^2", 4): "f9d761777af231f4f08ccfecf7577524bcff216f8dd6b26a8968f6d26529b04e",
-    ("K4^3", 2): "808b73933d080454d810d9e9a1fec678e9bf7b0117d2af23805ad34c7e4d1f9e",
-    ("K4^3", 3): "5a594f207fa8efc2b04ddd6bb8356a3b26e81973e9f8d84dd86fb584fc6004d3",
-    ("K4^3", 4): "cb20f576a739eb4c3adeb4374c816330bafe1f440e88371d84770260c46291c9",
-    ("path3", 2): "76acb766ac04104cbc1b218ee111070c81a6d6745269f61d709a0327806abbc0",
-    ("path3", 3): "9c02b6b5d2f35e3379a9ee670d588e464b5a87b233c203e3751f255c20669ab3",
-    ("path3", 4): "7abaa73928829d3f025416e7397b4b2204dd9c7277328f19eec2fe8393e80ac1",
-    ("path4", 2): "accea98825a18dedd18229daddea83360a450c64474ab01754e00d004196e41a",
-    ("path4", 3): "db0bd6c6918ef36656822d276bbf83854325d1f906bb271fec3866aeb0719500",
-    ("path4", 4): "4b767c434a05b76e80cc0c68d82153146a984eb6401f6cef8a580bc2fdcd09c7",
-    ("path5", 2): "d5d9dc6e53061dca025bdd5afe6be9c6827d85df00633c3f39f4e76c43dae58a",
-    ("path5", 3): "337a0e9b982830f4035239936880c5f3a7bb646bfc454b5b322ce4fda32507b0",
-    ("path5", 4): "173d9005fe4441654c3e24fa2f6de215c5c99343de6fcd7a668fa01939d4657c",
-    ("full3", 2): "0c966a7b5475fe2672eea07e3cc096439f794cfd35a2599c226f228cc3c395d1",
-    ("full3", 3): "b79f53b2aaf4fb93ecb1a99e628290adb7915892ba25618b531063fc2e0771d6",
-    ("full3", 4): "a171fc76737f8a8cf03af10d8beaa45f711ee2e54600747ad6fc021820b6b792",
-    ("C6", 6): "4dcf2b1bbebf6c461ccd1da98d719aa51314f3d9bbc86b98d702528afcae8568",
-    ("C6", 11): "d2fd17e30079140751af53e15da70d6da51f31964902715b7573701b0e1ed72b",
-    ("C4", 32): "8a98160124e60b2514fa4a5166684bfcd36e2d5eba48dee2cbd9d0ee1fde2369",
-    ("K4^3", 20): "1d24d3a42fcb323a6a9a24e478bb5b1e82f3297ac2deb307cb9aaeec0a7caab0",
+    ("K3", 2): "0fcb22b09fdef2961cd8278cd240ad41e7da56b689fbd363f5575fee54e1ad71",
+    ("K3", 3): "70e3392085c18208e325041f363c9e133d08e23ba642c0e4a824c73033940150",
+    ("K3", 4): "d9d2268138e1af2f2b620a79c650140a7e253bfcfb2393e47c487e376e5f3a30",
+    ("C4", 2): "c48359f05e025d6615648fb1ef710e7b0226d9cf4b78639050c7fea30e656b68",
+    ("C4", 3): "e2218496c12066f58912e09f355bc3140e646c5f8776f122d5abef77fc4bad14",
+    ("C4", 4): "8fb8106ea5b2b28b5da000d5e9f4790233331b9f58113ba9a5cc7e34b7d1ea76",
+    ("C5", 2): "558e49e50698273f0950c2089606dee423791c28d707166d3fa2605bef309ea4",
+    ("C5", 3): "63b93eb822cd2ba63c958eb345f5f73bca72e0aa1b2859798a71db2448ce4025",
+    ("C5", 4): "a0729d9d301d4790c27679cafddeb570fa83d6c3a011bd9f78a1ac075c0fcb5f",
+    ("K4^2", 2): "7cdcf9e7a913ee81eeabd1eff084f37373203e46093fac8e9b86dc01650cc989",
+    ("K4^2", 3): "ebeae3bf93045031a251e91e270623baa1522d23794b102a46a68b84d4d74889",
+    ("K4^2", 4): "b98c316bd3e828e133c5eab56f0e61682a3b65c4a33112a30955b2c27e138e08",
+    ("K4^3", 2): "777b43f6c303aa1d833d7b8633bea24f6dab63f2a20c1ab3067b0fdd73b039ce",
+    ("K4^3", 3): "63647a0d14eb7167480393d0e59f77c56466f01f589998478ab0a589f759ba4a",
+    ("K4^3", 4): "06daea535d53d015ff056048486d7bfa8fb891d68894ee04a25c5c301b7b99db",
+    ("path3", 2): "18252a53adf71f52065b79513d83fead279e2684aa7f5c1c13dce3d5acc1fe2d",
+    ("path3", 3): "450f1ba07b2204b90f66e355475227df3e09b964a6087e534524b5f186c4f169",
+    ("path3", 4): "b47703595aac8fc31984e1c8beca4c4a8ed65d9b09e3cde5ad72f07153781b4b",
+    ("path4", 2): "ad7ae792fc1371b3f6ccccc22e5ab22716d6a825b8c90bdf89461ebf493c5df6",
+    ("path4", 3): "94b4286c109b6d7e750b626355f525419f5a7745365fda60f69d9e00fe2b396f",
+    ("path4", 4): "2fcf0b9f1530a4c3145e091f72c996fa36bd9e677f9fa2a4a2cc0696edad274f",
+    ("path5", 2): "e4481ae1a920b40ca513450654251d8706632dd4c2df1252c471b5229b246869",
+    ("path5", 3): "b8440bd23ebdfb262f5b907a8080eb0c220a9e6652e1c90a90755784f8b39f78",
+    ("path5", 4): "7d96c3b9b164e897ff64a68449a2ab72ae2cc1bf0a050ef8a3c74ff5cb79b474",
+    ("full3", 2): "37d1f6fa84622a6a4dfa4556a78b6385f958b03923f02583e644e41d4c200be1",
+    ("full3", 3): "5dc8caed8cff1bd853072f897bdc3b1006ceabe079a696f0b3d8a15a9768ef20",
+    ("full3", 4): "bd2a3df3ddc4f3ec2817dbbf98d45c73771c2433d450cd7a9cf6b23db7a18316",
+    ("C6", 6): "ccfa2f0fedc53e08dd587ebda447f45ec69bc924e957d7b64d52c53ab8cd0f0e",
+    ("C6", 11): "5ad8054e63a2ea2775064c2b0bfb9ba08d9e413488198faa6c3815fc3738b47f",
+    ("C4", 32): "9c35046994936af69e0af0b064cbb2f3c507db360140e150f30f4b9028b16a3d",
+    ("K4^3", 20): "4218d22d3fc82e306f352b3bc0c9a06aad76c9a28d2e0e803de422bacac0a14b",
     ("K4^3", 32): "7e336e067b2e28cfdea1a46aca039fd6a0b7f2f4cf52d4db8533c823258df5b7",
 }
 
 
 def test_certificate_bytes_golden():
     instances = dict(corpus(), C6=cycle_hypergraph(6))
-    listed = set()
     for (name, n), digest in GOLDEN_CERTIFICATE_BYTES.items():
         cert = synthesize_certificate(instances[name], n, seed=0)
         blob = cert.to_json_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest, (name, n)
-        listed.add(cert.solutions is not None)
-    assert listed == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -782,44 +789,15 @@ def _serialization_cases():
         ("K4^3", complete_uniform(4, 3), 32),  # hash-only
     ]:
         yield f"{name}-n{n}", synthesize_certificate(h, n, seed=0)
-    # full3 has d = 0: c is one empty row and g is empty
-    cert = synthesize_certificate(single_full_edge(3), 3, seed=0)
-    yield "full3-ragged", dataclasses.replace(cert, solutions=((0,), (1, 2), ()))
+    yield "K3-n4-listed", Certificate.from_json_dict(listed_k3_n4())
 
 
 def test_to_json_bytes_matches_the_indenting_encoder():
-    seen_d0 = seen_hash_only = 0
+    seen_d0 = 0
     for key, cert in _serialization_cases():
         assert cert.to_json_bytes() == ref_to_json_bytes(cert), key
-        seen_d0 += cert.to_json_dict()["c"][0] == []
-        seen_hash_only += cert.solutions is None
-    assert seen_d0 and seen_hash_only
-
-
-def test_listed_text_is_never_stale():
-    cert = synthesize_certificate(complete_uniform(4, 3), 4, seed=0)
-    assert "_solutions_text" in vars(cert)  # seeded by build_certificate
-    blob = cert.to_json_bytes()
-    assert blob == ref_to_json_bytes(cert)
-    # a replaced certificate is a new instance, formatted from its own rows
-    rows = cert.solutions[:-1] + ((9, 9, 9, 9),)
-    other = dataclasses.replace(
-        cert, solutions=rows, m_count=len(rows), sol_hash=solution_hash(rows)
-    )
-    assert "_solutions_text" not in vars(other)
-    assert other.to_json_bytes() == ref_to_json_bytes(other) != blob
-    assert cert.to_json_bytes() == blob
-    # parsed: the file's own bytes, and the hash of its rows
-    parsed = Certificate.from_json_dict(json.loads(blob))
-    assert parsed.to_json_bytes() == blob
-    assert parsed.sol_hash == cert.sol_hash == solution_hash(cert.solutions)
-    # other shapes take the generic path: rows of mixed widths, no rows
-    for rows in [((0,), (1, 2), ()), ((0, 1, 2, 3), (4,)), ()]:
-        odd = dataclasses.replace(cert, solutions=rows)
-        assert odd.to_json_bytes() == ref_to_json_bytes(odd), rows
-        assert odd.to_json_bytes() == (
-            json.dumps(odd.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        ).encode()
+        seen_d0 += cert.to_json_dict()["c"][0] == []  # full3: d = 0
+    assert seen_d0
 
 
 def test_certificate_schema_fields():
@@ -831,7 +809,7 @@ def test_certificate_schema_fields():
     assert obj["version"] == "1"
     assert obj["bound_rate"] == 2
     assert set(obj["achieved_rate"]) == {"log2_M", "log2_n"}
-    assert isinstance(obj["solutions"], list)
+    assert obj["solutions"] == {"count": 12, "hash": cert.sol_hash}
     assert obj["seed"] == 0
 
 
@@ -869,8 +847,11 @@ NOT_INTEGERS = [
 
 @pytest.mark.parametrize("path, value", NOT_INTEGERS)
 def test_certificate_parse_accepts_only_integers(path, value):
-    # each of these verified ok while integer fields went through int()
+    # each of these verified ok while integer fields went through int();
+    # a row of solutions is one of a listed version-1 file
     obj = synthesize_certificate(K3, 4, seed=0).to_json_dict()
+    if path[0] == "solutions":
+        obj = listed_k3_n4()
     with pytest.raises(TypeError):
         Certificate.from_json_dict(_set_field(obj, path, value))
 
@@ -973,11 +954,10 @@ def test_solution_cap_keeps_count_and_hash():
     h = path_hypergraph(2)
     cert = synthesize_certificate(h, 20000, seed=0)
     assert cert.m_count == 20000
-    assert cert.solutions is None
     obj = cert.to_json_dict()
     assert obj["solutions"] == {"count": 20000, "hash": cert.sol_hash}
     back = Certificate.from_json_dict(obj)
-    assert back.solutions is None and back.m_count == 20000
+    assert back == cert
     report = verify_certificate(back)
     assert report.ok
 
@@ -1011,6 +991,7 @@ def test_deep_out_of_memory_is_skipped_not_failed(monkeypatch):
     assert (deep.status, deep.detail) == ("skipped", "out of memory on the 4^3 grid")
     obj = cert.to_json_dict()
     set_m(obj, obj["M"] + 1)
+    obj["solutions"]["count"] += 1
     tampered = verify_certificate(Certificate.from_json_dict(obj), deep=True)
     assert [c.name for c in tampered.checks if c.status == "fail"] == ["counting"]
     assert tampered.check("degeneration").status == "skipped"
@@ -1098,9 +1079,7 @@ def test_verify_rejects_listed_count_above_n_to_the_lambda():
     # K3 at n = 2: M = 3 <= n^lambda = 4.  Claim the whole grid instead.
     cert = synthesize_certificate(K3, 2, seed=0)
     grid = tuple(product(range(2), repeat=3))
-    bad = dataclasses.replace(
-        cert, m_count=len(grid), solutions=grid, sol_hash=solution_hash(grid)
-    )
+    bad = dataclasses.replace(cert, m_count=len(grid), sol_hash=solution_hash(grid))
     counting = verify_certificate(bad).check("counting")
     assert counting.status == "fail"
     assert "M 8 above n^lambda = 4" in counting.detail
@@ -1110,7 +1089,7 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     # C6 at n = 11 (a 1.77e6 grid): M = 10^5 claims rate 4.8 against
     # lambda = 2.
     cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
-    bad = dataclasses.replace(cert, m_count=100000, solutions=None)
+    bad = dataclasses.replace(cert, m_count=100000)
     report = verify_certificate(bad)
     assert not report.ok
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
@@ -1145,8 +1124,10 @@ def test_verify_recounts_hash_only_certificates_above_the_deep_grid():
 def test_verify_recounts_listed_certificates_above_the_deep_grid():
     # C6 at n = 11 (grid 1.77e6): one listed solution dropped, M set from 31
     # to 30 and the list re-hashed by the parser verified ok the same way
-    obj = synthesize_certificate(cycle_hypergraph(6), 11, seed=0).to_json_dict()
-    assert obj["M"] == 31
+    cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
+    obj = cert.to_json_dict()
+    obj["solutions"] = [list(i) for i in enumerate_solutions(cert.rep, 11, cert.g)]
+    assert obj["M"] == len(obj["solutions"]) == 31
     del obj["solutions"][7]
     set_m(obj, 30)
     report = verify_certificate(Certificate.from_json_dict(obj))
@@ -1157,28 +1138,20 @@ def test_verify_recounts_listed_certificates_above_the_deep_grid():
 
 
 def test_verify_hashes_listed_rows_once(monkeypatch):
-    # the parser hashes the rows and verify reuses that hash; a replaced
-    # certificate is a new instance and hashes its own rows
-    cert = synthesize_certificate(cycle_hypergraph(4), 9, seed=0)
-    parsed = Certificate.from_json_dict(json.loads(cert.to_json_bytes()))
+    # the parser hashes a version-1 list into the claimed hash, once; verify
+    # hashes only its own recount
     calls = []
     hash_rows = ghzcert.protocol.solution_hash
     monkeypatch.setattr(
         ghzcert.protocol, "solution_hash", lambda rows: calls.append(1) or hash_rows(rows)
     )
-    for honest in (cert, parsed):
+    obj = listed_k3_n4()
+    parsed = Certificate.from_json_dict(obj)
+    assert calls == [1]
+    assert parsed.sol_hash == hash_rows(map(tuple, obj["solutions"]))
+    for honest in (synthesize_certificate(K3, 4, seed=0), parsed):
         assert verify_certificate(honest).ok
-    assert calls == []
-    rows = cert.solutions[:-1] + ((8, 8, 8, 8),)
-    mismatch, differ = "solution hash mismatch", "listed solutions differ from the true set"
-    for claim, listed, want in [
-        ("0" * 64, parsed.solutions, [mismatch]),
-        (parsed.sol_hash, rows, [differ]),
-        (hash_rows(rows), rows, [mismatch, differ]),
-    ]:
-        bad = dataclasses.replace(parsed, sol_hash=claim, solutions=listed)
-        counting = verify_certificate(bad).check("counting")
-        assert [text for text in (mismatch, differ) if text in counting.detail] == want
+    assert calls == [1]
 
 
 def test_verify_skips_no_claim():
@@ -1265,16 +1238,15 @@ def test_verify_without_recount_says_so():
     cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
     vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
     bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
-    for case in (bad, dataclasses.replace(bad, solutions=None)):
-        report = verify_certificate(case, deep=True)
-        assert not report.ok
-        assert "skipped" not in {c.status for c in report.checks}
-        counting = report.check("counting")
-        assert counting.status == "fail"
-        assert "cannot recount M: NotGeneralPosition" in counting.detail
-        for name in ("exponent_sign", "injectivity", "degeneration"):
-            assert report.check(name).status == "fail", name
-        assert "NotGeneralPosition" in report.check("degeneration").detail
+    report = verify_certificate(bad, deep=True)
+    assert not report.ok
+    assert "skipped" not in {c.status for c in report.checks}
+    counting = report.check("counting")
+    assert counting.status == "fail"
+    assert "cannot recount M: NotGeneralPosition" in counting.detail
+    for name in ("exponent_sign", "injectivity", "degeneration"):
+        assert report.check(name).status == "fail", name
+    assert "NotGeneralPosition" in report.check("degeneration").detail
 
 
 def _local_edits(cert) -> list:
@@ -1374,7 +1346,7 @@ def test_deep_exponents_are_the_total_form():
     assert len(t.entries) == n**h.l
     for i in product(range(n), repeat=h.l):
         key = tuple(tuple(i[e] for e in inc) for inc in incident)
-        assert t.entries[key] == cert.assignment.total_exponent(i)
+        assert t.entries[key] == total_exponent(cert.assignment, i)
 
 
 # -- rates -------------------------------------------------------------------
@@ -1434,6 +1406,7 @@ def test_build_certificate_counts_consistently():
     rep = scalar_rep([1, 1, 1])
     g, m = choose_g(rep, 4)
     cert = build_certificate(K3, 4, rep, g, m, seed=9)
-    assert cert.m_count == len(cert.solutions) == 12
-    assert cert.sol_hash == solution_hash(cert.solutions)
+    sols = enumerate_solutions(rep, 4, g)
+    assert cert.m_count == len(sols) == 12
+    assert cert.sol_hash == solution_hash(sols)
     assert cert.seed == 9
