@@ -3,10 +3,10 @@ Self-contained protocol certificates
 ====================================
 
 A certificate records everything needed to audit a distillation claim:
-the hypergraph, the edge vectors, the target g, the solution count and
-hash, and the per-vertex exponent shares.  Serialization is canonical, so
-the same input and seed always give the same bytes, and verification
-replays every claim from scratch, recounting the solutions itself.
+the hypergraph, the edge vectors, the target g, the solution count, and
+the per-vertex exponent shares.  Serialization is canonical, so the same
+input and seed always give the same bytes, and verification replays every
+claim from scratch, recounting the solutions itself.
 """
 
 import dataclasses
@@ -40,8 +40,9 @@ report = verify_certificate(cert, deep=True)
 print()
 print(report.summary())
 
-# Tampering does not survive.  Shift g by one and watch the exponent
-# sign and counting checks object.
+# Tampering does not survive.  Shift g by one and watch the completeness
+# and exponent sign checks object.  K3 at n=4 has 12 solutions at the new g
+# too, so counting has nothing to object to.
 bad = dataclasses.replace(cert, g=(cert.g[0] + 1,))
 report = verify_certificate(bad)
 print()

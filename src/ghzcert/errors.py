@@ -117,11 +117,12 @@ class NotOrthRepError(GhzcertError):
 class GridTooLargeError(GhzcertError):
     code = "GridTooLarge"
 
-    def __init__(self, size: int, limit: int):
-        self.size = size
+    def __init__(self, n: int, l: int, limit: int):
+        self.n = n
+        self.l = l
         self.limit = limit
         super().__init__(
-            f"index grid has {size} points, over the limit {limit} "
+            f"index grid {n}^{l} is over the limit {limit} "
             f"(set GHZCERT_MAX_GRID to raise it)"
         )
 

@@ -21,37 +21,34 @@ vectors a basis, so each of the n^lam assignments to the first lam edges
 fixes the last d indices through one integer solve, and M <= n^lam holds
 by construction.  Along the last free index the solve is linear, so the
 solutions come in n^(lam-1) blocks, each an arithmetic progression of
-ranges.  The blocks are the one unit of enumeration, counting and
-hashing: a block is formatted by one %-template with its constant prefix
-already written in, and rows are a view of the blocks.  A block depends on
-its prefix only through one residual, so blocks whose residual repeats
-share one solved suffix, and its rows and text, through a bounded memo.
+ranges.  The blocks are the one unit of enumeration and counting, and rows
+are a view of them.  A block depends on its prefix only through one
+residual, so blocks whose residual repeats share one solved suffix through
+a bounded memo.
 
-The verifier recounts every certificate by the same pivot solve, bounded
-by its work n^lam against GHZCERT_MAX_GRID, and derives the exponent sign
-and per-vertex injectivity from the checks that imply them; no check sweeps
-the grid, and a claim that is not recomputed fails.
+The verifier recounts every certificate by adding up the row counts of the
+pivot blocks, bounded by its work n^lam against GHZCERT_MAX_GRID, and
+derives the exponent sign and per-vertex injectivity from the checks that
+imply them; no check sweeps the grid, and a claim that is not recomputed
+fails.  Synthesis takes M from the histogram instead, so the recount does
+not repeat the computation it checks.
 
-A certificate carries its solutions as their count and the sha256 of
-their compact JSON, never as a list: the verifier recounts them anyway.
-A version-1 file that lists them is read as the hash of its list.  The
-file is written in the layout of json.dumps(indent=2, sort_keys=True),
-and the hash is taken over compact JSON, but lists of ints are formatted
-by %-templates and joins rather than by the pure-Python encoder; the
-bytes are the same.
+A certificate carries its solutions as their count M only.  The solution
+set is a function of c, n and g, which the certificate states and the
+verifier solves again, so a list or a hash of it would bind nothing more.
+The hash that a version-1 file may carry beside the count is ignored, and
+a version-1 file that lists the solutions is read for their number.  The
+file is the output of json.dumps(indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import product
 from operator import mul
 
 from .errors import (
@@ -78,7 +75,6 @@ from .hypergraph import (
     edge_disjoint_paths,
     line_graph,
     validate,
-    _INT,
     _json_int,
     _json_int_rows,
     _json_ints,
@@ -95,8 +91,8 @@ from .tensor import (
 DEFAULT_GRID_LIMIT = 10**8
 DEEP_GRID_LIMIT = 10**6
 CANDIDATE_COUNT = 4
-_HASH_CHUNK = 4096
-_SHA256_HEX = re.compile("[0-9a-f]{64}")
+# rows of solved pivot blocks that _pivot_blocks keeps for reuse at a time
+_MEMO_ROWS = 4096
 
 
 def _grid_limit() -> int:
@@ -112,11 +108,28 @@ def _grid_limit() -> int:
     return limit
 
 
+def _power_over(n: int, l: int, bound: int) -> bool:
+    """Whether n^l > bound, without building a power far past the bound."""
+    power = 1
+    for _ in range(l):
+        power *= n
+        if power > bound:
+            return True
+    return False
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or its size where it has too many digits to convert."""
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"of {x.bit_length()} bits"
+
+
 def _check_grid(l: int, n: int) -> None:
-    size = n**l
     limit = _grid_limit()
-    if size > limit:
-        raise GridTooLargeError(size, limit)
+    if _power_over(n, l, limit):
+        raise GridTooLargeError(n, l, limit)
 
 
 def _iinner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -435,29 +448,20 @@ class _Suffix:
 
     A block's row count and columns depend only on its pivot residual, so
     every block with that residual gets this one instance.  The suffix
-    tuples and text (what follows the prefix in each row) are built on
-    first use and reused by every later block.
+    tuples (what follows the prefix in each row) are built on first use and
+    reused by every later block.
     """
 
-    __slots__ = ("rows", "columns", "_tuples", "_text")
+    __slots__ = ("rows", "columns", "_tuples")
 
     def __init__(self, rows: int, columns: list) -> None:
         self.rows, self.columns = rows, columns
         self._tuples: list[tuple[int, ...]] | None = None
-        self._text: str | None = None
 
     def tuples(self) -> list[tuple[int, ...]]:
         if self._tuples is None:
             self._tuples = list(zip(*self.columns))
         return self._tuples
-
-    def text(self, tail: str) -> str:
-        """The rows' suffix texts, each filled into the %-template ``tail``,
-        separated by NUL (which no JSON of ints holds)."""
-        if self._text is None:
-            values = _interleave(self.columns, self.rows)
-            self._text = "\0".join([tail] * self.rows) % values
-        return self._text
 
 
 def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
@@ -488,8 +492,8 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     those columns are linearly dependent (all c_e = (1,) makes the residual
     a function of the prefix sum).  Then each distinct residual is solved
     once, memoized with its _Suffix (None for an empty block), and every
-    block with it shares that suffix and its cached tuples and text.  The
-    memo holds at most _HASH_CHUNK rows, an empty block counting one, and
+    block with it shares that suffix and its cached tuples.  The memo
+    holds at most _MEMO_ROWS rows, an empty block counting one, and
     a block longer than that is solved each time and shares nothing.  When
     the next residual would not fit, the memo is cleared, or dropped for
     good if none of its residuals came back (the relations are too long
@@ -558,9 +562,9 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
                 )
             ]
         suffix = None
-        if memo is not None and rows <= _HASH_CHUNK:
+        if memo is not None and rows <= _MEMO_ROWS:
             size = max(rows, 1)
-            if held + size > _HASH_CHUNK:
+            if held + size > _MEMO_ROWS:
                 # a memo filled without a single hit is not kept up
                 memo = {} if hits else None
                 held = hits = 0
@@ -571,15 +575,6 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
                 memo[key] = suffix
         if rows:
             yield prefix, rows, columns, suffix
-
-
-def _interleave(columns, rows: int) -> tuple[int, ...]:
-    """The entries of ``rows`` rows of ``columns``, row after row."""
-    width = len(columns)
-    values = [0] * (width * rows)
-    for t, col in enumerate(columns):
-        values[t::width] = col
-    return tuple(values)
 
 
 def _block_rows(blocks):
@@ -614,105 +609,6 @@ def enumerate_solutions(
     return list(_pivot_solutions(rep.vectors, n, g))
 
 
-@lru_cache(maxsize=256)
-def _int_list_format(width: int, pad: str | None) -> str:
-    """%-template writing ``width`` ints as a JSON list.
-
-    With pad None the list is compact, as json.dumps writes it with
-    separators (",", ":"); otherwise it has one entry a line, as
-    json.dumps(indent=2) writes it at indentation ``pad``.
-    """
-    if width == 0:
-        return "[]"
-    if pad is None:
-        return "[" + ",".join(["%d"] * width) + "]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(["%d"] * width) + "\n" + pad + "]"
-
-
-@lru_cache(maxsize=256)
-def _block_row_format(fixed: int, width: int) -> str:
-    """_int_list_format(width, None) with every %d after the first
-    ``fixed`` escaped to %%d: filled with a block's prefix by one %, it is
-    the template of each row of the block."""
-    escaped = _int_list_format(width, None).replace("%d", "%%d")
-    return escaped.replace("%%d", "%d", fixed)
-
-
-def _block_text(prefix, rows: int, columns, suffix) -> str:
-    """One pivot block's rows as compact JSON lists joined by commas.
-
-    The prefix is written into the row template once.  A block whose
-    _Suffix is shared is then that prefix's text and one replace in the
-    suffix's cached text; otherwise only the columns are formatted per row,
-    by a single % over them interleaved.
-    """
-    row = _block_row_format(len(prefix), len(prefix) + len(columns)) % prefix
-    if suffix is None:
-        return ",".join([row] * rows) % _interleave(columns, rows)
-    cut = row.index("%d")  # the first entry after the prefix
-    head = row[:cut]
-    return head + suffix.text(row[cut:]).replace("\0", "," + head)
-
-
-def _blocks_digest(blocks) -> tuple[int, str]:
-    """(row count, solution_hash of the rows) of pivot blocks, in one pass.
-
-    Blocks are written compactly and fed to the hasher about every
-    _HASH_CHUNK rows; a longer block is first cut into slices of that many
-    rows, so a solution set never sits in memory whole.  Blocks that share
-    a _Suffix (never longer than _HASH_CHUNK) reuse its compact text, so
-    each distinct residual's rows are formatted once per memo fill; the
-    memo holds at most _HASH_CHUNK rows, and the bound above stands.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(b"[")
-    total = held = 0
-    texts: list[str] = []
-    lead = ""
-    for prefix, rows, columns, suffix in blocks:
-        total += rows
-        for lo in range(0, rows, _HASH_CHUNK):
-            size = min(rows - lo, _HASH_CHUNK)
-            part = [col[lo:lo + size] for col in columns] if size < rows else columns
-            texts.append(_block_text(prefix, size, part, suffix))
-            held += size
-            if held >= _HASH_CHUNK:
-                hasher.update((lead + ",".join(texts)).encode())
-                texts, held, lead = [], 0, ","
-    if texts:
-        hasher.update((lead + ",".join(texts)).encode())
-    hasher.update(b"]")
-    return total, hasher.hexdigest()
-
-
-def solution_hash(solutions) -> str:
-    """sha256 of the compact JSON of the lex-sorted solution list.
-
-    The solutions are int tuples from any iterable, fed to the hasher in
-    chunks so a stream of them never sits in memory whole (the pivot solve's
-    own rows go through _blocks_digest instead).  A chunk is written by one
-    "[%d,...,%d]" template, repeated and filled by a single %: the bytes
-    json.dumps gives a list of int lists with separators (",", ":").  A
-    chunk whose solutions differ in length (a malformed certificate's list)
-    takes a template each.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(b"[")
-    it = iter(solutions)
-    sep = ""
-    while chunk := list(islice(it, _HASH_CHUNK)):
-        if len(set(map(len, chunk))) == 1:
-            template = ",".join([_int_list_format(len(chunk[0]), None)] * len(chunk))
-            body = template % tuple(chain.from_iterable(chunk))
-        else:
-            body = ",".join([_int_list_format(len(s), None) % tuple(s) for s in chunk])
-        hasher.update(f"{sep}{body}".encode())
-        sep = ","
-    hasher.update(b"]")
-    return hasher.hexdigest()
-
-
 def c_prime(rep: OrthRep) -> int:
     """Max over coordinates of the absolute column sum of the c-vectors.
 
@@ -735,29 +631,6 @@ def counting_floor(rep: OrthRep, n: int) -> int:
 
 # -- certificates ------------------------------------------------------------
 
-def _json_text(value, pad: str) -> str:
-    """What json.dumps(value, indent=2, sort_keys=True) writes at ``pad``.
-
-    Dicts (with str keys) and lists are laid out here; other leaves go
-    through json.dumps.  A list of ints is written by one %-template
-    instead of a call per entry.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        body = (",\n" + inner).join(
-            [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    if _INT.issuperset(map(type, value)):
-        return _int_list_format(len(value), pad) % tuple(value)
-    inner = pad + "  "
-    body = (",\n" + inner).join([_json_text(v, inner) for v in value])
-    return "[\n" + inner + body + "\n" + pad + "]"
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -769,7 +642,6 @@ class Certificate:
     n: int
     g: tuple[int, ...]
     m_count: int
-    sol_hash: str
     assignment: QuadraticAssignment
     seed: int
     version: str = "1"
@@ -792,7 +664,7 @@ class Certificate:
             "n": self.n,
             "g": list(self.g),
             "M": self.m_count,
-            "solutions": {"count": self.m_count, "hash": self.sol_hash},
+            "solutions": {"count": self.m_count},
             "assignment": self.assignment.to_json_dict(),
             "achieved_rate": {
                 "log2_M": math.log2(self.m_count),
@@ -804,8 +676,9 @@ class Certificate:
         }
 
     def to_json_bytes(self) -> bytes:
-        """The canonical bytes: json.dumps(indent=2, sort_keys=True) layout."""
-        return (_json_text(self.to_json_dict(), "") + "\n").encode()
+        """The canonical bytes: json.dumps(indent=2, sort_keys=True)."""
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return (text + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":
@@ -814,17 +687,14 @@ class Certificate:
         rep = OrthRep(line_graph(h), d, _json_int_rows(obj["c"], "c"))
         raw_sols = obj["solutions"]
         m = _json_int(obj["M"], "M")
+        # version 1 states the solutions by their count, beside which a hash
+        # is ignored, or lists them; the verifier solves for them again
         if isinstance(raw_sols, dict):
-            sol_hash = raw_sols["hash"]
-            if type(sol_hash) is not str or not _SHA256_HEX.fullmatch(sol_hash):
-                raise ValueError(
-                    f"solution hash must be 64 lowercase hex digits, not {sol_hash!r}"
-                )
             counted = _json_int(raw_sols["count"], "solution count")
-            if counted != m:
-                raise ValueError(f"M {m} != solution count {counted}")
-        else:  # a list of version 1 is read as the claim of its hash
-            sol_hash = solution_hash(_json_int_rows(raw_sols, "solutions"))
+        else:
+            counted = len(_json_int_rows(raw_sols, "solutions"))
+        if counted != m:
+            raise ValueError(f"M {m} != solution count {counted}")
         lam = _json_int(obj["lambda"], "lambda")
         n = _json_int(obj["n"], "n")
         if n < 2:
@@ -854,7 +724,6 @@ class Certificate:
             n=n,
             g=_json_ints(obj["g"], "g"),
             m_count=m,
-            sol_hash=sol_hash,
             assignment=QuadraticAssignment.from_json_dict(
                 obj["assignment"], h.l
             ),
@@ -871,8 +740,6 @@ def build_certificate(
     m: int,
     seed: int,
 ) -> Certificate:
-    assignment = build_exponent_assignment(h, rep, g)
-    _, digest = _blocks_digest(_pivot_blocks(rep.vectors, n, g))
     return Certificate(
         hypergraph=h,
         lam=h.l - rep.d,
@@ -882,8 +749,7 @@ def build_certificate(
         n=n,
         g=g,
         m_count=m,
-        sol_hash=digest,
-        assignment=assignment,
+        assignment=build_exponent_assignment(h, rep, g),
         seed=seed,
         version="1",
     )
@@ -1002,10 +868,9 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     """Replay every claim a certificate makes, exactly.
 
     The true solution set is recounted from (c, n, g) by the pivot solve,
-    whose work n^lam is bounded by GHZCERT_MAX_GRID; M and the solution
-    hash are evidence checked against it, never trusted.  The
-    recount is counted and hashed in one streamed pass, so the set is never
-    held in memory.  A claim that could not be recomputed fails; only the
+    whose work n^lam is bounded by GHZCERT_MAX_GRID; M is evidence checked
+    against it, never trusted.  The recount adds up the row counts of the
+    pivot blocks, so no solution is written out.  A claim that could not be recomputed fails; only the
     deep check may be skipped.  All findings land in the report; nothing
     raises but BadGridLimitError, for a malformed GHZCERT_MAX_GRID.
 
@@ -1042,7 +907,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     # The recount runs outside run(), so a c that cannot be solved (wrong
     # shape, dependent pivot block, too much work) is caught here and failed
     # by counting.
-    recount: tuple[int, str] | None = None
+    recount: int | None = None
     recount_error = None
     try:
         if len(cert.rep.vectors) != l:
@@ -1050,7 +915,9 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
                 f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
             )
         _check_grid(max(l - len(cert.g), 0), cert.n)
-        recount = _blocks_digest(_pivot_blocks(cert.rep.vectors, cert.n, cert.g))
+        recount = sum(
+            block[1] for block in _pivot_blocks(cert.rep.vectors, cert.n, cert.g)
+        )
     except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
         recount_error = f"cannot recount M: {exc.code}: {exc}"
 
@@ -1165,24 +1032,20 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             detail.append(f"d {cert.d} != |E| - lambda = {l - cert.lam}")
         if len(cert.g) != cert.d:
             detail.append(f"g has {len(cert.g)} entries, d = {cert.d}")
-        if cert.cprime != c_prime(cert.rep):
-            detail.append(f"C' {cert.cprime} != recomputed {c_prime(cert.rep)}")
+        cprime = c_prime(cert.rep)
+        if cert.cprime != cprime:
+            detail.append(f"C' {cert.cprime} != recomputed {cprime}")
         # the converse: the min-cut flattening has rank n^lambda, and a
         # degeneration cannot raise rank
         if cert.m_count > cert.n**lam_re:
             detail.append(f"M {cert.m_count} above n^lambda = {cert.n**lam_re}")
         if recount is None:
             detail.append(recount_error)
-        else:
-            m_true, digest = recount
-            if m_true != cert.m_count:
-                detail.append(f"M {cert.m_count} != recounted {m_true}")
-            if digest != cert.sol_hash:
-                detail.append("solution hash mismatch")
-        if cert.m_count < counting_floor(cert.rep, cert.n):
-            detail.append(
-                f"M {cert.m_count} below floor {counting_floor(cert.rep, cert.n)}"
-            )
+        elif recount != cert.m_count:
+            detail.append(f"M {cert.m_count} != recounted {recount}")
+        floor = counting_floor(cert.rep, cert.n)
+        if cert.m_count < floor:
+            detail.append(f"M {cert.m_count} below floor {_decimal(floor)}")
         return ("fail", "; ".join(detail)) if detail else ("pass", "")
 
     run("counting", check_counting)
@@ -1191,7 +1054,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     def check_degeneration():
         if not deep:
             return "skipped", "deep=False"
-        if cert.n**l > DEEP_GRID_LIMIT:
+        if _power_over(cert.n, l, DEEP_GRID_LIMIT):
             return "skipped", "grid too large for deep check"
         if cert.assignment.k != h.k:  # one share is applied at every site
             return "fail", f"{cert.assignment.k} vertex shares for {h.k} vertices"

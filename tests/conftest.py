@@ -45,6 +45,17 @@ def listed_k3_n4() -> dict:
     return json.loads(LISTED_K3_N4.read_bytes())
 
 
+# K3 at n = 4, seed 0, as written while certificates carried the sha256 of
+# their solutions' compact JSON beside the count: "solutions" is
+# {"count": 12, "hash": ...}
+HASHED_K3_N4 = Path(__file__).resolve().parent / "data" / "k3-n4-hashed.cert.json"
+
+
+def hashed_k3_n4() -> dict:
+    """The K3 n = 4 certificate with a solution hash, as JSON."""
+    return json.loads(HASHED_K3_N4.read_bytes())
+
+
 def corpus() -> list[tuple[str, Hypergraph]]:
     """The instances every end-to-end test cycles through."""
     return [

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,14 +22,15 @@ from ghzcert.protocol import (
     Certificate,
     build_exponent_assignment,
     enumerate_solutions,
-    solution_hash,
     synthesize_certificate,
 )
 
 from conftest import (
+    HASHED_K3_N4,
     LISTED_K3_N4,
     REPEATED_KEYS,
     REVERSED_QUAD,
+    hashed_k3_n4,
     listed_k3_n4,
     repeat_key,
     reverse_quad,
@@ -206,6 +208,31 @@ def test_certify_grid_guard_exit_3(k3_file, tmp_path, monkeypatch, capsys):
     assert err["code"] == "GridTooLarge"
 
 
+def test_very_large_n_is_refused_by_its_grid(tmp_path, capsys):
+    # C4 at n = 3 with n set to 10^2200 (and log2_n to match) made verify
+    # raise out of run(), and certify at that n too: the grid was written
+    # out as n^l in decimal, past Python's 4300-digit limit
+    n = 10**2200
+    obj = synthesize_certificate(cycle_hypergraph(4), 3, seed=0).to_json_dict()
+    obj["n"], obj["achieved_rate"]["log2_n"] = n, math.log2(n)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert run(["verify", str(path), "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    counting = checks["counting"]
+    assert counting["status"] == "fail"
+    assert counting["detail"].startswith("cannot recount M: GridTooLarge")
+    assert "ValueError" not in counting["detail"]
+    src = tmp_path / "c4.json"
+    src.write_text(json.dumps(cycle_hypergraph(4).to_json_dict()))
+    start = time.perf_counter()
+    assert run(["certify", str(src), "--n", str(n)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().err)["code"] == "GridTooLarge"
+
+
 @pytest.mark.parametrize("raw", ["lots", "0"])
 def test_certify_bad_grid_limit_exit_3(raw, k3_file, monkeypatch, capsys):
     monkeypatch.setenv("GHZCERT_MAX_GRID", raw)
@@ -238,16 +265,17 @@ def test_verify_hash_only_m_other_than_its_count_is_bad_format(tmp_path, capsys)
     ids=["int", "list", "upper-case", "63-digits", "null"],
 )
 def test_verify_hash_other_than_a_sha256_digest_is_bad_format(value, tmp_path, capsys):
-    # an int or a one-element list was stored as its str() and reported as
-    # "solution hash mismatch" by counting, exit 1
+    # An int or a one-element list was once stored as its str() and reported
+    # as "solution hash mismatch" (exit 1), then refused as BadFormat (exit
+    # 3).  A hash beside the count is now ignored, whatever it holds: the
+    # verifier solves for the solutions again, so the hash states nothing
+    # the recount does not.
     obj = synthesize_certificate(complete_uniform(4, 3), 32, seed=0).to_json_dict()
     obj["solutions"]["hash"] = value
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
-    assert run(["verify", str(path), "--json"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["code"] == "BadFormat"
-    assert "solution hash must be 64 lowercase hex digits" in err["message"]
+    assert run(["verify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 @pytest.mark.parametrize("instance", ["K4^3-n32-hash-only", "C6-n11-listed"])
@@ -278,7 +306,7 @@ def test_verify_level_below_2_is_bad_format(tmp_path, capsys):
     obj = cert.to_json_dict()
     obj["n"], obj["achieved_rate"]["log2_n"], obj["g"] = 1, 0.0, [0]
     set_m(obj, 1)
-    obj["solutions"] = {"count": 1, "hash": solution_hash([(0, 0, 0)])}
+    obj["solutions"] = {"count": 1}
     obj["assignment"] = build_exponent_assignment(
         cert.hypergraph, cert.rep, (0,)
     ).to_json_dict()
@@ -302,14 +330,11 @@ def test_listed_certificate_of_version_1_verifies(capsys):
 
 
 def test_listed_certificate_of_version_1_is_rewritten_hash_only():
-    # the list is read as the hash of its compact JSON, and the certificate
-    # written back is the file with that count and hash in its place, which
-    # is what synthesis writes today
+    # the list is read for its length, and the certificate written back is
+    # the file with that count in its place, which is what synthesis writes
+    # today
     obj = listed_k3_n4()
-    rows = json.dumps(obj["solutions"], separators=(",", ":"))
-    obj["solutions"] = {
-        "count": obj["M"], "hash": hashlib.sha256(rows.encode()).hexdigest()
-    }
+    obj["solutions"] = {"count": len(obj["solutions"])}
     want = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
     cert = Certificate.from_json_dict(listed_k3_n4())
     assert cert.to_json_bytes() == want
@@ -317,15 +342,66 @@ def test_listed_certificate_of_version_1_is_rewritten_hash_only():
 
 
 def test_listed_certificate_with_a_row_changed_fails_counting(tmp_path, capsys):
-    # a float in a row is BadFormat: test_verify_non_integer_field_is_bad_format
+    # A changed row failed counting with "solution hash mismatch" (exit 1)
+    # while the list was read as its hash.  It is read for its length now,
+    # and every claim the file makes is recomputed and true, so it verifies
+    # ok.  A float in a row is BadFormat:
+    # test_verify_non_integer_field_is_bad_format.
     obj = listed_k3_n4()
     obj["solutions"][5][1] = 3
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(obj))
-    assert run(["verify", str(path), "--json"]) == 1
+    assert run(["verify", str(path), "--json"]) == 0
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["counting"]["status"] == "fail"
-    assert checks["counting"]["detail"] == "solution hash mismatch"
+    assert checks["counting"] == {"name": "counting", "status": "pass", "detail": ""}
+
+
+@pytest.mark.parametrize("change", ["row-dropped", "row-added"])
+def test_listed_certificate_with_a_row_count_other_than_m_is_bad_format(
+    change, tmp_path, capsys
+):
+    # such a list failed counting with "solution hash mismatch" (exit 1)
+    obj = listed_k3_n4()
+    if change == "row-dropped":
+        del obj["solutions"][5]
+    else:
+        obj["solutions"].append([0, 0, 0])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    want = "M 12 != solution count " + ("11" if change == "row-dropped" else "13")
+    assert want in err["message"]
+
+
+def test_hashed_certificate_of_version_1_verifies(capsys):
+    for flags, deep in (([], "skipped"), (["--deep"], "pass")):
+        assert run(["verify", str(HASHED_K3_N4), "--json", *flags]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert {c["status"] for c in checks.values()} == {"pass", deep}
+        assert checks["degeneration"]["status"] == deep
+
+
+def test_hashed_certificate_of_version_1_is_rewritten_without_its_hash():
+    # the file with only the "hash" entry of its solutions removed, which is
+    # what synthesis writes today
+    obj = hashed_k3_n4()
+    del obj["solutions"]["hash"]
+    want = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert Certificate.from_json_dict(hashed_k3_n4()).to_json_bytes() == want
+    assert want == synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_bytes()
+
+
+def test_hashed_certificate_with_its_hash_changed_verifies(tmp_path, capsys):
+    # the hash is ignored: every claim the file makes is recomputed and true
+    obj = hashed_k3_n4()
+    obj["solutions"]["hash"] = "0" * 64
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    for flags in ([], ["--deep"]):
+        assert run(["verify", str(path), "--json", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_verify_bad_certificate_format(tmp_path, capsys):
@@ -487,7 +563,10 @@ def test_epr_bad_vertices_exit_3(a, b, error, k3_file, capsys):
 # details changed: that of exponent_sign, to "follows from completeness,
 # which failed", when that check came to be derived from completeness; and
 # that of counting, which dropped "; listed solutions differ from the true
-# set" when certificates stopped listing their solutions.
+# set" when certificates stopped listing their solutions, and then
+# "solution hash mismatch" when they stopped carrying the hash.  K3 with g
+# moved by one has 12 solutions, as before, so its counting check passes
+# since then; completeness still fails it.
 GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(3), 4),
     (cycle_hypergraph(5), 3),
@@ -495,7 +574,7 @@ GOLDEN_VERIFY_INSTANCES = [
     (cycle_hypergraph(6), 4),
 ]
 GOLDEN_VERIFY_SHA256 = (
-    "b051dac35d65c866c990dd1219268ec66cff724bf15c617311b90771a5558fb6"
+    "3af8e37e3317936ffed7f6f8f885e4f1cfd9ccf463696801d0937f06f4ebd456"
 )
 
 

@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "03_strassen_degeneration.py":
         "6414cca050cdc17a3ccfcb8aec66b56435e42c1c7479bc9df1dc3c2efa4d5784",
     "04_certificates.py":
-        "70c650d68bed78a1f48fe3da9edcb3fdce5bf18b11ea27f2e87a7cc051a0b6fb",
+        "435ad3ac55d310e067cdcb01437eecb66b9f389173b9e740cd88c208e89c1f81",
     "05_epr_distillation.py":
         "683fe1ef14756aa3e6ee4bf02071bbff2e5adbe6216b5f0df3a3160e68efc5d4",
 }

@@ -2,6 +2,7 @@ import ast
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import ghzcert
 
@@ -103,3 +104,48 @@ def test_protocol_and_hypergraph_carry_no_uncalled_public_functions():
         and node.name not in ghzcert.__all__
     ]
     assert not uncalled
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level private function, class or constant of the package that
+    # nothing in the package or the demos names, outside its own definition,
+    # is dead code left behind by a refactor
+    src = pathlib.Path(ghzcert.__file__).parent
+    demos = src.parent.parent / "demos"
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))
+    }
+
+    def names(node) -> list[str]:
+        return [
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+        ]
+
+    everywhere = Counter(name for tree in trees.values() for name in names(tree))
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent != src:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = Counter(names(node))
+            unreferenced += [
+                f"{path.name}:{name}"
+                for name in defined
+                if name.startswith("_")
+                and not name.startswith("__")
+                and everywhere[name] == own[name]
+            ]
+    assert not unreferenced
