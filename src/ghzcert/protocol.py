@@ -20,14 +20,16 @@ solutions are solved for, not searched: general position makes the last d
 vectors a basis, so each of the n^lam assignments to the first lam edges
 fixes the last d indices through one integer solve, and M <= n^lam holds
 by construction.  Along the last free index the solve is linear, so the
-solutions come in n^(lam-1) blocks, each an arithmetic progression of
-ranges.  The blocks are the one unit of enumeration and counting, and rows
-are a view of them.  A block depends on its prefix only through one
-residual, so blocks whose residual repeats share one solved suffix through
-a bounded memo.
+solutions come in n^(lam-1) blocks: a range of that index, with each pivot
+index an arithmetic progression over it, stated by its value at the
+range's start and a step that is the same for every block.  Counting adds
+up the lengths of the ranges and builds no row; rows are zipped from the
+progressions only where they are read.  A block depends on its prefix only
+through one residual, so a residual that repeats is solved once, through a
+memo of at most a fixed number of residuals, each held as O(d) ints.
 
-The verifier recounts every certificate by adding up the row counts of the
-pivot blocks, bounded by its work n^lam against GHZCERT_MAX_GRID, and
+The verifier recounts every certificate by adding up the range lengths of
+the pivot blocks, bounded by its work n^lam against GHZCERT_MAX_GRID, and
 derives the exponent sign and per-vertex injectivity from the checks that
 imply them; no check sweeps the grid, and a claim that is not recomputed
 fails.  Synthesis takes M from the histogram instead, so the recount does
@@ -48,7 +50,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product, repeat
 from operator import mul
 
 from .errors import (
@@ -64,7 +66,6 @@ from .errors import (
 from .gpor import (
     OrthRep,
     _one_check_each,
-    find_gpor,
     gpor_candidates,
     verify_orthrep,
 )
@@ -91,8 +92,8 @@ from .tensor import (
 DEFAULT_GRID_LIMIT = 10**8
 DEEP_GRID_LIMIT = 10**6
 CANDIDATE_COUNT = 4
-# rows of solved pivot blocks that _pivot_blocks keeps for reuse at a time
-_MEMO_ROWS = 4096
+# distinct pivot residuals whose solved blocks _pivot_blocks keeps at a time
+_MEMO_ENTRIES = 4096
 
 
 def _grid_limit() -> int:
@@ -109,21 +110,14 @@ def _grid_limit() -> int:
 
 
 def _power_over(n: int, l: int, bound: int) -> bool:
-    """Whether n^l > bound, without building a power far past the bound."""
+    """Whether n^l > bound, for n >= 1, without building a power far past
+    the bound."""
     power = 1
     for _ in range(l):
-        power *= n
         if power > bound:
-            return True
-    return False
-
-
-def _decimal(x: int) -> str:
-    """x in decimal, or its size where it has too many digits to convert."""
-    try:
-        return str(x)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return f"of {x.bit_length()} bits"
+            break
+        power *= n
+    return power > bound
 
 
 def _check_grid(l: int, n: int) -> None:
@@ -365,14 +359,22 @@ def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]
     return best, best_key + (n - 1) * min(step, 0)
 
 
-def _mode(rep: OrthRep, n: int, beat: int = 0) -> tuple[tuple[int, ...], int] | None:
-    """(g, M): the lex-smallest most frequent value of sum_e i_e c_e and its
-    count, or None exactly when M <= beat.
+def choose_g(
+    rep: OrthRep, n: int, beat: int = 0
+) -> tuple[tuple[int, ...], int] | None:
+    """(g, M): the lex-smallest most frequent grid value g of sum_e i_e c_e
+    and its count M, or None exactly when M <= beat (never with the default
+    beat, as M >= 1).
 
-    Every edge but the last is convolved; the last stage is evaluated only
-    where its maximum can sit.  After e of the l edges the final count is
-    at most max(H_e) n^(l-e), so a candidate that cannot exceed ``beat``
-    stops there; that max is taken only once beat >= n^(l-e).
+    Packed keys order like their vectors, so the winner is the smallest key
+    holding the largest count, and only it is unpacked.  Every edge but the
+    last is convolved.  The last edge's convolution is never built: with H
+    the histogram over the other edges and t = |pack(c_last)| > 0, the
+    smallest maximizer of the final count F(k) = sum_{i<n} H(k - i t) is a
+    key of H, and F there is a window sum along H's residue chain mod t.
+    After e of the l edges the final count is at most max(H_e) n^(l-e), so
+    a candidate that cannot exceed ``beat`` (synthesis passes the best
+    count so far) stops there; that max is taken only once beat >= n^(l-e).
     """
     off, base = _packing(rep, n)
     head, last = rep.vectors[:-1], rep.vectors[-1:]
@@ -386,22 +388,6 @@ def _mode(rep: OrthRep, n: int, beat: int = 0) -> tuple[tuple[int, ...], int] | 
     else:  # no edges: the one grid point
         m, key = 1, next(iter(hist))
     return (_unpack(key, rep.d, off, base), m) if m > beat else None
-
-
-def choose_g(rep: OrthRep, n: int) -> tuple[tuple[int, ...], int]:
-    """Most frequent grid value of sum_e i_e c_e (lex-smallest on ties).
-
-    Packed keys order like their vectors, so the winner is the smallest key
-    holding the largest count, and only it is unpacked.  The last edge's
-    convolution is never built: with H the histogram over the other edges
-    and t = |pack(c_last)| > 0, the smallest maximizer of the final count
-    F(k) = sum_{i<n} H(k - i t) is a key of H, and F there is a window sum
-    along H's residue chain mod t.  Synthesis scores several candidates by
-    the same routine and drops one as soon as max(H_e) n^(l-e), a bound on
-    its final count after e of the l edges, is no more than the best count
-    so far.
-    """
-    return _mode(rep, n)
 
 
 def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
@@ -440,30 +426,6 @@ def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
     return [[x // step for x in row[d:]] for row in rows], prev // step
 
 
-_UNSOLVED = object()  # a residual the pivot-block memo does not hold
-
-
-class _Suffix:
-    """The last d + 1 indices of the pivot blocks that share one residual.
-
-    A block's row count and columns depend only on its pivot residual, so
-    every block with that residual gets this one instance.  The suffix
-    tuples (what follows the prefix in each row) are built on first use and
-    reused by every later block.
-    """
-
-    __slots__ = ("rows", "columns", "_tuples")
-
-    def __init__(self, rows: int, columns: list) -> None:
-        self.rows, self.columns = rows, columns
-        self._tuples: list[tuple[int, ...]] | None = None
-
-    def tuples(self) -> list[tuple[int, ...]]:
-        if self._tuples is None:
-            self._tuples = list(zip(*self.columns))
-        return self._tuples
-
-
 def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     """Grid tuples with sum_e i_e c_e = g, in lexicographic blocks.
 
@@ -479,26 +441,20 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     costs lam * d products and no loop per point, and there are n^(lam-1)
     blocks whatever l is, with at most n^lam solutions in all.
 
-    Each nonempty block is yielded as (prefix, rows, columns, suffix): the
-    first lam - 1 free indices, constant over the block; its solution count;
-    the d + 1 remaining indices as columns of that length, each a range or a
-    constant tuple, so a block may be read more than once; and the shared
-    _Suffix of those columns, or None.  Row j is prefix + tuple(col[j] for
-    col in columns).  With lam = 0 there is at most one block, of one row,
-    with an empty prefix and d columns.
+    Each nonempty block is yielded as (prefix, free, starts, steps): the
+    first lam - 1 free indices, constant over the block; the range of the
+    last free index; the d pivot indices at that range's start; and the
+    step of each pivot index per step of the range, the same for every
+    block.  Its solution count is len(free).  With lam = 0 there is at most
+    one block, with an empty prefix, free = range(1) and no steps, and its
+    one row is the pivot indices alone.
 
-    Two prefixes share a residual exactly when their difference is a
-    relation among the looped columns A c_e, so residuals repeat only when
-    those columns are linearly dependent (all c_e = (1,) makes the residual
-    a function of the prefix sum).  Then each distinct residual is solved
-    once, memoized with its _Suffix (None for an empty block), and every
-    block with it shares that suffix and its cached tuples.  The memo
-    holds at most _MEMO_ROWS rows, an empty block counting one, and
-    a block longer than that is solved each time and shares nothing.  When
-    the next residual would not fit, the memo is cleared, or dropped for
-    good if none of its residuals came back (the relations are too long
-    for the grid).  With independent columns every residual is new: nothing
-    is memoized and suffix is None, so the blocks cost what they did.
+    A block depends on its prefix only through the residual r, so each
+    distinct residual is solved once into a memo of (free, starts), cleared
+    when it holds _MEMO_ENTRIES residuals.  Residuals repeat only when
+    the looped columns A c_e are linearly dependent (all c_e = (1,) makes
+    the residual a function of the prefix sum); an entry is O(d) ints
+    whatever n is.
     """
     l, d = len(vectors), len(g)
     if any(len(v) != d for v in vectors):
@@ -511,86 +467,57 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     top = den * (n - 1)
     if lam == 0:
         if all(r % den == 0 and 0 <= r <= top for r in target):
-            yield (), 1, [(r // den,) for r in target], None
+            yield (), range(1), [r // den for r in target], ()
         return
     # cols[t][e] = (A c_e)_t over the looped free edges; last[t] = s_t
     cols = [[_iinner(row, vectors[e]) for e in range(lam - 1)] for row in adj]
     last = [_iinner(row, vectors[lam - 1]) for row in adj]
     period = den // math.gcd(den, *last)
     # each step of the progression in i moves pivot t by this much
-    pivot_steps = [-s * period // den for s in last]
-    # one looped column is nonzero in a general-position c; more than d
-    # columns are always dependent
-    memo = {} if lam > 2 and (lam - 1 > d or rank(cols) < lam - 1) else None
-    held = hits = 0
+    steps = [-s * period // den for s in last]
+    memo: dict[tuple[int, ...], tuple[range, list[int]]] = {}
     for prefix in product(range(n), repeat=lam - 1):
-        res = [r - sum(map(mul, prefix, col)) for r, col in zip(target, cols)]
-        if memo is not None:
-            key = tuple(res)
-            suffix = memo.get(key, _UNSOLVED)
-            if suffix is not _UNSOLVED:
-                hits += 1
-                if suffix is not None:
-                    yield prefix, suffix.rows, suffix.columns, suffix
-                continue
-        lo, hi = 0, n - 1
-        for r, s in zip(res, last):
-            if s > 0:
-                lo, hi = max(lo, -((top - r) // s)), min(hi, r // s)
-            elif s < 0:
-                lo, hi = max(lo, -(-r // s)), min(hi, (r - top) // s)
-            elif not 0 <= r <= top:
-                hi = -1
-        start = lo
-        if den > 1:
-            start = next(
-                (
-                    i
-                    for i in range(lo, min(lo + period, hi + 1))
-                    if not any((r - i * s) % den for r, s in zip(res, last))
-                ),
-                hi + 1,
-            )
-        if start > hi:
-            rows = 0
-        else:
-            rows = (hi - start) // period + 1
-            columns = [range(start, hi + 1, period)] + [
-                range(p, p + rows * step, step) if step else (p,) * rows
-                for p, step in zip(
-                    [(r - start * s) // den for r, s in zip(res, last)], pivot_steps
+        res = tuple([r - sum(map(mul, prefix, col)) for r, col in zip(target, cols)])
+        block = memo.get(res)
+        if block is None:
+            lo, hi = 0, n - 1
+            for r, s in zip(res, last):
+                if s > 0:
+                    lo, hi = max(lo, -((top - r) // s)), min(hi, r // s)
+                elif s < 0:
+                    lo, hi = max(lo, -(-r // s)), min(hi, (r - top) // s)
+                elif not 0 <= r <= top:
+                    hi = -1
+            start = lo
+            if den > 1:
+                start = next(
+                    (
+                        i
+                        for i in range(lo, min(lo + period, hi + 1))
+                        if not any((r - i * s) % den for r, s in zip(res, last))
+                    ),
+                    hi + 1,
                 )
-            ]
-        suffix = None
-        if memo is not None and rows <= _MEMO_ROWS:
-            size = max(rows, 1)
-            if held + size > _MEMO_ROWS:
-                # a memo filled without a single hit is not kept up
-                memo = {} if hits else None
-                held = hits = 0
-            if memo is not None:
-                held += size
-                if rows:
-                    suffix = _Suffix(rows, columns)
-                memo[key] = suffix
-        if rows:
-            yield prefix, rows, columns, suffix
-
-
-def _block_rows(blocks):
-    """The rows of pivot blocks as tuples, in order."""
-    for prefix, _, columns, suffix in blocks:
-        if suffix is not None:
-            yield from map(prefix.__add__, suffix.tuples())
-        else:
-            # no columns only when l = 0: the one solution is the empty prefix
-            yield from map(prefix.__add__, zip(*columns)) if columns else (prefix,)
+            if len(memo) >= _MEMO_ENTRIES:
+                memo.clear()
+            block = memo[res] = (
+                range(start, hi + 1, period),
+                [(r - start * s) // den for r, s in zip(res, last)],
+            )
+        if block[0]:
+            yield prefix, *block, steps
 
 
 def _pivot_solutions(vectors, n: int, g: tuple[int, ...]):
-    """Grid tuples with sum_e i_e c_e = g in lexicographic order: a row view
+    """Grid tuples with sum_e i_e c_e = g in lexicographic order: the rows
     of _pivot_blocks, raising as it does on the first step."""
-    return _block_rows(_pivot_blocks(vectors, n, g))
+    lam = len(vectors) - len(g)
+    for prefix, free, starts, steps in _pivot_blocks(vectors, n, g):
+        if lam:
+            # free is the one finite column; a zero step counts in place
+            yield from zip(*map(repeat, prefix), free, *map(count, starts, steps))
+        else:
+            yield tuple(starts)
 
 
 def enumerate_solutions(
@@ -621,12 +548,6 @@ def c_prime(rep: OrthRep) -> int:
     return max(
         sum(abs(v[t]) for v in rep.vectors) for t in range(rep.d)
     )
-
-
-def counting_floor(rep: OrthRep, n: int) -> int:
-    """Guaranteed lower bound on the mode count: grid size over box size."""
-    box = (2 * c_prime(rep) * (n - 1) + 1) ** rep.d
-    return -(-(n ** rep.graph.n) // box)
 
 
 # -- certificates ------------------------------------------------------------
@@ -762,14 +683,12 @@ def _up_to_order_and_sign(vectors) -> tuple:
     return tuple(sorted(max(v, tuple(-x for x in v)) for v in vectors))
 
 
-def synthesize_certificate(
-    h: Hypergraph, n: int, seed: int = 0, candidates: int = CANDIDATE_COUNT
-) -> Certificate:
+def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     """Full pipeline: connectivity, representation, target, assignment.
 
-    When the grid is small enough to re-count cheaply, several verified
-    representations are scored by their mode count M and the best kept
-    (first wins ties), all deterministic in the seed.
+    Verified representations are scored by their mode count M and the best
+    kept (first wins ties), all deterministic in the seed: several when the
+    grid is small enough to count each cheaply, one otherwise.
     """
     validate(h)
     if n < 2:
@@ -784,39 +703,38 @@ def synthesize_certificate(
     d = h.l - lam
     lg = line_graph(h)
     _check_grid(h.l, n)
-    if n**h.l <= DEEP_GRID_LIMIT and candidates > 1:
-        # Small coordinates concentrate the value histogram, so try a
-        # low-bound search first and keep whichever candidate counts best.
-        # Both searches start from the banded seed and may meet the same
-        # representation; each is settled and verified once.
-        reps: list = []
-        with _one_check_each():
+    small = n**h.l <= DEEP_GRID_LIMIT
+    wanted = CANDIDATE_COUNT if small else 1
+    reps: list = []
+    with _one_check_each():
+        if small:
+            # Small coordinates concentrate the value histogram, so try a
+            # low-bound search first.  Both searches start from the banded
+            # seed and may meet the same representation; each is settled
+            # and verified once.
             try:
                 reps += gpor_candidates(
-                    lg, d, seed=seed, count=candidates, bound=3, max_retries=16
+                    lg, d, seed=seed, count=wanted, bound=3, max_retries=16
                 )
             except RetriesExhaustedError:
                 pass
-            for rep in gpor_candidates(lg, d, seed=seed, count=candidates):
-                if rep not in reps:
-                    reps.append(rep)
-        # Score by the mode count; a candidate that cannot beat the best so
-        # far (the first wins ties) stops convolving as soon as that shows,
-        # and one equal to an earlier candidate up to order and sign has
-        # that candidate's M, so it is not scored at all.
-        m = 0
-        scored = set()
-        for cand in reps:
-            shape = _up_to_order_and_sign(cand.vectors)
-            if shape in scored:
-                continue
-            scored.add(shape)
-            found = _mode(cand, n, beat=m)
-            if found is not None:
-                (g, m), rep = found, cand
-    else:
-        rep = find_gpor(lg, d, seed=seed)
-        g, m = choose_g(rep, n)
+        for rep in gpor_candidates(lg, d, seed=seed, count=wanted):
+            if rep not in reps:
+                reps.append(rep)
+    # Score by the mode count; a candidate that cannot beat the best so far
+    # (the first wins ties) stops convolving as soon as that shows, and one
+    # equal to an earlier candidate up to order and sign has that
+    # candidate's M, so it is not scored at all.
+    m = 0
+    scored = set()
+    for cand in reps:
+        shape = _up_to_order_and_sign(cand.vectors)
+        if shape in scored:
+            continue
+        scored.add(shape)
+        found = choose_g(cand, n, beat=m)
+        if found is not None:
+            (g, m), rep = found, cand
     return build_certificate(h, n, rep, g, m, seed)
 
 
@@ -869,10 +787,11 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
 
     The true solution set is recounted from (c, n, g) by the pivot solve,
     whose work n^lam is bounded by GHZCERT_MAX_GRID; M is evidence checked
-    against it, never trusted.  The recount adds up the row counts of the
-    pivot blocks, so no solution is written out.  A claim that could not be recomputed fails; only the
-    deep check may be skipped.  All findings land in the report; nothing
-    raises but BadGridLimitError, for a malformed GHZCERT_MAX_GRID.
+    against it, never trusted.  The recount adds up the lengths of the
+    pivot blocks' ranges, so no solution is written out.  A claim that
+    could not be recomputed fails; only the deep check may be skipped.  All
+    findings land in the report; nothing raises but BadGridLimitError, for
+    a malformed GHZCERT_MAX_GRID.
 
     Completeness is a symbolic identity: the per-vertex forms mention only
     local edges and sum, coefficient for coefficient, to ||c.i - g||^2.
@@ -915,9 +834,8 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
                 f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
             )
         _check_grid(max(l - len(cert.g), 0), cert.n)
-        recount = sum(
-            block[1] for block in _pivot_blocks(cert.rep.vectors, cert.n, cert.g)
-        )
+        blocks = _pivot_blocks(cert.rep.vectors, cert.n, cert.g)
+        recount = sum(len(free) for _, free, _, _ in blocks)
     except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
         recount_error = f"cannot recount M: {exc.code}: {exc}"
 
@@ -1036,16 +954,22 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         if cert.cprime != cprime:
             detail.append(f"C' {cert.cprime} != recomputed {cprime}")
         # the converse: the min-cut flattening has rank n^lambda, and a
-        # degeneration cannot raise rank
-        if cert.m_count > cert.n**lam_re:
+        # degeneration cannot raise rank.  n^lambda is built only below M.
+        if not _power_over(cert.n, lam_re, cert.m_count - 1):
             detail.append(f"M {cert.m_count} above n^lambda = {cert.n**lam_re}")
         if recount is None:
             detail.append(recount_error)
         elif recount != cert.m_count:
             detail.append(f"M {cert.m_count} != recounted {recount}")
-        floor = counting_floor(cert.rep, cert.n)
-        if cert.m_count < floor:
-            detail.append(f"M {cert.m_count} below floor {_decimal(floor)}")
+        # the floor: the n^l grid values fall in (2 C' (n-1) + 1)^d boxes,
+        # so M >= ceil(n^l / box) exactly when n^l <= M box
+        box = (2 * cprime * (cert.n - 1) + 1) ** cert.rep.d
+        if _power_over(cert.n, l, cert.m_count * box):
+            if _power_over(cert.n, l, _grid_limit()):
+                floor = f"ceil(n^{l} / (2*{cprime}*(n-1)+1)^{cert.rep.d})"
+            else:
+                floor = -(-(cert.n**l) // box)
+            detail.append(f"M {cert.m_count} below floor {floor}")
         return ("fail", "; ".join(detail)) if detail else ("pass", "")
 
     run("counting", check_counting)

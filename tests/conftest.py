@@ -28,7 +28,7 @@ from ghzcert.hypergraph import (
     single_full_edge,
     validate,
 )
-from ghzcert.protocol import _pivot_inverse
+from ghzcert.protocol import _pivot_inverse, c_prime
 from ghzcert.ratlinalg import rank
 from ghzcert.tensor import _require_scalar
 
@@ -355,6 +355,12 @@ def ref_histogram(vectors, n: int) -> dict[tuple[int, ...], int]:
 
 def ref_solutions(vectors, n: int, g: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [i for i, v in ref_grid_values(vectors, n) if v == g]
+
+
+def counting_floor(rep, n: int) -> int:
+    """Guaranteed lower bound on the mode count: grid size over box size."""
+    box = (2 * c_prime(rep) * (n - 1) + 1) ** rep.d
+    return -(-(n ** rep.graph.n) // box)
 
 
 def ref_pivot_solutions(vectors, n: int, g: tuple[int, ...]):

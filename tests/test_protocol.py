@@ -14,6 +14,7 @@ from conftest import (
     REPEATED_KEYS,
     REVERSED_QUAD,
     corpus,
+    counting_floor,
     listed_k3_n4,
     random_connected_hypergraph,
     ref_completeness,
@@ -59,8 +60,6 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
-    _block_rows,
-    _mode,
     _packing,
     _pivot_blocks,
     _pivot_inverse,
@@ -73,7 +72,6 @@ from ghzcert.protocol import (
     build_exponent_assignment,
     c_prime,
     choose_g,
-    counting_floor,
     enumerate_solutions,
     epr_rate,
     ghz_rate_bound,
@@ -235,7 +233,7 @@ def test_mode_matches_the_histogram_reference():
         g = min(v for v, c in hist.items() if c == m)
         assert choose_g(rep, n) == (g, m), (vectors, n)
         for beat in (0, m - 1, m, n**l):
-            assert _mode(rep, n, beat) == ((g, m) if m > beat else None), (
+            assert choose_g(rep, n, beat) == ((g, m) if m > beat else None), (
                 vectors, n, beat
             )
         lead = next((x for x in vectors[-1] if x), 0)
@@ -249,7 +247,7 @@ def test_mode_matches_the_histogram_reference():
 def test_mode_of_no_edges_is_the_one_grid_point():
     rep = OrthRep(Graph(0), 2, ())
     assert choose_g(rep, 3) == ((0, 0), 1)
-    assert _mode(rep, 3, beat=1) is None
+    assert choose_g(rep, 3, beat=1) is None
 
 
 def random_gp_reps(seed: int, count: int):
@@ -372,10 +370,35 @@ def test_pivot_solutions_match_per_assignment_solve():
             assert len(want) == cert.m_count
 
 
-@pytest.mark.parametrize("chunk", [4096, 3], ids=["chunk-4096", "chunk-3"])
-def test_block_stream_matches_the_row_reference(chunk, monkeypatch):
-    # With a 3-row memo nearly every block is too long to be kept for reuse.
-    monkeypatch.setattr(ghzcert.protocol, "_MEMO_ROWS", chunk)
+def _repeated_residual_cases(rng: random.Random):
+    """Vectors whose looped free columns are dependent, so that many pivot
+    blocks share a residual: all-ones d = 1 vectors (the residual is a
+    function of the prefix sum), and small entries with D > 1."""
+    cases = [(((1,),) * l, n, (g,)) for l in (3, 4, 5) for n in (2, 3, 7)
+             for g in (0, l * (n - 1) // 2, l * (n - 1))]
+    # K4^3, whose c is all ones, at its mode and off it
+    cases += [(((1,),) * 4, n, (2 * (n - 1),)) for n in (2, 5, 20)]
+    cases.append((((1,),) * 4, 20, (25,)))
+    while len(cases) < 60:
+        d = rng.randint(1, 2)
+        l = d + rng.randint(3, 4)
+        vectors = tuple(tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(l))
+        try:
+            _, den = _pivot_inverse(vectors[l - d:])
+        except NotGeneralPositionError:
+            continue
+        if den > 1:
+            n = rng.choice([2, 3, 5])
+            box = c_prime(OrthRep(Graph(l), d, vectors)) * (n - 1)
+            cases.append((vectors, n, tuple(rng.randint(-box, box) for _ in range(d))))
+    return cases
+
+
+@pytest.mark.parametrize("cap", [4096, 1], ids=["memo-4096", "memo-1"])
+def test_pivot_blocks_match_the_row_reference(cap, monkeypatch):
+    # With a one-entry memo it is cleared before nearly every new residual,
+    # and only neighbouring blocks with one residual share their solve.
+    monkeypatch.setattr(ghzcert.protocol, "_MEMO_ENTRIES", cap)
     rng = random.Random(1603)
     seen = set()
     cases = []
@@ -393,13 +416,30 @@ def test_block_stream_matches_the_row_reference(chunk, monkeypatch):
     cases.append((((0,), (1,)), 5000, (3,)))
     # no edges at all: the one solution is the empty tuple
     cases.append(((), 3, ()))
+    cases += _repeated_residual_cases(random.Random(1964))
     for vectors, n, g in cases:
         want = list(ref_pivot_solutions(vectors, n, g))
         assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
-        counts = [block[1] for block in _pivot_blocks(vectors, n, g)]
-        assert sum(counts) == len(want), (vectors, n, g)
+        blocks = list(_pivot_blocks(vectors, n, g))
+        assert sum(len(free) for _, free, _, _ in blocks) == len(want), (vectors, n, g)
+        # a block is a range and d ints, however many rows it has
+        for _, free, starts, _ in blocks:
+            assert type(free) is range and free
+            assert len(starts) == len(g) and all(type(p) is int for p in starts)
+        if any(len(free) > 4096 for _, free, _, _ in blocks):
+            seen.add("longer than 4096")
+        # a block whose residual was solved before reuses that solve
+        if len({id(free) for _, free, _, _ in blocks}) < len(blocks):
+            seen.add("shared")
         seen.add("empty" if not want else "nonempty")
-    assert seen == {("lam", 0), ("lam", 1), ("lam", 2), "D > 1", "empty", "nonempty"}
+    assert seen == {
+        ("lam", 0), ("lam", 1), ("lam", 2), "D > 1", "empty", "nonempty",
+        "longer than 4096", "shared",
+    }
+    # K4^3, whose c is all ones: the mode count is the solution count
+    for n in (2, 5, 20):
+        g, m = choose_g(scalar_rep([1] * 4), n)
+        assert m == len(list(ref_pivot_solutions(((1,),) * 4, n, g)))
     # a malformed c raises as before, from the blocks and from their rows
     for vectors, g, error in [
         (((1, 0), (0,)), (0, 0), DimMismatchError),  # ragged vectors
@@ -411,61 +451,6 @@ def test_block_stream_matches_the_row_reference(chunk, monkeypatch):
                 next(stream(vectors, 3, g))
 
 
-def _repeated_residual_cases(rng: random.Random):
-    """Vectors whose looped free columns are dependent, so that many pivot
-    blocks share a residual: all-ones d = 1 vectors (the residual is a
-    function of the prefix sum), and small entries with D > 1."""
-    cases = [(((1,),) * l, n, (g,)) for l in (3, 4, 5) for n in (2, 3, 7)
-             for g in (0, l * (n - 1) // 2, l * (n - 1))]
-    cases.append((((1,),) * 4, 20, (25,)))  # K4^3 at n = 20, the mode
-    while len(cases) < 60:
-        d = rng.randint(1, 2)
-        l = d + rng.randint(3, 4)
-        vectors = tuple(tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(l))
-        try:
-            _, den = _pivot_inverse(vectors[l - d:])
-        except NotGeneralPositionError:
-            continue
-        if den > 1:
-            n = rng.choice([2, 3, 5])
-            box = c_prime(OrthRep(Graph(l), d, vectors)) * (n - 1)
-            cases.append((vectors, n, tuple(rng.randint(-box, box) for _ in range(d))))
-    return cases
-
-
-@pytest.mark.parametrize("chunk", [4096, 3], ids=["memo-4096", "memo-3"])
-def test_blocks_with_one_residual_share_rows_and_text(chunk, monkeypatch):
-    # The memo of solved residuals holds at most _MEMO_ROWS rows: with 3 it
-    # is cleared every few blocks, and only blocks of up to 3 rows share.
-    monkeypatch.setattr(ghzcert.protocol, "_MEMO_ROWS", chunk)
-    seen = set()
-    for vectors, n, g in _repeated_residual_cases(random.Random(1964)):
-        want = list(ref_pivot_solutions(vectors, n, g))
-        blocks = list(_pivot_blocks(vectors, n, g))
-        suffixes = [block[3] for block in blocks if block[3] is not None]
-        if len(set(map(id, suffixes))) < len(suffixes):
-            seen.add("shared")
-        if any(block[1] > chunk for block in blocks):
-            seen.add("longer than the memo")
-        if _pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
-            seen.add("D > 1")
-        # read twice: rows, then row counts
-        assert tuple(_block_rows(blocks)) == tuple(want), (vectors, n, g)
-        assert sum(block[1] for block in blocks) == len(want), (vectors, n, g)
-        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
-    longer = {"longer than the memo"} if chunk == 3 else set()
-    assert seen == {"shared", "D > 1"} | longer
-    # K4^3, whose c is all ones: the count and the file
-    h = complete_uniform(4, 3)
-    for n in (2, 5, 20):
-        rep = OrthRep(line_graph(h), 1, ((1,),) * 4)
-        g, m = choose_g(rep, n)
-        cert = build_certificate(h, n, rep, g, m, 0)
-        want = tuple(ref_pivot_solutions(rep.vectors, n, g))
-        assert cert.m_count == len(want)
-        assert cert.to_json_bytes() == ref_to_json_bytes(cert)
-
-
 def test_mode_count_ignores_order_and_sign():
     # Flipping c_e (i_e -> n-1-i_e) translates the value histogram and
     # reordering leaves it as it is, so synthesis scores one of each.
@@ -474,19 +459,20 @@ def test_mode_count_ignores_order_and_sign():
         n = rng.choice([2, 3, 4])
         vectors, _, _ = _random_pivot_case(rng, n)
         l, d = len(vectors), len(vectors[0])
-        m = _mode(OrthRep(Graph(l), d, vectors), n)[1]
+        m = choose_g(OrthRep(Graph(l), d, vectors), n)[1]
         for _ in range(4):
             flipped = [v if rng.random() < 0.5 else tuple(-x for x in v) for v in vectors]
             rng.shuffle(flipped)
             other = OrthRep(Graph(l), d, tuple(flipped))
-            assert _mode(other, n)[1] == m == max(ref_histogram(other.vectors, n).values())
+            want = max(ref_histogram(other.vectors, n).values())
+            assert choose_g(other, n)[1] == m == want
 
 
 def test_synthesis_checks_and_scores_each_representation_once(monkeypatch):
     import ghzcert.gpor
 
     checked, scored = [], []
-    verify, mode = ghzcert.gpor.verify_orthrep, ghzcert.protocol._mode
+    verify, mode = ghzcert.gpor.verify_orthrep, ghzcert.protocol.choose_g
 
     def counting_verify(rep):
         checked.append(rep.vectors)
@@ -497,7 +483,7 @@ def test_synthesis_checks_and_scores_each_representation_once(monkeypatch):
         return mode(rep, n, beat)
 
     monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
-    monkeypatch.setattr(ghzcert.protocol, "_mode", counting_mode)
+    monkeypatch.setattr(ghzcert.protocol, "choose_g", counting_mode)
     for h, n in [(complete_uniform(4, 3), 5), (cycle_hypergraph(6), 3),
                  (complete_uniform(4, 2), 2), (path_hypergraph(4), 6)]:
         for seed in (0, 1, 2):
@@ -1020,6 +1006,22 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     report = verify_certificate(bad)
     assert not report.ok
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
+
+
+def test_verify_bounds_the_counting_check_at_a_huge_level():
+    # 400 edges at n = 10^4000: the floor built n^400 in full and divided
+    # it, over a second, though the recount was refused at once
+    h = hypergraph(2, [{1, 2}] * 400)
+    rep = OrthRep(line_graph(h), 1, ((1,),) * 400)
+    cert = build_certificate(h, 10**4000, rep, (0,), 1, 0)
+    start = time.perf_counter()
+    counting = verify_certificate(cert).check("counting")
+    assert time.perf_counter() - start < 1.0
+    assert counting.status == "fail"
+    assert "M 1 below floor ceil(n^400 / (2*400*(n-1)+1)^1)" in counting.detail
+    # where n^l is within GHZCERT_MAX_GRID the floor is stated in decimal
+    low = build_certificate(K3, 4, scalar_rep([1, 1, 1]), (4,), 3, 0)
+    assert "M 3 below floor 4" in verify_certificate(low).check("counting").detail
 
 
 def test_verify_rejects_vectors_wider_than_d():
