@@ -370,6 +370,54 @@ def test_pivot_solutions_match_per_assignment_solve():
             assert len(want) == cert.m_count
 
 
+@pytest.mark.parametrize("cap", [4096, 3], ids=["chunk-4096", "chunk-3"])
+def test_block_stream_matches_the_row_reference(cap, monkeypatch):
+    # With a 3-entry memo it is cleared every few residuals.
+    monkeypatch.setattr(ghzcert.protocol, "_MEMO_ENTRIES", cap)
+    rng = random.Random(1603)
+    seen = set()
+    cases = []
+    for case in range(300):
+        n = rng.choice([2, 3, 4, 7, 11])
+        vectors, den, _ = _random_pivot_case(rng, n)
+        d = len(vectors[0])
+        box = c_prime(OrthRep(Graph(len(vectors)), d, vectors)) * (n - 1)
+        g = tuple(rng.randint(-box, box) for _ in range(d))
+        cases.append((vectors, n, g))
+        seen.add(("lam", min(len(vectors) - d, 2)))
+        if den > 1:
+            seen.add("D > 1")
+    # one block longer than 4096 rows: lam = 1, and the pivot index is fixed
+    cases.append((((0,), (1,)), 5000, (3,)))
+    # no edges at all: the one solution is the empty tuple
+    cases.append(((), 3, ()))
+    for vectors, n, g in cases:
+        want = list(ref_pivot_solutions(vectors, n, g))
+        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
+        blocks = list(_pivot_blocks(vectors, n, g))
+        assert sum(len(free) for _, free, _, _ in blocks) == len(want), (vectors, n, g)
+        # a block is a range and d ints, however many rows it has
+        for _, free, starts, _ in blocks:
+            assert type(free) is range and free
+            assert len(starts) == len(g) and all(type(p) is int for p in starts)
+        if any(len(free) > 4096 for _, free, _, _ in blocks):
+            seen.add("longer than 4096")
+        seen.add("empty" if not want else "nonempty")
+    assert seen == {
+        ("lam", 0), ("lam", 1), ("lam", 2), "D > 1", "empty", "nonempty",
+        "longer than 4096",
+    }
+    # a malformed c raises as before, from the blocks and from their rows
+    for vectors, g, error in [
+        (((1, 0), (0,)), (0, 0), DimMismatchError),  # ragged vectors
+        (((1, 0),), (0, 0), DimMismatchError),  # fewer vectors than d
+        (((1, 1), (1, 2), (2, 4)), (1, 1), NotGeneralPositionError),
+    ]:
+        for stream in (_pivot_solutions, _pivot_blocks):
+            with pytest.raises(error):
+                next(stream(vectors, 3, g))
+
+
 def _repeated_residual_cases(rng: random.Random):
     """Vectors whose looped free columns are dependent, so that many pivot
     blocks share a residual: all-ones d = 1 vectors (the residual is a
@@ -394,61 +442,31 @@ def _repeated_residual_cases(rng: random.Random):
     return cases
 
 
-@pytest.mark.parametrize("cap", [4096, 1], ids=["memo-4096", "memo-1"])
-def test_pivot_blocks_match_the_row_reference(cap, monkeypatch):
-    # With a one-entry memo it is cleared before nearly every new residual,
-    # and only neighbouring blocks with one residual share their solve.
+@pytest.mark.parametrize("cap", [4096, 3], ids=["memo-4096", "memo-3"])
+def test_blocks_with_one_residual_share_rows_and_text(cap, monkeypatch):
+    # A repeated residual reuses its solve; with a 3-entry memo it is
+    # cleared every few residuals, and mostly neighbouring blocks share.
     monkeypatch.setattr(ghzcert.protocol, "_MEMO_ENTRIES", cap)
-    rng = random.Random(1603)
     seen = set()
-    cases = []
-    for case in range(300):
-        n = rng.choice([2, 3, 4, 7, 11])
-        vectors, den, _ = _random_pivot_case(rng, n)
-        d = len(vectors[0])
-        box = c_prime(OrthRep(Graph(len(vectors)), d, vectors)) * (n - 1)
-        g = tuple(rng.randint(-box, box) for _ in range(d))
-        cases.append((vectors, n, g))
-        seen.add(("lam", min(len(vectors) - d, 2)))
-        if den > 1:
-            seen.add("D > 1")
-    # one block longer than 4096 rows: lam = 1, and the pivot index is fixed
-    cases.append((((0,), (1,)), 5000, (3,)))
-    # no edges at all: the one solution is the empty tuple
-    cases.append(((), 3, ()))
-    cases += _repeated_residual_cases(random.Random(1964))
-    for vectors, n, g in cases:
+    for vectors, n, g in _repeated_residual_cases(random.Random(1964)):
         want = list(ref_pivot_solutions(vectors, n, g))
-        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
         blocks = list(_pivot_blocks(vectors, n, g))
-        assert sum(len(free) for _, free, _, _ in blocks) == len(want), (vectors, n, g)
-        # a block is a range and d ints, however many rows it has
-        for _, free, starts, _ in blocks:
-            assert type(free) is range and free
-            assert len(starts) == len(g) and all(type(p) is int for p in starts)
-        if any(len(free) > 4096 for _, free, _, _ in blocks):
-            seen.add("longer than 4096")
-        # a block whose residual was solved before reuses that solve
         if len({id(free) for _, free, _, _ in blocks}) < len(blocks):
             seen.add("shared")
-        seen.add("empty" if not want else "nonempty")
-    assert seen == {
-        ("lam", 0), ("lam", 1), ("lam", 2), "D > 1", "empty", "nonempty",
-        "longer than 4096", "shared",
-    }
-    # K4^3, whose c is all ones: the mode count is the solution count
+        if _pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
+            seen.add("D > 1")
+        assert sum(len(free) for _, free, _, _ in blocks) == len(want), (vectors, n, g)
+        assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
+    assert seen == {"shared", "D > 1"}
+    # K4^3, whose c is all ones: the mode count is the row count, and the file
+    h = complete_uniform(4, 3)
     for n in (2, 5, 20):
-        g, m = choose_g(scalar_rep([1] * 4), n)
-        assert m == len(list(ref_pivot_solutions(((1,),) * 4, n, g)))
-    # a malformed c raises as before, from the blocks and from their rows
-    for vectors, g, error in [
-        (((1, 0), (0,)), (0, 0), DimMismatchError),  # ragged vectors
-        (((1, 0),), (0, 0), DimMismatchError),  # fewer vectors than d
-        (((1, 1), (1, 2), (2, 4)), (1, 1), NotGeneralPositionError),
-    ]:
-        for stream in (_pivot_solutions, _pivot_blocks):
-            with pytest.raises(error):
-                next(stream(vectors, 3, g))
+        rep = OrthRep(line_graph(h), 1, ((1,),) * 4)
+        g, m = choose_g(rep, n)
+        assert m == len(list(ref_pivot_solutions(rep.vectors, n, g)))
+        cert = build_certificate(h, n, rep, g, m, 0)
+        assert cert.m_count == m
+        assert cert.to_json_bytes() == ref_to_json_bytes(cert)
 
 
 def test_mode_count_ignores_order_and_sign():
