@@ -15,7 +15,7 @@ import sys
 
 from .errors import GhzcertError
 from .gpor import find_gpor, verify_orthrep
-from .hypergraph import Hypergraph, edge_connectivity, line_graph, min_cuts, validate
+from .hypergraph import Hypergraph, edge_connectivity, line_graph, min_cuts
 from .protocol import (
     Certificate,
     epr_rate,
@@ -46,13 +46,11 @@ def _load_json(path: str) -> dict:
 def _load_hypergraph(path: str) -> Hypergraph:
     obj = _load_json(path)
     try:
-        h = Hypergraph.from_json_dict(obj)
+        return Hypergraph.from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         err = GhzcertError(f"{path}: malformed hypergraph: {exc}")
         err.code = "BadFormat"
         raise err from exc
-    validate(h)
-    return h
 
 
 def _cmd_connectivity(args) -> int:

@@ -43,10 +43,6 @@ class TooFewVerticesError(GhzcertError):
     code = "TooFewVertices"
 
 
-class TooManyEdgesError(GhzcertError):
-    code = "TooManyEdges"
-
-
 class TooLargeError(GhzcertError):
     code = "TooLarge"
 
@@ -121,8 +117,11 @@ class GridTooLargeError(GhzcertError):
         self.n = n
         self.l = l
         self.limit = limit
+        # a long n is named by its size: its decimal digits may be past
+        # what str() of an int writes
+        shown = n if n < 10**30 else f"(a {n.bit_length()}-bit n)"
         super().__init__(
-            f"index grid {n}^{l} is over the limit {limit} "
+            f"index grid {shown}^{l} is over the limit {limit} "
             f"(set GHZCERT_MAX_GRID to raise it)"
         )
 

@@ -58,9 +58,6 @@ class OrthRep:
     d: int
     vectors: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "vectors": [list(v) for v in self.vectors]}
-
 
 def _plan(g: Graph, ordering: tuple[int, ...]) -> list[tuple[int, list[int]]]:
     """Each vertex in ``ordering`` with the non-adjacent vertices before it."""

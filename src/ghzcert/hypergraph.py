@@ -1,9 +1,11 @@
 """Hypergraph model, cuts and connectivity.
 
 Vertices are 1..k; edges are nonempty vertex subsets with an integer level
-r >= 2 (the number of terms of the shared state living on that edge).  Edge
-identity is positional: the same vertex set may occur several times and each
-occurrence is a distinct edge, addressed by its 0-based index.
+r >= 2 (the number of terms of the shared state living on that edge).  A
+Hypergraph checks this once, when it is built, so every function here and
+downstream takes it as valid.  Edge identity is positional: the same vertex
+set may occur several times and each occurrence is a distinct edge,
+addressed by its 0-based index.
 
 Every cut is one Edmonds-Karp max-flow on the vertex-edge incidence network
 (Menger's theorem for hypergraphs, Lawler 1973) whose edge nodes have
@@ -77,6 +79,16 @@ class Edge:
 class Hypergraph:
     k: int
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        for i, e in enumerate(self.edges):
+            if not e.vertices:
+                raise EmptyEdgeError(i)
+            for v in e.vertices:
+                if not (1 <= v <= self.k):
+                    raise VertexOutOfRangeError(i, v, self.k)
+            if e.level < 2:
+                raise BadLevelError(f"edge {i} has level {e.level} < 2", i)
 
     @property
     def l(self) -> int:
@@ -170,18 +182,6 @@ def graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(tuple(sorted(p)) for p in pairs))
 
 
-def validate(h: Hypergraph) -> None:
-    """Raise unless all Hypergraph invariants hold."""
-    for i, e in enumerate(h.edges):
-        if not e.vertices:
-            raise EmptyEdgeError(i)
-        for v in e.vertices:
-            if not (1 <= v <= h.k):
-                raise VertexOutOfRangeError(i, v, h.k)
-        if e.level < 2:
-            raise BadLevelError(f"edge {i} has level {e.level} < 2", i)
-
-
 def is_connected(h: Hypergraph) -> bool:
     """True iff walks alternating vertices and incident edges reach everywhere."""
     if h.k <= 1:
@@ -199,7 +199,6 @@ def is_connected(h: Hypergraph) -> bool:
 
 
 def _require_cut_preconditions(h: Hypergraph) -> None:
-    validate(h)
     if h.k < 2:
         raise TooFewVerticesError(f"k={h.k}; cuts need at least 2 vertices")
     if not is_connected(h):
@@ -398,7 +397,6 @@ def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:
 
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on edge indices; two edges are adjacent iff they share a vertex."""
-    validate(h)
     m = len(h.edges)
     pairs = {
         (i, j)

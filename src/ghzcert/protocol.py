@@ -75,7 +75,6 @@ from .hypergraph import (
     edge_connectivity_and_rank,
     edge_disjoint_paths,
     line_graph,
-    validate,
     _json_int,
     _json_int_rows,
     _json_ints,
@@ -245,7 +244,6 @@ def build_exponent_assignment(
     because c is an orthogonal representation of the line graph; the
     constant <g, g> lands at vertex 1.
     """
-    validate(h)
     l = h.l
     if rep.graph.n != l:
         raise DimMismatchError(
@@ -690,7 +688,6 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     kept (first wins ties), all deterministic in the seed: several when the
     grid is small enough to count each cheaply, one otherwise.
     """
-    validate(h)
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
     for idx, e in enumerate(h.edges):
@@ -1070,7 +1067,6 @@ def epr_rate(h: Hypergraph, a: int, b: int) -> EprRate:
     of edge-disjoint a-b paths, which come from one max-flow and are
     returned as witnesses.
     """
-    validate(h)
     for idx, e in enumerate(h.edges):
         if e.level != 2:
             raise LevelsUnsupportedError(

@@ -8,7 +8,9 @@ coefficient 1, each local diagonal operator with monomial entries ε^m adds
 an exponent, and the ε → 0 leading term keeps the entries at exponent 0.
 The module carries only what the deep degeneration check replays: the GHZ
 product state, local diagonal operators, the leading term and the test that
-the result is a GHZ state.
+the result is a GHZ state.  Those operations are the only way to build a
+tensor: ``ghz_state`` starts the chain from a Hypergraph, and each later
+step derives its columns from the tensor it is given.
 
 The tensor is stored column-wise.  Each site has one int list, the code of
 every entry's label there (its index in the site's alphabet), and the
@@ -26,8 +28,8 @@ term" is a symbolic statement, never a numerical limit.
 from __future__ import annotations
 
 from itertools import chain, compress, count, product, repeat
-from operator import add, itemgetter, not_
-from typing import Callable, Mapping
+from operator import add, not_
+from typing import Callable
 
 from .errors import (
     BadLevelError,
@@ -35,7 +37,7 @@ from .errors import (
     NegativeExponentError,
     NonScalarCoefficientsError,
 )
-from .hypergraph import Hypergraph, _repeated, validate
+from .hypergraph import Hypergraph, _repeated
 
 Label = tuple[int, ...]
 EntryKey = tuple[Label, ...]
@@ -44,38 +46,13 @@ EntryKey = tuple[Label, ...]
 class SparseTensor:
     """k-site tensor over declared per-site label alphabets.
 
-    ``SparseTensor(k, alphabets, entries)`` takes ``entries`` as a map from
-    each key to the exponent m of its term 1·ε^m.  ``entries`` gives that
-    dict back, in the same order, built from the columns on first use.
+    Built only by ``ghz_state``, ``apply_local_diagonal`` and
+    ``leading_term``, whose columns are valid by construction.  ``entries``
+    maps each key to the exponent m of its term 1·ε^m, in entry order,
+    built from the columns on first use.
     """
 
     __slots__ = ("k", "alphabets", "_codes", "_exps", "_entries")
-
-    def __init__(
-        self,
-        k: int,
-        alphabets: tuple[tuple[Label, ...], ...],
-        entries: Mapping[EntryKey, int],
-    ):
-        if len(alphabets) != k:
-            raise ValueError(f"{len(alphabets)} alphabets for {k} sites")
-        widths = set(map(len, entries)) - {k}
-        if widths:
-            raise ValueError(f"entry keys with {sorted(widths)} sites, not {k}")
-        codes = []
-        for j, alphabet in enumerate(alphabets):
-            labels = list(map(itemgetter(j), entries))
-            foreign = set(labels).difference(alphabet)
-            if foreign:
-                raise ValueError(
-                    f"label {min(foreign)} at site {j} not in the declared alphabet"
-                )
-            index = {label: c for c, label in enumerate(alphabet)}
-            codes.append(list(map(index.__getitem__, labels)))
-        exps = list(entries.values())
-        if not set(map(type, exps)) <= {int}:
-            raise ValueError("entry exponents must be ints")
-        _fill(self, k, alphabets, tuple(codes), exps)
 
     @property
     def entries(self) -> dict[EntryKey, int]:
@@ -88,34 +65,13 @@ class SparseTensor:
     def _key(self, i: int) -> EntryKey:
         return tuple(a[col[i]] for a, col in zip(self.alphabets, self._codes))
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseTensor):
-            return NotImplemented
-        return (self.k, self.alphabets, self.entries) == (
-            other.k,
-            other.alphabets,
-            other.entries,
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.alphabets, frozenset(self.entries)))
-
-    def __repr__(self):
-        return (
-            f"SparseTensor(k={self.k!r}, alphabets={self.alphabets!r}, "
-            f"entries={self.entries!r})"
-        )
-
-
-def _fill(t: SparseTensor, k: int, alphabets, codes, exps) -> SparseTensor:
-    t.k, t.alphabets, t._codes, t._exps, t._entries = k, alphabets, codes, exps, None
-    return t
-
 
 def _trusted(k: int, alphabets, codes, exps: list[int]) -> SparseTensor:
-    """A tensor whose columns are valid by construction: the grid of
-    ghz_state, or columns of an already validated tensor."""
-    return _fill(object.__new__(SparseTensor), k, alphabets, codes, exps)
+    """The tensor with these columns: the grid of ghz_state, or columns
+    derived from another tensor's."""
+    t = object.__new__(SparseTensor)
+    t.k, t.alphabets, t._codes, t._exps, t._entries = k, alphabets, codes, exps, None
+    return t
 
 
 def _first(t: SparseTensor, pred) -> tuple[EntryKey, int]:
@@ -158,7 +114,6 @@ def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
     incident edges' terms, in ascending edge order.  One unit entry
     (exponent 0) per point of [0, n-1]^l, in lexicographic order.
     """
-    validate(h)
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
     incident = [h.incident(j) for j in range(1, h.k + 1)]

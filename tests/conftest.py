@@ -9,12 +9,12 @@ from pathlib import Path
 
 from ghzcert.errors import (
     DisconnectedError,
+    GhzcertError,
     GhzStructureError,
     NegativeExponentError,
     NonScalarCoefficientsError,
     TooFewVerticesError,
     TooLargeError,
-    TooManyEdgesError,
 )
 from ghzcert.hypergraph import (
     Cut,
@@ -26,11 +26,10 @@ from ghzcert.hypergraph import (
     is_connected,
     path_hypergraph,
     single_full_edge,
-    validate,
 )
 from ghzcert.protocol import _pivot_inverse, c_prime
 from ghzcert.ratlinalg import rank
-from ghzcert.tensor import _require_scalar
+from ghzcert.tensor import SparseTensor, _require_scalar, _trusted
 
 MAX_REMOVAL_ORACLE_EDGES = 12
 MAX_VERTEX_CONN_ORACLE = 10
@@ -129,13 +128,16 @@ def ref_min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
 # -- brute-force connectivity oracles, independent of the max-flow code ------
 
 
+class TooManyEdgesError(GhzcertError):
+    code = "TooManyEdges"
+
+
 def edge_connectivity_by_removal(h: Hypergraph) -> int:
     """Brute-force oracle: smallest number of edges whose removal disconnects.
 
     Tries every edge subset by increasing size; intended for tests only and
     guarded to |E| <= 12.
     """
-    validate(h)
     if h.k < 2:
         raise TooFewVerticesError(f"k={h.k}; connectivity needs at least 2 vertices")
     if len(h.edges) > MAX_REMOVAL_ORACLE_EDGES:
@@ -560,6 +562,16 @@ def reverse_quad(obj: dict) -> dict:
 # operation; the package stores the same tensor column-wise.
 
 RefTensor = namedtuple("RefTensor", "k alphabets entries")
+
+
+def sparse_tensor(k: int, alphabets, entries: dict) -> SparseTensor:
+    """The SparseTensor with these entries, key -> exponent, in this order:
+    one column of alphabet indices per site and one of exponents."""
+    indices = [{label: c for c, label in enumerate(a)} for a in alphabets]
+    codes = tuple(
+        [index[key[j]] for key in entries] for j, index in enumerate(indices)
+    )
+    return _trusted(k, alphabets, codes, list(entries.values()))
 
 
 def ref_ghz_state(h: Hypergraph, n: int) -> RefTensor:

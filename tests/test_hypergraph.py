@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from math import comb
 
 import pytest
 
 from conftest import (
+    TooManyEdgesError,
     assert_valid_path_family,
     corpus,
     edge_connectivity_by_removal,
@@ -21,11 +23,11 @@ from ghzcert.errors import (
     EmptyEdgeError,
     SameVertexError,
     TooLargeError,
-    TooManyEdgesError,
     VertexOutOfRangeError,
 )
 from ghzcert.hypergraph import (
     Cut,
+    Edge,
     Graph,
     Hypergraph,
     complete_uniform,
@@ -43,19 +45,24 @@ from ghzcert.hypergraph import (
     min_cuts,
     path_hypergraph,
     single_full_edge,
-    validate,
 )
 from ghzcert.protocol import epr_rate
 
 
 def test_validate_reports_edge_index():
+    # a Hypergraph checks itself when built, however it is built
+    pair = Edge(frozenset({1, 2}))
     with pytest.raises(EmptyEdgeError) as err:
-        validate(hypergraph(3, [{1, 2}, set()]))
-    assert "1" in str(err.value)
-    with pytest.raises(VertexOutOfRangeError):
-        validate(hypergraph(3, [{1, 4}]))
-    with pytest.raises(BadLevelError):
-        validate(hypergraph(3, [{1, 2}], [1]))
+        hypergraph(3, [{1, 2}, set()])
+    assert err.value.edge_index == 1 and "edge 1" in str(err.value)
+    with pytest.raises(VertexOutOfRangeError) as err:
+        Hypergraph(3, (pair, Edge(frozenset({1, 4}))))
+    assert err.value.edge_index == 1 and err.value.vertex == 4
+    with pytest.raises(BadLevelError) as err:
+        dataclasses.replace(
+            hypergraph(3, [{1, 2}]), edges=(pair, pair, Edge(pair.vertices, 1))
+        )
+    assert err.value.edge_index == 2
 
 
 def test_levels_of_another_length_are_refused():

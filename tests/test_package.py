@@ -149,3 +149,23 @@ def test_every_private_module_name_is_referenced():
                 and everywhere[name] == own[name]
             ]
     assert not unreferenced
+
+
+def test_every_error_class_is_raised_or_caught_by_the_package():
+    # an error class of errors.py that no other module of the package names
+    # is never raised there: it is dead public API, or a test's own error
+    src = pathlib.Path(ghzcert.__file__).parent
+    errors = ast.parse((src / "errors.py").read_text())
+    defined = [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "GhzcertError"
+    ]
+    named = {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("errors.py", "__init__.py")
+        for sub in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+    assert [name for name in defined if name not in named] == []

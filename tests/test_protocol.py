@@ -654,6 +654,16 @@ def test_synthesize_k3_known_counts():
         assert cert.m_count >= counting_floor(cert.rep, n)
 
 
+def test_k3_certifies_the_strassen_optimum():
+    # K3 at level n is the matrix multiplication tensor <n,n,n>, which
+    # degenerates to a GHZ of ceil(3n^2/4) levels (Strassen 1987) and to
+    # none larger (Kopparty-Moshkovitz-Zuiddam 2020)
+    for seed in (0, 1, 2):
+        for n in range(2, 41):
+            m = synthesize_certificate(K3, n, seed=seed).m_count
+            assert m == -(-3 * n * n // 4), (n, seed)
+
+
 def test_synthesize_deterministic():
     a = synthesize_certificate(cycle_hypergraph(4), 4, seed=3)
     b = synthesize_certificate(cycle_hypergraph(4), 4, seed=3)
@@ -1040,6 +1050,22 @@ def test_verify_bounds_the_counting_check_at_a_huge_level():
     # where n^l is within GHZCERT_MAX_GRID the floor is stated in decimal
     low = build_certificate(K3, 4, scalar_rep([1, 1, 1]), (4,), 3, 0)
     assert "M 3 below floor 4" in verify_certificate(low).check("counting").detail
+
+
+def test_verify_names_a_huge_level_by_its_size():
+    # n = 10^5000 has more digits than str() of an int writes, so naming it
+    # in the GridTooLarge message raised ValueError out of the verifier
+    k3_n4 = synthesize_certificate(K3, 4, seed=0)
+    counting = verify_certificate(dataclasses.replace(k3_n4, n=10**5000)).check(
+        "counting"
+    )
+    assert counting.status == "fail"
+    assert counting.detail.startswith("cannot recount M: GridTooLarge")
+    counting = verify_certificate(dataclasses.replace(k3_n4, n=10**4000)).check(
+        "counting"
+    )
+    assert "(a 13288-bit n)^2 is over the limit" in counting.detail
+    assert len(counting.detail) < 300
 
 
 def test_verify_rejects_vectors_wider_than_d():

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import mul
@@ -14,6 +13,7 @@ from conftest import (
     ref_check_ghz_structure,
     ref_ghz_state,
     ref_leading_term,
+    sparse_tensor,
 )
 from ghzcert.errors import (
     BadLevelError,
@@ -78,17 +78,16 @@ def test_ghz_isolated_vertex_gets_empty_label():
     assert all(key[2] == () for key in t.entries)
 
 
-def test_tensor_validation():
+def test_tensors_come_only_from_the_degeneration_operations():
+    # ghz_state, apply_local_diagonal and leading_term build every tensor
     al = ((0,), (1,))
-    assert SparseTensor(2, (al, al), {((0,), (1,)): 0, ((1,), (1,)): -3}).k == 2
-    # each refusal is reached with int exponents, so it fails for its own reason
-    with pytest.raises(ValueError, match="sites, not 2"):
-        SparseTensor(2, (al, al), {((0,), (1,)): 0, ((0,),): 0})
-    with pytest.raises(ValueError, match=r"label \(2,\) at site 1 not in"):
-        SparseTensor(2, (al, al), {((0,), (1,)): 0, ((0,), (2,)): 0})
-    for bad in (Fraction(0), 0.0, True, "0"):
-        with pytest.raises(ValueError, match="exponents must be ints"):
-            SparseTensor(2, (al, al), {((0,), (0,)): 0, ((0,), (1,)): bad})
+    with pytest.raises(TypeError):
+        SparseTensor(2, (al, al), {((0,), (1,)): 0})
+
+
+def _same(t, u) -> bool:
+    """t and u have the same alphabets and the same entries."""
+    return (t.alphabets, t.entries) == (u.alphabets, u.entries)
 
 
 # -- local diagonals and leading terms ---------------------------------------
@@ -97,8 +96,8 @@ def test_tensor_validation():
 def test_zero_exponents_are_identity():
     t = ghz_state(cycle_hypergraph(3), 2)
     same = apply_local_diagonal(t, 1, lambda lab: 0)
-    assert same == t
-    assert leading_term(same) == t
+    assert _same(same, t)
+    assert _same(leading_term(same), t)
 
 
 def test_site_grading():
@@ -124,7 +123,7 @@ def test_diagonals_commute_across_sites():
         other = t
         for j in range(h.k, 0, -1):
             other = apply_local_diagonal(other, j, fns[j])
-        assert one_way == other
+        assert _same(one_way, other)
 
 
 def test_strassen_exponent_totals():
@@ -171,9 +170,7 @@ def test_flattening_examples():
         assert flattening_rank(g2, side) == 2
     k3 = ghz_state(cycle_hypergraph(3), 2)
     assert flattening_rank(k3, {1}) == 4
-    prod_state = SparseTensor(
-        2, (((0,), (1,)), ((0,), (1,))), {((0,), (0,)): 0}
-    )
+    prod_state = sparse_tensor(2, (((0,), (1,)), ((0,), (1,))), {((0,), (0,)): 0})
     assert flattening_rank(prod_state, {1}) == 1
 
 
@@ -231,7 +228,7 @@ def test_check_ghz_structure_on_products():
 
 def test_w_state_is_not_ghz():
     al = ((0,), (1,))
-    w = SparseTensor(
+    w = sparse_tensor(
         3,
         (al, al, al),
         {
@@ -320,9 +317,9 @@ def test_columns_match_the_dict_reference():
         assert list(t.entries.items()) == list(ref.entries.items())
         shuffled = list(ref.entries.items())
         rng.shuffle(shuffled)
-        built = SparseTensor(h.k, ref.alphabets, dict(shuffled))
+        built = sparse_tensor(h.k, ref.alphabets, dict(shuffled))
         assert list(built.entries.items()) == shuffled
-        assert built == t and hash(built) == hash(t)
+        assert _same(built, t)
         for j in rng.sample(range(1, h.k + 1), h.k):
             fn = _site_function(rng, t.alphabets[j - 1])
             t = apply_local_diagonal(t, j, fn)
