@@ -12,19 +12,22 @@ Every cut is one Edmonds-Karp max-flow on the vertex-edge incidence network
 capacity 1, to count crossing edges, or their level, to multiply levels:
 max-flow needs only +, -, min and comparison, so it runs exactly in the
 ordered group (Q+, *), where 1 is zero.  The minimum is the least of the
-k - 1 flows from vertex 1 to each other vertex; the witness side is then
-fixed one vertex at a time with k - 1 more flows.  With equal levels L
-every cut has rank L^|crossing|, so the weighted minimum cut is the lambda
-cut and the minimum cut rank is L^lambda, both from unit capacities.
+flows from vertex 1 to each other vertex, k - 1 at most: the scan stops once
+it reaches the least edge capacity, which every cut meets.  The witness side
+then takes one flow per vertex put inside, from k down, until a flow from
+the inside to the next vertex is the minimum; the side is what that flow's
+residual still reaches, so one flow fixes all the vertices left.  With
+equal levels L every cut has rank L^|crossing|, so the weighted minimum cut
+is the lambda cut and the minimum cut rank is L^lambda, both from unit
+capacities.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import total_ordering
 from itertools import chain, combinations
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -183,19 +186,29 @@ def graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
 
 
 def is_connected(h: Hypergraph) -> bool:
-    """True iff walks alternating vertices and incident edges reach everywhere."""
+    """True iff walks alternating vertices and incident edges reach everywhere.
+
+    Each vertex-edge incidence is visited once: an edge is walked when the
+    first of its vertices is reached, and skipped from the others.
+    """
     if h.k <= 1:
         return True
+    edges_at: dict[int, list[int]] = {}
+    for i, e in enumerate(h.edges):
+        for v in e.vertices:
+            edges_at.setdefault(v, []).append(i)
+    walked = [False] * len(h.edges)
     seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for i in h.incident(v):
-            for w in h.edges[i].vertices:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return len(seen) == h.k
+    queue = [1]
+    for v in queue:
+        for i in edges_at.get(v, ()):
+            if not walked[i]:
+                walked[i] = True
+                for w in h.edges[i].vertices:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+    return len(queue) == h.k
 
 
 def _require_cut_preconditions(h: Hypergraph) -> None:
@@ -213,21 +226,34 @@ def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
             raise VertexOutOfRangeError(None, v, h.k)
 
 
-@dataclass(order=True, slots=True)
+@total_ordering
+@dataclass(slots=True)
 class _Level:
     """A level as a capacity, in (Q+, *) written additively: + multiplies,
-    - divides and 1 is zero, so a flow value is a product of levels."""
+    - divides and 1 is zero, so a flow value is a product of levels.
 
-    value: Fraction
+    Kept as num/den in lowest terms, so equality is that of the pair and
+    the search's truth test is one int comparison.
+    """
+
+    num: int
+    den: int = 1
 
     def __add__(self, other: _Level) -> _Level:
-        return _Level(self.value * other.value)
+        num, den = self.num * other.num, self.den * other.den
+        g = gcd(num, den)
+        return _Level(num // g, den // g)
 
     def __sub__(self, other: _Level) -> _Level:
-        return _Level(self.value / other.value)
+        num, den = self.num * other.den, self.den * other.num
+        g = gcd(num, den)
+        return _Level(num // g, den // g)
+
+    def __lt__(self, other: _Level) -> bool:
+        return self.num * other.den < other.num * self.den
 
     def __bool__(self) -> bool:
-        return self.value != 1
+        return self.num != self.den
 
 
 def _incidence_network(h: Hypergraph, by_level: bool = False) -> _Network:
@@ -258,69 +284,80 @@ def _incidence_network(h: Hypergraph, by_level: bool = False) -> _Network:
             arc(v, e_in)
             arc(e_in + 1, v)
         if by_level:
-            c = _Level(Fraction(e.level))
+            c = _Level(e.level)
             cap += (c, c - c) * (1 + 2 * len(e.vertices))
     return head, adj, cap if by_level else [1, 0] * (len(head) // 2)
 
 
+def _search(net: _Network, residual: list, sources: list[int], sink: int) -> list[int]:
+    """Breadth-first search of the residual network from ``sources``.
+
+    Returns, per node, the arc it was reached by: -2 for a source, -1 for a
+    node not reached.  The search stops at ``sink``; when it does not reach
+    it, the nodes reached are a minimum cut's source side (Ford-Fulkerson).
+    """
+    head, adj, _ = net
+    via = [-1] * len(adj)
+    for s in sources:
+        via[s] = -2
+    queue = list(sources)
+    for u in queue:
+        for a in adj[u]:
+            if residual[a] and via[head[a]] == -1:
+                v = head[a]
+                via[v] = a
+                if v == sink:
+                    return via
+                queue.append(v)
+    return via
+
+
 def _max_flow(
-    net: _Network, sources: list[int], sinks: list[int], residual: list | None = None
+    net: _Network, sources: list[int], sink: int, residual: list | None = None
 ):
-    """Edmonds-Karp from a vertex set to a disjoint vertex set.
+    """Edmonds-Karp from a vertex set to one vertex outside it.
 
     Yields the flow value, zero first and then after each augmenting path,
     so each caller stops once it knows enough; run out, the last value is
     the maximum.  ``residual`` (default: a copy of the capacities) is
     updated in place: the flow on forward arc a is residual[a ^ 1].
     """
-    head, adj, cap = net
+    head, _, cap = net
     if residual is None:
         residual = list(cap)
-    is_sink = [False] * len(adj)
-    for t in sinks:
-        is_sink[t] = True
     value = cap[1]  # a reverse arc's capacity: zero
     yield value
     while True:
-        via = [-1] * len(adj)  # arc each reached node was reached by
-        for s in sources:
-            via[s] = -2
-        end = -1
-        queue = list(sources)
-        for u in queue:
-            for a in adj[u]:
-                if residual[a] and via[head[a]] == -1:
-                    v = head[a]
-                    via[v] = a
-                    if is_sink[v]:
-                        end = v
-                        break
-                    queue.append(v)
-            if end >= 0:
-                break
-        if end < 0:
+        via = _search(net, residual, sources, sink)
+        if via[sink] == -1:
             return
-        step, v = residual[via[end]], end
+        step, v = residual[via[sink]], sink
         while via[v] >= 0:  # the bottleneck, then the augmentation
             a = via[v]
             if residual[a] < step:
                 step = residual[a]
             v = head[a ^ 1]
-        while via[end] >= 0:
-            a = via[end]
+        v = sink
+        while via[v] >= 0:
+            a = via[v]
             residual[a] -= step
             residual[a ^ 1] += step
-            end = head[a ^ 1]
+            v = head[a ^ 1]
         value += step
         yield value
 
 
 def _lambda(h: Hypergraph, net: _Network) -> int | _Level:
     # Vertex 1 is on one side of every cut, so the minimum is the least 1-b
-    # flow; each flow stops once it reaches the best value so far.
-    lam = max(_max_flow(net, [1], [2]))
+    # flow; each flow stops once it reaches the best value so far, and the
+    # scan stops at the least edge capacity, which every cut of a connected
+    # hypergraph meets.
+    floor = min(net[2][::2])
+    lam = max(_max_flow(net, [1], 2))
     for b in range(3, h.k + 1):
-        for value in _max_flow(net, [1], [b]):
+        if lam == floor:
+            break
+        for value in _max_flow(net, [1], b):
             if value >= lam:
                 break
         else:
@@ -336,23 +373,29 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     Ties resolve to the first side containing vertex 1 in mask order (bit
     v - 2 set when vertex v is on the side), so results are deterministic.
 
-    Found by k - 1 flows for the minimum and k - 1 more for the side: for
-    v = k down to 2, v goes outside exactly when some minimum cut still puts
-    it there.  The weighted cut flows on levels unless all levels are equal,
-    L say: then the product is L^|crossing| and both cuts are the same.
+    Found by at most k - 1 flows for the minimum, then the side: for v = k
+    down to 2, v goes inside while the flow from the inside to v exceeds the
+    minimum.  The first v whose flow is the minimum goes outside, and that
+    flow settles the rest: the side is what its residual still reaches from
+    the inside, the vertices every minimum cut with v outside keeps inside,
+    which is what one more flow per vertex would decide.  The weighted cut
+    flows on levels unless all levels are equal, L say: then the product is
+    L^|crossing| and both cuts are the same.
     """
     _require_cut_preconditions(h)
     net = _incidence_network(h, by_level=weighted and _equal_level(h) is None)
     lam = _lambda(h, net)
-    inside, outside = [1], []
+    inside = [1]
     for v in range(h.k, 1, -1):
-        for value in _max_flow(net, inside, outside + [v]):
+        residual = list(net[2])
+        for value in _max_flow(net, inside, v, residual):
             if value > lam:
                 inside.append(v)
                 break
         else:
-            outside.append(v)
-    side = frozenset(inside)
+            break  # some minimum cut puts v outside: this flow decides the rest
+    via = _search(net, residual, inside, v)
+    side = frozenset(u for u in range(1, h.k + 1) if via[u] != -1)
     crossing = h.crossing(side)
     return Cut(side, crossing, prod(h.edges[i].level for i in crossing))
 
@@ -378,14 +421,14 @@ def edge_connectivity(h: Hypergraph) -> int:
 def min_cut_rank(h: Hypergraph) -> int:
     """Minimum over bipartitions of the product of crossing-edge levels.
 
-    k - 1 flows and no witness side: on level capacities, or with equal
-    levels L, L^lambda from unit ones.
+    At most k - 1 flows and no witness side: on level capacities, or with
+    equal levels L, L^lambda from unit ones.
     """
     level = _equal_level(h)
     if level is not None:
         return level ** edge_connectivity(h)
     _require_cut_preconditions(h)
-    return int(_lambda(h, _incidence_network(h, by_level=True)).value)
+    return _lambda(h, _incidence_network(h, by_level=True)).num
 
 
 def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:
@@ -411,7 +454,7 @@ def min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     """Minimum crossing-edge count over bipartitions with a inside, b outside."""
     _require_cut_preconditions(h)
     _require_vertex_pair(h, a, b)
-    return max(_max_flow(_incidence_network(h), [a], [b]))
+    return max(_max_flow(_incidence_network(h), [a], b))
 
 
 def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
@@ -429,7 +472,7 @@ def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
     net = _incidence_network(h)
     head, adj, cap = net
     residual = list(cap)
-    value = max(_max_flow(net, [a], [b], residual))
+    value = max(_max_flow(net, [a], b, residual))
 
     def follow(node: int) -> int:
         # use up one unit on the first forward arc out of node that carries flow

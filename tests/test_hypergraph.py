@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from math import comb
 
@@ -204,6 +205,83 @@ def test_cuts_match_enumeration_reference():
             for b in range(1, h.k + 1):
                 if a != b:
                     assert min_cut_separating(h, a, b) == ref_min_cut_separating(h, a, b)
+
+
+def _core_and_ring() -> Hypergraph:
+    """Vertices 1, 2, 6 and 7 joined by parallel edges, and a ring
+    2-3-5-4-7 through them: every minimum cut (two edges) keeps 2, 6 and 7
+    with 1, so the witness's first vertex outside is 5, below k, and that
+    flow's residual puts 2 inside and 3 and 4 outside."""
+    core = [{1, 2}] * 3 + [{1, 6}, {1, 6}, {1, 7}, {1, 7}, {6, 7}, {6, 7}]
+    return hypergraph(7, core + [{2, 3}, {3, 5}, {4, 5}, {4, 7}])
+
+
+def _level_bridge() -> Hypergraph:
+    """Mixed levels with a bridge {3, 4} of the least level, 2: the minimum
+    cut rank is that level, reached by the flow from 1 to 4."""
+    edges = [{1, 2}, {2, 3}, {1, 3}, {3, 4}, {4, 5}, {4, 5}]
+    return hypergraph(5, edges, [3, 4, 3, 2, 6, 3])
+
+
+def test_cut_edge_cases_match_enumeration_reference():
+    ring = _core_and_ring()
+    cut = min_cut(ring)
+    assert cut == ref_min_cut(ring)
+    assert cut.side == frozenset({1, 2, 6, 7})
+    bridge = _level_bridge()
+    wcut = ref_min_cut(bridge, weighted=True)
+    assert wcut.rank == min(bridge.levels()) == 2
+    assert min_cut(bridge, weighted=True) == wcut
+    assert min_cuts(bridge) == (ref_min_cut(bridge), wcut)
+    assert min_cut_rank(bridge) == 2
+    assert edge_connectivity_and_rank(bridge) == (1, 2)
+
+
+@pytest.mark.parametrize("levels", [None, [2, 3]])
+def test_every_cut_refuses_a_disconnected_hypergraph(levels):
+    h = hypergraph(4, [{1, 2}, {3, 4}], levels)
+    for cut in (
+        edge_connectivity,
+        min_cut,
+        lambda h: min_cut(h, weighted=True),
+        min_cuts,
+        min_cut_rank,
+        edge_connectivity_and_rank,
+        lambda h: min_cut_separating(h, 1, 2),
+        lambda h: edge_disjoint_paths(h, 1, 2),
+    ):
+        with pytest.raises(DisconnectedError):
+            cut(h)
+
+
+@pytest.mark.parametrize(
+    "cut, h, flows",
+    [
+        # lambda stops at the least capacity, 1 here, after one flow; the
+        # first flow to a vertex that can go outside fixes the side
+        (edge_connectivity, path_hypergraph(16), 1),
+        (min_cut, path_hypergraph(16), 2),
+        # lambda = 2 takes all 15 flows; vertex 16 can go outside at once
+        (min_cut, cycle_hypergraph(16), 16),
+        # 7 and 6 go inside, then 5 fixes the rest
+        (min_cut, _core_and_ring(), 6 + 3),
+        # on levels the scan stops at the bridge, the least level
+        (min_cut_rank, _level_bridge(), 3),
+    ],
+)
+def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
+    # ghzcert.hypergraph is the function hypergraph(), not the module
+    module = importlib.import_module("ghzcert.hypergraph")
+    flow = module._max_flow
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(module, "_max_flow", counted)
+    cut(h)
+    assert len(calls) == flows
 
 
 def test_min_cut_separating():
