@@ -43,14 +43,19 @@ def _load_json(path: str) -> dict:
         raise err from exc
 
 
-def _load_hypergraph(path: str) -> Hypergraph:
+def _load(path: str, what: str, from_json_dict):
+    """``from_json_dict`` of the JSON at ``path``; BadFormat if it refuses."""
     obj = _load_json(path)
     try:
-        return Hypergraph.from_json_dict(obj)
+        return from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        err = GhzcertError(f"{path}: malformed hypergraph: {exc}")
+        err = GhzcertError(f"{path}: malformed {what}: {exc}")
         err.code = "BadFormat"
         raise err from exc
+
+
+def _load_hypergraph(path: str) -> Hypergraph:
+    return _load(path, "hypergraph", Hypergraph.from_json_dict)
 
 
 def _cmd_connectivity(args) -> int:
@@ -192,13 +197,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = _load_json(args.file)
-    try:
-        cert = Certificate.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        err = GhzcertError(f"{args.file}: malformed certificate: {exc}")
-        err.code = "BadFormat"
-        raise err from exc
+    cert = _load(args.file, "certificate", Certificate.from_json_dict)
     report = verify_certificate(cert, deep=args.deep)
     if args.json:
         print(

@@ -11,14 +11,14 @@ Every cut is one Edmonds-Karp max-flow on the vertex-edge incidence network
 (Menger's theorem for hypergraphs, Lawler 1973) whose edge nodes have
 capacity 1, to count crossing edges, or their level, to multiply levels:
 max-flow needs only +, -, min and comparison, so it runs exactly in the
-ordered group (Q+, *), where 1 is zero.  The minimum is the least of the
-flows from vertex 1 to each other vertex, k - 1 at most: the scan stops once
-it reaches the least edge capacity, which every cut meets.  The witness side
-then takes one flow per vertex put inside, from k down, until a flow from
-the inside to the next vertex is the minimum; the side is what that flow's
-residual still reaches, so one flow fixes all the vertices left.  With
-equal levels L every cut has rank L^|crossing|, so the weighted minimum cut
-is the lambda cut and the minimum cut rank is L^lambda, both from unit
+ordered group (Q+, *), where 1 is zero.  One scan gives the minimum and
+its witness side: for v = k down to 2 it runs one flow from vertex 1 and
+every vertex scanned before v to v, k - 1 at most, stopping each flow at the
+least value so far and the scan at the least edge capacity, which every cut
+meets.  The least flow is the minimum, and the side is what the residual of
+the first flow to reach it still reaches from its sources.  With equal
+levels L every cut has rank L^|crossing|, so the weighted minimum cut is
+the lambda cut and the minimum cut rank is L^lambda, both from unit
 capacities.
 """
 
@@ -182,7 +182,7 @@ class Graph:
 
 
 def graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, frozenset(tuple(sorted(p)) for p in pairs))
+    return Graph(n, frozenset((a, b) if a < b else (b, a) for a, b in pairs))
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -347,22 +347,29 @@ def _max_flow(
         yield value
 
 
-def _lambda(h: Hypergraph, net: _Network) -> int | _Level:
-    # Vertex 1 is on one side of every cut, so the minimum is the least 1-b
-    # flow; each flow stops once it reaches the best value so far, and the
-    # scan stops at the least edge capacity, which every cut of a connected
-    # hypergraph meets.
+def _scan(
+    h: Hypergraph, net: _Network
+) -> tuple[int | _Level, list[int], int, list]:
+    # For v = k down to 2, one flow from S = {1, k, ..., v + 1} to v, then v
+    # joins S.  A minimum cut with 1 inside first leaves out some scanned v
+    # with all of S inside, so the least flow is lambda.  Each flow stops
+    # once it reaches the least so far, and the scan stops at the least edge
+    # capacity, which every cut of a connected hypergraph meets.  Returns
+    # (lambda, S, v, residual) of the first flow that reached lambda.
     floor = min(net[2][::2])
-    lam = max(_max_flow(net, [1], 2))
-    for b in range(3, h.k + 1):
-        if lam == floor:
-            break
-        for value in _max_flow(net, [1], b):
-            if value >= lam:
+    sources = [1]
+    best = None
+    for v in range(h.k, 1, -1):
+        residual = list(net[2])
+        for value in _max_flow(net, sources, v, residual):
+            if best is not None and value >= best[0]:
                 break
         else:
-            lam = value
-    return lam
+            best = value, sources[:], v, residual
+            if value == floor:
+                break
+        sources.append(v)
+    return best
 
 
 def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
@@ -373,28 +380,19 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     Ties resolve to the first side containing vertex 1 in mask order (bit
     v - 2 set when vertex v is on the side), so results are deterministic.
 
-    Found by at most k - 1 flows for the minimum, then the side: for v = k
-    down to 2, v goes inside while the flow from the inside to v exceeds the
-    minimum.  The first v whose flow is the minimum goes outside, and that
-    flow settles the rest: the side is what its residual still reaches from
-    the inside, the vertices every minimum cut with v outside keeps inside,
-    which is what one more flow per vertex would decide.  The weighted cut
+    One scan of at most k - 1 flows gives both the minimum and the side: for
+    v = k down to 2, a flow from 1 and every vertex already scanned to v.
+    Each flow before the first that reaches the minimum exceeds it, so every
+    minimum cut keeps those flows' sinks with 1; the side is what the first
+    minimal flow's residual still reaches from its sources, the vertices
+    every minimum cut with its sink outside keeps inside.  The weighted cut
     flows on levels unless all levels are equal, L say: then the product is
     L^|crossing| and both cuts are the same.
     """
     _require_cut_preconditions(h)
     net = _incidence_network(h, by_level=weighted and _equal_level(h) is None)
-    lam = _lambda(h, net)
-    inside = [1]
-    for v in range(h.k, 1, -1):
-        residual = list(net[2])
-        for value in _max_flow(net, inside, v, residual):
-            if value > lam:
-                inside.append(v)
-                break
-        else:
-            break  # some minimum cut puts v outside: this flow decides the rest
-    via = _search(net, residual, inside, v)
+    _, sources, sink, residual = _scan(h, net)
+    via = _search(net, residual, sources, sink)
     side = frozenset(u for u in range(1, h.k + 1) if via[u] != -1)
     crossing = h.crossing(side)
     return Cut(side, crossing, prod(h.edges[i].level for i in crossing))
@@ -415,20 +413,20 @@ def min_cuts(h: Hypergraph) -> tuple[Cut, Cut]:
 def edge_connectivity(h: Hypergraph) -> int:
     """Minimum number of crossing edges over all bipartitions (levels ignored)."""
     _require_cut_preconditions(h)
-    return _lambda(h, _incidence_network(h))
+    return _scan(h, _incidence_network(h))[0]
 
 
 def min_cut_rank(h: Hypergraph) -> int:
     """Minimum over bipartitions of the product of crossing-edge levels.
 
-    At most k - 1 flows and no witness side: on level capacities, or with
-    equal levels L, L^lambda from unit ones.
+    The scan of ``min_cut`` without reading its side: on level capacities,
+    or with equal levels L, L^lambda from unit ones.
     """
     level = _equal_level(h)
     if level is not None:
         return level ** edge_connectivity(h)
     _require_cut_preconditions(h)
-    return _lambda(h, _incidence_network(h, by_level=True)).num
+    return _scan(h, _incidence_network(h, by_level=True))[0].num
 
 
 def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:

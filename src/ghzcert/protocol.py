@@ -160,7 +160,6 @@ class QuadraticAssignment:
     """
 
     k: int
-    l: int
     quad: tuple[dict[tuple[int, int], int], ...]
     lin: tuple[dict[int, int], ...]
     const: tuple[int, ...]
@@ -222,7 +221,7 @@ class QuadraticAssignment:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict, l: int) -> "QuadraticAssignment":
+    def from_json_dict(cls, obj: dict) -> "QuadraticAssignment":
         rows = obj["vertices"]
         quad = tuple(_json_quad_terms(row["quad"]) for row in rows)
         lin = tuple(
@@ -230,7 +229,7 @@ class QuadraticAssignment:
             for row in rows
         )
         const = _json_ints([row["const"] for row in rows], "const")
-        return cls(len(rows), l, quad, lin, const)
+        return cls(len(rows), quad, lin, const)
 
 
 def build_exponent_assignment(
@@ -271,9 +270,7 @@ def build_exponent_assignment(
                 raise NotOrthRepError(e, f)
             quad[min(common) - 1][(e, f)] = 2 * ip
     const[0] = _iinner(g, g)
-    return QuadraticAssignment(
-        h.k, l, tuple(quad), tuple(lin), tuple(const)
-    )
+    return QuadraticAssignment(h.k, tuple(quad), tuple(lin), tuple(const))
 
 
 # -- solution counting -------------------------------------------------------
@@ -643,9 +640,7 @@ class Certificate:
             n=n,
             g=_json_ints(obj["g"], "g"),
             m_count=m,
-            assignment=QuadraticAssignment.from_json_dict(
-                obj["assignment"], h.l
-            ),
+            assignment=QuadraticAssignment.from_json_dict(obj["assignment"]),
             seed=_json_int(obj["seed"], "seed"),
             version=version,
         )

@@ -254,22 +254,12 @@ def test_every_cut_refuses_a_disconnected_hypergraph(levels):
             cut(h)
 
 
-@pytest.mark.parametrize(
-    "cut, h, flows",
-    [
-        # lambda stops at the least capacity, 1 here, after one flow; the
-        # first flow to a vertex that can go outside fixes the side
-        (edge_connectivity, path_hypergraph(16), 1),
-        (min_cut, path_hypergraph(16), 2),
-        # lambda = 2 takes all 15 flows; vertex 16 can go outside at once
-        (min_cut, cycle_hypergraph(16), 16),
-        # 7 and 6 go inside, then 5 fixes the rest
-        (min_cut, _core_and_ring(), 6 + 3),
-        # on levels the scan stops at the bridge, the least level
-        (min_cut_rank, _level_bridge(), 3),
-    ],
-)
-def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
+def weighted_min_cut(h: Hypergraph) -> Cut:
+    return min_cut(h, weighted=True)
+
+
+def _flows(cut, h: Hypergraph, monkeypatch) -> int:
+    """The number of max-flows ``cut(h)`` runs."""
     # ghzcert.hypergraph is the function hypergraph(), not the module
     module = importlib.import_module("ghzcert.hypergraph")
     flow = module._max_flow
@@ -279,9 +269,53 @@ def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
         calls.append(args)
         return flow(*args)
 
-    monkeypatch.setattr(module, "_max_flow", counted)
-    cut(h)
-    assert len(calls) == flows
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_max_flow", counted)
+        cut(h)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "cut, h, flows",
+    [
+        # the scan stops at the least capacity, 1 here, after one flow,
+        # whose residual gives the side
+        (edge_connectivity, path_hypergraph(16), 1),
+        (min_cut, path_hypergraph(16), 1),
+        # lambda = 2 takes all 15 flows; the first, to 16, gives the side
+        (min_cut, cycle_hypergraph(16), 15),
+        # the flows to 7 and 6 exceed lambda = 2, the flow to 5 reaches it
+        # and gives the side; lambda is above the least capacity, so the
+        # flows to 4, 3 and 2 run too, each stopping when it reaches 2
+        (min_cut, _core_and_ring(), 6),
+        # on levels the first flow, to 5, crosses the bridge, the least level
+        (min_cut_rank, _level_bridge(), 1),
+        (weighted_min_cut, _level_bridge(), 1),
+        (edge_connectivity, cycle_hypergraph(16), 15),
+    ],
+)
+def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
+    assert _flows(cut, h, monkeypatch) == flows
+
+
+def test_the_witness_side_costs_no_flow(monkeypatch):
+    # min_cut reads its side off the scan that gives lambda, so it runs the
+    # flows of the lambda-only call on the same capacities
+    rng = random.Random(2026)
+    for _ in range(60):
+        h = random_connected_hypergraph(rng, kmax=16, emax=20)
+        if rng.random() < 0.5:
+            h = hypergraph(
+                h.k,
+                [e.vertices for e in h.edges],
+                [rng.choice((2, 3, 4, 6)) for _ in h.edges],
+            )
+        assert _flows(min_cut, h, monkeypatch) == _flows(
+            edge_connectivity, h, monkeypatch
+        )
+        assert _flows(weighted_min_cut, h, monkeypatch) == _flows(
+            min_cut_rank, h, monkeypatch
+        )
 
 
 def test_min_cut_separating():

@@ -154,7 +154,7 @@ def test_assignment_dim_checks():
 def test_assignment_json_round_trip():
     rep = scalar_rep([1, 1, 1])
     qa = build_exponent_assignment(K3, rep, (4,))
-    back = QuadraticAssignment.from_json_dict(qa.to_json_dict(), K3.l)
+    back = QuadraticAssignment.from_json_dict(qa.to_json_dict())
     assert back == qa
 
 
