@@ -18,12 +18,11 @@ probability, so we retry a few times and check exactly.
 The sweep runs on integers.  Each output is kept as its primitive integer
 direction, found by integer Gram-Schmidt over the earlier non-neighbors'
 outputs (see :mod:`ratlinalg`).  Projection is linear in f(v) and a span
-depends only on the directions that span it, so every sweep yields the
-directions of the rational sweep's outputs, positive multiples of them.  A
-sweep leaves the map fixed exactly when every projection coefficient is 0,
-which is when the rational sweep returns its input unchanged; so both settle
-at the same sweep or not at all, and the primitive vectors they end with are
-identical.
+depends only on the directions that span it, so a sweep yields the
+directions of the rational sweep's outputs, positive multiples of them.
+One sweep orthogonalizes: each output is orthogonal to the earlier
+non-neighbors' outputs, which a second sweep meets unchanged, so the second
+sweep changes nothing and the first is already the fixed point.
 
 The search is one loop, :func:`gpor_candidates`; :func:`find_gpor` is its
 first result, and :func:`verify_orthrep` the one general-position check.
@@ -32,10 +31,8 @@ first result, and :func:`verify_orthrep` the one general-position check.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import mul
 
@@ -69,18 +66,13 @@ def _plan(g: Graph, ordering: tuple[int, ...]) -> list[tuple[int, list[int]]]:
 
 def _sweep(
     plan: list[tuple[int, list[int]]], f: dict[int, IntVector]
-) -> tuple[dict[int, IntVector], bool]:
-    """One integer sweep over primitive directions ``f``.
-
-    Returns the primitive output directions and whether any projection
-    coefficient was nonzero; when none was, the outputs are ``f`` itself.
-    """
+) -> dict[int, IntVector]:
+    """One integer sweep over primitive directions ``f``: the primitive
+    output directions."""
     out: dict[int, IntVector] = {}
-    moved = False
     for v, before in plan:
-        out[v], m = _residual(_orthogonal_basis([out[u] for u in before]), f[v])
-        moved = moved or m
-    return out, moved
+        out[v] = _residual(_orthogonal_basis([out[u] for u in before]), f[v])
+    return out
 
 
 def _band_vectors(n: int, d: int) -> list[tuple[int, ...]]:
@@ -111,50 +103,6 @@ def _random_map(rng: random.Random, n: int, d: int, bound: int) -> dict[int, Int
     return f
 
 
-def _settle(
-    g: Graph, f: dict[int, IntVector], sweeps: int = 8
-) -> dict[int, IntVector] | None:
-    """Iterate the sweep until it stabilizes; None if it fails to settle.
-
-    Works on primitive directions; a sweep with every projection
-    coefficient 0 is the fixed point.
-    """
-    plan = _plan(g, tuple(range(g.n)))
-    cur = {v: _primitive(w) for v, w in f.items()}
-    for _ in range(sweeps):
-        nxt, moved = _sweep(plan, cur)
-        if not moved:
-            return cur
-        cur = nxt
-    return None
-
-
-def _rep_from_map(
-    g: Graph, d: int, f: dict[int, IntVector], tried: dict
-) -> OrthRep | None:
-    """The verified representation that ``f`` settles to, or None.
-
-    ``tried`` maps vector tuples already handled to this result: each start
-    map, and each settled map, which is a fixed point of the sweep and so
-    settles to itself.  A start or a settled map met again is neither
-    settled nor verified again.
-    """
-    start = tuple(f[v] for v in range(g.n))
-    if start in tried:
-        return tried[start]
-    settled = _settle(g, f)
-    rep = None
-    if settled is not None:
-        vecs = tuple(settled[v] for v in range(g.n))
-        if vecs not in tried:
-            rep = OrthRep(g, d, vecs)
-            ok = all(map(any, vecs)) and verify_orthrep(rep).ok
-            tried[vecs] = rep if ok else None
-        rep = tried[vecs]
-    tried[start] = rep
-    return rep
-
-
 def find_gpor(
     g: Graph,
     d: int,
@@ -164,23 +112,6 @@ def find_gpor(
 ) -> OrthRep:
     """The first verified representation of :func:`gpor_candidates`."""
     return gpor_candidates(g, d, seed, 1, bound, max_retries)[0]
-
-
-#: per (graph, d), what the searches inside _one_check_each have tried
-_shared_tries: ContextVar[dict | None] = ContextVar("_shared_tries", default=None)
-
-
-@contextmanager
-def _one_check_each():
-    """Within the block, gpor_candidates calls on one graph and d share a
-    record of what they tried (see :func:`_rep_from_map`), so a start or a
-    representation met by an earlier call is not settled or verified again.
-    Results are what they would be without it."""
-    token = _shared_tries.set({})
-    try:
-        yield
-    finally:
-        _shared_tries.reset(token)
 
 
 def gpor_candidates(
@@ -194,14 +125,14 @@ def gpor_candidates(
     """Up to ``count`` distinct general-position orthogonal representations
     in Z^d, banded seed first.
 
-    Attempt 0 uses the deterministic banded seed; then up to ``max_retries``
-    attempts draw integer vectors uniformly from [-bound, bound]^d
-    (resampling any zero vector) with a RNG seeded from ``seed``, until
-    ``count`` distinct representations verify, so the whole search is
-    reproducible.  Raises RetriesExhausted if no attempt verifies.
+    Attempt 0 starts from the deterministic banded seed; then up to
+    ``max_retries`` attempts draw integer vectors uniformly from
+    [-bound, bound]^d (resampling any zero vector) with a RNG seeded from
+    ``seed``, until ``count`` distinct representations verify, so the whole
+    search is reproducible.  Each start gets one sweep of its primitive
+    directions, and a result not found before is verified.  Raises
+    RetriesExhausted if no attempt verifies.
     """
-    shared = _shared_tries.get()
-    tried = {} if shared is None else shared.setdefault((g, d), {})
     if d < 0:
         raise DimensionInfeasibleError(f"dimension {d} is negative")
     if d == 0:
@@ -209,17 +140,20 @@ def gpor_candidates(
         # representation is m empty vectors, vacuously orthogonal and in
         # general position.
         return [OrthRep(g, 0, tuple(() for _ in range(g.n)))]
-    found: list[OrthRep] = []
-    rep = _rep_from_map(g, d, dict(enumerate(_band_vectors(g.n, d))), tried)
-    if rep is not None:
-        found.append(rep)
+    plan = _plan(g, tuple(range(g.n)))
     rng = random.Random(seed)
-    attempts = 0
-    while len(found) < count and attempts < max_retries:
-        attempts += 1
-        rep = _rep_from_map(g, d, _random_map(rng, g.n, d, bound), tried)
-        if rep is not None and rep not in found:
+    starts = chain(
+        [dict(enumerate(_band_vectors(g.n, d)))],
+        (_random_map(rng, g.n, d, bound) for _ in range(max_retries)),
+    )
+    found: list[OrthRep] = []
+    for f in starts:
+        out = _sweep(plan, {v: _primitive(w) for v, w in f.items()})
+        rep = OrthRep(g, d, tuple(out[v] for v in range(g.n)))
+        if rep not in found and all(map(any, rep.vectors)) and verify_orthrep(rep).ok:
             found.append(rep)
+        if len(found) >= count:
+            break
     if not found:
         raise RetriesExhaustedError(max_retries, bound)
     return found

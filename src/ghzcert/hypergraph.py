@@ -270,19 +270,20 @@ def _incidence_network(h: Hypergraph, by_level: bool = False) -> _Network:
     head: list[int] = []
     adj: list[list[int]] = [[] for _ in range(h.k + 1 + 2 * len(h.edges))]
     cap: list = []
-
-    def arc(u: int, v: int) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        adj[v].append(len(head))
-        head.append(u)
-
     for i, e in enumerate(h.edges):
-        e_in = h.k + 1 + 2 * i
-        arc(e_in, e_in + 1)
+        e_in, e_out = h.k + 1 + 2 * i, h.k + 2 + 2 * i
+        # arc e_in -> e_out; then per vertex v, arcs v -> e_in and
+        # e_out -> v; each forward arc followed by its reverse
+        adj[e_in].append(len(head))
+        adj[e_out].append(len(head) + 1)
+        head += (e_out, e_in)
         for v in sorted(e.vertices):
-            arc(v, e_in)
-            arc(e_in + 1, v)
+            a = len(head)
+            adj[v].append(a)
+            adj[e_in].append(a + 1)
+            adj[e_out].append(a + 2)
+            adj[v].append(a + 3)
+            head += (e_in, v, v, e_out)
         if by_level:
             c = _Level(e.level)
             cap += (c, c - c) * (1 + 2 * len(e.vertices))

@@ -65,7 +65,6 @@ from .errors import (
 )
 from .gpor import (
     OrthRep,
-    _one_check_each,
     gpor_candidates,
     verify_orthrep,
 )
@@ -698,21 +697,17 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     small = n**h.l <= DEEP_GRID_LIMIT
     wanted = CANDIDATE_COUNT if small else 1
     reps: list = []
-    with _one_check_each():
-        if small:
-            # Small coordinates concentrate the value histogram, so try a
-            # low-bound search first.  Both searches start from the banded
-            # seed and may meet the same representation; each is settled
-            # and verified once.
-            try:
-                reps += gpor_candidates(
-                    lg, d, seed=seed, count=wanted, bound=3, max_retries=16
-                )
-            except RetriesExhaustedError:
-                pass
-        for rep in gpor_candidates(lg, d, seed=seed, count=wanted):
-            if rep not in reps:
-                reps.append(rep)
+    if small:
+        # Small coordinates concentrate the value histogram, so try a
+        # low-bound search first.  Both searches start from the banded seed
+        # and may meet the same representation; scoring skips the repeat.
+        try:
+            reps += gpor_candidates(
+                lg, d, seed=seed, count=wanted, bound=3, max_retries=16
+            )
+        except RetriesExhaustedError:
+            pass
+    reps += gpor_candidates(lg, d, seed=seed, count=wanted)
     # Score by the mode count; a candidate that cannot beat the best so far
     # (the first wins ties) stops convolving as soon as that shows, and one
     # equal to an earlier candidate up to order and sign has that

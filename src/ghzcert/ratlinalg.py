@@ -64,24 +64,19 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def _residual(
-    ortho: Sequence[tuple[IntVector, int]], x: IntVector
-) -> tuple[IntVector, bool]:
+def _residual(ortho: Sequence[tuple[IntVector, int]], x: IntVector) -> IntVector:
     """x minus its projection onto span(ortho), as a primitive direction.
 
     ``ortho`` holds mutually orthogonal nonzero integer vectors with their
-    squared norms.  The flag is False exactly when every coefficient
-    <g_m, x> is 0, that is when x is already orthogonal to the span; x is
-    then returned as given.
+    squared norms.  When every coefficient <g_m, x> is 0, that is when x is
+    already orthogonal to the span, x is returned as given.
     """
     r = x
-    moved = False
     for gm, norm in ortho:
         c = sum(map(mul, gm, r))
         if c:
             r = [norm * a - c * b for a, b in zip(r, gm)]
-            moved = True
-    return (_primitive(r), True) if moved else (x, False)
+    return x if r is x else _primitive(r)
 
 
 def _orthogonal_basis(vectors: Sequence[IntVector]) -> list[tuple[IntVector, int]]:
@@ -91,7 +86,7 @@ def _orthogonal_basis(vectors: Sequence[IntVector]) -> list[tuple[IntVector, int
     for b in vectors:
         if ortho and len(ortho) == len(b):
             break  # the span is already everything
-        r, _ = _residual(ortho, b)
+        r = _residual(ortho, b)
         if any(r):
             ortho.append((r, sum(map(mul, r, r))))
     return ortho

@@ -15,7 +15,6 @@ from ghzcert.errors import DimensionInfeasibleError, RetriesExhaustedError
 from ghzcert.gpor import (
     OrthRep,
     _plan,
-    _settle,
     _sweep,
     find_gpor,
     gpor_candidates,
@@ -47,7 +46,7 @@ def random_map(rng, n, d):
 
 def sweep(g, f, ordering=None):
     """One integer sweep over the primitive directions of the int map f:
-    the outputs, and whether any of them moved."""
+    the outputs."""
     if ordering is None:
         ordering = tuple(range(g.n))
     return _sweep(_plan(g, ordering), {v: _primitive(f[v]) for v in ordering})
@@ -62,7 +61,7 @@ def test_single_sweep_orthogonalizes_every_nonadjacent_pair():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 7))
         d = rng.randint(1, 4)
-        out, _ = sweep(g, random_map(rng, g.n, d))
+        out = sweep(g, random_map(rng, g.n, d))
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if not g.adjacent(u, v):
@@ -74,25 +73,25 @@ def test_sweep_is_idempotent():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 6))
         d = rng.randint(1, 3)
-        once, _ = sweep(g, random_map(rng, g.n, d))
-        assert sweep(g, once) == (once, False)
+        once = sweep(g, random_map(rng, g.n, d))
+        assert sweep(g, once) == once
 
 
 def test_sweep_respects_custom_ordering():
     g = graph(3, [])  # no edges: all pairs non-adjacent
     f = {0: (1, 0, 0), 1: (1, 1, 0), 2: (1, 1, 1)}
-    out, _ = sweep(g, f, ordering=(2, 0, 1))
+    out = sweep(g, f, ordering=(2, 0, 1))
     # the first processed vertex keeps its input; the rest follow in order
     assert out == {2: (1, 1, 1), 0: (2, -1, -1), 1: (0, 1, -1)}
     assert list(out) == [2, 0, 1]
-    assert sweep(g, f)[0] == {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
+    assert sweep(g, f) == {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
 
 
 def test_projection_span_skips_exact_zeros():
     # vertex 1's output collapses to zero; vertex 2 must still end up
     # orthogonal to vertex 0 and ignore the dead vector
     g = graph(3, [])
-    out, _ = sweep(g, {0: (1, 0), 1: (1, 0), 2: (1, 1)})
+    out = sweep(g, {0: (1, 0), 1: (1, 0), 2: (1, 1)})
     assert out[1] == (0, 0)
     assert out[2] == (0, 1)
 
@@ -124,7 +123,7 @@ def test_band_seed_survives_on_paths():
         for j, v in enumerate(rep.vectors):
             assert sum(1 for x in v if x) <= 2
         f = dict(enumerate(rep.vectors))
-        assert sweep(rep.graph, f) == (f, False)
+        assert sweep(rep.graph, f) == f
 
 
 def test_zero_dimension_trivial_rep():
@@ -187,7 +186,7 @@ def test_fixed_point_property_of_verified_reps():
             continue
         rep = find_gpor(line_graph(h), d, seed=1)
         f = dict(enumerate(rep.vectors))
-        assert sweep(rep.graph, f) == (f, False), name
+        assert sweep(rep.graph, f) == f, name
 
 
 def _random_input(rng, n, d):
@@ -219,7 +218,7 @@ def test_sweep_matches_fraction_reference():
         if rng.random() < 0.5:
             ordering = tuple(rng.sample(range(g.n), g.n))
             reordered += 1
-        out, _ = sweep(g, f, ordering)
+        out = sweep(g, f, ordering)
         want = ref_orthogonalize_map(g, f, ordering)
         assert out == {v: ref_primitive(w) for v, w in want.items()}
         assert list(out) == list(want)
@@ -227,9 +226,10 @@ def test_sweep_matches_fraction_reference():
     assert collapsed > 50 and reordered > 200
 
 
-def test_settle_matches_fraction_reference():
+def test_one_sweep_matches_fraction_settle():
+    """One integer sweep of the primitive start, as gpor_candidates runs it,
+    is the Fraction sweep-until-it-settles, and that always settles."""
     rng = random.Random(52)
-    outcomes = set()
     for trial in range(300):
         if trial % 2:
             g = random_graph(rng, rng.randint(2, 7))
@@ -241,13 +241,9 @@ def test_settle_matches_fraction_reference():
                 continue
         bound = rng.randint(1, 4)
         f = {v: tuple(rng.randint(-bound, bound) for _ in range(d)) for v in range(g.n)}
-        sweeps = rng.choice((1, 2, 8))
-        got, want = _settle(g, f, sweeps), ref_settle(g, f, sweeps)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got == {v: ref_primitive(w) for v, w in want.items()}
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
+        want = ref_settle(g, f)
+        assert want is not None
+        assert sweep(g, f) == {v: ref_primitive(w) for v, w in want.items()}
 
 
 # -- golden digests of the search's output, captured before the integer sweep

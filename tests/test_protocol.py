@@ -486,30 +486,54 @@ def test_mode_count_ignores_order_and_sign():
             assert choose_g(other, n)[1] == m == want
 
 
-def test_synthesis_checks_and_scores_each_representation_once(monkeypatch):
-    import ghzcert.gpor
+SYNTHESIS_CASES = [
+    (complete_uniform(4, 3), 5),
+    (cycle_hypergraph(6), 3),
+    (complete_uniform(4, 2), 2),
+    (path_hypergraph(4), 6),
+]
 
-    checked, scored = [], []
-    verify, mode = ghzcert.gpor.verify_orthrep, ghzcert.protocol.choose_g
 
-    def counting_verify(rep):
-        checked.append(rep.vectors)
-        return verify(rep)
+def test_synthesis_scores_each_representation_once(monkeypatch):
+    scored = []
+    mode = ghzcert.protocol.choose_g
 
     def counting_mode(rep, n, beat=0):
         scored.append(tuple(sorted(max(v, tuple(-x for x in v)) for v in rep.vectors)))
         return mode(rep, n, beat)
 
-    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
     monkeypatch.setattr(ghzcert.protocol, "choose_g", counting_mode)
-    for h, n in [(complete_uniform(4, 3), 5), (cycle_hypergraph(6), 3),
-                 (complete_uniform(4, 2), 2), (path_hypergraph(4), 6)]:
+    for h, n in SYNTHESIS_CASES:
         for seed in (0, 1, 2):
-            checked.clear()
             scored.clear()
             synthesize_certificate(h, n, seed=seed)
-            assert checked and len(set(checked)) == len(checked), (h, n, seed)
             assert scored and len(set(scored)) == len(scored), (h, n, seed)
+
+
+def test_search_checks_no_representation_it_already_kept(monkeypatch):
+    """Within one gpor_candidates call, the representations that pass
+    verify_orthrep, in order, are the ones it returns: each kept one is
+    checked in that call, and none is checked again once kept."""
+    passed = []
+    verify, search = ghzcert.gpor.verify_orthrep, ghzcert.protocol.gpor_candidates
+
+    def counting_verify(rep):
+        report = verify(rep)
+        if report.ok:
+            passed.append(rep)
+        return report
+
+    def checked_search(*args, **kwargs):
+        passed.clear()
+        found = search(*args, **kwargs)
+        assert passed == found
+        return found
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
+    monkeypatch.setattr(ghzcert.protocol, "gpor_candidates", checked_search)
+    for h, n in SYNTHESIS_CASES:
+        for seed in (0, 1, 2):
+            synthesize_certificate(h, n, seed=seed)
 
 
 def test_grid_guard_env_override(monkeypatch):

@@ -15,8 +15,7 @@ from ghzcert.ratlinalg import _orthogonal_basis, _primitive, _residual, rank
 def _residual_of(basis, x):
     """The integer residual direction of x off span(basis), the way the
     sweep takes it."""
-    r, _ = _residual(_orthogonal_basis(basis), x)
-    return r
+    return _residual(_orthogonal_basis(basis), x)
 
 
 def _project(basis, x):
