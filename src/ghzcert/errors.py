@@ -63,8 +63,9 @@ class RetriesExhaustedError(GhzcertError):
         self.bound = bound
         super().__init__(
             f"no general-position orthogonal representation found in "
-            f"{attempts} attempts with entry bound {bound}; retry with a "
-            f"larger bound or a different seed"
+            f"{attempts} attempts, from the banded seed and draws with "
+            f"entries in [-3, 3], then draws with entries in [-{bound}, "
+            f"{bound}]; retry with a different seed"
         )
 
 

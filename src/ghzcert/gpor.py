@@ -24,13 +24,16 @@ One sweep orthogonalizes: each output is orthogonal to the earlier
 non-neighbors' outputs, which a second sweep meets unchanged, so the second
 sweep changes nothing and the first is already the fixed point.
 
-The search is one loop, :func:`gpor_candidates`; :func:`find_gpor` is its
-first result, and :func:`verify_orthrep` the one general-position check.
+The search policy lives in one place, :func:`gpor_candidates`: the banded
+seed and draws from [-3, 3]^d first, draws from [-1000, 1000]^d only when
+none of those verifies.  :func:`find_gpor` is its first result, and
+:func:`verify_orthrep` the one general-position check.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -39,9 +42,6 @@ from operator import mul
 from .errors import DimensionInfeasibleError, RetriesExhaustedError, TooLargeError
 from .hypergraph import Graph
 from .ratlinalg import IntVector, _orthogonal_basis, _primitive, _residual, rank
-
-DEFAULT_SEED_BOUND = 1000
-DEFAULT_MAX_RETRIES = 32
 
 #: subset-enumeration guard for the general-position check
 GENERAL_POSITION_SUBSET_LIMIT = 10**6
@@ -91,47 +91,25 @@ def _band_vectors(n: int, d: int) -> list[tuple[int, ...]]:
     return vecs
 
 
-def _random_map(rng: random.Random, n: int, d: int, bound: int) -> dict[int, IntVector]:
-    """Nonzero integer vectors drawn uniformly from [-bound, bound]^d."""
-    f = {}
-    for v in range(n):
-        while True:
-            w = tuple(rng.randint(-bound, bound) for _ in range(d))
-            if any(w):
-                break
-        f[v] = w
-    return f
-
-
-def find_gpor(
-    g: Graph,
-    d: int,
-    seed: int = 0,
-    bound: int = DEFAULT_SEED_BOUND,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> OrthRep:
+def find_gpor(g: Graph, d: int, seed: int = 0) -> OrthRep:
     """The first verified representation of :func:`gpor_candidates`."""
-    return gpor_candidates(g, d, seed, 1, bound, max_retries)[0]
+    return gpor_candidates(g, d, seed, 1)[0]
 
 
-def gpor_candidates(
-    g: Graph,
-    d: int,
-    seed: int = 0,
-    count: int = 4,
-    bound: int = DEFAULT_SEED_BOUND,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> list[OrthRep]:
+def gpor_candidates(g: Graph, d: int, seed: int = 0, count: int = 4) -> list[OrthRep]:
     """Up to ``count`` distinct general-position orthogonal representations
-    in Z^d, banded seed first.
+    in Z^d, in the order found.
 
-    Attempt 0 starts from the deterministic banded seed; then up to
-    ``max_retries`` attempts draw integer vectors uniformly from
-    [-bound, bound]^d (resampling any zero vector) with a RNG seeded from
-    ``seed``, until ``count`` distinct representations verify, so the whole
-    search is reproducible.  Each start gets one sweep of its primitive
-    directions, and a result not found before is verified.  Raises
-    RetriesExhausted if no attempt verifies.
+    The search has two stages, each run until ``count`` distinct
+    representations verify.  The first starts from the deterministic banded
+    seed and then 16 maps drawn uniformly from [-3, 3]^d; small entries
+    concentrate the value histogram, so its representations give the larger
+    mode counts.  Only if none of them verifies does the second stage draw
+    32 maps from [-1000, 1000]^d, without the banded seed, which the first
+    already rejected.  Each stage draws from a fresh ``random.Random(seed)``,
+    zero vectors resampled, so the whole search is reproducible.  Each start
+    gets one sweep of its primitive directions, and a result not found
+    before is verified.  Raises RetriesExhausted if neither stage verifies.
     """
     if d < 0:
         raise DimensionInfeasibleError(f"dimension {d} is negative")
@@ -140,22 +118,45 @@ def gpor_candidates(
         # representation is m empty vectors, vacuously orthogonal and in
         # general position.
         return [OrthRep(g, 0, tuple(() for _ in range(g.n)))]
-    plan = _plan(g, tuple(range(g.n)))
+    band = dict(enumerate(_band_vectors(g.n, d)))
+    found = _verified(g, d, chain([band], _draws(seed, g.n, d, 3, 16)), count)
+    if not found:
+        found = _verified(g, d, _draws(seed, g.n, d, 1000, 32), count)
+    if not found:
+        raise RetriesExhaustedError(1 + 16 + 32, 1000)
+    return found
+
+
+def _draws(
+    seed: int, n: int, d: int, bound: int, draws: int
+) -> Iterator[dict[int, IntVector]]:
+    """``draws`` maps of n nonzero integer vectors, drawn uniformly from
+    [-bound, bound]^d by ``random.Random(seed)``, a zero vector resampled."""
     rng = random.Random(seed)
-    starts = chain(
-        [dict(enumerate(_band_vectors(g.n, d)))],
-        (_random_map(rng, g.n, d, bound) for _ in range(max_retries)),
-    )
+    for _ in range(draws):
+        f = {}
+        for v in range(n):
+            while True:
+                w = tuple(rng.randint(-bound, bound) for _ in range(d))
+                if any(w):
+                    break
+            f[v] = w
+        yield f
+
+
+def _verified(
+    g: Graph, d: int, starts: Iterable[dict[int, IntVector]], count: int
+) -> list[OrthRep]:
+    """Up to ``count`` distinct verified sweeps of ``starts``, in order."""
+    plan = _plan(g, tuple(range(g.n)))
     found: list[OrthRep] = []
     for f in starts:
         out = _sweep(plan, {v: _primitive(w) for v, w in f.items()})
         rep = OrthRep(g, d, tuple(out[v] for v in range(g.n)))
         if rep not in found and all(map(any, rep.vectors)) and verify_orthrep(rep).ok:
             found.append(rep)
-        if len(found) >= count:
-            break
-    if not found:
-        raise RetriesExhaustedError(max_retries, bound)
+            if len(found) >= count:
+                break
     return found
 
 

@@ -61,7 +61,6 @@ from .errors import (
     LevelsUnsupportedError,
     NotGeneralPositionError,
     NotOrthRepError,
-    RetriesExhaustedError,
 )
 from .gpor import (
     OrthRep,
@@ -678,9 +677,10 @@ def _up_to_order_and_sign(vectors) -> tuple:
 def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     """Full pipeline: connectivity, representation, target, assignment.
 
-    Verified representations are scored by their mode count M and the best
-    kept (first wins ties), all deterministic in the seed: several when the
-    grid is small enough to count each cheaply, one otherwise.
+    The representations come from one :func:`gpor_candidates` search,
+    deterministic in the seed: up to four when the grid is small enough to
+    count each cheaply, one otherwise.  They are scored by their mode count
+    M and the best kept (the first wins ties).
     """
     if n < 2:
         raise BadLevelError(f"level n={n} < 2")
@@ -694,20 +694,9 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     d = h.l - lam
     lg = line_graph(h)
     _check_grid(h.l, n)
-    small = n**h.l <= DEEP_GRID_LIMIT
-    wanted = CANDIDATE_COUNT if small else 1
-    reps: list = []
-    if small:
-        # Small coordinates concentrate the value histogram, so try a
-        # low-bound search first.  Both searches start from the banded seed
-        # and may meet the same representation; scoring skips the repeat.
-        try:
-            reps += gpor_candidates(
-                lg, d, seed=seed, count=wanted, bound=3, max_retries=16
-            )
-        except RetriesExhaustedError:
-            pass
-    reps += gpor_candidates(lg, d, seed=seed, count=wanted)
+    reps = gpor_candidates(
+        lg, d, seed=seed, count=CANDIDATE_COUNT if n**h.l <= DEEP_GRID_LIMIT else 1
+    )
     # Score by the mode count; a candidate that cannot beat the best so far
     # (the first wins ties) stops convolving as soon as that shows, and one
     # equal to an earlier candidate up to order and sign has that
@@ -851,9 +840,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
     # with the same away-set share one rank, so the work grows with the
     # edges, not with k.
     def check_decodability():
-        covered = sorted(
-            {v for e in h.edges for v in e.vertices if 1 <= v <= h.k}
-        )
+        covered = sorted({v for e in h.edges for v in e.vertices})
         away_at = {
             j: tuple(e for e in range(l) if j not in h.edges[e].vertices)
             for j in covered

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import chain
 
 import pytest
 
@@ -14,8 +15,11 @@ from conftest import (
 from ghzcert.errors import DimensionInfeasibleError, RetriesExhaustedError
 from ghzcert.gpor import (
     OrthRep,
+    _band_vectors,
+    _draws,
     _plan,
     _sweep,
+    _verified,
     find_gpor,
     gpor_candidates,
     verify_orthrep,
@@ -143,8 +147,16 @@ def test_negative_dimension_rejected():
 def test_retries_exhausted_when_no_rep_exists():
     # two non-adjacent vertices in one dimension would need two nonzero
     # orthogonal scalars
-    with pytest.raises(RetriesExhaustedError):
-        find_gpor(Graph(2), 1, max_retries=3)
+    with pytest.raises(RetriesExhaustedError) as err:
+        find_gpor(Graph(2), 1)
+    assert (err.value.code, err.value.attempts, err.value.bound) == (
+        "RetriesExhausted", 49, 1000
+    )
+    message = str(err.value)
+    assert "banded seed and draws with entries in [-3, 3]" in message
+    assert "then draws with entries in [-1000, 1000]" in message
+    assert message.endswith("retry with a different seed")
+    assert "larger bound" not in message
 
 
 def test_candidates_are_distinct_and_verified():
@@ -246,7 +258,9 @@ def test_one_sweep_matches_fraction_settle():
         assert sweep(g, f) == {v: ref_primitive(w) for v, w in want.items()}
 
 
-# -- golden digests of the search's output, captured before the integer sweep
+# -- golden digests of the search's output, captured before the integer sweep;
+# those of gpor_candidates and find_gpor were captured again when the search
+# became one policy (the first stage's stay as they were)
 
 
 def _golden_instances():
@@ -258,66 +272,76 @@ def _golden_instances():
     return out
 
 
+def _first_stage(lg, d, seed):
+    """The search's first stage on its own: the banded seed, then 16 draws
+    from [-3, 3]^d.  Its digests are those of the former bound-3 search."""
+    if d == 0:
+        return gpor_candidates(lg, d, seed=seed)
+    band = dict(enumerate(_band_vectors(lg.n, d)))
+    found = _verified(lg, d, chain([band], _draws(seed, lg.n, d, 3, 16)), 4)
+    if not found:
+        raise RetriesExhaustedError(17, 3)
+    return found
+
+
 GOLDEN_CALLS = {
-    "candidates_bound3": lambda lg, d, s: gpor_candidates(
-        lg, d, seed=s, bound=3, max_retries=16
-    ),
+    "candidates_bound3": _first_stage,
     "candidates": lambda lg, d, s: gpor_candidates(lg, d, seed=s),
     "find_gpor": lambda lg, d, s: [find_gpor(lg, d, seed=s)],
 }
 
 GPOR_GOLDEN = {
     ("K3", "candidates_bound3"): "63fddca7d446a01b325af7c6d1b6975d39ef27dfa81accebf90de891b56d8474",
-    ("K3", "candidates"): "4cf3be81ef1e60645c7be879d384a7121f02373875ea8bea386f15bf20c0da8d",
+    ("K3", "candidates"): "63fddca7d446a01b325af7c6d1b6975d39ef27dfa81accebf90de891b56d8474",
     ("K3", "find_gpor"): "68a6f69dcd192b723c72b904e9bec0aa9951dd6e19940b6204a4ed038ce29718",
     ("C4", "candidates_bound3"): "2d1cbaff4a52fceed8546496f80657520eae39fd3f6887b0f0dd8b0375430f2b",
-    ("C4", "candidates"): "d5084ce73e6419bd4688c91c0c30b74a733006cc6b96ce99cdc46f139b0caff9",
+    ("C4", "candidates"): "2d1cbaff4a52fceed8546496f80657520eae39fd3f6887b0f0dd8b0375430f2b",
     ("C4", "find_gpor"): "30ba3447ba72e4a05cd5df3e1aaafb585bac4983df0445772f427d6db24d56ce",
     ("C5", "candidates_bound3"): "b0d1c18d152151f97d697002061573720155389cb84a5dc52268df508378640a",
-    ("C5", "candidates"): "2939341618c1598822e8e237ffe3fff6ad5f623697bbf1fef15653839759b595",
+    ("C5", "candidates"): "b0d1c18d152151f97d697002061573720155389cb84a5dc52268df508378640a",
     ("C5", "find_gpor"): "0eff5ef6ff95323396e01a8244122af5a5766d804a8ed175fd90dc8d4100776d",
     ("K4^2", "candidates_bound3"): "e5b498a0b002a0a1bffef3198c01354d9a03f018f73373de9f64064ffda86a74",
-    ("K4^2", "candidates"): "c9c83c0425b33544f0f7ab1beb53feacaf5802ff97a3cb2aa469ecb38dab3c54",
-    ("K4^2", "find_gpor"): "0a0f9face57cd41272baab9a2de4bc4aee5e36ae89ef37af24a3fbd82bc8d189",
+    ("K4^2", "candidates"): "e5b498a0b002a0a1bffef3198c01354d9a03f018f73373de9f64064ffda86a74",
+    ("K4^2", "find_gpor"): "2d205534fefe255fc85d547b12d84e78e0f7d43f99b8986ed51a1703b9b0a755",
     ("K4^3", "candidates_bound3"): "00ee8ce5a35be317d81da0544b8f3b542fb549a887658b1c94f889c7226fefca",
-    ("K4^3", "candidates"): "4595eceaf337566a7ccca106b282e2b729104a2e98763e969b8f43e290c79ae3",
+    ("K4^3", "candidates"): "00ee8ce5a35be317d81da0544b8f3b542fb549a887658b1c94f889c7226fefca",
     ("K4^3", "find_gpor"): "d75e12caceb9aaefe06f2184bce076ea516373bdc614b59d36f463f0765faf3c",
     ("path3", "candidates_bound3"): "484e63eac365d51eb00e45288a5aebc870ed404705fbfe5f119343b3eed19c8f",
-    ("path3", "candidates"): "bb55b48a1cbbf960dce62cbf7e7ffc9caefc61ae6115dde8f1f52338ec73c4cd",
+    ("path3", "candidates"): "484e63eac365d51eb00e45288a5aebc870ed404705fbfe5f119343b3eed19c8f",
     ("path3", "find_gpor"): "a8a43cfabe6931f096ea09eb2d84c03e685fe91fc04bd5ea8a425f3026ab3f78",
     ("path4", "candidates_bound3"): "46e38cf850c7ff47cb40e190938ba4a617eca1fcb463c49b20c2c950dbff92de",
-    ("path4", "candidates"): "35a72f7f21392761be207d46b9e6942f981bf6ae10fb3564f3e3366f9dfaea24",
+    ("path4", "candidates"): "46e38cf850c7ff47cb40e190938ba4a617eca1fcb463c49b20c2c950dbff92de",
     ("path4", "find_gpor"): "c17e0b6292c23dc268db53eb16ea36590937049874a89e74038d065bff101f21",
     ("path5", "candidates_bound3"): "ece2e741f1432dd233a3416d4df1a1dd3a5851f5fde44d637e068a042942dc74",
-    ("path5", "candidates"): "d46caa41bac675fa2869467c292b6430eb60cbd0ed57cd6ba8f679e5f47908fb",
+    ("path5", "candidates"): "ece2e741f1432dd233a3416d4df1a1dd3a5851f5fde44d637e068a042942dc74",
     ("path5", "find_gpor"): "8872c57b7739e6b78ad11f0e6fca47f393c339b8cb66aeed633b7dc124a234a9",
     ("full3", "candidates_bound3"): "229ea65ead59d80538d9daabfaf0643c72b8a7e26a0494592a3228a5dd632b81",
     ("full3", "candidates"): "229ea65ead59d80538d9daabfaf0643c72b8a7e26a0494592a3228a5dd632b81",
     ("full3", "find_gpor"): "229ea65ead59d80538d9daabfaf0643c72b8a7e26a0494592a3228a5dd632b81",
     ("C6", "candidates_bound3"): "477c07f5d004c2f361ff43469614a0b7a740a4d80208d7378e9790ea2ba4451b",
-    ("C6", "candidates"): "21d8d81956aa09a9f992d1aebd048e8f85a4d46fb65cc44a4cc0df2e5488ae1a",
+    ("C6", "candidates"): "477c07f5d004c2f361ff43469614a0b7a740a4d80208d7378e9790ea2ba4451b",
     ("C6", "find_gpor"): "696ea2cbda398dd51554e5e205fa8111a01caf16bcb0b0cf33bf98e584514c09",
     ("random0", "candidates_bound3"): "21bb4364824c1e95450a11029d1133e886fe65d5ef8178fff4a6a50f8b8860ab",
-    ("random0", "candidates"): "29cea188b400b6e96711906e87bcbc6fd82e20277af0bd6651670c6fa7ffa884",
-    ("random0", "find_gpor"): "6b8c1b12a7546e7828a65302a44870138d87273135ce60d3493b04dd8c82448c",
+    ("random0", "candidates"): "21bb4364824c1e95450a11029d1133e886fe65d5ef8178fff4a6a50f8b8860ab",
+    ("random0", "find_gpor"): "29c612c27d4d453a1a33db00f65708b5084492e3db4e8b390d00e1d3d96e67b5",
     ("random1", "candidates_bound3"): "909fc8b57f639bb6b8dce3afb32867215160e1d2ead3cc02e81b2d5f2ba71095",
-    ("random1", "candidates"): "5a87be3b19f0c7cd6746760726f22d8eb5d6e5fcdd8ea46a60bb38d23400d092",
-    ("random1", "find_gpor"): "20b8fc3c433c286823439a837082b5b89da37d31b5c0dae9353bff323f0639cf",
+    ("random1", "candidates"): "909fc8b57f639bb6b8dce3afb32867215160e1d2ead3cc02e81b2d5f2ba71095",
+    ("random1", "find_gpor"): "39adfc49fc71b99c95a4361160efc1b3264bb833179ee064ded2c402cebd2193",
     ("random2", "candidates_bound3"): "4dbb6eeaab9e9bba66a7319c979a521cf1c6d6a56cc67e4e520eae2b4b49302f",
-    ("random2", "candidates"): "51740ae89e6fb9ebcdc9d46f0f9363a57c408df5e2c9548f541415e01f95ecc2",
-    ("random2", "find_gpor"): "657c1d68191c3fa2499d3e789027b776ac1d7270c20331b3770b1df9f45e2cd0",
+    ("random2", "candidates"): "4dbb6eeaab9e9bba66a7319c979a521cf1c6d6a56cc67e4e520eae2b4b49302f",
+    ("random2", "find_gpor"): "dfb123b05ccec3f881e7ce332ce0e4519098c5dacb9b574e3e5931a326ddc9d4",
     ("random3", "candidates_bound3"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",
     ("random3", "candidates"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",
     ("random3", "find_gpor"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",
     ("random4", "candidates_bound3"): "7744e5e81be5b5267a98c4bfd79547d5260715c8a351108cc83116b756592a9d",
-    ("random4", "candidates"): "9259c84717fae4d1581720564b731dd5014932132df9f56bd522675df7200b13",
-    ("random4", "find_gpor"): "e53720a7beb572be1c8cd20a73dc28a664fdc7de16edda549803b8af401c589a",
+    ("random4", "candidates"): "0c6c2beac093e54d72e060b7f30d58f9fd8a18443f78c02b08f4449c6fc056db",
+    ("random4", "find_gpor"): "b9f3b11cf8ff9d6f24473c74ba6c267150b79cbfb4dca7b60664ea6d538e530a",
     ("random5", "candidates_bound3"): "cafb9935c460ec862a24b86591e486f4a27050ed085f8e3e4d08452979184ed2",
     ("random5", "candidates"): "cafb9935c460ec862a24b86591e486f4a27050ed085f8e3e4d08452979184ed2",
     ("random5", "find_gpor"): "cafb9935c460ec862a24b86591e486f4a27050ed085f8e3e4d08452979184ed2",
     ("random6", "candidates_bound3"): "8d462aa6fca8930e684e04c2a6af797cbbd1555c66b761dab74693ade2550ead",
-    ("random6", "candidates"): "b9ffc00b384c7406aa1f3406e2ce71488787bdc56fa30d2d24566492e9e3e9f5",
-    ("random6", "find_gpor"): "5941daebcccd6fd5f20df945ae541c926d1977f9d60581b5db83843785957860",
+    ("random6", "candidates"): "780612d1d9d4629168ec5a171ebcf54de4c3992e6aba8c87a0187497aa038785",
+    ("random6", "find_gpor"): "afe592a007413fef8a2ea90fb2481427d2b95308435a6a1426710a9c599f4761",
     ("random7", "candidates_bound3"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",
     ("random7", "candidates"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",
     ("random7", "find_gpor"): "5b494936c89b475b8a390776f06a57eecddff0afa47ee1fb3dd7776a0c940018",

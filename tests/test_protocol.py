@@ -41,7 +41,6 @@ from ghzcert.errors import (
     NotGeneralPositionError,
     NotOrthRepError,
     GhzcertError,
-    RetriesExhaustedError,
     SameVertexError,
 )
 import ghzcert.protocol
@@ -695,27 +694,59 @@ def test_synthesize_deterministic():
 
 
 def test_synthesis_keeps_the_first_candidate_with_the_largest_mode():
-    # the several-candidate branch, spelled out with choose_g per candidate
+    # the one search, spelled out with choose_g per candidate: four
+    # candidates up to 10^6 grid points, one above (K4^2 at n = 11)
     ties = 0
     for h, n in [(cycle_hypergraph(6), 3), (cycle_hypergraph(4), 5),
-                 (complete_uniform(4, 2), 2), (K3, 7), (path_hypergraph(4), 6)]:
+                 (complete_uniform(4, 2), 2), (K3, 7), (path_hypergraph(4), 6),
+                 (complete_uniform(4, 2), 11)]:
         lg, d = line_graph(h), h.l - edge_connectivity(h)
+        count = 4 if n**h.l <= 10**6 else 1
         for seed in (0, 1, 2):
-            reps = []
-            try:
-                reps += gpor_candidates(
-                    lg, d, seed=seed, count=4, bound=3, max_retries=16
-                )
-            except RetriesExhaustedError:
-                pass
-            more = gpor_candidates(lg, d, seed=seed, count=4)
-            reps += [r for r in more if r not in reps]
+            reps = gpor_candidates(lg, d, seed=seed, count=count)
+            assert len(reps) <= count
             scored = [(choose_g(rep, n), rep) for rep in reps]
             (g, m), rep = max(scored, key=lambda item: item[0][1])
             ties += sum(gm[1] == m for gm, _ in scored) > 1
             cert = synthesize_certificate(h, n, seed=seed)
             assert (cert.g, cert.m_count, cert.rep) == (g, m, rep), (h, n, seed)
     assert ties
+
+
+def test_large_grid_synthesis_starts_from_small_entries():
+    # 11^6 grid points take one candidate; the search tries entries in
+    # [-3, 3] before [-1000, 1000], which gave M = 1 with C' = 413,387,906
+    cert = synthesize_certificate(complete_uniform(4, 2), 11, seed=1)
+    assert (cert.m_count, cert.cprime) == (3, 50)
+    assert verify_certificate(cert).ok
+
+
+def test_synthesis_checks_the_banded_representation_once(monkeypatch):
+    checked = []
+    verify = ghzcert.gpor.verify_orthrep
+
+    def counting_verify(rep):
+        checked.append(rep.vectors)
+        return verify(rep)
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
+    synthesize_certificate(K3, 4, seed=0)
+    assert checked.count(((1,), (1,), (1,))) == 1
+    checked.clear()
+    synthesize_certificate(cycle_hypergraph(6), 6, seed=0)
+    assert len(checked) == 4 and len(set(checked)) == 4
+
+
+def test_synthesis_falls_back_to_large_entries():
+    # no start of the first stage (the banded seed, then entries in
+    # [-3, 3]) verifies here; the bytes were captured before the search
+    # became one policy
+    h = hypergraph(3, [{1, 2, 3}, {2, 3}, {1, 2}, {1, 2, 3}, {1, 3}, {1, 2, 3}, {2, 3}])
+    cert = synthesize_certificate(h, 2, seed=2)
+    assert (cert.cprime, cert.m_count) == (4135, 1)
+    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == (
+        "dd8d0a376180789e7b6e29e3020464507d905894afd78df2c0b4b5b60bef33b6"
+    )
 
 
 def test_synthesize_rejects_bad_inputs():
