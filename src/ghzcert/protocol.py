@@ -61,6 +61,7 @@ from .errors import (
     LevelsUnsupportedError,
     NotGeneralPositionError,
     NotOrthRepError,
+    TooLargeError,
 )
 from .gpor import (
     OrthRep,
@@ -179,30 +180,6 @@ class QuadraticAssignment:
             return total
 
         return exp_fn
-
-    def mentioned_edges(self, vertex: int) -> set[int]:
-        j = vertex - 1
-        out = set()
-        for e, f in self.quad[j]:
-            out.add(e)
-            out.add(f)
-        out.update(self.lin[j])
-        return out
-
-    def aggregate(self) -> tuple[dict[tuple[int, int], int], dict[int, int], int]:
-        """Coefficient tables of the summed form, zero entries dropped."""
-        quad: dict[tuple[int, int], int] = {}
-        lin: dict[int, int] = {}
-        const = 0
-        for j in range(self.k):
-            for key, q in self.quad[j].items():
-                quad[key] = quad.get(key, 0) + q
-            for e, c in self.lin[j].items():
-                lin[e] = lin.get(e, 0) + c
-            const += self.const[j]
-        quad = {key: q for key, q in quad.items() if q != 0}
-        lin = {e: c for e, c in lin.items() if c != 0}
-        return quad, lin, const
 
     def to_json_dict(self) -> dict:
         return {
@@ -368,18 +345,25 @@ def choose_g(
     After e of the l edges the final count is at most max(H_e) n^(l-e), so
     a candidate that cannot exceed ``beat`` (synthesis passes the best
     count so far) stops there; that max is taken only once beat >= n^(l-e).
+    Histograms that run out of memory raise TooLargeError.
     """
     off, base = _packing(rep, n)
     head, last = rep.vectors[:-1], rep.vectors[-1:]
     cap = n ** len(rep.vectors)
-    for hist in _stages(head, n, rep.d, off, base):
-        if beat >= cap and max(hist.values()) * cap <= beat:
-            return None
-        cap //= n
-    if last:
-        m, key = _last_stage_mode(hist, _pack(last[0], base), n)
-    else:  # no edges: the one grid point
-        m, key = 1, next(iter(hist))
+    try:
+        for hist in _stages(head, n, rep.d, off, base):
+            if beat >= cap and max(hist.values()) * cap <= beat:
+                return None
+            cap //= n
+        if last:
+            m, key = _last_stage_mode(hist, _pack(last[0], base), n)
+        else:  # no edges: the one grid point
+            m, key = 1, next(iter(hist))
+    except MemoryError:
+        raise TooLargeError(
+            f"the value histograms of {len(rep.vectors)} edges at n={n} "
+            "ran out of memory"
+        ) from None
     return (_unpack(key, rep.d, off, base), m) if m > beat else None
 
 
@@ -868,19 +852,27 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
 
     # 3: the local forms sum to ||c.i - g||^2, and mention only local edges.
     # Both are exact coefficient comparisons; when they hold, the summed
-    # form and the square are one polynomial.
+    # form and the square are one polynomial.  One pass over the shares
+    # tests each for locality and adds its terms into the summed form.
     def check_completeness():
-        if cert.assignment.k != h.k:
-            return "fail", f"{cert.assignment.k} vertex shares for {h.k} vertices"
+        qa = cert.assignment
+        if qa.k != h.k:
+            return "fail", f"{qa.k} vertex shares for {h.k} vertices"
+        nonlocal_vertices, quad, lin, const = [], {}, {}, 0
+        for j in range(h.k):
+            named = {e for key in qa.quad[j] for e in key} | qa.lin[j].keys()
+            if not named <= set(h.incident(j + 1)):
+                nonlocal_vertices.append(j + 1)
+            for key, q in qa.quad[j].items():
+                quad[key] = quad.get(key, 0) + q
+            for e, c in qa.lin[j].items():
+                lin[e] = lin.get(e, 0) + c
+            const += qa.const[j]
         detail = []
-        nonlocal_vertices = [
-            j
-            for j in range(1, h.k + 1)
-            if not cert.assignment.mentioned_edges(j) <= set(h.incident(j))
-        ]
         if nonlocal_vertices:
             detail.append(f"nonlocal terms at vertices {nonlocal_vertices}")
-        quad, lin, const = cert.assignment.aggregate()
+        quad = {key: q for key, q in quad.items() if q}
+        lin = {e: c for e, c in lin.items() if c}
         want_quad = {}
         for e in range(l):
             v = _iinner(cert.rep.vectors[e], cert.rep.vectors[e])

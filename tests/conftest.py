@@ -1,6 +1,6 @@
 import json
 import random
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -410,6 +410,12 @@ def local_exponent(qa, vertex: int, i: tuple[int, ...]) -> int:
     return total
 
 
+def named_edges(qa, vertex: int) -> set[int]:
+    """The edges that vertex ``vertex``'s share of assignment ``qa`` names."""
+    j = vertex - 1
+    return {e for key in qa.quad[j] for e in key} | set(qa.lin[j])
+
+
 def total_exponent(qa, i: tuple[int, ...]) -> int:
     """The shares of assignment ``qa`` summed over its vertices at i."""
     return sum(local_exponent(qa, j, i) for j in range(1, qa.k + 1))
@@ -425,20 +431,28 @@ def ref_completeness(cert) -> tuple[str, str]:
     l = h.l
     detail = []
     nonlocal_vertices = [
-        j for j in range(1, h.k + 1) if not qa.mentioned_edges(j) <= set(h.incident(j))
+        j for j in range(1, h.k + 1) if not named_edges(qa, j) <= set(h.incident(j))
     ]
     if nonlocal_vertices:
         detail.append(f"nonlocal terms at vertices {nonlocal_vertices}")
-    quad, lin, const = qa.aggregate()
+    quad, lin = Counter(), Counter()
+    for j in range(qa.k):
+        quad.update(qa.quad[j])
+        lin.update(qa.lin[j])
+    const = sum(qa.const)
     want_quad = {(e, e): _inner(vectors[e], vectors[e]) for e in range(l)}
     want_quad.update(
         {(e, f): 2 * _inner(vectors[e], vectors[f])
          for e in range(l) for f in range(e + 1, l)}
     )
     want_lin = {e: -2 * _inner(vectors[e], g) for e in range(l)}
+
+    def nonzero(terms):
+        return {key: v for key, v in terms.items() if v}
+
     if (
-        quad != {key: v for key, v in want_quad.items() if v}
-        or lin != {e: v for e, v in want_lin.items() if v}
+        nonzero(quad) != nonzero(want_quad)
+        or nonzero(lin) != nonzero(want_lin)
         or const != _inner(g, g)
     ):
         detail.append("aggregate coefficients differ from the square expansion")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import ghzcert.cli
+import ghzcert.gpor
 from ghzcert.cli import run
 from ghzcert.hypergraph import (
     complete_uniform,
@@ -526,6 +528,62 @@ GOLDEN_H16_CONNECTIVITY_JSON = (
     '"min_cut_rank": 4, "weighted_min_cut": {"crossing": [4, 10], "rank": 4, '
     '"side": [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16]}}\n'
 )
+
+
+# Byte-exact `gpor` outputs, captured while the command still ran its own
+# general-position check on the representation find_gpor returned.
+GOLDEN_GPOR = {
+    ("K3",): (
+        "lambda = 2, d = 1\nc[0] = [1]\nc[1] = [1]\nc[2] = [1]\nverified: ok\n"
+    ),
+    ("K3", "--json"): (
+        '{"d": 1, "dependent_subsets": [], "lambda": 2, "ok": true, '
+        '"orthogonality_violations": [], "vectors": [[1], [1], [1]], '
+        '"zero_vectors": []}\n'
+    ),
+    ("C6",): (
+        "lambda = 2, d = 4\n"
+        "c[0] = [1, 0, 0, 0]\n"
+        "c[1] = [1, 1, 0, 0]\n"
+        "c[2] = [0, 1, 1, 0]\n"
+        "c[3] = [0, 0, 1, 1]\n"
+        "c[4] = [0, 0, 0, 1]\n"
+        "c[5] = [-1, 1, -1, 1]\n"
+        "verified: ok\n"
+    ),
+    ("C6", "--json"): (
+        '{"d": 4, "dependent_subsets": [], "lambda": 2, "ok": true, '
+        '"orthogonality_violations": [], "vectors": [[1, 0, 0, 0], [1, 1, 0, 0], '
+        '[0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1], [-1, 1, -1, 1]], '
+        '"zero_vectors": []}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_GPOR), ids="-".join)
+def test_gpor_transcripts_byte_exact(case, tmp_path, capsys):
+    name, *flags = case
+    h = {"K3": cycle_hypergraph(3), "C6": cycle_hypergraph(6)}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["gpor", str(path), *flags]) == 0
+    assert capsys.readouterr().out == GOLDEN_GPOR[case]
+
+
+def test_gpor_checks_its_representation_once(k3_file, monkeypatch, capsys):
+    # find_gpor returns only a representation that passed the check, so the
+    # command reports that check instead of running it again
+    calls = []
+    verify = ghzcert.gpor.verify_orthrep
+
+    def counting_verify(rep):
+        calls.append(rep)
+        return verify(rep)
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
+    monkeypatch.setattr(ghzcert.cli, "verify_orthrep", counting_verify, raising=False)
+    assert run(["gpor", k3_file]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_K3))

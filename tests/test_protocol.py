@@ -16,6 +16,7 @@ from conftest import (
     corpus,
     counting_floor,
     listed_k3_n4,
+    named_edges,
     random_connected_hypergraph,
     ref_completeness,
     ref_exponent_sign,
@@ -42,6 +43,7 @@ from ghzcert.errors import (
     NotOrthRepError,
     GhzcertError,
     SameVertexError,
+    TooLargeError,
 )
 import ghzcert.protocol
 from ghzcert.cli import run as cli_run
@@ -130,7 +132,7 @@ def test_assignment_locality():
         rep = find_gpor(line_graph(h), h.l - lam, seed=0)
         qa = build_exponent_assignment(h, rep, (0,) * rep.d)
         for j in range(1, h.k + 1):
-            assert qa.mentioned_edges(j) <= set(h.incident(j))
+            assert named_edges(qa, j) <= set(h.incident(j))
 
 
 def test_assignment_rejects_crossing_without_common_vertex():
@@ -719,6 +721,22 @@ def test_large_grid_synthesis_starts_from_small_entries():
     cert = synthesize_certificate(complete_uniform(4, 2), 11, seed=1)
     assert (cert.m_count, cert.cprime) == (3, 50)
     assert verify_certificate(cert).ok
+
+
+def test_histograms_out_of_memory_are_too_large(monkeypatch, tmp_path, capsys):
+    # K6^2 at n = 3 under a 2 GB address-space cap ran out of memory in the
+    # last stage's sort and ended in a bare MemoryError, exit 1
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ghzcert.protocol, "_stages", out_of_memory)
+    with pytest.raises(TooLargeError) as err:
+        synthesize_certificate(K3, 4)
+    assert str(err.value) == "the value histograms of 3 edges at n=4 ran out of memory"
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(K3.to_json_dict()))
+    assert cli_run(["certify", str(path), "--n", "4"]) == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "TooLarge"
 
 
 def test_synthesis_checks_the_banded_representation_once(monkeypatch):
