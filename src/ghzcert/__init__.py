@@ -1,6 +1,8 @@
 """Exact GHZ distillation rates and degeneration certificates for
 hypergraphs of multiparty GHZ states."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadGridLimitError,
     BadLevelError,
@@ -70,66 +72,9 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadGridLimitError",
-    "BadLevelError",
-    "Certificate",
-    "CertificateReport",
-    "Cut",
-    "DimMismatchError",
-    "DimensionInfeasibleError",
-    "DisconnectedError",
-    "Edge",
-    "EmptyEdgeError",
-    "EprRate",
-    "GhzStructureError",
-    "GhzcertError",
-    "Graph",
-    "GridTooLargeError",
-    "Hypergraph",
-    "LevelsUnsupportedError",
-    "NegativeExponentError",
-    "NonScalarCoefficientsError",
-    "NotGeneralPositionError",
-    "NotOrthRepError",
-    "OrthRep",
-    "OrthRepReport",
-    "QuadraticAssignment",
-    "RateBound",
-    "RetriesExhaustedError",
-    "SameVertexError",
-    "SparseTensor",
-    "TooFewVerticesError",
-    "TooLargeError",
-    "VertexOutOfRangeError",
-    "apply_local_diagonal",
-    "build_exponent_assignment",
-    "check_ghz_structure",
-    "choose_g",
-    "complete_uniform",
-    "cycle_hypergraph",
-    "dump",
-    "edge_connectivity",
-    "edge_connectivity_and_rank",
-    "edge_disjoint_paths",
-    "enumerate_solutions",
-    "epr_rate",
-    "find_gpor",
-    "ghz_rate_bound",
-    "ghz_state",
-    "graph",
-    "hypergraph",
-    "is_connected",
-    "leading_term",
-    "line_graph",
-    "min_cut",
-    "min_cut_rank",
-    "min_cut_separating",
-    "min_cuts",
-    "path_hypergraph",
-    "rank",
-    "single_full_edge",
-    "synthesize_certificate",
-    "verify_certificate",
-    "verify_orthrep",
-]
+# the public names imported above, the API's one declaration
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

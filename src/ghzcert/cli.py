@@ -58,6 +58,10 @@ def _load_hypergraph(path: str) -> Hypergraph:
     return _load(path, "hypergraph", Hypergraph.from_json_dict)
 
 
+def _cut_json(cut) -> dict:
+    return {"side": sorted(cut.side), "crossing": list(cut.crossing), "rank": cut.rank}
+
+
 def _cmd_connectivity(args) -> int:
     h = _load_hypergraph(args.file)
     cut, wcut = min_cuts(h)
@@ -66,17 +70,9 @@ def _cmd_connectivity(args) -> int:
             json.dumps(
                 {
                     "lambda": len(cut.crossing),
-                    "min_cut": {
-                        "side": sorted(cut.side),
-                        "crossing": list(cut.crossing),
-                        "rank": cut.rank,
-                    },
+                    "min_cut": _cut_json(cut),
                     "min_cut_rank": wcut.rank,
-                    "weighted_min_cut": {
-                        "side": sorted(wcut.side),
-                        "crossing": list(wcut.crossing),
-                        "rank": wcut.rank,
-                    },
+                    "weighted_min_cut": _cut_json(wcut),
                 },
                 sort_keys=True,
             )

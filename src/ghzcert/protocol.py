@@ -745,13 +745,13 @@ class CertificateReport:
 def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateReport:
     """Replay every claim a certificate makes, exactly.
 
-    The true solution set is recounted from (c, n, g) by the pivot solve,
-    whose work n^lam is bounded by GHZCERT_MAX_GRID; M is evidence checked
-    against it, never trusted.  The recount adds up the lengths of the
-    pivot blocks' ranges, so no solution is written out.  A claim that
-    could not be recomputed fails; only the deep check may be skipped.  All
-    findings land in the report; nothing raises but BadGridLimitError, for
-    a malformed GHZCERT_MAX_GRID.
+    The counting check recounts the true solution set from (c, n, g) by the
+    pivot solve, whose work n^lam is bounded by GHZCERT_MAX_GRID; M is
+    evidence checked against it, never trusted.  The recount adds up the
+    lengths of the pivot blocks' ranges, so no solution is written out.  A
+    claim that could not be recomputed fails; only the deep check may be
+    skipped.  All findings land in the report; nothing raises but
+    BadGridLimitError, for a malformed GHZCERT_MAX_GRID, read up front.
 
     Completeness is a symbolic identity: the per-vertex forms mention only
     local edges and sum, coefficient for coefficient, to ||c.i - g||^2.
@@ -783,21 +783,8 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
             else CheckResult(name, "fail", f"follows from {premise}, which failed")
         )
 
-    # The recount runs outside run(), so a c that cannot be solved (wrong
-    # shape, dependent pivot block, too much work) is caught here and failed
-    # by counting.
-    recount: int | None = None
-    recount_error = None
-    try:
-        if len(cert.rep.vectors) != l:
-            raise DimMismatchError(
-                f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
-            )
-        _check_grid(max(l - len(cert.g), 0), cert.n)
-        blocks = _pivot_blocks(cert.rep.vectors, cert.n, cert.g)
-        recount = sum(len(free) for _, free, _, _ in blocks)
-    except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
-        recount_error = f"cannot recount M: {exc.code}: {exc}"
+    # read before any check, whose errors run() would catch
+    limit = _grid_limit()
 
     # 1: the vectors have d coordinates and form a general-position
     # orthogonal representation
@@ -923,15 +910,26 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
         # degeneration cannot raise rank.  n^lambda is built only below M.
         if not _power_over(cert.n, lam_re, cert.m_count - 1):
             detail.append(f"M {cert.m_count} above n^lambda = {cert.n**lam_re}")
-        if recount is None:
-            detail.append(recount_error)
-        elif recount != cert.m_count:
-            detail.append(f"M {cert.m_count} != recounted {recount}")
+        # the recount: a c that cannot be solved (wrong shape, dependent
+        # pivot block, too much work) fails this check
+        try:
+            if len(cert.rep.vectors) != l:
+                raise DimMismatchError(
+                    f"c has {len(cert.rep.vectors)} vectors, hypergraph has {l} edges"
+                )
+            _check_grid(max(l - len(cert.g), 0), cert.n)
+            blocks = _pivot_blocks(cert.rep.vectors, cert.n, cert.g)
+            recount = sum(len(free) for _, free, _, _ in blocks)
+        except (DimMismatchError, GridTooLargeError, NotGeneralPositionError) as exc:
+            detail.append(f"cannot recount M: {exc.code}: {exc}")
+        else:
+            if recount != cert.m_count:
+                detail.append(f"M {cert.m_count} != recounted {recount}")
         # the floor: the n^l grid values fall in (2 C' (n-1) + 1)^d boxes,
         # so M >= ceil(n^l / box) exactly when n^l <= M box
         box = (2 * cprime * (cert.n - 1) + 1) ** cert.rep.d
         if _power_over(cert.n, l, cert.m_count * box):
-            if _power_over(cert.n, l, _grid_limit()):
+            if _power_over(cert.n, l, limit):
                 floor = f"ceil(n^{l} / (2*{cprime}*(n-1)+1)^{cert.rep.d})"
             else:
                 floor = -(-(cert.n**l) // box)

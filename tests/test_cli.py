@@ -88,6 +88,17 @@ def test_rate_json_mixed_levels(tmp_path, capsys):
     assert obj["min_cut_rank"] == 4 and obj["ghz2_per_copy"] == 2.0
 
 
+def test_rate_human_mixed_levels_byte_exact(tmp_path, capsys):
+    # C4 with levels 3, 3, 5, 5: the least cut severs the two level-3 edges
+    h = hypergraph(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}], [3, 3, 5, 5])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["rate", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "min cut rank=9, 3.16993 GHZ per copy (log2 of rank)\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["connectivity", "rate"])
 def test_mixed_levels_above_24_vertices(command, tmp_path, capsys):
     # a 30-vertex cycle whose edge i has level (2, 3, 4)[i % 3]; no cut
@@ -260,6 +271,18 @@ def test_verify_hash_only_m_other_than_its_count_is_bad_format(tmp_path, capsys)
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == "BadFormat"
     assert "M 21861 != solution count 21856" in err["message"]
+
+
+def test_verify_m_zero_is_bad_format(tmp_path, capsys):
+    # a count of no solutions states a rate of log2(0)
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    obj["M"] = obj["solutions"]["count"] = 0
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "BadFormat"
+    assert "M 0 has no log2" in err["message"]
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from ghzcert.errors import (
     DisconnectedError,
     EmptyEdgeError,
     SameVertexError,
+    TooFewVerticesError,
     TooLargeError,
     VertexOutOfRangeError,
 )
@@ -237,20 +238,30 @@ def test_cut_edge_cases_match_enumeration_reference():
     assert edge_connectivity_and_rank(bridge) == (1, 2)
 
 
+EVERY_CUT = (
+    edge_connectivity,
+    min_cut,
+    lambda h: min_cut(h, weighted=True),
+    min_cuts,
+    min_cut_rank,
+    edge_connectivity_and_rank,
+    lambda h: min_cut_separating(h, 1, h.k),
+    lambda h: edge_disjoint_paths(h, 1, h.k),
+)
+
+
 @pytest.mark.parametrize("levels", [None, [2, 3]])
 def test_every_cut_refuses_a_disconnected_hypergraph(levels):
     h = hypergraph(4, [{1, 2}, {3, 4}], levels)
-    for cut in (
-        edge_connectivity,
-        min_cut,
-        lambda h: min_cut(h, weighted=True),
-        min_cuts,
-        min_cut_rank,
-        edge_connectivity_and_rank,
-        lambda h: min_cut_separating(h, 1, 2),
-        lambda h: edge_disjoint_paths(h, 1, 2),
-    ):
+    for cut in EVERY_CUT:
         with pytest.raises(DisconnectedError):
+            cut(h)
+
+
+def test_every_cut_refuses_a_single_vertex():
+    h = hypergraph(1, [{1}])
+    for cut in EVERY_CUT:
+        with pytest.raises(TooFewVerticesError, match="k=1; cuts need at least 2"):
             cut(h)
 
 
@@ -351,6 +362,44 @@ def test_edge_disjoint_paths_through_hyperedges():
     assert_valid_path_family(h, 1, 4, paths)
     # vertex 2 only sits inside the big edge, so one path is the max
     assert len(edge_disjoint_paths(h, 2, 4)) == 1
+
+
+FLOW_CYCLES = {
+    # walking the flow from a = 1, the first path leaves vertex 5 through
+    # edge 3 = {5, 7} and comes straight back to 5 (one input in 20,000 of
+    # a seeded search)
+    "one-edge": (
+        7,
+        [
+            {1, 7}, {1, 4, 5}, {4, 6}, {5, 7}, {1, 3, 7}, {6, 7},
+            {1, 2}, {4, 6}, {2, 5}, {3, 4, 6}, {3, 4, 6}, {4, 5, 6},
+        ],
+        1, 4,
+        [[0, 5, 2], [1], [4, 9], [6, 8, 11]],
+    ),
+    # from a = 5 the first path walks 5, 6, 3, 2, 4 and back to 3 through
+    # edges 6, 3 and 8, which are cut out (a graph shrunk from an input a
+    # seeded search found after some 10^6 flows)
+    "three-edge": (
+        9,
+        [
+            {1, 3}, {3, 6}, {5, 6}, {2, 4}, {2, 5}, {4, 8}, {2, 3}, {1, 8},
+            {3, 4}, {3, 7}, {4, 7}, {7, 9}, {3, 7}, {2, 9}, {5, 8}, {5, 8},
+        ],
+        5, 7,
+        [[2, 1, 9], [4, 13, 11], [14, 5, 10], [15, 7, 0, 12]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOW_CYCLES))
+def test_edge_disjoint_paths_splices_out_a_flow_cycle(case):
+    k, edges, a, b, want = FLOW_CYCLES[case]
+    h = hypergraph(k, edges)
+    paths = edge_disjoint_paths(h, a, b)
+    assert paths == want
+    assert len(paths) == min_cut_separating(h, a, b)
+    assert_valid_path_family(h, a, b, paths)
 
 
 def test_menger_on_random_instances():

@@ -2,6 +2,7 @@ import ast
 import pathlib
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import ghzcert
@@ -12,6 +13,27 @@ def test_all_names_resolve_without_duplicates():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(ghzcert, name)]
     assert not missing
+
+
+def test_every_export_is_defined_by_a_submodule():
+    # __all__ is computed from the package namespace, so a helper imported
+    # into __init__.py by mistake would be exported: every name must be a
+    # class, function or constant of a ghzcert submodule
+    submodules = {n: m for n, m in sys.modules.items() if n.startswith("ghzcert.")}
+    foreign = []
+    for name in ghzcert.__all__:
+        value = getattr(ghzcert, name)
+        if isinstance(value, (type, types.FunctionType)):
+            homes = [submodules.get(value.__module__)]
+        else:  # a constant: a submodule binds the same object
+            homes = submodules.values()
+        if (
+            name.startswith("_")
+            or isinstance(value, types.ModuleType)
+            or not any(getattr(m, name, None) is value for m in homes)
+        ):
+            foreign.append(name)
+    assert foreign == []
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -293,6 +293,8 @@ def test_enumerate_solutions_rejects_unsolvable_vectors():
         enumerate_solutions(OrthRep(Graph(1), 2, ((1, 0),)), 3, (0, 0))
     with pytest.raises(DimMismatchError):
         choose_g(OrthRep(Graph(2), 1, ((1,), (1, 0))), 3)
+    with pytest.raises(BadLevelError, match="level n=1 < 2"):
+        enumerate_solutions(scalar_rep([1, 1]), 1, (0,))
 
 
 def test_enumerate_solutions_examples():
@@ -989,6 +991,18 @@ def test_verify_skips_deep_by_default():
     report = verify_certificate(cert)
     assert report.ok
     assert report.check("degeneration").status == "skipped"
+
+
+def test_verify_skips_deep_above_its_grid_and_names_only_its_checks():
+    # C6 at n = 11 has 11^6 > 10^6 grid points: the other checks recompute
+    # every claim, and the deep simulation is not attempted
+    cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
+    report = verify_certificate(cert, deep=True)
+    assert report.ok
+    deep = report.check("degeneration")
+    assert (deep.status, deep.detail) == ("skipped", "grid too large for deep check")
+    with pytest.raises(KeyError):
+        report.check("solution_hash")
 
 
 def test_deep_out_of_memory_is_skipped_not_failed(monkeypatch):
