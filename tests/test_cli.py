@@ -936,3 +936,145 @@ def test_equal_levels_cut_once(command, flows, name, tmp_path, monkeypatch):
     monkeypatch.setattr(module, "_max_flow", counted)
     assert run([command, str(path), "--json"]) == 0
     assert len(calls) <= flows * (h.k - 1)
+
+
+# -- every report, byte for byte, and how run() prints it ---------------------
+
+
+# Byte-exact outputs no golden above covers, captured while each command
+# still printed its own report.  The certify lines name the --out path as
+# given, so it is relative to the test's working directory.
+GOLDEN_CERTIFY_OUT = {
+    ("K3", "4"): "wrote cert.json: M=12, rate 1.7925 of bound 2\n",
+    ("K3", "4", "--json"): (
+        '{"M": 12, "achieved_rate": 1.792481250360578, "bound_rate": 2, '
+        '"out": "cert.json"}\n'
+    ),
+    ("C6", "6"): "wrote cert.json: M=10, rate 1.2851 of bound 2\n",
+    ("C6", "6", "--json"): (
+        '{"M": 10, "achieved_rate": 1.2850972089384687, "bound_rate": 2, '
+        '"out": "cert.json"}\n'
+    ),
+}
+GOLDEN_VERIFY_TEXT = {
+    "honest": (
+        0,
+        "orthogonal_representation  pass\n"
+        "decodability               pass\n"
+        "completeness               pass\n"
+        "exponent_sign              pass\n"
+        "injectivity                pass\n"
+        "counting                   pass\n"
+        "degeneration               skipped  (deep=False)\n",
+    ),
+    "g": (
+        1,
+        "orthogonal_representation  pass\n"
+        "decodability               pass\n"
+        "completeness               fail  (aggregate coefficients differ from "
+        "the square expansion)\n"
+        "exponent_sign              fail  (follows from completeness, which "
+        "failed)\n"
+        "injectivity                pass\n"
+        "counting                   pass\n"
+        "degeneration               skipped  (deep=False)\n",
+    ),
+}
+GOLDEN_K3_JSON = {
+    ("rate",): (
+        '{"ghz2_per_copy": 2.0, "lambda": 2, "min_cut_rank": 4, '
+        '"uniform_level_2": true}\n'
+    ),
+    ("epr", "--a", "1", "--b", "2"): (
+        '{"a": 1, "b": 2, "paths": [[0], [2, 1]], "rate": "1/2", "t": 2}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CERTIFY_OUT), ids="-".join)
+def test_certify_out_reports_byte_exact(case, tmp_path, monkeypatch, capsys):
+    name, n, *flags = case
+    h = {"K3": cycle_hypergraph(3), "C6": cycle_hypergraph(6)}[name]
+    monkeypatch.chdir(tmp_path)
+    Path("h.json").write_text(json.dumps(h.to_json_dict()))
+    assert run(["certify", "h.json", "--n", n, "--out", "cert.json", *flags]) == 0
+    assert capsys.readouterr() == (GOLDEN_CERTIFY_OUT[case], "")
+    blob = synthesize_certificate(h, int(n), seed=0).to_json_bytes()
+    assert Path("cert.json").read_bytes() == blob
+
+
+def _k3_n4_certificate(tmp_path, kind: str) -> str:
+    """K3 at n = 4, honest or with g moved by one, written to a file."""
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    if kind == "g":
+        obj["g"] = [obj["g"][0] + 1]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_VERIFY_TEXT))
+def test_verify_text_byte_exact(kind, tmp_path, capsys):
+    code, text = GOLDEN_VERIFY_TEXT[kind]
+    assert run(["verify", _k3_n4_certificate(tmp_path, kind)]) == code
+    assert capsys.readouterr() == (text, "")
+
+
+def test_connectivity_text_mixed_levels_byte_exact(tmp_path, capsys):
+    # C4 with levels 3, 3, 5, 5: the least-rank cut severs the two level-3
+    # edges, so its side differs from the lambda cut's
+    h = hypergraph(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}], [3, 3, 5, 5])
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["connectivity", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "lambda = 2\n"
+        "min cut: side [1] crossing edges [0, 3]\n"
+        "min cut rank = 9 (side [1, 3, 4], crossing [0, 1])\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_K3_JSON))
+def test_k3_json_reports_byte_exact(command, k3_file, capsys):
+    assert run([command[0], k3_file, *command[1:], "--json"]) == 0
+    assert capsys.readouterr() == (GOLDEN_K3_JSON[command], "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["connectivity"],
+        ["rate"],
+        ["epr", "--a", "1", "--b", "3"],
+        ["gpor"],
+        ["certify", "--n", "4", "--out", "cert.json"],
+        ["verify", "--deep"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_json_report_is_one_sorted_line(command, k3_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("cert.json").write_bytes(
+        synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_bytes()
+    )
+    file = "cert.json" if command[0] == "verify" else k3_file
+    assert run([command[0], file, *command[1:], "--json"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.split("\n")
+    assert len(lines) == 2 and lines[1] == "" and err == ""
+    assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)
+
+
+@pytest.mark.parametrize("case", ["rate", "tampered"])
+def test_main_exits_with_the_code_of_run(case, k3_file, tmp_path, monkeypatch, capsys):
+    # the installed ghzcert script calls main(), which reads sys.argv
+    if case == "rate":
+        argv, code, out = ["rate", k3_file], 0, GOLDEN_K3[("rate",)]
+    else:
+        argv = ["verify", _k3_n4_certificate(tmp_path, "g")]
+        code, out = GOLDEN_VERIFY_TEXT["g"]
+    monkeypatch.setattr(sys, "argv", ["ghzcert", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        ghzcert.cli.main()
+    assert exit_.value.code == code
+    assert capsys.readouterr() == (out, "")
