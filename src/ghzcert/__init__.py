@@ -4,6 +4,8 @@ hypergraphs of multiparty GHZ states."""
 from types import ModuleType as _ModuleType
 
 from .errors import (
+    BadFormatError,
+    BadJsonError,
     BadGridLimitError,
     BadLevelError,
     DimensionInfeasibleError,

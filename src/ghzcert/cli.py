@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: connectivity, rate, epr, gpor, certify, verify.  Input
-hypergraphs and output certificates are JSON; --json switches the
-human-readable reports to JSON too.  Exit codes: 0 success, 1 failed
-verification, 2 usage, 3 invalid input (with a machine-readable error
-object on stderr).
+hypergraphs and output certificates are JSON.  Each ``_cmd_*`` returns its
+exit code, its report as a JSON object and a function giving the report's
+text lines; ``run`` prints the report, as one JSON line under --json (no
+text is formatted then) and as the text otherwise.  Exit codes: 0 success,
+1 failed verification, 2 usage, 3 invalid input (with a machine-readable
+error object on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import GhzcertError
+from .errors import BadFormatError, BadJsonError, GhzcertError
 from .gpor import find_gpor
 from .hypergraph import Hypergraph, edge_connectivity, line_graph, min_cuts
 from .protocol import (
@@ -38,9 +40,7 @@ def _load_json(path: str) -> dict:
         raise GhzcertError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
-        err = GhzcertError(f"{path} is not valid JSON: {exc}")
-        err.code = "BadJson"
-        raise err from exc
+        raise BadJsonError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load(path: str, what: str, from_json_dict):
@@ -49,9 +49,7 @@ def _load(path: str, what: str, from_json_dict):
     try:
         return from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        err = GhzcertError(f"{path}: malformed {what}: {exc}")
-        err.code = "BadFormat"
-        raise err from exc
+        raise BadFormatError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -62,147 +60,99 @@ def _cut_json(cut) -> dict:
     return {"side": sorted(cut.side), "crossing": list(cut.crossing), "rank": cut.rank}
 
 
-def _cmd_connectivity(args) -> int:
-    h = _load_hypergraph(args.file)
-    cut, wcut = min_cuts(h)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lambda": len(cut.crossing),
-                    "min_cut": _cut_json(cut),
-                    "min_cut_rank": wcut.rank,
-                    "weighted_min_cut": _cut_json(wcut),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"lambda = {len(cut.crossing)}")
-        print(
-            f"min cut: side {sorted(cut.side)} "
-            f"crossing edges {list(cut.crossing)}"
-        )
-        print(
-            f"min cut rank = {wcut.rank} "
-            f"(side {sorted(wcut.side)}, crossing {list(wcut.crossing)})"
-        )
-    return 0
+def _cmd_connectivity(args):
+    cut, wcut = min_cuts(_load_hypergraph(args.file))
+    lam = len(cut.crossing)
+    obj = {
+        "lambda": lam,
+        "min_cut": _cut_json(cut),
+        "min_cut_rank": wcut.rank,
+        "weighted_min_cut": _cut_json(wcut),
+    }
+    return 0, obj, lambda: [
+        f"lambda = {lam}",
+        f"min cut: side {sorted(cut.side)} crossing edges {list(cut.crossing)}",
+        f"min cut rank = {wcut.rank} "
+        f"(side {sorted(wcut.side)}, crossing {list(wcut.crossing)})",
+    ]
 
 
-def _cmd_rate(args) -> int:
-    h = _load_hypergraph(args.file)
-    rb = ghz_rate_bound(h)
-    if args.json:
-        print(json.dumps(rb.to_json_dict(), sort_keys=True))
-    else:
-        if rb.uniform:
-            print(
-                f"lambda={rb.lam}, rate: 1/{rb.lam} copies per GHZ "
-                f"({rb.lam} GHZ per copy)"
-            )
-        else:
-            print(
-                f"min cut rank={rb.cut_rank}, "
-                f"{rb.ghz2_per_copy:g} GHZ per copy (log2 of rank)"
-            )
-    return 0
+def _cmd_rate(args):
+    rb = ghz_rate_bound(_load_hypergraph(args.file))
+    return 0, rb.to_json_dict(), lambda: [
+        f"lambda={rb.lam}, rate: 1/{rb.lam} copies per GHZ ({rb.lam} GHZ per copy)"
+        if rb.uniform
+        else f"min cut rank={rb.cut_rank}, "
+        f"{rb.ghz2_per_copy:g} GHZ per copy (log2 of rank)"
+    ]
 
 
-def _cmd_epr(args) -> int:
-    h = _load_hypergraph(args.file)
-    res = epr_rate(h, args.a, args.b)
-    if args.json:
-        print(json.dumps(res.to_json_dict(), sort_keys=True))
-    else:
-        print(f"t = {res.t}")
-        print(f"rate: 1/{res.t} EPR per copy")
-        for p in res.paths:
-            print(f"path: edges {list(p)}")
-    return 0
+def _cmd_epr(args):
+    res = epr_rate(_load_hypergraph(args.file), args.a, args.b)
+    return 0, res.to_json_dict(), lambda: [
+        f"t = {res.t}",
+        f"rate: 1/{res.t} EPR per copy",
+        *(f"path: edges {list(p)}" for p in res.paths),
+    ]
 
 
-def _cmd_gpor(args) -> int:
+def _cmd_gpor(args):
     h = _load_hypergraph(args.file)
     lam = edge_connectivity(h)
     d = h.l - lam
     # find_gpor returns only a representation that passed the check
     rep = find_gpor(line_graph(h), d, seed=args.seed)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lambda": lam,
-                    "d": d,
-                    "vectors": [list(v) for v in rep.vectors],
-                    "ok": True,
-                    "orthogonality_violations": [],
-                    "dependent_subsets": [],
-                    "zero_vectors": [],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"lambda = {lam}, d = {d}")
-        for e, v in enumerate(rep.vectors):
-            print(f"c[{e}] = {list(v)}")
-        print("verified: ok")
-    return 0
+    obj = {
+        "lambda": lam,
+        "d": d,
+        "vectors": [list(v) for v in rep.vectors],
+        "ok": True,
+        "orthogonality_violations": [],
+        "dependent_subsets": [],
+        "zero_vectors": [],
+    }
+    return 0, obj, lambda: [
+        f"lambda = {lam}, d = {d}",
+        *(f"c[{e}] = {v}" for e, v in enumerate(obj["vectors"])),
+        "verified: ok",
+    ]
 
 
-def _cmd_certify(args) -> int:
-    h = _load_hypergraph(args.file)
-    cert = synthesize_certificate(h, args.n, seed=args.seed)
+def _cmd_certify(args):
+    cert = synthesize_certificate(_load_hypergraph(args.file), args.n, seed=args.seed)
     blob = cert.to_json_bytes()
-    if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            raise GhzcertError(f"cannot write {args.out}: {exc}") from exc
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "out": args.out,
-                        "M": cert.m_count,
-                        "achieved_rate": cert.achieved_rate,
-                        "bound_rate": cert.bound_rate,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(
-                f"wrote {args.out}: M={cert.m_count}, "
-                f"rate {cert.achieved_rate:.4f} of bound {cert.bound_rate}"
-            )
-    else:
+    if not args.out:
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
-    return 0
+        return 0, None, None
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise GhzcertError(f"cannot write {args.out}: {exc}") from exc
+    obj = {
+        "out": args.out,
+        "M": cert.m_count,
+        "achieved_rate": cert.achieved_rate,
+        "bound_rate": cert.bound_rate,
+    }
+    return 0, obj, lambda: [
+        f"wrote {args.out}: M={cert.m_count}, "
+        f"rate {cert.achieved_rate:.4f} of bound {cert.bound_rate}"
+    ]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     cert = _load(args.file, "certificate", Certificate.from_json_dict)
     report = verify_certificate(cert, deep=args.deep)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "checks": [
-                        {"name": c.name, "status": c.status, "detail": c.detail}
-                        for c in report.checks
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
+    obj = {
+        "ok": report.ok,
+        "checks": [
+            {"name": c.name, "status": c.status, "detail": c.detail}
+            for c in report.checks
+        ],
+    }
+    return (0 if report.ok else 1), obj, lambda: [report.summary()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,12 +219,19 @@ _PARSER = build_parser()
 
 
 def run(argv=None) -> int:
+    """Run one command and print its report; return the exit code."""
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, lines = args.func(args)
     except GhzcertError as exc:
         _emit_error(exc.code, str(exc))
         return 3
+    if obj is not None:  # None: certify wrote the certificate to stdout
+        if args.json:
+            print(json.dumps(obj, sort_keys=True))
+        else:
+            print(*lines(), sep="\n")
+    return code
 
 
 def main() -> None:

@@ -9,6 +9,14 @@ class GhzcertError(Exception):
     code = "Error"
 
 
+class BadJsonError(GhzcertError):
+    code = "BadJson"
+
+
+class BadFormatError(GhzcertError):
+    code = "BadFormat"
+
+
 class EmptyEdgeError(GhzcertError):
     code = "EmptyEdge"
 
