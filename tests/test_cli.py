@@ -1003,6 +1003,19 @@ def test_certify_out_reports_byte_exact(case, tmp_path, monkeypatch, capsys):
     assert Path("cert.json").read_bytes() == blob
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN_CERTIFY_OUT), ids="-".join)
+def test_certify_stdout_is_the_certificate_bytes(case, tmp_path, capsysbinary):
+    # the same instances without --out: with or without --json, stdout holds
+    # the canonical bytes of the certificate and nothing else
+    name, n, *flags = case
+    h = {"K3": cycle_hypergraph(3), "C6": cycle_hypergraph(6)}[name]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["certify", str(path), "--n", n, *flags]) == 0
+    blob = synthesize_certificate(h, int(n), seed=0).to_json_bytes()
+    assert capsysbinary.readouterr() == (blob, b"")
+
+
 def _k3_n4_certificate(tmp_path, kind: str) -> str:
     """K3 at n = 4, honest or with g moved by one, written to a file."""
     obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
