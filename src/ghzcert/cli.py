@@ -2,17 +2,19 @@
 
 Subcommands: connectivity, rate, epr, gpor, certify, verify.  Input
 hypergraphs and output certificates are JSON.  Each ``_cmd_*`` returns its
-exit code, its report as a JSON object and a function giving the report's
-text lines; ``run`` prints the report, as one JSON line under --json (no
-text is formatted then) and as the text otherwise.  Exit codes: 0 success,
-1 failed verification, 2 usage, 3 invalid input (with a machine-readable
-error object on stderr).
+exit code, its report as a JSON object (None for certify's certificate) and
+a function giving the report's text lines.  ``run`` alone writes stdout:
+one JSON line under --json when there is an object, else the text lines.
+Exit codes: 0 success, 1 failed verification, 2 usage, 3 invalid input
+(with a machine-readable error object on stderr); a reader that closes
+stdout early leaves the code unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BadFormatError, BadJsonError, GhzcertError
@@ -25,11 +27,6 @@ from .protocol import (
     synthesize_certificate,
     verify_certificate,
 )
-
-
-def _emit_error(code: str, message: str) -> None:
-    json.dump({"code": code, "message": message}, sys.stderr)
-    sys.stderr.write("\n")
 
 
 def _load_json(path: str) -> dict:
@@ -122,9 +119,7 @@ def _cmd_certify(args):
     cert = synthesize_certificate(_load_hypergraph(args.file), args.n, seed=args.seed)
     blob = cert.to_json_bytes()
     if not args.out:
-        sys.stdout.buffer.write(blob)
-        sys.stdout.buffer.flush()
-        return 0, None, None
+        return 0, None, blob.decode().splitlines
     try:
         with open(args.out, "wb") as fh:
             fh.write(blob)
@@ -224,13 +219,17 @@ def run(argv=None) -> int:
     try:
         code, obj, lines = args.func(args)
     except GhzcertError as exc:
-        _emit_error(exc.code, str(exc))
+        print(json.dumps({"code": exc.code, "message": str(exc)}), file=sys.stderr)
         return 3
-    if obj is not None:  # None: certify wrote the certificate to stdout
-        if args.json:
-            print(json.dumps(obj, sort_keys=True))
-        else:
-            print(*lines(), sep="\n")
+    out = [json.dumps(obj, sort_keys=True)] if args.json and obj is not None else lines()
+    try:
+        print(*out, sep="\n", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest, and point the stream at
+        # devnull so that flushing what it still holds raises nothing at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

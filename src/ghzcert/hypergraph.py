@@ -418,16 +418,8 @@ def edge_connectivity(h: Hypergraph) -> int:
 
 
 def min_cut_rank(h: Hypergraph) -> int:
-    """Minimum over bipartitions of the product of crossing-edge levels.
-
-    The scan of ``min_cut`` without reading its side: on level capacities,
-    or with equal levels L, L^lambda from unit ones.
-    """
-    level = _equal_level(h)
-    if level is not None:
-        return level ** edge_connectivity(h)
-    _require_cut_preconditions(h)
-    return _scan(h, _incidence_network(h, by_level=True))[0].num
+    """Minimum over bipartitions of the product of crossing-edge levels."""
+    return min_cut(h, weighted=True).rank
 
 
 def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:

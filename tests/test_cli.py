@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -1016,6 +1018,16 @@ def test_certify_stdout_is_the_certificate_bytes(case, tmp_path, capsysbinary):
     assert capsysbinary.readouterr() == (blob, b"")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_certify_prints_to_a_text_only_stdout(flags, k3_file):
+    # a stdout with no byte buffer under it takes the certificate as text
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["certify", k3_file, "--n", "4", *flags]) == 0
+    blob = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_bytes()
+    assert out.getvalue() == blob.decode()
+
+
 def _k3_n4_certificate(tmp_path, kind: str) -> str:
     """K3 at n = 4, honest or with g moved by one, written to a file."""
     obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
@@ -1091,3 +1103,46 @@ def test_main_exits_with_the_code_of_run(case, k3_file, tmp_path, monkeypatch, c
         ghzcert.cli.main()
     assert exit_.value.code == code
     assert capsys.readouterr() == (out, "")
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["gpor"], 0),
+        (["rate", "--json"], 0),
+        (["certify", "--n", "4"], 0),
+        (["verify"], 1),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else None,
+)
+def test_a_closed_stdout_keeps_the_exit_code(command, code, k3_file, tmp_path):
+    # a reader that closes stdout early changes neither the code nor stderr
+    file = _k3_n4_certificate(tmp_path, "g") if command[0] == "verify" else k3_file
+    stdout = _closed_pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzcert.cli", command[0], file, *command[1:]],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+def test_run_survives_a_closed_stdout_in_process(k3_file, monkeypatch, capsys):
+    with open(_closed_pipe(), "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        assert run(["gpor", k3_file]) == 0
+    # the next call, with a stdout of its own, prints in full
+    assert run(["rate", k3_file]) == 0
+    assert capsys.readouterr() == (GOLDEN_K3[("rate",)], "")
