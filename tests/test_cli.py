@@ -1123,15 +1123,17 @@ def _closed_pipe() -> int:
     ids=lambda x: x[0] if isinstance(x, list) else None,
 )
 def test_a_closed_stdout_keeps_the_exit_code(command, code, k3_file, tmp_path):
-    # a reader that closes stdout early changes neither the code nor stderr
+    # a reader that closes stdout early changes neither the code nor stderr;
+    # stdout is block-buffered, as from a shell without PYTHONUNBUFFERED
     file = _k3_n4_certificate(tmp_path, "g") if command[0] == "verify" else k3_file
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     stdout = _closed_pipe()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "ghzcert.cli", command[0], file, *command[1:]],
             stdout=stdout,
             stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            env=dict(env, PYTHONPATH=str(SRC)),
             timeout=60,
         )
     finally:
