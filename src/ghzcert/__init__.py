@@ -35,15 +35,12 @@ from .hypergraph import (
     complete_uniform,
     cycle_hypergraph,
     edge_connectivity,
-    edge_connectivity_and_rank,
     edge_disjoint_paths,
     graph,
     hypergraph,
     is_connected,
     line_graph,
     min_cut,
-    min_cut_rank,
-    min_cut_separating,
     min_cuts,
     path_hypergraph,
     single_full_edge,

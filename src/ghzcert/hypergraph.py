@@ -18,8 +18,7 @@ least value so far and the scan at the least edge capacity, which every cut
 meets.  The least flow is the minimum, and the side is what the residual of
 the first flow to reach it still reaches from its sources.  With equal
 levels L every cut has rank L^|crossing|, so the weighted minimum cut is
-the lambda cut and the minimum cut rank is L^lambda, both from unit
-capacities.
+the lambda cut, of rank L^lambda: ``min_cuts`` then runs one scan.
 """
 
 from __future__ import annotations
@@ -88,8 +87,10 @@ class Hypergraph:
             if not e.vertices:
                 raise EmptyEdgeError(i)
             for v in e.vertices:
-                if not (1 <= v <= self.k):
+                if type(v) is not int or not (1 <= v <= self.k):
                     raise VertexOutOfRangeError(i, v, self.k)
+            if type(e.level) is not int:
+                raise BadLevelError(f"edge {i} level {e.level!r} is not an integer", i)
             if e.level < 2:
                 raise BadLevelError(f"edge {i} has level {e.level} < 2", i)
 
@@ -313,19 +314,15 @@ def _search(net: _Network, residual: list, sources: list[int], sink: int) -> lis
     return via
 
 
-def _max_flow(
-    net: _Network, sources: list[int], sink: int, residual: list | None = None
-):
+def _max_flow(net: _Network, sources: list[int], sink: int, residual: list):
     """Edmonds-Karp from a vertex set to one vertex outside it.
 
     Yields the flow value, zero first and then after each augmenting path,
     so each caller stops once it knows enough; run out, the last value is
-    the maximum.  ``residual`` (default: a copy of the capacities) is
+    the maximum.  ``residual``, a copy of the capacities to start with, is
     updated in place: the flow on forward arc a is residual[a ^ 1].
     """
     head, _, cap = net
-    if residual is None:
-        residual = list(cap)
     value = cap[1]  # a reverse arc's capacity: zero
     yield value
     while True:
@@ -387,11 +384,10 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     minimum cut keeps those flows' sinks with 1; the side is what the first
     minimal flow's residual still reaches from its sources, the vertices
     every minimum cut with its sink outside keeps inside.  The weighted cut
-    flows on levels unless all levels are equal, L say: then the product is
-    L^|crossing| and both cuts are the same.
+    flows on levels.
     """
     _require_cut_preconditions(h)
-    net = _incidence_network(h, by_level=weighted and _equal_level(h) is None)
+    net = _incidence_network(h, by_level=weighted)
     _, sources, sink, residual = _scan(h, net)
     via = _search(net, residual, sources, sink)
     side = frozenset(u for u in range(1, h.k + 1) if via[u] != -1)
@@ -399,34 +395,18 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     return Cut(side, crossing, prod(h.edges[i].level for i in crossing))
 
 
-def _equal_level(h: Hypergraph) -> int | None:
-    """The level L every edge has, or None when levels differ."""
-    levels = set(h.levels())
-    return levels.pop() if len(levels) == 1 else None
-
-
 def min_cuts(h: Hypergraph) -> tuple[Cut, Cut]:
-    """``(min_cut(h), min_cut(h, weighted=True))``, one cut when levels are equal."""
+    """``(min_cut(h), min_cut(h, weighted=True))`` from one scan when levels
+    are equal, L say: every cut then has rank L^|crossing|, so the weighted
+    minimum cut is the lambda cut, of rank L^lambda."""
     cut = min_cut(h)
-    return cut, (cut if _equal_level(h) is not None else min_cut(h, weighted=True))
+    return cut, (cut if len(set(h.levels())) == 1 else min_cut(h, weighted=True))
 
 
 def edge_connectivity(h: Hypergraph) -> int:
     """Minimum number of crossing edges over all bipartitions (levels ignored)."""
     _require_cut_preconditions(h)
     return _scan(h, _incidence_network(h))[0]
-
-
-def min_cut_rank(h: Hypergraph) -> int:
-    """Minimum over bipartitions of the product of crossing-edge levels."""
-    return min_cut(h, weighted=True).rank
-
-
-def edge_connectivity_and_rank(h: Hypergraph) -> tuple[int, int]:
-    """``(edge_connectivity(h), min_cut_rank(h))`` with lambda computed once."""
-    lam = edge_connectivity(h)
-    level = _equal_level(h)
-    return lam, min_cut_rank(h) if level is None else level**lam
 
 
 def line_graph(h: Hypergraph) -> Graph:
@@ -441,13 +421,6 @@ def line_graph(h: Hypergraph) -> Graph:
     return Graph(m, frozenset(pairs))
 
 
-def min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
-    """Minimum crossing-edge count over bipartitions with a inside, b outside."""
-    _require_cut_preconditions(h)
-    _require_vertex_pair(h, a, b)
-    return max(_max_flow(_incidence_network(h), [a], b))
-
-
 def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
     """Maximum family of pairwise edge-disjoint a-b paths.
 
@@ -456,7 +429,8 @@ def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:
     unit-capacity max-flow on the vertex-edge incidence network (each edge
     node capped at one use), then decomposed deterministically: each step
     takes the smallest edge index, then the smallest vertex, that carries
-    flow.  By Menger's theorem there are min_cut_separating(h, a, b) paths.
+    flow.  By Menger's theorem there are as many paths as edges in a
+    minimum cut with a inside and b outside.
     """
     _require_cut_preconditions(h)
     _require_vertex_pair(h, a, b)

@@ -71,9 +71,9 @@ from .gpor import (
 from .hypergraph import (
     Hypergraph,
     edge_connectivity,
-    edge_connectivity_and_rank,
     edge_disjoint_paths,
     line_graph,
+    min_cuts,
     _json_int,
     _json_int_rows,
     _json_ints,
@@ -982,7 +982,7 @@ class RateBound:
 
     @property
     def ghz2_per_copy(self) -> float:
-        return float(self.lam) if self.uniform else math.log2(self.cut_rank)
+        return math.log2(self.cut_rank)
 
     def to_json_dict(self) -> dict:
         return {
@@ -996,14 +996,14 @@ class RateBound:
 def ghz_rate_bound(h: Hypergraph) -> RateBound:
     """Optimal asymptotic GHZ yield per copy of the edge-product state.
 
-    Uniform level 2: exactly lam(H) two-level GHZ states per copy (the
-    inverse of the transformation rate).  Mixed levels: log2 of the
-    weighted minimum cut rank.  With equal levels L that rank is L^lam,
-    so lam is computed once and no witness side is fixed.
+    That is log2 of the weighted minimum cut rank: for uniform level 2 the
+    rank is 2^lam(H), so exactly lam(H) two-level GHZ states per copy (the
+    inverse of the transformation rate).  ``min_cuts`` scans once when
+    levels are equal.
     """
-    lam, r = edge_connectivity_and_rank(h)
+    cut, wcut = min_cuts(h)
     uniform = all(e.level == 2 for e in h.edges)
-    return RateBound(lam, r, uniform)
+    return RateBound(len(cut.crossing), wcut.rank, uniform)
 
 
 @dataclass(frozen=True)

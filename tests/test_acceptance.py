@@ -22,6 +22,7 @@ from conftest import (
     edge_connectivity_by_removal,
     flattening_rank,
     random_connected_hypergraph,
+    ref_min_cut_separating,
     ref_solutions,
     total_exponent,
 )
@@ -33,7 +34,6 @@ from ghzcert.hypergraph import (
     edge_disjoint_paths,
     graph,
     line_graph,
-    min_cut_separating,
     path_hypergraph,
     single_full_edge,
 )
@@ -110,7 +110,7 @@ def test_criterion_02_oracle_equivalence(scorecard):
             pair_cuts = []
             pair_paths = []
             for a, b in combinations(range(1, h.k + 1), 2):
-                cut = min_cut_separating(h, a, b)
+                cut = ref_min_cut_separating(h, a, b)
                 paths = edge_disjoint_paths(h, a, b)
                 assert len(paths) == cut  # Menger, per pair
                 assert_valid_path_family(h, a, b, paths)

@@ -919,10 +919,9 @@ def test_cuts_transcripts_byte_exact(name, tmp_path, capsys):
 )
 def test_equal_levels_cut_once(command, flows, name, tmp_path, monkeypatch):
     # with equal levels the weighted cut is the lambda cut and the rank is
-    # L^lambda: connectivity fixes one witness side, at most 2(k - 1) flows,
-    # and rate computes lambda only, at most k - 1 flows; unequal levels take
-    # as many flows again on level capacities, and no bipartition is
-    # enumerated
+    # L^lambda: connectivity and rate each scan once, at most k - 1 flows
+    # (connectivity is held to twice that); unequal levels take as many
+    # flows again on level capacities, and no bipartition is enumerated
     h = _cuts_instance(name)
     path = tmp_path / "h.json"
     path.write_text(json.dumps(h.to_json_dict()))

@@ -35,20 +35,17 @@ from ghzcert.hypergraph import (
     complete_uniform,
     cycle_hypergraph,
     edge_connectivity,
-    edge_connectivity_and_rank,
     edge_disjoint_paths,
     graph,
     hypergraph,
     is_connected,
     line_graph,
     min_cut,
-    min_cut_rank,
-    min_cut_separating,
     min_cuts,
     path_hypergraph,
     single_full_edge,
 )
-from ghzcert.protocol import epr_rate
+from ghzcert.protocol import epr_rate, ghz_rate_bound
 
 
 def test_validate_reports_edge_index():
@@ -65,6 +62,21 @@ def test_validate_reports_edge_index():
             hypergraph(3, [{1, 2}]), edges=(pair, pair, Edge(pair.vertices, 1))
         )
     assert err.value.edge_index == 2
+
+
+def test_a_vertex_or_level_that_is_not_an_int_is_refused():
+    # a float vertex read as disconnected, a float level failed inside the
+    # flow, and a bool vertex wrote a certificate that did not parse
+    with pytest.raises(VertexOutOfRangeError) as err:
+        hypergraph(3, [{1, 1.5}, {1.5, 2}, {2, 3}])
+    assert err.value.edge_index == 0 and err.value.vertex == 1.5
+    with pytest.raises(VertexOutOfRangeError) as err:
+        hypergraph(3, [{True, 2}, {2, 3}])
+    assert err.value.edge_index == 0 and err.value.vertex is True
+    for level in (2.5, 2.0):
+        with pytest.raises(BadLevelError, match="edge 0 level") as err:
+            hypergraph(3, [{1, 2}, {2, 3}], [level, 2])
+        assert err.value.edge_index == 0
 
 
 def test_levels_of_another_length_are_refused():
@@ -119,12 +131,11 @@ def test_weighted_cut_differs_from_unweighted():
     weighted = min_cut(h, weighted=True)
     assert len(plain.crossing) == 1 and plain.rank == 5
     assert len(weighted.crossing) == 2 and weighted.rank == 4
-    assert min_cut_rank(h) == 4
 
 
 def test_min_cut_rank_levels():
-    assert min_cut_rank(cycle_hypergraph(3)) == 4
-    assert min_cut_rank(single_full_edge(4, level=3)) == 3
+    assert min_cut(cycle_hypergraph(3), weighted=True).rank == 4
+    assert min_cut(single_full_edge(4, level=3), weighted=True).rank == 3
 
 
 def test_removal_oracle_matches_enumeration():
@@ -150,14 +161,12 @@ def test_cut_guards():
     # no cut enumerates bipartitions, so unequal levels have no vertex cap
     everyone = set(range(1, 26))
     h25 = hypergraph(25, [everyone, everyone], [2, 3])
-    assert min_cut_rank(h25) == 6
-    assert min_cut(h25, weighted=True).side == frozenset({1})
+    assert min_cut(h25, weighted=True) == Cut(frozenset({1}), (0, 1), 6)
     # a cycle whose edge i has level (2, 3, 4)[i % 3]: its cheapest cuts
     # sever two edges of level 2
     m40 = _mixed_cycle(40)
-    assert min_cut_rank(m40) == 4
     assert min_cut(m40, weighted=True) == Cut(frozenset({1}), (0, 39), 4)
-    assert min_cut_rank(_mixed_cycle(200)) == 4
+    assert min_cut(_mixed_cycle(200), weighted=True).rank == 4
     with pytest.raises(DisconnectedError):
         edge_connectivity(hypergraph(4, [{1, 2}, {3, 4}]))
     assert edge_connectivity(single_full_edge(25)) == 1
@@ -200,12 +209,13 @@ def test_cuts_match_enumeration_reference():
         assert min_cut(h) == cut
         assert min_cut(h, weighted=True) == wcut
         assert min_cuts(h) == (cut, wcut)
-        assert min_cut_rank(h) == wcut.rank
-        assert edge_connectivity_and_rank(h) == (len(cut.crossing), wcut.rank)
+        rate = ghz_rate_bound(h)
+        assert (rate.lam, rate.cut_rank) == (len(cut.crossing), wcut.rank)
         for a in range(1, h.k + 1):
             for b in range(1, h.k + 1):
                 if a != b:
-                    assert min_cut_separating(h, a, b) == ref_min_cut_separating(h, a, b)
+                    paths = edge_disjoint_paths(h, a, b)
+                    assert len(paths) == ref_min_cut_separating(h, a, b)
 
 
 def _core_and_ring() -> Hypergraph:
@@ -234,8 +244,8 @@ def test_cut_edge_cases_match_enumeration_reference():
     assert wcut.rank == min(bridge.levels()) == 2
     assert min_cut(bridge, weighted=True) == wcut
     assert min_cuts(bridge) == (ref_min_cut(bridge), wcut)
-    assert min_cut_rank(bridge) == 2
-    assert edge_connectivity_and_rank(bridge) == (1, 2)
+    rate = ghz_rate_bound(bridge)
+    assert (rate.lam, rate.cut_rank) == (1, 2)
 
 
 EVERY_CUT = (
@@ -243,9 +253,7 @@ EVERY_CUT = (
     min_cut,
     lambda h: min_cut(h, weighted=True),
     min_cuts,
-    min_cut_rank,
-    edge_connectivity_and_rank,
-    lambda h: min_cut_separating(h, 1, h.k),
+    ghz_rate_bound,
     lambda h: edge_disjoint_paths(h, 1, h.k),
 )
 
@@ -299,8 +307,10 @@ def _flows(cut, h: Hypergraph, monkeypatch) -> int:
         # and gives the side; lambda is above the least capacity, so the
         # flows to 4, 3 and 2 run too, each stopping when it reaches 2
         (min_cut, _core_and_ring(), 6),
+        # on mixed levels min_cuts runs both scans; each stops after its
+        # first flow, to 5, which crosses the bridge, the least capacity
+        (min_cuts, _level_bridge(), 2),
         # on levels the first flow, to 5, crosses the bridge, the least level
-        (min_cut_rank, _level_bridge(), 1),
         (weighted_min_cut, _level_bridge(), 1),
         (edge_connectivity, cycle_hypergraph(16), 15),
     ],
@@ -311,31 +321,36 @@ def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
 
 def test_the_witness_side_costs_no_flow(monkeypatch):
     # min_cut reads its side off the scan that gives lambda, so it runs the
-    # flows of the lambda-only call on the same capacities
+    # flows of the lambda-only call on the same capacities; on equal levels
+    # the level scan runs the unit scan's flows and min_cuts scans once, on
+    # mixed levels min_cuts runs both scans and nothing more
     rng = random.Random(2026)
     for _ in range(60):
         h = random_connected_hypergraph(rng, kmax=16, emax=20)
-        if rng.random() < 0.5:
-            h = hypergraph(
-                h.k,
-                [e.vertices for e in h.edges],
-                [rng.choice((2, 3, 4, 6)) for _ in h.edges],
-            )
-        assert _flows(min_cut, h, monkeypatch) == _flows(
-            edge_connectivity, h, monkeypatch
+        level = rng.choice((2, 3, 5, None))
+        h = hypergraph(
+            h.k,
+            [e.vertices for e in h.edges],
+            [level or rng.choice((2, 3, 4, 6)) for _ in h.edges],
         )
-        assert _flows(weighted_min_cut, h, monkeypatch) == _flows(
-            min_cut_rank, h, monkeypatch
-        )
+        unit = _flows(min_cut, h, monkeypatch)
+        assert unit == _flows(edge_connectivity, h, monkeypatch)
+        weighted = _flows(weighted_min_cut, h, monkeypatch)
+        both = _flows(min_cuts, h, monkeypatch)
+        if len(set(h.levels())) == 1:
+            assert weighted == unit == both
+        else:
+            assert both == unit + weighted
 
 
 def test_min_cut_separating():
+    # by Menger, the number of edge-disjoint a-b paths
     c6 = cycle_hypergraph(6)
-    assert min_cut_separating(c6, 1, 4) == 2
-    assert min_cut_separating(path_hypergraph(5), 1, 5) == 1
-    assert min_cut_separating(cycle_hypergraph(3), 2, 3) == 2
+    assert len(edge_disjoint_paths(c6, 1, 4)) == 2
+    assert len(edge_disjoint_paths(path_hypergraph(5), 1, 5)) == 1
+    assert len(edge_disjoint_paths(cycle_hypergraph(3), 2, 3)) == 2
     with pytest.raises(SameVertexError):
-        min_cut_separating(c6, 2, 2)
+        edge_disjoint_paths(c6, 2, 2)
 
 
 def test_edge_disjoint_paths_path_and_cycle():
@@ -358,7 +373,7 @@ def test_edge_disjoint_paths_rejects_vertices_out_of_range():
 def test_edge_disjoint_paths_through_hyperedges():
     h = hypergraph(5, [{1, 2, 3}, {3, 4}, {4, 5}, {1, 5}])
     paths = edge_disjoint_paths(h, 1, 4)
-    assert len(paths) == min_cut_separating(h, 1, 4) == 2
+    assert len(paths) == ref_min_cut_separating(h, 1, 4) == 2
     assert_valid_path_family(h, 1, 4, paths)
     # vertex 2 only sits inside the big edge, so one path is the max
     assert len(edge_disjoint_paths(h, 2, 4)) == 1
@@ -398,7 +413,7 @@ def test_edge_disjoint_paths_splices_out_a_flow_cycle(case):
     h = hypergraph(k, edges)
     paths = edge_disjoint_paths(h, a, b)
     assert paths == want
-    assert len(paths) == min_cut_separating(h, a, b)
+    assert len(paths) == ref_min_cut_separating(h, a, b)
     assert_valid_path_family(h, a, b, paths)
 
 
@@ -409,7 +424,7 @@ def test_menger_on_random_instances():
         for a in range(1, h.k + 1):
             for b in range(a + 1, h.k + 1):
                 paths = edge_disjoint_paths(h, a, b)
-                assert len(paths) == min_cut_separating(h, a, b)
+                assert len(paths) == ref_min_cut_separating(h, a, b)
                 assert_valid_path_family(h, a, b, paths)
 
 
