@@ -15,8 +15,13 @@ ordered group (Q+, *), where 1 is zero.  One scan gives the minimum and
 its witness side: for v = k down to 2 it runs one flow from vertex 1 and
 every vertex scanned before v to v, k - 1 at most, stopping each flow at the
 least value so far and the scan at the least edge capacity, which every cut
-meets.  The least flow is the minimum, and the side is what the residual of
-the first flow to reach it still reaches from its sources.  With equal
+meets.  Two exact bounds prune it: before any flow has finished, a flow
+stops once it exceeds the lightest vertex cut (the capacities at one
+vertex), an upper bound on the minimum; and a sink is skipped when its edges
+that already meet the sources, each a path of its own, reach the value at
+which its flow would stop.  The least flow is the minimum, and the side is
+what the residual of the first flow to reach it still reaches from its
+sources; neither bound stops that flow.  With equal
 levels L every cut has rank L^|crossing|, so the weighted minimum cut is
 the lambda cut, of rank L^lambda: ``min_cuts`` then runs one scan.
 """
@@ -83,6 +88,7 @@ class Hypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        _json_int(self.k, "k")
         for i, e in enumerate(self.edges):
             if not e.vertices:
                 raise EmptyEdgeError(i)
@@ -220,11 +226,12 @@ def _require_cut_preconditions(h: Hypergraph) -> None:
 
 
 def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
+    # a float or bool is not a vertex, as in Hypergraph
+    for v in (a, b):
+        if type(v) is not int or not (1 <= v <= h.k):
+            raise VertexOutOfRangeError(None, v, h.k)
     if a == b:
         raise SameVertexError(f"vertices must differ, got {a} twice")
-    for v in (a, b):
-        if not (1 <= v <= h.k):
-            raise VertexOutOfRangeError(None, v, h.k)
 
 
 @total_ordering
@@ -350,23 +357,38 @@ def _scan(
 ) -> tuple[int | _Level, list[int], int, list]:
     # For v = k down to 2, one flow from S = {1, k, ..., v + 1} to v, then v
     # joins S.  A minimum cut with 1 inside first leaves out some scanned v
-    # with all of S inside, so the least flow is lambda.  Each flow stops
-    # once it reaches the least so far, and the scan stops at the least edge
-    # capacity, which every cut of a connected hypergraph meets.  Returns
-    # (lambda, S, v, residual) of the first flow that reached lambda.
-    floor = min(net[2][::2])
+    # with all of S inside, so the least flow is lambda.  A flow is dismissed
+    # once it reaches the least so far or, before there is one, once it
+    # exceeds the lightest vertex cut (the capacities at one vertex), which
+    # bounds lambda from above.  A sink is skipped when its edges that
+    # already meet S, each an S-v path of its own (Menger), would dismiss its
+    # flow.  The scan stops at the least edge capacity, which every cut of a
+    # connected hypergraph meets.  Returns (lambda, S, v, residual) of the
+    # first flow that reached lambda; no bound dismisses it.
+    head, adj, cap = net
+    zero, floor = cap[1], min(cap[::2])
+    # adj[u][::2] holds one arc per edge at u, with that edge's capacity
+    ceiling = min(sum((cap[a] for a in adj[u][::2]), zero) for u in range(1, h.k + 1))
+    met = {head[a] for a in adj[1][::2]}  # the in-nodes of edges meeting S
     sources = [1]
     best = None
+
+    def dismissed(value) -> bool:
+        return value >= best[0] if best else value > ceiling
+
     for v in range(h.k, 1, -1):
-        residual = list(net[2])
-        for value in _max_flow(net, sources, v, residual):
-            if best is not None and value >= best[0]:
-                break
-        else:
-            best = value, sources[:], v, residual
-            if value == floor:
-                break
+        paths = sum((cap[a] for a in adj[v][::2] if head[a] in met), zero)
+        if not dismissed(paths):
+            residual = list(cap)
+            for value in _max_flow(net, sources, v, residual):
+                if dismissed(value):
+                    break
+            else:
+                best = value, sources[:], v, residual
+                if value == floor:
+                    break
         sources.append(v)
+        met.update(head[a] for a in adj[v][::2])
     return best
 
 
@@ -384,7 +406,9 @@ def min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
     minimum cut keeps those flows' sinks with 1; the side is what the first
     minimal flow's residual still reaches from its sources, the vertices
     every minimum cut with its sink outside keeps inside.  The weighted cut
-    flows on levels.
+    flows on levels.  No flow runs past the lightest vertex cut, and a sink
+    whose edges to the vertices already scanned reach the least value so far
+    runs no flow: neither can be the first to reach the minimum.
     """
     _require_cut_preconditions(h)
     net = _incidence_network(h, by_level=weighted)

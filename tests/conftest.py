@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from collections import Counter, deque, namedtuple
@@ -123,6 +124,28 @@ def ref_min_cut(h: Hypergraph, weighted: bool = False) -> Cut:
 
 def ref_min_cut_separating(h: Hypergraph, a: int, b: int) -> int:
     return min(len(c.crossing) for c in ref_cuts(h) if (a in c.side) != (b in c.side))
+
+
+def ref_scan(h: Hypergraph, net):
+    """``hypergraph._scan`` without its bounds: every sink from k down to 2
+    runs its flow, stopped only at the least value so far (the first to
+    completion), and the scan stops at the least edge capacity.  Calls the
+    module's ``_max_flow`` by name, so a test can count its flows."""
+    module = importlib.import_module("ghzcert.hypergraph")
+    floor = min(net[2][::2])
+    sources = [1]
+    best = None
+    for v in range(h.k, 1, -1):
+        residual = list(net[2])
+        for value in module._max_flow(net, sources, v, residual):
+            if best is not None and value >= best[0]:
+                break
+        else:
+            best = value, sources[:], v, residual
+            if value == floor:
+                break
+        sources.append(v)
+    return best
 
 
 # -- brute-force connectivity oracles, independent of the max-flow code ------

@@ -16,6 +16,7 @@ from conftest import (
     random_connected_hypergraph,
     ref_min_cut,
     ref_min_cut_separating,
+    ref_scan,
     vertex_connectivity,
 )
 from ghzcert.errors import (
@@ -77,6 +78,15 @@ def test_a_vertex_or_level_that_is_not_an_int_is_refused():
         with pytest.raises(BadLevelError, match="edge 0 level") as err:
             hypergraph(3, [{1, 2}, {2, 3}], [level, 2])
         assert err.value.edge_index == 0
+
+
+def test_a_k_that_is_not_an_int_is_refused():
+    # a float k built, and its cuts then called it disconnected
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError, match=f"k must be an integer, not {k!r}"):
+            hypergraph(k, [{1, 2}])
+    with pytest.raises(TypeError, match="not True"):
+        Hypergraph(True, ())
 
 
 def test_levels_of_another_length_are_refused():
@@ -218,6 +228,26 @@ def test_cuts_match_enumeration_reference():
                     assert len(paths) == ref_min_cut_separating(h, a, b)
 
 
+def test_the_bounds_keep_the_scan_and_cut_its_flows(monkeypatch):
+    # the Menger skip and the vertex-cut stop dismiss only flows that the
+    # unpruned scan dismisses or outdoes, so lambda, the sources and sink
+    # of the first flow to reach it and that flow's residual (so the side)
+    # are the same, from no more flows
+    module = importlib.import_module("ghzcert.hypergraph")
+    rng = random.Random(2028)
+    saved = 0
+    for _ in range(300):
+        h = _random_cut_instance(rng)
+        for by_level in (False, True):
+            net = module._incidence_network(h, by_level)
+            assert module._scan(h, net) == ref_scan(h, net)
+            pruned = _flows(lambda g: module._scan(g, net), h, monkeypatch)
+            unpruned = _flows(lambda g: ref_scan(g, net), h, monkeypatch)
+            assert pruned <= unpruned
+            saved += unpruned - pruned
+    assert saved
+
+
 def _core_and_ring() -> Hypergraph:
     """Vertices 1, 2, 6 and 7 joined by parallel edges, and a ring
     2-3-5-4-7 through them: every minimum cut (two edges) keeps 2, 6 and 7
@@ -277,21 +307,34 @@ def weighted_min_cut(h: Hypergraph) -> Cut:
     return min_cut(h, weighted=True)
 
 
-def _flows(cut, h: Hypergraph, monkeypatch) -> int:
-    """The number of max-flows ``cut(h)`` runs."""
+def _flow_values(cut, h: Hypergraph, monkeypatch) -> list[list]:
+    """Per max-flow that ``cut(h)`` runs, the values it yielded."""
     # ghzcert.hypergraph is the function hypergraph(), not the module
     module = importlib.import_module("ghzcert.hypergraph")
     flow = module._max_flow
-    calls = []
+    flows = []
 
-    def counted(*args):
-        calls.append(args)
-        return flow(*args)
+    def recorded(*args):
+        flows.append([])
+        for value in flow(*args):
+            flows[-1].append(value)
+            yield value
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "_max_flow", counted)
+        patch.setattr(module, "_max_flow", recorded)
         cut(h)
-    return len(calls)
+    return flows
+
+
+def _flows(cut, h: Hypergraph, monkeypatch) -> int:
+    """The number of max-flows ``cut(h)`` runs."""
+    return len(_flow_values(cut, h, monkeypatch))
+
+
+def _light_vertex() -> Hypergraph:
+    """Vertex 2 has two edges, so lambda <= 2, while three parallel edges
+    join 1 to 3 and three join 3 to 4: the flow from 1 to 4 is 4."""
+    return hypergraph(4, [{1, 3}] * 3 + [{3, 4}] * 3 + [{1, 2}, {2, 4}])
 
 
 @pytest.mark.parametrize(
@@ -301,22 +344,43 @@ def _flows(cut, h: Hypergraph, monkeypatch) -> int:
         # whose residual gives the side
         (edge_connectivity, path_hypergraph(16), 1),
         (min_cut, path_hypergraph(16), 1),
-        # lambda = 2 takes all 15 flows; the first, to 16, gives the side
-        (min_cut, cycle_hypergraph(16), 15),
-        # the flows to 7 and 6 exceed lambda = 2, the flow to 5 reaches it
-        # and gives the side; lambda is above the least capacity, so the
-        # flows to 4, 3 and 2 run too, each stopping when it reaches 2
-        (min_cut, _core_and_ring(), 6),
+        # lambda = 2; the first flow, to 16, gives the side; the flows to
+        # 15 down to 3 each stop when they reach 2, and the sink 2 is
+        # skipped: its two edges meet the sources, two paths already
+        (min_cut, cycle_hypergraph(16), 14),
+        # the lightest vertex cut is 2, so the flow to 7 stops at 3 of its
+        # 5; the sink 6 is skipped, since its four edges to 1 and 7 exceed
+        # 2; the flow to 5 reaches lambda = 2 and gives the side; the sinks
+        # 4 and 2 are skipped (two and four edges to the sources), and the
+        # flow to 3 stops when it reaches 2
+        (min_cut, _core_and_ring(), 3),
         # on mixed levels min_cuts runs both scans; each stops after its
         # first flow, to 5, which crosses the bridge, the least capacity
         (min_cuts, _level_bridge(), 2),
         # on levels the first flow, to 5, crosses the bridge, the least level
         (weighted_min_cut, _level_bridge(), 1),
-        (edge_connectivity, cycle_hypergraph(16), 15),
+        # as min_cut: the sink 2 is skipped
+        (edge_connectivity, cycle_hypergraph(16), 14),
+        # the flow to 4 stops at 3 > 2, the lightest vertex cut, and the
+        # sink 3 is skipped, its six edges to the sources being more than
+        # 2; the flow to 2 gives lambda = 2
+        (edge_connectivity, _light_vertex(), 2),
+        # on levels 2, 3, 4, 2, 3, 4 the flow to 6 stops at 8 > 6, the
+        # lightest vertex cut; the flows to 5 and 4 give 6, then 4; the
+        # sinks 3 and 2 are skipped, their edges to the sources being of
+        # level 4 and 2 * 3
+        (weighted_min_cut, _mixed_cycle(6), 3),
     ],
 )
 def test_cuts_run_the_flows_they_need(cut, h, flows, monkeypatch):
     assert _flows(cut, h, monkeypatch) == flows
+
+
+def test_the_lightest_vertex_cut_stops_the_first_flow(monkeypatch):
+    # the flow to 4 would reach 4; the first value above 2 dismisses it
+    h = _light_vertex()
+    assert len(edge_disjoint_paths(h, 1, 4)) == 4
+    assert _flow_values(edge_connectivity, h, monkeypatch) == [[0, 1, 2, 3], [0, 1, 2]]
 
 
 def test_the_witness_side_costs_no_flow(monkeypatch):
@@ -368,6 +432,17 @@ def test_edge_disjoint_paths_rejects_vertices_out_of_range():
         edge_disjoint_paths(c4, 1, 99)
     with pytest.raises(VertexOutOfRangeError):
         edge_disjoint_paths(c4, 0, 2)
+
+
+@pytest.mark.parametrize("vertex", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_a_vertex_pair_that_is_not_ints_is_refused(vertex):
+    # a float failed inside the flow, and True was taken as vertex 1
+    c4 = cycle_hypergraph(4)
+    for pair in ((vertex, 3), (3, vertex)):
+        for paths in (edge_disjoint_paths, epr_rate):
+            with pytest.raises(VertexOutOfRangeError) as err:
+                paths(c4, *pair)
+            assert err.value.vertex is vertex
 
 
 def test_edge_disjoint_paths_through_hyperedges():
