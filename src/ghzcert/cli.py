@@ -140,13 +140,7 @@ def _cmd_certify(args):
 def _cmd_verify(args):
     cert = _load(args.file, "certificate", Certificate.from_json_dict)
     report = verify_certificate(cert, deep=args.deep)
-    obj = {
-        "ok": report.ok,
-        "checks": [
-            {"name": c.name, "status": c.status, "detail": c.detail}
-            for c in report.checks
-        ],
-    }
+    obj = {"ok": report.ok, "checks": [c._asdict() for c in report.checks]}
     return (0 if report.ok else 1), obj, lambda: [report.summary()]
 
 

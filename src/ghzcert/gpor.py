@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DimensionInfeasibleError, RetriesExhaustedError, TooLargeError
 from .hypergraph import Graph
@@ -47,8 +47,7 @@ from .ratlinalg import IntVector, _orthogonal_basis, _primitive, _residual, rank
 GENERAL_POSITION_SUBSET_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class OrthRep:
+class OrthRep(NamedTuple):
     """Vectors (one per graph vertex, integer entries) labelling ``graph``."""
 
     graph: Graph
@@ -160,8 +159,7 @@ def _verified(
     return found
 
 
-@dataclass(frozen=True)
-class OrthRepReport:
+class OrthRepReport(NamedTuple):
     orthogonality_violations: tuple[tuple[int, int, str], ...]
     dependent_subsets: tuple[tuple[int, ...], ...]
     zero_vectors: tuple[int, ...]

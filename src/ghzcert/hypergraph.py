@@ -28,11 +28,9 @@ the lambda cut, of rank L^lambda: ``min_cuts`` then runs one scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import total_ordering
 from itertools import chain, combinations
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadLevelError,
@@ -76,29 +74,36 @@ def _repeated(keys: Iterable):
     return next(key for key in keys if key in seen or seen.add(key))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     vertices: frozenset[int]
     level: int = 2
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class _HypergraphFields(NamedTuple):
     k: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        _json_int(self.k, "k")
-        for i, e in enumerate(self.edges):
+
+class Hypergraph(_HypergraphFields):
+    __slots__ = ()
+
+    def __new__(cls, k: int, edges: tuple[Edge, ...]) -> Hypergraph:
+        _json_int(k, "k")
+        for i, e in enumerate(edges):
             if not e.vertices:
                 raise EmptyEdgeError(i)
             for v in e.vertices:
-                if type(v) is not int or not (1 <= v <= self.k):
-                    raise VertexOutOfRangeError(i, v, self.k)
+                if type(v) is not int or not (1 <= v <= k):
+                    raise VertexOutOfRangeError(i, v, k)
             if type(e.level) is not int:
                 raise BadLevelError(f"edge {i} level {e.level!r} is not an integer", i)
             if e.level < 2:
                 raise BadLevelError(f"edge {i} has level {e.level} < 2", i)
+        return super().__new__(cls, k, edges)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Hypergraph:
+        return cls(*fields)  # checked, and so is _replace, which calls _make
 
     @property
     def l(self) -> int:
@@ -156,8 +161,7 @@ def hypergraph(
     return Hypergraph(k, tuple(Edge(s, lv) for s, lv in zip(sets, levels)))
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """One side of a bipartition plus the edges it severs.
 
     ``rank`` is the exact product of the crossing edges' levels; its log2 is
@@ -169,17 +173,25 @@ class Cut:
     rank: int
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+
+class Graph(_GraphFields):
     """Simple undirected graph on vertices 0..n-1 (used for line graphs)."""
 
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"bad edge ({a}, {b}) for n={self.n}")
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]] = frozenset()) -> Graph:
+        for a, b in edges:
+            if not (0 <= a < b < n):
+                raise ValueError(f"bad edge ({a}, {b}) for n={n}")
+        return super().__new__(cls, n, edges)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Graph:
+        return cls(*fields)  # checked, as in Hypergraph
 
     def adjacent(self, u: int, v: int) -> bool:
         if u == v:
@@ -234,31 +246,40 @@ def _require_vertex_pair(h: Hypergraph, a: int, b: int) -> None:
         raise SameVertexError(f"vertices must differ, got {a} twice")
 
 
-@total_ordering
-@dataclass(slots=True)
 class _Level:
     """A level as a capacity, in (Q+, *) written additively: + multiplies,
     - divides and 1 is zero, so a flow value is a product of levels.
 
-    Kept as num/den in lowest terms, so equality is that of the pair and
-    the search's truth test is one int comparison.
+    Kept as num/den in lowest terms, so the search's truth test is one int
+    comparison; every comparison is cross-multiplied, den being positive.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        g = gcd(num, den)
+        self.num, self.den = num // g, den // g
 
     def __add__(self, other: _Level) -> _Level:
-        num, den = self.num * other.num, self.den * other.den
-        g = gcd(num, den)
-        return _Level(num // g, den // g)
+        return _Level(self.num * other.num, self.den * other.den)
 
     def __sub__(self, other: _Level) -> _Level:
-        num, den = self.num * other.den, self.den * other.num
-        g = gcd(num, den)
-        return _Level(num // g, den // g)
+        return _Level(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other: _Level) -> bool:
+        return self.num * other.den == other.num * self.den
 
     def __lt__(self, other: _Level) -> bool:
         return self.num * other.den < other.num * self.den
+
+    def __le__(self, other: _Level) -> bool:
+        return self.num * other.den <= other.num * self.den
+
+    def __gt__(self, other: _Level) -> bool:
+        return self.num * other.den > other.num * self.den
+
+    def __ge__(self, other: _Level) -> bool:
+        return self.num * other.den >= other.num * self.den
 
     def __bool__(self) -> bool:
         return self.num != self.den

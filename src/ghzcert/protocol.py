@@ -48,10 +48,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count, product, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     BadGridLimitError,
@@ -148,8 +147,7 @@ def _json_quad_terms(rows) -> dict[tuple[int, int], int]:
     return _json_terms(pairs, "quad terms")
 
 
-@dataclass(frozen=True)
-class QuadraticAssignment:
+class QuadraticAssignment(NamedTuple):
     """Integer quadratic forms, one per vertex, in the edge indices.
 
     Vertex j (1-based; slot j - 1 here) contributes
@@ -530,8 +528,7 @@ def c_prime(rep: OrthRep) -> int:
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     hypergraph: Hypergraph
     lam: int
     d: int
@@ -711,15 +708,13 @@ def _gaps(covered: list[int], k: int) -> str:
     return ", ".join(runs)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -733,13 +728,10 @@ class CertificateReport:
         raise KeyError(name)
 
     def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            line = f"{c.name:<26} {c.status}"
-            if c.detail:
-                line += f"  ({c.detail})"
-            lines.append(line)
-        return "\n".join(lines)
+        return "\n".join(
+            f"{name:<26} {status}" + (f"  ({detail})" if detail else "")
+            for name, status, detail in self.checks
+        )
 
 
 def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateReport:
@@ -974,8 +966,7 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
 # -- rates -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RateBound:
+class RateBound(NamedTuple):
     lam: int
     cut_rank: int
     uniform: bool
@@ -1006,8 +997,7 @@ def ghz_rate_bound(h: Hypergraph) -> RateBound:
     return RateBound(len(cut.crossing), wcut.rank, uniform)
 
 
-@dataclass(frozen=True)
-class EprRate:
+class EprRate(NamedTuple):
     a: int
     b: int
     t: int
@@ -1015,16 +1005,13 @@ class EprRate:
 
     @property
     def rate(self) -> Fraction:
+        from fractions import Fraction  # on use: no command reads the rate
+
         return Fraction(1, self.t)
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "t": self.t,
-            "rate": f"1/{self.t}",
-            "paths": [list(p) for p in self.paths],
-        }
+        paths = [list(p) for p in self.paths]
+        return {**self._asdict(), "rate": f"1/{self.t}", "paths": paths}
 
 
 def epr_rate(h: Hypergraph, a: int, b: int) -> EprRate:

@@ -1,6 +1,6 @@
-import dataclasses
 import importlib
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -59,9 +59,7 @@ def test_validate_reports_edge_index():
         Hypergraph(3, (pair, Edge(frozenset({1, 4}))))
     assert err.value.edge_index == 1 and err.value.vertex == 4
     with pytest.raises(BadLevelError) as err:
-        dataclasses.replace(
-            hypergraph(3, [{1, 2}]), edges=(pair, pair, Edge(pair.vertices, 1))
-        )
+        hypergraph(3, [{1, 2}])._replace(edges=(pair, pair, Edge(pair.vertices, 1)))
     assert err.value.edge_index == 2
 
 
@@ -132,6 +130,25 @@ def test_min_cut_witness_is_consistent():
         assert cut.crossing == h.crossing(cut.side)
         assert len(cut.crossing) == edge_connectivity(h)
         assert 1 in cut.side and len(cut.side) < h.k
+
+
+def test_a_level_compares_as_the_fraction_it_stands_for():
+    # the weighted cut orders flow values, products and quotients of levels,
+    # by _Level's own comparisons: on a tuple base, a comparison it did not
+    # define would fall back to the lexicographic order of (num, den)
+    level = importlib.import_module("ghzcert.hypergraph")._Level
+    pairs = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+    grid = [(level(a, b), Fraction(a, b)) for a, b in pairs]
+    assert [level(a) - level(b) for a, b in pairs] == [x for x, _ in grid]
+    for x, fx in grid:
+        assert (x.num, x.den) == (fx.numerator, fx.denominator)
+        assert bool(x) == (fx != 1)  # 1 is the zero of (Q+, *)
+        for y, fy in grid:
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                fx < fy, fx <= fy, fx > fy, fx >= fy, fx == fy
+            )
+            total = x + y
+            assert Fraction(total.num, total.den) == fx * fy
 
 
 def test_weighted_cut_differs_from_unweighted():

@@ -1,11 +1,25 @@
 import ast
+import json
 import pathlib
 import subprocess
 import sys
 import types
 from collections import Counter
 
+import pytest
+
 import ghzcert
+from ghzcert.errors import BadLevelError
+from ghzcert.hypergraph import (
+    Edge,
+    Graph,
+    Hypergraph,
+    complete_uniform,
+    graph,
+    hypergraph,
+    min_cut,
+)
+from ghzcert.protocol import Certificate, CheckResult, synthesize_certificate
 
 
 def test_all_names_resolve_without_duplicates():
@@ -68,6 +82,81 @@ def test_importing_the_package_builds_no_command_line_parser():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_command_line_loads_no_module_it_does_not_use():
+    # every command pays for its imports: dataclasses would draw in inspect,
+    # ast, dis and tokenize, and fractions decimal, about 18 ms of a 28 ms
+    # start-up
+    src = str(pathlib.Path(ghzcert.__file__).parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ghzcert.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+        " & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_the_only_import_inside_a_function_is_fractions():
+    # start-up is cut by importing less, not by putting imports off: the
+    # one deferred import is fractions, for EprRate.rate, which no command reads
+    src = pathlib.Path(ghzcert.__file__).parent
+    deferred = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [
+                    (path.name, fn.name, ast.unparse(node))
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert deferred == [("protocol.py", "rate", "from fractions import Fraction")]
+
+
+def test_records_are_immutable_values_that_check_themselves():
+    # the records are named tuples: equal and hashed by value, read-only,
+    # printed by field, and Hypergraph and Graph check every build,
+    # _replace and _make included
+    h = complete_uniform(3, 2)
+    cert = synthesize_certificate(h, 4)
+    parsed = Certificate.from_json_dict(json.loads(cert.to_json_bytes()))
+    assert parsed == cert and parsed is not cert
+    # the assignment's terms are dicts, so a certificate has no hash, as
+    # before; without them the parsed one hashes as the original
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(cert)
+    bare = cert._replace(assignment=None)
+    assert hash(parsed._replace(assignment=None)) == hash(bare)
+    assert hash(parsed.hypergraph) == hash(h) and hash(parsed.rep) == hash(cert.rep)
+    fields = ((cert, "n"), (h, "k"), (h.edges[0], "level"), (cert.rep.graph, "n"))
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+        with pytest.raises(AttributeError):
+            record.extra = 5
+    assert repr(h.edges[0]) == "Edge(vertices=frozenset({1, 2}), level=2)"
+    assert repr(hypergraph(2, [{1, 2}], [3])) == (
+        "Hypergraph(k=2, edges=(Edge(vertices=frozenset({1, 2}), level=3),))"
+    )
+    assert repr(min_cut(h)) == "Cut(side=frozenset({1}), crossing=(0, 1), rank=4)"
+    assert repr(CheckResult("counting", "pass")) == (
+        "CheckResult(name='counting', status='pass', detail='')"
+    )
+    level1 = Edge(frozenset({1, 3}), 1)
+    with pytest.raises(BadLevelError) as err:
+        h._replace(edges=h.edges + (level1,))
+    assert err.value.edge_index == 3
+    with pytest.raises(BadLevelError) as err:
+        Hypergraph._make((3, (level1,)))
+    assert err.value.edge_index == 0
+    assert Hypergraph._make((3, h.edges)) == h
+    with pytest.raises(ValueError, match="bad edge \\(0, 3\\) for n=3"):
+        cert.rep.graph._replace(edges=frozenset({(0, 3)}))
+    assert Graph._make((2, frozenset({(0, 1)}))) == graph(2, [(1, 0)])
 
 
 def test_linear_algebra_gpor_and_tensor_carry_no_test_only_functions():

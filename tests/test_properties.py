@@ -3,7 +3,6 @@ rejected, or is the same certificate, or is another true certificate by the
 grid-sweep references."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -69,7 +68,7 @@ def paths(idx: int) -> tuple[tuple, ...]:
 def _claims(cert: Certificate) -> Certificate:
     """The certificate without its provenance: the synthesis seed and the
     format version are recorded, not claimed."""
-    return dataclasses.replace(cert, seed=0, version="1")
+    return cert._replace(seed=0, version="1")
 
 
 def true_by_reference(cert: Certificate) -> bool:

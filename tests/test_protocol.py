@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -956,7 +955,7 @@ def test_decodability_names_the_vertices_in_no_edge_as_runs():
     cert = synthesize_certificate(K3, 4, seed=0)
     h = hypergraph(7, [{1, 2}, {2, 5}, {1, 3}])
     # vertices 3 and 5 have two edges away each, dependent in d = 1
-    report = verify_certificate(dataclasses.replace(cert, hypergraph=h))
+    report = verify_certificate(cert._replace(hypergraph=h))
     assert report.check("decodability").detail == (
         "dependent away-sets at vertices [3, 5]; dependent away-set at the 3 "
         "vertices in no edge (4, 6..7)"
@@ -1025,8 +1024,8 @@ def test_deep_out_of_memory_is_skipped_not_failed(monkeypatch):
 
 def test_verify_catches_zeroed_vector():
     cert = synthesize_certificate(K3, 4, seed=0)
-    bad_rep = dataclasses.replace(cert.rep, vectors=((0,), (1,), (1,)))
-    bad = dataclasses.replace(cert, rep=bad_rep)
+    bad_rep = cert.rep._replace(vectors=((0,), (1,), (1,)))
+    bad = cert._replace(rep=bad_rep)
     report = verify_certificate(bad)
     assert report.check("orthogonal_representation").status == "fail"
     assert report.check("decodability").status == "fail"
@@ -1035,7 +1034,7 @@ def test_verify_catches_zeroed_vector():
 
 def test_verify_catches_shifted_g():
     cert = synthesize_certificate(K3, 4, seed=0)
-    bad = dataclasses.replace(cert, g=(cert.g[0] + 1,))
+    bad = cert._replace(g=(cert.g[0] + 1,))
     report = verify_certificate(bad)
     assert report.check("exponent_sign").status == "fail"
     # g = 5 has 12 solutions, as g = 4 has, so M is true; counting failed on
@@ -1046,7 +1045,7 @@ def test_verify_catches_shifted_g():
 
 def test_verify_catches_wrong_m():
     cert = synthesize_certificate(K3, 4, seed=0)
-    bad = dataclasses.replace(cert, m_count=cert.m_count + 1)
+    bad = cert._replace(m_count=cert.m_count + 1)
     report = verify_certificate(bad)
     assert report.check("counting").status == "fail"
 
@@ -1056,16 +1055,16 @@ def test_verify_catches_tampered_assignment():
     quad = list(cert.assignment.quad)
     quad[0] = dict(quad[0])
     quad[0][(0, 0)] += 1
-    bad_qa = dataclasses.replace(cert.assignment, quad=tuple(quad))
-    bad = dataclasses.replace(cert, assignment=bad_qa)
+    bad_qa = cert.assignment._replace(quad=tuple(quad))
+    bad = cert._replace(assignment=bad_qa)
     report = verify_certificate(bad)
     assert report.check("completeness").status == "fail"
 
 
 def test_verify_survives_malformed_vectors():
     cert = synthesize_certificate(K3, 4, seed=0)
-    bad_rep = dataclasses.replace(cert.rep, vectors=((1,), (1,)))
-    bad = dataclasses.replace(cert, rep=bad_rep)
+    bad_rep = cert.rep._replace(vectors=((1,), (1,)))
+    bad = cert._replace(rep=bad_rep)
     report = verify_certificate(bad)  # must report, not raise
     assert not report.ok
     rep_check = report.check("orthogonal_representation")
@@ -1076,7 +1075,7 @@ def test_verify_survives_malformed_vectors():
 def test_verify_fails_counting_when_pivots_are_dependent():
     cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
     vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
-    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
+    bad = cert._replace(rep=cert.rep._replace(vectors=vectors))
     report = verify_certificate(bad, deep=True)  # must report, not raise
     assert not report.ok
     counting = report.check("counting")
@@ -1094,9 +1093,7 @@ def test_verify_fails_counting_when_pivots_are_dependent():
 )
 def test_verify_fails_counting_on_malformed_shapes(vectors, g):
     cert = synthesize_certificate(K3, 4, seed=0)
-    bad = dataclasses.replace(
-        cert, g=g, rep=dataclasses.replace(cert.rep, vectors=vectors)
-    )
+    bad = cert._replace(g=g, rep=cert.rep._replace(vectors=vectors))
     report = verify_certificate(bad)
     assert not report.ok
     counting = report.check("counting")
@@ -1107,7 +1104,7 @@ def test_verify_rejects_listed_count_above_n_to_the_lambda():
     # K3 at n = 2: M = 3 <= n^lambda = 4.  Claim the whole grid instead.
     cert = synthesize_certificate(K3, 2, seed=0)
     grid = tuple(product(range(2), repeat=3))
-    bad = dataclasses.replace(cert, m_count=len(grid))
+    bad = cert._replace(m_count=len(grid))
     counting = verify_certificate(bad).check("counting")
     assert counting.status == "fail"
     assert "M 8 above n^lambda = 4" in counting.detail
@@ -1117,7 +1114,7 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     # C6 at n = 11 (a 1.77e6 grid): M = 10^5 claims rate 4.8 against
     # lambda = 2.
     cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
-    bad = dataclasses.replace(cert, m_count=100000)
+    bad = cert._replace(m_count=100000)
     report = verify_certificate(bad)
     assert not report.ok
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
@@ -1143,12 +1140,12 @@ def test_verify_names_a_huge_level_by_its_size():
     # n = 10^5000 has more digits than str() of an int writes, so naming it
     # in the GridTooLarge message raised ValueError out of the verifier
     k3_n4 = synthesize_certificate(K3, 4, seed=0)
-    counting = verify_certificate(dataclasses.replace(k3_n4, n=10**5000)).check(
+    counting = verify_certificate(k3_n4._replace(n=10**5000)).check(
         "counting"
     )
     assert counting.status == "fail"
     assert counting.detail.startswith("cannot recount M: GridTooLarge")
-    counting = verify_certificate(dataclasses.replace(k3_n4, n=10**4000)).check(
+    counting = verify_certificate(k3_n4._replace(n=10**4000)).check(
         "counting"
     )
     assert "(a 13288-bit n)^2 is over the limit" in counting.detail
@@ -1160,7 +1157,7 @@ def test_verify_rejects_vectors_wider_than_d():
     # and general position survive, but c no longer lives in Q^d
     cert = synthesize_certificate(cycle_hypergraph(6), 11, seed=0)
     wide = tuple(v + (0,) for v in cert.rep.vectors)
-    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=wide))
+    bad = cert._replace(rep=cert.rep._replace(vectors=wide))
     report = verify_certificate(bad)
     assert not report.ok
     rep_check = report.check("orthogonal_representation")
@@ -1241,15 +1238,15 @@ def test_verify_rejects_shares_of_absent_vertices_and_other_levels():
     # check, and no check read the edge levels
     cert = synthesize_certificate(K3, 4, seed=0)
     qa = cert.assignment
-    moved = dataclasses.replace(
-        qa, k=4, quad=qa.quad + ({},), lin=qa.lin + ({},),
+    moved = qa._replace(
+        k=4, quad=qa.quad + ({},), lin=qa.lin + ({},),
         const=(0,) + qa.const[1:] + (qa.const[0],),
     )
-    report = verify_certificate(dataclasses.replace(cert, assignment=moved))
+    report = verify_certificate(cert._replace(assignment=moved))
     assert report.check("completeness").status == "fail"
     assert report.check("completeness").detail == "4 vertex shares for 3 vertices"
     level3 = hypergraph(3, [e.vertices for e in K3.edges], [2, 2, 3])
-    report = verify_certificate(dataclasses.replace(cert, hypergraph=level3))
+    report = verify_certificate(cert._replace(hypergraph=level3))
     assert report.check("counting").status == "fail"
     assert report.check("counting").detail == "edges [2] are not of level 2"
 
@@ -1280,7 +1277,7 @@ def test_verify_without_recount_says_so():
     # pivot solve cannot recount M, so the claims that rest on it fail
     cert = synthesize_certificate(cycle_hypergraph(4), 3, seed=0)
     vectors = cert.rep.vectors[:2] + ((1, 1), (2, 2))
-    bad = dataclasses.replace(cert, rep=dataclasses.replace(cert.rep, vectors=vectors))
+    bad = cert._replace(rep=cert.rep._replace(vectors=vectors))
     report = verify_certificate(bad, deep=True)
     assert not report.ok
     assert "skipped" not in {c.status for c in report.checks}
@@ -1304,18 +1301,14 @@ def _local_edits(cert) -> list:
         quad[j] = quad_j
         if j2 is not None:
             quad[j2] = quad_j2
-        return dataclasses.replace(
-            cert, assignment=dataclasses.replace(qa, quad=tuple(quad))
-        )
+        return cert._replace(assignment=qa._replace(quad=tuple(quad)))
 
     far = [(j, e) for j in range(h.k) for e in range(h.l) if e not in h.incident(j + 1)]
     if far:
         j, e = far[0]
         lin = list(qa.lin)
         lin[j] = {**lin[j], e: 0}
-        out.append(dataclasses.replace(
-            cert, assignment=dataclasses.replace(qa, lin=tuple(lin))
-        ))
+        out.append(cert._replace(assignment=qa._replace(lin=tuple(lin))))
     terms = [(j, key) for j in range(h.k) for key in sorted(qa.quad[j])]
     cross = [(j, (e, f)) for j, (e, f) in terms if e != f]
     if cross:
@@ -1344,13 +1337,11 @@ def test_verifier_matches_grid_sweep_reference():
         for n in (2, 3, 4):
             cert = synthesize_certificate(h, n, seed=0)
             obj = cert.to_json_dict()
-            zeroed = dataclasses.replace(
-                cert.rep, vectors=((0,) * cert.d,) + cert.rep.vectors[1:]
-            )
+            zeroed = cert.rep._replace(vectors=((0,) * cert.d,) + cert.rep.vectors[1:])
             cases = [cert] + [
                 Certificate.from_json_dict(tamper_certificate(obj, kind, rng))
                 for kind in ("M", "c", "g", "assignment")
-            ] + _local_edits(cert) + [dataclasses.replace(cert, rep=zeroed)]
+            ] + _local_edits(cert) + [cert._replace(rep=zeroed)]
             for case in cases:
                 report = verify_certificate(case)
                 try:  # no recount when the pivot solve refuses c
