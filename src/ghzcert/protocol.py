@@ -12,9 +12,13 @@ is the solution count.  Everything needed to replay that claim is packed
 into a Certificate.
 
 Counting is exact integer work.  The value histogram behind the choice of
-g convolves edge by edge on d-vectors packed into single offset integers,
-whose order is lexicographic.  The last edge's stage is never built, only
-evaluated where its lex-smallest maximum can sit, and a candidate
+g convolves edge by edge over the box of values that c and n allow, each
+value a slot whose order is lexicographic.  Flipping i_e to n-1-i_e makes
+every step nonnegative, and the histogram is symmetric about the middle
+slot, so only the lower half is kept.  A box of at most n^l slots is one
+int with a fixed-width slot per value, each edge a few shift-adds; a
+larger box is a dict, whose last edge's stage is never built, only
+evaluated where its lex-smallest maximum can sit.  A candidate
 representation that cannot beat the best so far stops early.  The
 solutions are solved for, not searched: general position makes the last d
 vectors a basis, so each of the n^lam assignments to the first lam edges
@@ -249,82 +253,165 @@ def build_exponent_assignment(
 # -- solution counting -------------------------------------------------------
 
 
-def _packing(rep: OrthRep, n: int) -> tuple[int, int]:
-    """(off, base) of the packed keys, once the grid and widths are checked.
+def _packing(rep: OrthRep, n: int):
+    """(widths, lo, start, steps) of the slot packing, once the grid and
+    widths are checked.
 
-    With off = C'(n-1) and base B = 2 off + 1, the d-vector v is stored as
-    sum_t (v_t + off) B^(d-1-t).  Every partial sum over a prefix of the
-    edges lies in the box [-off, off]^d, so each digit stays in [0, B):
-    packing is injective and integer order is lexicographic order.
+    Coordinate t of every partial sum over the edges lies in
+    [lo_t, lo_t + w_t), with lo_t = (n-1) sum_e min(c_e,t, 0) and
+    w_t = (n-1) sum_e |c_e,t| + 1.  The vector v sits in slot
+    idx(v) = sum_t (v_t - lo_t) R_t, R_t = w_(t+1) ... w_(d-1): mixed radix,
+    so slots are distinct and their order is lexicographic.  Adding c moves
+    the slot by pack(c) = sum_t c_t R_t, whose sign is that of c's first
+    nonzero coordinate.  Sending i_e to n-1-i_e for each edge with
+    pack(c_e) < 0 makes every step |pack(c_e)| >= 0 and moves the start
+    slot from idx(0) by (n-1) pack(c_e).
     """
     _check_grid(rep.graph.n, n)
     if any(len(v) != rep.d for v in rep.vectors):
         raise DimMismatchError(f"edge vectors must all have dimension {rep.d}")
-    off = c_prime(rep) * (n - 1)
-    return off, 2 * off + 1
+    columns = list(zip(*rep.vectors)) or [()] * rep.d
+    widths = [(n - 1) * sum(map(abs, col)) + 1 for col in columns]
+    lo = [(n - 1) * sum(x for x in col if x < 0) for col in columns]
+    packed = [_pack(v, widths) for v in rep.vectors]
+    start = _pack([-x for x in lo], widths) + (n - 1) * sum(
+        p for p in packed if p < 0
+    )
+    return widths, lo, start, [abs(p) for p in packed]
 
 
-def _pack(v, base: int) -> int:
+def _pack(v, widths) -> int:
     key = 0
-    for x in v:
-        key = key * base + x
+    for x, w in zip(v, widths):
+        key = key * w + x
     return key
 
 
-def _unpack(key: int, d: int, off: int, base: int) -> tuple[int, ...]:
+def _unpack(key: int, widths, lo) -> tuple[int, ...]:
     digits = []
-    for _ in range(d):
-        key, r = divmod(key, base)
-        digits.append(r - off)
+    for w, low in zip(reversed(widths), reversed(lo)):
+        key, r = divmod(key, w)
+        digits.append(r + low)
     return tuple(reversed(digits))
 
 
-def _stages(vectors, n: int, d: int, off: int, base: int):
-    """Packed histograms of sum_{e<j} i_e c_e for j = 0, 1, ..., len(vectors):
-    each edge shifts the previous one by i * pack(c_e) for i in [0, n-1]."""
-    hist = {_pack((off,) * d, base): 1}
+def _stages(start: int, steps, n: int, half: int):
+    """Histograms of start + sum_{e<j} i_e step_e for j = 0, 1, ...,
+    len(steps), keyed by slot, without the slots above ``half``: each edge
+    shifts the previous one by i step_e for i in [0, n-1]."""
+    hist = {start: 1}
     yield hist
-    for ce in vectors:
-        step = _pack(ce, base)
+    for step in steps:
         shifts = [i * step for i in range(1, n)]
         nxt = dict(hist)  # the shift by 0
         get = nxt.get
         for key, cnt in hist.items():
             for s in shifts:
                 s += key
+                if s > half:
+                    break
                 nxt[s] = get(s, 0) + cnt
         hist = nxt
         yield hist
 
 
 def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]:
-    """Largest F(k) = sum_{i<n} H(k - i step) and the smallest key with it,
-    without building F.
+    """Largest F(k) = sum_{i<n} H(k - i step) over the keys of H and the
+    smallest key with it, without building F.
 
-    With t = |step| > 0 and G(k) = sum_{i<n} H(k - i t), the smallest
-    maximizer of G is a key of H: off H, G(k - t) = G(k) + H(k - n t) >=
-    G(k).  G at the keys is a window of n along each residue chain mod t,
-    kept by one pass over the keys in chain order.  A negative step turns
-    F into G shifted by (n-1) step; a zero step makes F = n H.
+    With step t > 0, the smallest maximizer of F is a key of H: off H,
+    F(k - t) = F(k) + H(k - n t) >= F(k).  F at the keys is a window of n
+    along each residue chain mod t, kept by one pass over the keys in chain
+    order.  A zero step makes F = n H.
     """
-    t = abs(step)
-    if t == 0:
+    if step == 0:
         best = max(hist.values())
         return n * best, min(key for key, cnt in hist.items() if cnt == best)
-    span = n * t
-    order = sorted(sorted(hist), key=t.__rmod__)  # chains, each ascending
+    span = n * step
+    order = sorted(sorted(hist), key=step.__rmod__)  # chains, each ascending
     best = best_key = window = tail = 0
     chain = None
     for j, key in enumerate(order):
-        if key % t != chain:
-            chain, window, tail = key % t, 0, j
+        if key % step != chain:
+            chain, window, tail = key % step, 0, j
         window += hist[key]
         while order[tail] <= key - span:
             window -= hist[order[tail]]
             tail += 1
         if window > best or (window == best and key < best_key):
             best, best_key = window, key
-    return best, best_key + (n - 1) * min(step, 0)
+    return best, best_key
+
+
+def _dense_stages(start: int, steps, n: int, half: int, width: int):
+    """The stages of :func:`_stages` as (int, slots): with top = slots - 1
+    the highest slot the stage can reach, at most ``half``, slot s sits in
+    the ``width`` bits from (top - s) width up.  A step up in slot is a
+    right shift, so what passes the top falls off the end.  An edge raises
+    the top, then multiplies by 1 + Y + ... + Y^(n-1), Y = 2^-(step width),
+    in about 2 log2 n shift-adds: S_2m = S_m (1 + Y^m) and
+    S_(m+1) = 1 + Y S_m.  Counts below 2^width never carry into the next
+    slot."""
+    hist, top = 1, start
+    yield hist, top + 1
+    for step in steps:
+        rise = min(half - top, (n - 1) * step)
+        hist <<= rise * width
+        top += rise
+        shift = step * width
+        acc, m = hist, 1
+        for bit in bin(n)[3:]:
+            acc += acc >> m * shift
+            m *= 2
+            if bit == "1":
+                acc = hist + (acc >> shift)
+                m += 1
+        hist = acc
+        yield hist, top + 1
+
+
+def _byte_max(col: bytes, most: int) -> int:
+    """max(col), given that no byte exceeds ``most``, bisected with
+    bytes.translate instead of a loop per byte."""
+    lo, hi = 0, most + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        rest = col.translate(None, bytes(range(mid)))
+        if rest:
+            lo, col = mid, rest
+        else:
+            hi = mid
+    return lo
+
+
+def _dense_mode(hist: int, slots: int, most: int) -> tuple[int, int]:
+    """The largest count in a dense stage of ``slots`` slots whose counts
+    are at most ``most``, and the first slot holding it.
+
+    Slots are whole bytes, so byte k of every slot is one stride of the
+    big-endian bytes, slot 0 first.  From the most significant byte down,
+    the max is taken over the slots still holding the max's higher bytes
+    (the others zeroed), and those slots are narrowed to the ones holding
+    this byte.
+    """
+    size = -(-most.bit_length() // 8)
+    data = hist.to_bytes(slots * size, "big")
+    m, hits = 0, None  # hits: 0xFF at each slot still holding the max
+    for k in range(size):
+        col = data[k::size]
+        if hits is not None:
+            col = _and_bytes(col, hits)
+        top = _byte_max(col, min(most >> 8 * (size - 1 - k), 255))
+        m = m << 8 | top
+        if top:  # else every slot still in the running holds a zero here
+            col = col.translate(bytes(top) + b"\xff" + bytes(255 - top))
+            hits = col if hits is None else _and_bytes(col, hits)
+    return m, hits.find(255)
+
+
+def _and_bytes(a: bytes, b: bytes) -> bytes:
+    x = int.from_bytes(a, "big") & int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big")
 
 
 def choose_g(
@@ -334,35 +421,59 @@ def choose_g(
     and its count M, or None exactly when M <= beat (never with the default
     beat, as M >= 1).
 
-    Packed keys order like their vectors, so the winner is the smallest key
-    holding the largest count, and only it is unpacked.  Every edge but the
-    last is convolved.  The last edge's convolution is never built: with H
-    the histogram over the other edges and t = |pack(c_last)| > 0, the
-    smallest maximizer of the final count F(k) = sum_{i<n} H(k - i t) is a
-    key of H, and F there is a window sum along H's residue chain mod t.
+    Values are counted in the slots of the box that :func:`_packing` lays
+    out, whose order is lexicographic, so the winner is the first slot
+    holding the largest count, and only it is unpacked.  No step is
+    negative, so a slot only receives counts from slots at or below it.
+    The final histogram is a palindrome, as i -> n-1-i sends the value v to
+    K - v, K = (n-1) sum_e c_e, and idx(K - v) = slots - 1 - idx(v); so the
+    lex-smallest mode lies at or below the middle slot (slots - 1) // 2, and
+    the slots above it are never kept.
+
+    The route depends on c and n alone.  When the box has at most n^l
+    slots, each stage is one int with a whole number of bytes per slot,
+    enough for n^(l - rank c): once the indices of the l - rank c edges
+    outside a basis of c's span are fixed, each value has at most one grid
+    point, so no count is larger.
+    Each edge is a few shift-adds, shortest step first, so the int stays
+    short until the last edges.  Past n^l slots each stage is a dict, every
+    edge but the last is convolved, and the last edge's convolution is
+    never built: the smallest maximizer of the final count is a key of the
+    stage before it (see :func:`_last_stage_mode`).
+
     After e of the l edges the final count is at most max(H_e) n^(l-e), so
     a candidate that cannot exceed ``beat`` (synthesis passes the best
     count so far) stops there; that max is taken only once beat >= n^(l-e).
     Histograms that run out of memory raise TooLargeError.
     """
-    off, base = _packing(rep, n)
-    head, last = rep.vectors[:-1], rep.vectors[-1:]
-    cap = n ** len(rep.vectors)
+    widths, lo, start, steps = _packing(rep, n)
+    l = len(steps)
+    slots = math.prod(widths)
+    half = (slots - 1) // 2
+    cap = n**l
+    dense = slots <= cap
     try:
-        for hist in _stages(head, n, rep.d, off, base):
-            if beat >= cap and max(hist.values()) * cap <= beat:
+        if dense:
+            most = n ** (l - rank(rep.vectors))
+            width = 8 * -(-most.bit_length() // 8)
+            stages = _dense_stages(start, sorted(steps), n, half, width)
+            peak = lambda stage: _dense_mode(*stage, most)[0]
+        else:
+            stages = _stages(start, steps[:-1], n, half)
+            peak = lambda hist: max(hist.values())
+        for hist in stages:
+            if beat >= cap and peak(hist) * cap <= beat:
                 return None
             cap //= n
-        if last:
-            m, key = _last_stage_mode(hist, _pack(last[0], base), n)
-        else:  # no edges: the one grid point
-            m, key = 1, next(iter(hist))
+        if dense:
+            m, key = _dense_mode(*hist, most)
+        else:
+            m, key = _last_stage_mode(hist, steps[-1], n)
     except MemoryError:
         raise TooLargeError(
-            f"the value histograms of {len(rep.vectors)} edges at n={n} "
-            "ran out of memory"
+            f"the value histograms of {l} edges at n={n} ran out of memory"
         ) from None
-    return (_unpack(key, rep.d, off, base), m) if m > beat else None
+    return (_unpack(key, widths, lo), m) if m > beat else None
 
 
 def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:

@@ -173,6 +173,33 @@ def test_certify_stdout_deterministic(k3_file):
     assert first.stdout.endswith(b"\n")
 
 
+# sha256 of `certify` stdout for four commands (instance, n, seed) of the
+# benchmark's certify round, captured while every value histogram was a dict
+CERTIFY_SHA256 = {
+    ("C6", 6, 67): "c065da82a1d7a12b32e427db6326b1d812c1937582a9311110ba5a745901ec11",
+    ("C6", 11, 68): "d1bb6ef07c71d08b9cfa471ce9f955eaed35746a3cc4cb738a150ddb8c3707e5",
+    ("C4", 32, 69): "a4dfe54ed5017ab30a74561102f35044e6bcad058bb3a6ff99ba566c7b9e91af",
+    ("K4^3", 32, 70): "8a077a452e9988bdd1803fe809e0d73b8ff0724c2307f58f98e6f7214ad203b8",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(CERTIFY_SHA256), ids=lambda c: f"{c[0]}-n{c[1]}-s{c[2]}"
+)
+def test_certify_bytes_of_the_benchmark_round_are_pinned(case, tmp_path, capsys):
+    name, n, seed = case
+    h = {
+        "C6": cycle_hypergraph(6),
+        "C4": cycle_hypergraph(4),
+        "K4^3": complete_uniform(4, 3),
+    }[name]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    assert run(["certify", str(path), "--n", str(n), "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CERTIFY_SHA256[case]
+
+
 def test_usage_errors_exit_2(k3_file):
     with pytest.raises(SystemExit) as err:
         run(["no-such-command", k3_file])

@@ -60,6 +60,7 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
+    _dense_stages,
     _packing,
     _pivot_blocks,
     _pivot_inverse,
@@ -180,7 +181,9 @@ def test_choose_g_single_edge_flat():
 
 
 def test_histogram_matches_brute_force():
-    # the packed convolution behind choose_g, run through every edge
+    # the packed convolution behind choose_g, run through every edge on both
+    # routes: each keeps the values v <= K - v lexicographically, with
+    # K = (n-1) sum_e c_e, the mirror half that holds the lex-smallest mode
     rng = random.Random(41)
     for _ in range(10):
         l = rng.randint(1, 4)
@@ -194,54 +197,89 @@ def test_histogram_matches_brute_force():
             d,
             vectors,
         )
-        off, base = _packing(rep, n)
-        for hist in _stages(vectors, n, d, off, base):
+        widths, lo, start, steps = _packing(rep, n)
+        half = (math.prod(widths) - 1) // 2
+        for hist in _stages(start, steps, n, half):
             pass
-        unpacked = {_unpack(key, d, off, base): cnt for key, cnt in hist.items()}
-        assert unpacked == ref_histogram(vectors, n)
+        for dense, slots in _dense_stages(start, steps, n, half, 16):
+            pass
+        counts = {s: dense >> 16 * (slots - 1 - s) & 0xFFFF for s in range(slots)}
+        assert {s: cnt for s, cnt in counts.items() if cnt} == hist
+        unpacked = {_unpack(key, widths, lo): cnt for key, cnt in hist.items()}
+        k = [(n - 1) * sum(col) for col in zip(*vectors)]
+        assert unpacked == {
+            v: cnt
+            for v, cnt in ref_histogram(vectors, n).items()
+            if v <= tuple(x - y for x, y in zip(k, v))
+        }
 
 
-def _last_vector(rng: random.Random, kind: str, vectors, d: int):
+def _last_vector(rng: random.Random, kind: str, vectors, d: int, top: int):
     """A last edge vector whose packed step is zero, a multiple of an
     earlier vector, negative or positive (the sign of its first nonzero
-    coordinate)."""
+    coordinate), with entries in [-top, top] unless a multiple."""
     if kind == "dependent" and vectors:
         return tuple(rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(vectors))
     if kind in ("zero", "dependent") or d == 0:
         return (0,) * d
     while True:
-        v = tuple(rng.randint(-3, 3) for _ in range(d))
+        v = tuple(rng.randint(-top, top) for _ in range(d))
         lead = next((x for x in v if x), 0)
         if lead and (lead > 0) == (kind == "positive"):
             return v
 
 
-def test_mode_matches_the_histogram_reference():
-    # the last edge is never convolved, and a candidate that cannot beat the
-    # best so far stops early; both must leave (M, lex-smallest mode) exact
+def _spy_routes(monkeypatch) -> list[str]:
+    """The names of the stage generators choose_g calls, in call order."""
+    routes = []
+    for name in ("_stages", "_dense_stages"):
+        def spy(*args, real=getattr(ghzcert.protocol, name), name=name):
+            routes.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ghzcert.protocol, name, spy)
+    return routes
+
+
+def test_mode_matches_the_histogram_reference(monkeypatch):
+    # one int per stage up to n^l slots, a dict past it whose last edge is
+    # never convolved, and a candidate that cannot beat the best so far
+    # stops early: every route must leave (M, lex-smallest mode) exact
+    routes = _spy_routes(monkeypatch)
     rng = random.Random(1500)
     seen = set()
-    for case in range(480):
-        n, d = 2 + case % 4, case // 4 % 4
-        kind = ("zero", "dependent", "negative", "positive")[case // 16 % 4]
+    for case in range(640):
+        n, d = 2 + case % 5, case // 5 % 4
+        kind = ("zero", "dependent", "negative", "positive")[case // 20 % 4]
         l = rng.randint(1, 4)
-        vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(l - 1)]
-        vectors = tuple(vectors + [_last_vector(rng, kind, vectors, d)])
+        top = rng.choice((1, 3))
+        vectors = [
+            tuple(rng.randint(-top, top) for _ in range(d)) for _ in range(l - 1)
+        ]
+        vectors = tuple(vectors + [_last_vector(rng, kind, vectors, d, top)])
         rep = OrthRep(Graph(l), d, vectors)
         hist = ref_histogram(vectors, n)
         m = max(hist.values())
         g = min(v for v, c in hist.items() if c == m)
         assert choose_g(rep, n) == (g, m), (vectors, n)
+        route = routes[-1]
         for beat in (0, m - 1, m, n**l):
             assert choose_g(rep, n, beat) == ((g, m) if m > beat else None), (
                 vectors, n, beat
             )
         lead = next((x for x in vectors[-1] if x), 0)
-        seen.add((d, (lead > 0) - (lead < 0)))
-        seen.add(("dependent", kind == "dependent" and l > 1 and d > 0))
-    assert seen >= {(d, 0) for d in range(4)} | {
-        (d, s) for d in (1, 2, 3) for s in (-1, 1)
-    } | {("dependent", True)}
+        seen.add((route, d, (lead > 0) - (lead < 0)))
+        seen.add((route, "dependent", kind == "dependent" and l > 1 and d > 0))
+    # with d = 1, entries in [-3, 3] and a zero last vector, the box never
+    # has more than n^l slots
+    assert seen >= {("_dense_stages", d, 0) for d in range(4)} | {
+        ("_stages", d, 0) for d in (2, 3)
+    } | {
+        (route, d, s)
+        for route in ("_stages", "_dense_stages")
+        for d in (1, 2, 3)
+        for s in (-1, 1)
+    } | {("_stages", "dependent", True), ("_dense_stages", "dependent", True)}
 
 
 def test_mode_of_no_edges_is_the_one_grid_point():
@@ -726,18 +764,52 @@ def test_large_grid_synthesis_starts_from_small_entries():
 
 def test_histograms_out_of_memory_are_too_large(monkeypatch, tmp_path, capsys):
     # K6^2 at n = 3 under a 2 GB address-space cap ran out of memory in the
-    # last stage's sort and ended in a bare MemoryError, exit 1
+    # last stage's sort and ended in a bare MemoryError, exit 1; K3 at n = 3
+    # is counted in one int, C6 at n = 3 in dicts
     def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(ghzcert.protocol, "_stages", out_of_memory)
-    with pytest.raises(TooLargeError) as err:
-        synthesize_certificate(K3, 4)
-    assert str(err.value) == "the value histograms of 3 edges at n=4 ran out of memory"
-    path = tmp_path / "k3.json"
-    path.write_text(json.dumps(K3.to_json_dict()))
-    assert cli_run(["certify", str(path), "--n", "4"]) == 3
-    assert json.loads(capsys.readouterr().err)["code"] == "TooLarge"
+    for route, h, name in (
+        ("_dense_stages", K3, "k3"),
+        ("_stages", cycle_hypergraph(6), "c6"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(ghzcert.protocol, route, out_of_memory)
+            with pytest.raises(TooLargeError) as err:
+                synthesize_certificate(h, 3)
+            assert str(err.value) == (
+                f"the value histograms of {h.l} edges at n=3 ran out of memory"
+            )
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(h.to_json_dict()))
+            assert cli_run(["certify", str(path), "--n", "3"]) == 3
+            assert json.loads(capsys.readouterr().err)["code"] == "TooLarge"
+
+
+def test_a_box_of_at_most_n_to_the_l_slots_is_counted_in_one_int(monkeypatch):
+    # the route depends on c and n alone: one int when the box has at most
+    # n^l slots, dicts past it
+    routes = _spy_routes(monkeypatch)
+    # boxes of 5, 9, 9 and 11 slots against n^l = 5, 5, 9 and 9
+    for c, n, route in (((1,), 5, "_dense_stages"), ((2,), 5, "_stages"),
+                        ((1, 3), 3, "_dense_stages"), ((2, 3), 3, "_stages")):
+        choose_g(OrthRep(Graph(len(c)), 1, tuple((x,) for x in c)), n)
+        assert routes.pop() == route, c
+    thousands = OrthRep(Graph(6), 4, (
+        (-3, 0, -1, -2), (0, 2, 1, -3), (-15, 28, 9, 18),
+        (303, -278, -323, -293), (-2, -3, 6, 0), (5836, 1059, 3012, 1710),
+    ))  # a C6 candidate from [-1000, 1000]^4, seed 67
+    assert choose_g(thousands, 6) == ((-100, 125, 70, 80), 1)
+    assert routes.pop() == "_stages"
+    # the two certify commands of the benchmark above a 10^6 grid whose
+    # boxes fit: the dict route is never entered
+    def no_dicts(*args):
+        raise AssertionError("the dict route ran")
+
+    monkeypatch.setattr(ghzcert.protocol, "_stages", no_dicts)
+    for h, n, seed, m in ((cycle_hypergraph(6), 11, 68, 31),
+                          (cycle_hypergraph(4), 32, 69, 512)):
+        assert synthesize_certificate(h, n, seed=seed).m_count == m
 
 
 def test_synthesis_checks_the_banded_representation_once(monkeypatch):
