@@ -28,12 +28,23 @@ The search policy lives in one place, :func:`gpor_candidates`: the banded
 seed and draws from [-3, 3]^d first, draws from [-1000, 1000]^d only when
 none of those verifies.  :func:`find_gpor` is its first result, and
 :func:`verify_orthrep` the one general-position check.
+
+General position is checked in one depth-first walk over the subsets in
+lexicographic order, on whichever side of the matroid has fewer
+coordinates.  Each prefix carries its integer Gram-Schmidt basis, so a
+prefix that turns dependent condemns all of its extensions at once, and at
+the last level each remaining element costs one inner product with the
+normal of the prefix's hyperplane, the first nonzero residual there.  With l vectors in Q^d and lam = l - d
+< d, the walk runs over the lam-subsets of the rows of an integer kernel
+basis instead: by matroid duality (Whitney 1935; Oxley, *Matroid Theory*,
+ch. 2) a d-subset is a basis exactly when the kernel rows of its
+complement are independent, provided the vectors span Q^d.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, combinations
 from math import comb
 from operator import mul
@@ -41,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import DimensionInfeasibleError, RetriesExhaustedError, TooLargeError
 from .hypergraph import Graph
-from .ratlinalg import IntVector, _orthogonal_basis, _primitive, _residual, rank
+from .ratlinalg import IntVector, _kernel, _orthogonal_basis, _primitive, _residual
 
 #: subset-enumeration guard for the general-position check
 GENERAL_POSITION_SUBSET_LIMIT = 10**6
@@ -185,8 +196,14 @@ def verify_orthrep(rep: OrthRep) -> OrthRepReport:
 
     There must be one vector per vertex, each with exactly ``rep.d``
     coordinates; if not, that is the whole report.  Orthogonality is an
-    integer dot product per non-adjacent pair, and general position one
-    exact integer rank per d-subset.
+    integer dot product per non-adjacent pair.  General position is decided
+    for every s-subset, s = min(d, l), by one walk over the smaller side:
+    the s-subsets of c when s <= l - s, else the (l - s)-subsets of the rows
+    of an integer kernel basis of c, whose elimination also gives rank c.
+    Below rank s every s-subset is dependent; at rank s an s-subset is
+    independent exactly when the kernel rows of its complement are.  The
+    dependent subsets are listed in lexicographic order either way, and
+    more than 10^6 subsets raise TooLargeError before any is looked at.
     """
     g = rep.graph
     vecs = rep.vectors
@@ -210,8 +227,63 @@ def verify_orthrep(rep: OrthRep) -> OrthRepReport:
                 f"C({g.n}, {size}) subsets exceed the general-position "
                 f"check limit {GENERAL_POSITION_SUBSET_LIMIT}"
             )
-        for subset in combinations(range(g.n), size):
-            if rank([vecs[i] for i in subset]) < size:
-                dependent.append(subset)
+        co = g.n - size
+        if co >= size:
+            dependent = _dependent(vecs, size)
+        else:
+            r, kernel = _kernel(vecs)
+            if r < size:
+                dependent = list(combinations(range(g.n), size))
+            else:
+                # complements of co-subsets in lexicographic order come in
+                # reverse lexicographic order
+                dependent = [
+                    tuple(i for i in range(g.n) if i not in sub)
+                    for sub in reversed(_dependent(kernel, co))
+                ]
     zeros = tuple(v for v in range(g.n) if rep.d > 0 and not any(vecs[v]))
     return OrthRepReport(tuple(violations), tuple(dependent), zeros)
+
+
+def _dependent(vectors: Sequence[IntVector], size: int) -> list[tuple[int, ...]]:
+    """The linearly dependent ``size``-subsets of ``vectors``, each vector
+    with ``size`` coordinates, in lexicographic order.
+
+    One depth-first walk in lexicographic order.  Each prefix carries the
+    integer Gram-Schmidt basis of its vectors, and an element whose
+    residual against it is zero makes every extension of the prefix with it
+    dependent, listed at once.  A prefix of size - 1 independent vectors
+    spans a hyperplane, and the first last element with a nonzero residual
+    gives its normal, so each later one is dependent on the prefix exactly
+    when its inner product with the normal is zero.  The empty subset is
+    independent.
+    """
+    l = len(vectors)
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], ortho: list[tuple[IntVector, int]]) -> None:
+        depth = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if depth == size - 1:
+            normal = None
+            for i in range(start, l):
+                if normal is None:
+                    r = _residual(ortho, vectors[i])
+                    if any(r):
+                        normal = r
+                        continue
+                elif sum(map(mul, normal, vectors[i])):
+                    continue
+                out.append(prefix + (i,))
+            return
+        for i in range(start, l - size + depth + 1):
+            r = _residual(ortho, vectors[i])
+            if any(r):
+                walk(prefix + (i,), ortho + [(r, sum(map(mul, r, r)))])
+            else:
+                rest = combinations(range(i + 1, l), size - depth - 1)
+                out.extend(prefix + (i,) + tail for tail in rest)
+
+    if size:
+        walk((), [])
+    return out

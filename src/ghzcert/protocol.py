@@ -44,7 +44,8 @@ set is a function of c, n and g, which the certificate states and the
 verifier solves again, so a list or a hash of it would bind nothing more.
 The hash that a version-1 file may carry beside the count is ignored, and
 a version-1 file that lists the solutions is read for their number.  The
-file is the output of json.dumps(indent=2, sort_keys=True).
+file is the output of json.dumps(indent=2, sort_keys=True), written by a
+short emitter of its own, since with an indent json has no C encoder.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import json
 import math
 import os
 from itertools import count, product, repeat
+from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import NamedTuple
 
@@ -295,12 +297,14 @@ def _unpack(key: int, widths, lo) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _stages(start: int, steps, n: int, half: int):
-    """Histograms of start + sum_{e<j} i_e step_e for j = 0, 1, ...,
-    len(steps), keyed by slot, without the slots above ``half``: each edge
-    shifts the previous one by i step_e for i in [0, n-1]."""
+def _stages(start: int, steps, n: int, half: int, hopeless):
+    """The histogram of start + sum_e i_e step_e, keyed by slot, without the
+    slots above ``half``: each edge shifts the previous stage by i step_e
+    for i in [0, n-1].  None as soon as ``hopeless`` holds for a stage, the
+    first being {start: 1}."""
     hist = {start: 1}
-    yield hist
+    if hopeless(hist):
+        return None
     for step in steps:
         shifts = [i * step for i in range(1, n)]
         nxt = dict(hist)  # the shift by 0
@@ -312,7 +316,9 @@ def _stages(start: int, steps, n: int, half: int):
                     break
                 nxt[s] = get(s, 0) + cnt
         hist = nxt
-        yield hist
+        if hopeless(hist):
+            return None
+    return hist
 
 
 def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]:
@@ -343,17 +349,20 @@ def _last_stage_mode(hist: dict[int, int], step: int, n: int) -> tuple[int, int]
     return best, best_key
 
 
-def _dense_stages(start: int, steps, n: int, half: int, width: int):
-    """The stages of :func:`_stages` as (int, slots): with top = slots - 1
-    the highest slot the stage can reach, at most ``half``, slot s sits in
-    the ``width`` bits from (top - s) width up.  A step up in slot is a
-    right shift, so what passes the top falls off the end.  An edge raises
-    the top, then multiplies by 1 + Y + ... + Y^(n-1), Y = 2^-(step width),
-    in about 2 log2 n shift-adds: S_2m = S_m (1 + Y^m) and
-    S_(m+1) = 1 + Y S_m.  Counts below 2^width never carry into the next
-    slot."""
+def _dense_stages(start: int, steps, n: int, half: int, width: int, hopeless):
+    """The last stage of :func:`_stages` as (int, slots), or None as soon as
+    ``hopeless`` holds for a stage: with top = slots - 1 the highest slot
+    the stage can reach, at most ``half``, slot s sits in the ``width`` bits
+    from (top - s) width up.  A step up in slot is a right shift, so what
+    passes the top falls off the end.  An edge raises the top, then
+    multiplies by 1 + Y + ... + Y^(n-1), Y = 2^-(step width), in about
+    2 log2 n shift-adds: S_2m = S_m (1 + Y^m) and S_(m+1) = 1 + Y S_m.
+    Counts below 2^width never carry into the next slot.  Nothing else
+    holds a stage, so an edge keeps at most four stage-sized ints alive:
+    the stage, the sum so far, one shifted term and the new sum."""
     hist, top = 1, start
-    yield hist, top + 1
+    if hopeless((hist, top + 1)):
+        return None
     for step in steps:
         rise = min(half - top, (n - 1) * step)
         hist <<= rise * width
@@ -367,7 +376,9 @@ def _dense_stages(start: int, steps, n: int, half: int, width: int):
                 acc = hist + (acc >> shift)
                 m += 1
         hist = acc
-        yield hist, top + 1
+        if hopeless((hist, top + 1)):
+            return None
+    return hist, top + 1
 
 
 def _byte_max(col: bytes, most: int) -> int:
@@ -452,23 +463,30 @@ def choose_g(
     half = (slots - 1) // 2
     cap = n**l
     dense = slots <= cap
+
+    def hopeless(stage) -> bool:
+        # the final count is at most peak(stage) * cap
+        nonlocal cap
+        if beat >= cap and peak(stage) * cap <= beat:
+            return True
+        cap //= n
+        return False
+
     try:
         if dense:
             most = n ** (l - rank(rep.vectors))
             width = 8 * -(-most.bit_length() // 8)
-            stages = _dense_stages(start, sorted(steps), n, half, width)
             peak = lambda stage: _dense_mode(*stage, most)[0]
+            last = _dense_stages(start, sorted(steps), n, half, width, hopeless)
         else:
-            stages = _stages(start, steps[:-1], n, half)
             peak = lambda hist: max(hist.values())
-        for hist in stages:
-            if beat >= cap and peak(hist) * cap <= beat:
-                return None
-            cap //= n
+            last = _stages(start, steps[:-1], n, half, hopeless)
+        if last is None:
+            return None
         if dense:
-            m, key = _dense_mode(*hist, most)
+            m, key = _dense_mode(*last, most)
         else:
-            m, key = _last_stage_mode(hist, steps[-1], n)
+            m, key = _last_stage_mode(last, steps[-1], n)
     except MemoryError:
         raise TooLargeError(
             f"the value histograms of {l} edges at n={n} ran out of memory"
@@ -639,6 +657,46 @@ def c_prime(rep: OrthRep) -> int:
 # -- certificates ------------------------------------------------------------
 
 
+def _indented_json(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), written as if ``pad``
+    already indents its first line.
+
+    With an indent json.dumps never uses its C encoder, so the values a
+    certificate holds are written here: dicts with str keys, lists (a list
+    of ints in one join), ints, finite floats and strs, through the same
+    reprs and string escaping as json.  Anything else, bools and None
+    included, goes through json.dumps, its lines moved right by ``pad``.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        for x in obj:
+            if type(x) is not int:
+                items = [_indented_json(y, inner) for y in obj]
+                break
+        else:
+            items = map(int.__repr__, obj)
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
+            for k, v in sorted(obj.items())  # keys differ: no value compared
+        ]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 class Certificate(NamedTuple):
     hypergraph: Hypergraph
     lam: int
@@ -683,8 +741,7 @@ class Certificate(NamedTuple):
 
     def to_json_bytes(self) -> bytes:
         """The canonical bytes: json.dumps(indent=2, sort_keys=True)."""
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return (text + "\n").encode()
+        return (_indented_json(self.to_json_dict(), "") + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":

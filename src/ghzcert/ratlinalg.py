@@ -13,6 +13,10 @@ r <- <g_m, g_m> r - <g_m, r> g_m, a positive multiple of the rational
 residual.  A span depends only on the directions that span it, so the
 residual's direction is that of the exact rational residual.
 
+A kernel basis comes from the same fraction-free elimination run to reduced
+form (Gauss-Jordan): every row is reduced against each new pivot, so the
+pivot block ends diagonal and each kernel vector reads off one free column.
+
 There is no floating point and no tolerance anywhere in this module:
 orthogonality, rank and linear independence are decided exactly.
 """
@@ -90,3 +94,47 @@ def _orthogonal_basis(vectors: Sequence[IntVector]) -> list[tuple[IntVector, int
         if any(r):
             ortho.append((r, sum(map(mul, r, r))))
     return ortho
+
+
+def _kernel(columns: Sequence[IntVector]) -> tuple[int, list[IntVector]]:
+    """The rank of the matrix with ``columns`` as its columns, and the rows
+    of an integer basis of its kernel, one row per column, each row scaled
+    to a primitive direction.
+
+    Fraction-free Gauss-Jordan: at each pivot every other row is reduced,
+    and each division by the previous pivot is exact, as in :func:`rank`.
+    In the end pivot row i holds D_i != 0 at its pivot column p_i and 0 at
+    the other pivot columns, so free column f and x_f = 1 give the kernel
+    vector with x_(p_i) = -R_i,f / D_i.  Scaling a row of the basis does not
+    change which sets of its rows are independent, so pivot p_i's row is
+    R_i restricted to the free columns, and free column f's row is the unit
+    vector of f.  At least one column is expected.
+    """
+    m = [list(row) for row in zip(*columns)]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(columns)):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for piv in range(r, len(m)):
+            if m[piv][col]:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != r:
+                a = row[col]
+                m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    free = sorted(set(range(len(columns))).difference(pivots))
+    rows: list[IntVector] = [()] * len(columns)
+    for i, col in enumerate(pivots):
+        rows[col] = _primitive([m[i][f] for f in free])
+    for j, col in enumerate(free):
+        rows[col] = (0,) * j + (1,) + (0,) * (len(free) - 1 - j)
+    return len(pivots), rows

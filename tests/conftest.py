@@ -313,6 +313,20 @@ def ref_primitive(v) -> tuple[int, ...]:
     return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
+def ref_dependent_subsets(vectors, d: int) -> tuple[tuple[int, ...], ...]:
+    """The dependent min(d, l)-subsets of the l vectors in Q^d, in
+    lexicographic order: one Bareiss rank per subset, as the
+    general-position check took it before its walk (none when d = 0)."""
+    if d == 0:
+        return ()
+    size = min(d, len(vectors))
+    return tuple(
+        subset
+        for subset in combinations(range(len(vectors)), size)
+        if rank([vectors[i] for i in subset]) < size
+    )
+
+
 # -- flattening ranks: the bipartite log-rank the rate is the minimum of ----
 
 FLATTEN_SIDE_LIMIT = 4096

@@ -1,20 +1,28 @@
 import hashlib
+import importlib.util
 import json
 import random
-from itertools import chain
+import sys
+from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
+
+import ghzcert.gpor
 
 from conftest import (
     corpus,
     random_connected_hypergraph,
+    ref_dependent_subsets,
     ref_orthogonalize_map,
     ref_primitive,
+    ref_rank,
     ref_settle,
 )
 from ghzcert.errors import DimensionInfeasibleError, RetriesExhaustedError
 from ghzcert.gpor import (
     OrthRep,
+    OrthRepReport,
     _band_vectors,
     _draws,
     _plan,
@@ -26,6 +34,7 @@ from ghzcert.gpor import (
 )
 from ghzcert.hypergraph import (
     Graph,
+    Hypergraph,
     cycle_hypergraph,
     edge_connectivity,
     graph,
@@ -196,6 +205,133 @@ def test_verify_orthrep_reports_each_defect():
         report = verify_orthrep(OrthRep(g, 2, vectors))
         assert not report.ok and report.vector_count == len(vectors)
     assert verify_orthrep(OrthRep(g, 2, ((1, 0), (1, 1), (0, 1)))).vector_count is None
+
+
+def _general_position_case(rng):
+    """l vectors meant for Z^d: drawn from a random span of rank at most d,
+    with zero, repeated and scaled vectors mixed in, and now and then one
+    vector of the wrong width."""
+    d, l = rng.randint(0, 6), rng.randint(0, 10)
+    r = d if rng.random() < 0.6 else rng.randint(0, d)
+    span = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+    vectors = []
+    for _ in range(l):
+        kind = rng.random()
+        if kind < 0.08:
+            v = (0,) * d
+        elif kind < 0.25 and vectors:
+            v = tuple(rng.choice((-3, -1, 2, 5)) * x for x in rng.choice(vectors))
+        else:
+            coef = [rng.randint(-2, 2) for _ in range(r)]
+            v = tuple(sum(c * b[t] for c, b in zip(coef, span)) for t in range(d))
+        vectors.append(v)
+    if vectors and rng.random() < 0.05:
+        vectors[rng.randrange(l)] += (1,)
+    return l, d, tuple(vectors)
+
+
+def _complete(n):
+    return graph(n, combinations(range(n), 2))
+
+
+def test_general_position_walk_matches_one_rank_per_subset():
+    # the walk over c (l - d >= d), over the rows of c's kernel (l - d < d),
+    # and every edge case, against one Bareiss rank per subset
+    rng = random.Random(3102)
+    seen = set()
+    for _ in range(1200):
+        l, d, vectors = _general_position_case(rng)
+        report = verify_orthrep(OrthRep(_complete(l), d, vectors))
+        wrong = tuple(v for v in range(l) if len(vectors[v]) != d)
+        if wrong:
+            assert report == OrthRepReport((), (), (), wrong)
+            seen.add("wrong width")
+            continue
+        want = ref_dependent_subsets(vectors, d)
+        zeros = tuple(v for v in range(l) if d and not any(vectors[v]))
+        assert report == OrthRepReport((), want, zeros), (vectors, d)
+        size = min(d, l)
+        side = "c" if l - size >= size else "kernel"
+        tags = {
+            f"{side}: dependent" if want else f"{side}: independent",
+            f"{side}: zero vector" if zeros else None,
+            f"{side}: rank below size" if d and ref_rank(vectors) < size else None,
+            "d = 0" if d == 0 else None,
+            "no vectors" if d and l == 0 else None,
+            "l < d" if l < d else None,
+            "l = d" if d and l == d else None,
+        }
+        seen |= tags - {None}
+    assert seen == {
+        f"{side}: {tag}"
+        for side in ("c", "kernel")
+        for tag in ("dependent", "independent", "zero vector", "rank below size")
+    } | {"wrong width", "d = 0", "no vectors", "l < d", "l = d"}
+
+
+def test_general_position_of_long_cycles(monkeypatch):
+    # C_k has d = k - 2, so the check walks the pairs of kernel rows in Z^2
+    sizes = []
+    walk = ghzcert.gpor._dependent
+
+    def spy(vectors, size):
+        sizes.append(size)
+        return walk(vectors, size)
+
+    monkeypatch.setattr(ghzcert.gpor, "_dependent", spy)
+    for k in (16, 24, 40):
+        rep = find_gpor(line_graph(cycle_hypergraph(k)), k - 2, seed=0)
+        assert verify_orthrep(rep).ok
+        assert sizes.pop() == 2
+    rep24 = find_gpor(line_graph(cycle_hypergraph(24)), 22, seed=0)
+    assert ref_dependent_subsets(rep24.vectors, 22) == ()
+    # C16 with c_3 moved into the span of c_0 and c_1
+    rep = find_gpor(line_graph(cycle_hypergraph(16)), 14, seed=0)
+    vecs = list(rep.vectors)
+    vecs[3] = tuple(2 * a - b for a, b in zip(vecs[0], vecs[1]))
+    dependent = verify_orthrep(rep._replace(vectors=tuple(vecs))).dependent_subsets
+    assert dependent == ref_dependent_subsets(vecs, 14)
+    # the C(13, 11) 14-subsets holding 0, 1 and 3
+    assert len(dependent) == 78 and all({0, 1, 3} <= set(sub) for sub in dependent)
+
+
+def _bench_workloads():
+    """The benchmark's plan module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_general_position_of_a_certify_round_matches_one_rank_per_subset(
+    monkeypatch,
+):
+    # every representation that synthesis checks in one seed-1 round of the
+    # benchmark's certify workload
+    from ghzcert.protocol import synthesize_certificate
+
+    checked = []
+    verify = ghzcert.gpor.verify_orthrep
+
+    def recording_verify(rep):
+        checked.append(rep)
+        return verify(rep)
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", recording_verify)
+    plan = _bench_workloads().plan_certify(1)
+    for op in plan.round:
+        _, file, _, n, _, seed, *_ = op.argv
+        h = Hypergraph.from_json_dict(plan.inputs[file.removesuffix(".json")])
+        synthesize_certificate(h, int(n), seed=int(seed))
+    assert len(checked) == 306
+    for rep in checked:
+        report = verify(rep)
+        assert report.dependent_subsets == ref_dependent_subsets(rep.vectors, rep.d)
 
 
 def test_fixed_point_property_of_verified_reps():

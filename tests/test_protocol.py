@@ -4,6 +4,9 @@ import math
 import random
 import re
 import time
+import tracemalloc
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -61,6 +64,7 @@ from ghzcert.hypergraph import (
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _dense_stages,
+    _indented_json,
     _packing,
     _pivot_blocks,
     _pivot_inverse,
@@ -199,10 +203,9 @@ def test_histogram_matches_brute_force():
         )
         widths, lo, start, steps = _packing(rep, n)
         half = (math.prod(widths) - 1) // 2
-        for hist in _stages(start, steps, n, half):
-            pass
-        for dense, slots in _dense_stages(start, steps, n, half, 16):
-            pass
+        never = lambda stage: False
+        hist = _stages(start, steps, n, half, never)
+        dense, slots = _dense_stages(start, steps, n, half, 16, never)
         counts = {s: dense >> 16 * (slots - 1 - s) & 0xFFFF for s in range(slots)}
         assert {s: cnt for s, cnt in counts.items() if cnt} == hist
         unpacked = {_unpack(key, widths, lo): cnt for key, cnt in hist.items()}
@@ -230,7 +233,7 @@ def _last_vector(rng: random.Random, kind: str, vectors, d: int, top: int):
 
 
 def _spy_routes(monkeypatch) -> list[str]:
-    """The names of the stage generators choose_g calls, in call order."""
+    """The names of the stage builders choose_g calls, in call order."""
     routes = []
     for name in ("_stages", "_dense_stages"):
         def spy(*args, real=getattr(ghzcert.protocol, name), name=name):
@@ -786,6 +789,25 @@ def test_histograms_out_of_memory_are_too_large(monkeypatch, tmp_path, capsys):
             assert json.loads(capsys.readouterr().err)["code"] == "TooLarge"
 
 
+def test_the_dense_route_holds_four_half_box_ints_at_most():
+    # the loop over the stages held the previous stage while the next was
+    # built: five ints of half the box at the peak, where four are needed
+    rep = find_gpor(line_graph(cycle_hypergraph(6)), 4, seed=0)
+    n = 13
+    widths, _, _, _ = _packing(rep, n)
+    slots = math.prod(widths)
+    assert slots <= n**6  # the dense route
+    slot_bytes = -(-(n ** (6 - 4)).bit_length() // 8)
+    half_int = ((slots - 1) // 2 + 1) * slot_bytes
+    tracemalloc.start()
+    try:
+        choose_g(rep, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3.5 * half_int < peak < 4.5 * half_int
+
+
 def test_a_box_of_at_most_n_to_the_l_slots_is_counted_in_one_int(monkeypatch):
     # the route depends on c and n alone: one int when the box has at most
     # n^l slots, dicts past it
@@ -882,6 +904,44 @@ def test_to_json_bytes_matches_the_indenting_encoder():
         assert cert.to_json_bytes() == ref_to_json_bytes(cert), key
         seen_d0 += cert.to_json_dict()["c"][0] == []  # full3: d = 0
     assert seen_d0
+
+
+def _random_json_value(rng: random.Random, depth: int):
+    """A nested value of the kinds json writes: dicts with str keys, lists
+    and tuples (int-only or mixed), empty containers, ints of every size,
+    floats, non-ASCII strings, bools and None."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice([0, -1, 7, -(10**30), 10**200 + 1, rng.randint(-999, 999)])
+    if kind == 1:
+        return rng.choice([0.0, -0.0, 0.1, -2.5e-300, 1e300, 3.0, math.log2(7),
+                           math.inf, -math.inf, math.nan])
+    if kind == 2:
+        return "".join(rng.choice('ab"\\/\n\té€😀\x00') for _ in range(rng.randrange(5)))
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return [rng.randint(-(10**25), 10**25) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return tuple(rng.randint(-3, 3) for _ in range(rng.randrange(3)))
+    if kind in (6, 7):
+        items = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return items if kind == 6 else tuple(items)
+    keys = ["", "a", "B", "é", "z\u00ff", "key", "10", "2"]
+    return {k: _random_json_value(rng, depth + 1) for k in rng.sample(keys, rng.randrange(5))}
+
+
+def test_indented_json_matches_json_dumps():
+    rng = random.Random(3101)
+    for _ in range(3000):
+        obj = _random_json_value(rng, 0)
+        assert _indented_json(obj, "") == json.dumps(obj, indent=2, sort_keys=True), obj
+    # keys that are not str, and subclasses of int and dict, go through
+    # json.dumps, nested at any depth
+    odd = ({1: [2], 3: {None: 1.5}}, [[{2: "b", 1: "a"}]], {"f": [False, 1]},
+           {"o": OrderedDict(b=[], a={})}, [[IntEnum("E", "X").X, 2]])
+    for obj in odd:
+        assert _indented_json(obj, "") == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_certificate_schema_fields():
@@ -1192,15 +1252,41 @@ def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
     assert "M 100000 above n^lambda = 121" in report.check("counting").detail
 
 
-def test_verify_bounds_the_counting_check_at_a_huge_level():
+class _WatchedLevel(int):
+    """A level n that refuses to form a power or product of itself with
+    more than ``most`` bits, and records each one it refuses."""
+
+    most = 0
+    refused: list[int] = []
+
+    def _formed(self, bits: int) -> None:
+        if bits > self.most:
+            self.refused.append(bits)
+            raise AssertionError(f"a {bits}-bit power of n")
+
+    def __pow__(self, e, mod=None):
+        self._formed(e * self.bit_length())
+        return int.__pow__(int(self), e, mod)
+
+    def __rmul__(self, other):
+        self._formed(self.bit_length() + int(other).bit_length())
+        return int.__mul__(int(self), other)
+
+    __mul__ = __rmul__
+
+
+def test_verify_bounds_the_counting_check_at_a_huge_level(monkeypatch):
     # 400 edges at n = 10^4000: the floor built n^400 in full and divided
-    # it, over a second, though the recount was refused at once
+    # it, over a second, though the recount was refused at once.  No power
+    # of n past n^4 is formed now.
     h = hypergraph(2, [{1, 2}] * 400)
     rep = OrthRep(line_graph(h), 1, ((1,),) * 400)
-    cert = build_certificate(h, 10**4000, rep, (0,), 1, 0)
-    start = time.perf_counter()
+    n = _WatchedLevel(10**4000)
+    monkeypatch.setattr(_WatchedLevel, "most", 4 * n.bit_length())
+    monkeypatch.setattr(_WatchedLevel, "refused", [])
+    cert = build_certificate(h, n, rep, (0,), 1, 0)
     counting = verify_certificate(cert).check("counting")
-    assert time.perf_counter() - start < 1.0
+    assert _WatchedLevel.refused == []
     assert counting.status == "fail"
     assert "M 1 below floor ceil(n^400 / (2*400*(n-1)+1)^1)" in counting.detail
     # where n^l is within GHZCERT_MAX_GRID the floor is stated in decimal

@@ -9,7 +9,7 @@ from conftest import ref_primitive, ref_project_onto_span, ref_rank
 from ghzcert.errors import DimMismatchError, TooLargeError
 from ghzcert.gpor import OrthRep, verify_orthrep
 from ghzcert.hypergraph import graph
-from ghzcert.ratlinalg import _orthogonal_basis, _primitive, _residual, rank
+from ghzcert.ratlinalg import _kernel, _orthogonal_basis, _primitive, _residual, rank
 
 
 def _residual_of(basis, x):
@@ -128,7 +128,29 @@ def test_project_handles_zero_basis_vectors():
     assert _orthogonal_basis(basis) == [((2, 0), 4)]
 
 
-# -- general position, decided by one exact rank per d-subset ---------------
+def test_kernel_rows_are_the_dual_matroid():
+    # C with columns c_0..c_(l-1) and rank r: an r-subset B of the columns
+    # is a basis exactly when the kernel rows off B are independent, and
+    # the kernel has l - r columns
+    rng = random.Random(42)
+    for _ in range(400):
+        d, l = rng.randint(1, 4), rng.randint(1, 6)
+        span = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        columns = []
+        for _ in range(l):
+            coef = [rng.randint(-3, 3) for _ in span]
+            columns.append(tuple(sum(c * b[t] for c, b in zip(coef, span)) for t in range(d)))
+        r, rows = _kernel(columns)
+        assert r == ref_rank(columns)
+        assert len(rows) == l and all(len(row) == l - r for row in rows)
+        for basis in combinations(range(l), r):
+            off = [rows[i] for i in range(l) if i not in basis]
+            assert (ref_rank([columns[i] for i in basis]) == r) == (
+                ref_rank(off) == l - r
+            ), (columns, basis)
+
+
+# -- general position, decided by one walk over the smaller side ------------
 
 
 def _complete(n):
@@ -159,12 +181,20 @@ def test_general_position_scaling_invariance():
 
 
 def test_general_position_subset_guard(monkeypatch):
-    # C(50, 25) is far beyond the enumeration cap; the guard fires before
-    # the first subset's rank is taken
-    def no_rank(rows):
-        raise AssertionError("rank taken before the subset guard")
+    # C(50, 25) and C(60, 40) are far beyond the enumeration cap; the guard
+    # fires before the walk starts or the kernel is eliminated, on the side
+    # of c (l - d >= d) as on the side of its kernel (l - d < d)
+    def no_work(*args):
+        raise AssertionError("subset work done before the subset guard")
 
-    monkeypatch.setattr(ghzcert.gpor, "rank", no_rank)
-    rep = OrthRep(_complete(50), 25, tuple((1,) * 25 for _ in range(50)))
-    with pytest.raises(TooLargeError):
-        verify_orthrep(rep)
+    monkeypatch.setattr(ghzcert.gpor, "_dependent", no_work)
+    monkeypatch.setattr(ghzcert.gpor, "_kernel", no_work)
+    for l, d in ((50, 25), (60, 40)):
+        rep = OrthRep(_complete(l), d, tuple((1,) * d for _ in range(l)))
+        with pytest.raises(TooLargeError):
+            verify_orthrep(rep)
+    # under the cap the same patches are reached, on both sides
+    for l, d in ((4, 2), (4, 3)):
+        rep = OrthRep(_complete(l), d, tuple((1,) * d for _ in range(l)))
+        with pytest.raises(AssertionError, match="before the subset guard"):
+            verify_orthrep(rep)
