@@ -34,11 +34,12 @@ lexicographic order, on whichever side of the matroid has fewer
 coordinates.  Each prefix carries its integer Gram-Schmidt basis, so a
 prefix that turns dependent condemns all of its extensions at once, and at
 the last level each remaining element costs one inner product with the
-normal of the prefix's hyperplane, the first nonzero residual there.  With l vectors in Q^d and lam = l - d
-< d, the walk runs over the lam-subsets of the rows of an integer kernel
-basis instead: by matroid duality (Whitney 1935; Oxley, *Matroid Theory*,
-ch. 2) a d-subset is a basis exactly when the kernel rows of its
-complement are independent, provided the vectors span Q^d.
+normal of the prefix's hyperplane, the first nonzero residual there.
+With l vectors in Q^d and lam = l - d < d, the walk runs over the
+lam-subsets of the rows of an integer kernel basis instead: by matroid
+duality (Whitney 1935; Oxley, *Matroid Theory*, ch. 2) a d-subset is a
+basis exactly when the kernel rows of its complement are independent,
+provided the vectors span Q^d.
 """
 
 from __future__ import annotations

@@ -54,6 +54,14 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _require_level(n: int) -> None:
+    """Refuse a level n that is no int >= 2, as an edge level is refused."""
+    if type(n) is not int:
+        raise BadLevelError(f"level n={n!r} is not an integer")
+    if n < 2:
+        raise BadLevelError(f"level n={n} < 2")
+
+
 def _json_ints(values, field: str) -> tuple[int, ...]:
     row = tuple(values)
     if not _INT.issuperset(map(type, row)):

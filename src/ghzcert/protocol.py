@@ -23,14 +23,16 @@ representation that cannot beat the best so far stops early.  The
 solutions are solved for, not searched: general position makes the last d
 vectors a basis, so each of the n^lam assignments to the first lam edges
 fixes the last d indices through one integer solve, and M <= n^lam holds
-by construction.  Along the last free index the solve is linear, so the
-solutions come in n^(lam-1) blocks: a range of that index, with each pivot
-index an arithmetic progression over it, stated by its value at the
-range's start and a step that is the same for every block.  Counting adds
-up the lengths of the ranges and builds no row; rows are zipped from the
-progressions only where they are read.  A block depends on its prefix only
-through one residual, so a residual that repeats is solved once, through a
-memo of at most a fixed number of residuals, each held as O(d) ints.
+by construction; the solve is read off one fraction-free Gauss-Jordan of
+[C_P | C_free | g], the one the general-position kernel uses.  Along the
+last free index the solve is linear, so the solutions come in n^(lam-1)
+blocks: a range of that index, with each pivot index an arithmetic
+progression over it, stated by its value at the range's start and a step
+that is the same for every block.  Counting adds up the lengths of the
+ranges and builds no row; rows are zipped from the progressions only where
+they are read.  A block depends on its prefix only through one residual,
+so a residual that repeats is solved once, through a memo of at most a
+fixed number of residuals, each held as O(d) ints.
 
 The verifier recounts every certificate by adding up the range lengths of
 the pivot blocks, bounded by its work n^lam against GHZCERT_MAX_GRID, and
@@ -60,7 +62,6 @@ from typing import NamedTuple
 
 from .errors import (
     BadGridLimitError,
-    BadLevelError,
     DimMismatchError,
     GridTooLargeError,
     LevelsUnsupportedError,
@@ -83,8 +84,9 @@ from .hypergraph import (
     _json_int_rows,
     _json_ints,
     _repeated,
+    _require_level,
 )
-from .ratlinalg import rank
+from .ratlinalg import _reduce, rank
 from .tensor import (
     apply_local_diagonal,
     check_ghz_structure,
@@ -430,7 +432,7 @@ def choose_g(
 ) -> tuple[tuple[int, ...], int] | None:
     """(g, M): the lex-smallest most frequent grid value g of sum_e i_e c_e
     and its count M, or None exactly when M <= beat (never with the default
-    beat, as M >= 1).
+    beat, as M >= 1).  A level n that is no int >= 2 raises BadLevelError.
 
     Values are counted in the slots of the box that :func:`_packing` lays
     out, whose order is lexicographic, so the winner is the first slot
@@ -457,6 +459,7 @@ def choose_g(
     count so far) stops there; that max is taken only once beat >= n^(l-e).
     Histograms that run out of memory raise TooLargeError.
     """
+    _require_level(n)
     widths, lo, start, steps = _packing(rep, n)
     l = len(steps)
     slots = math.prod(widths)
@@ -494,56 +497,27 @@ def choose_g(
     return (_unpack(key, widths, lo), m) if m > beat else None
 
 
-def _pivot_inverse(pivots) -> tuple[list[list[int]], int]:
-    """Integer A and D > 0 with A C_P = D I, C_P having the pivots as columns.
-
-    Fraction-free Gauss-Jordan (Bareiss) on [C_P | I]: every entry stays a
-    minor of it, so each division by the previous pivot is exact, and the
-    last pivot p leaves [p I | p C_P^-1].  Dividing by the gcd of p and the
-    right block gives the least D, the common denominator of C_P^-1; the
-    solutions do not depend on it.  A singular block means the vectors are
-    not in general position.
-    """
-    d = len(pivots)
-    rows = [
-        [pivots[col][row] for col in range(d)] + [int(row == j) for j in range(d)]
-        for row in range(d)
-    ]
-    prev = 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if rows[r][col]), None)
-        if piv is None:
-            raise NotGeneralPositionError(
-                f"the last {d} edge vectors are linearly dependent"
-            )
-        rows[col], rows[piv] = rows[piv], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r in range(d):
-            if r != col:
-                a = rows[r][col]
-                rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], top)]
-        prev = p
-    step = math.gcd(prev, *(x for row in rows for x in row[d:]))
-    if prev < 0:
-        step = -step
-    return [[x // step for x in row[d:]] for row in rows], prev // step
-
-
 def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     """Grid tuples with sum_e i_e c_e = g, in lexicographic blocks.
 
     The last d = len(g) edges are pivots and the first lam are free.  A free
     assignment fixes the pivot indices i_P = (A g - sum_free i_e A c_e) / D,
-    kept when the division is exact and each lies in [0, n-1].  Only the
-    first lam - 1 free indices are looped over.  The last one, i, moves each
-    pivot residual linearly, r_t - i s_t, so the admissible i form one
-    arithmetic progression: its interval comes from 0 <= r_t - i s_t <=
-    D (n-1) for every t, its period D / gcd(D, s_1..s_d) from the
-    divisibility condition, and its start from a scan of at most one
-    period.  The pivot indices are progressions in i as well, so a block
-    costs lam * d products and no loop per point, and there are n^(lam-1)
-    blocks whatever l is, with at most n^lam solutions in all.
+    A = D C_P^-1, kept when the division is exact and each lies in
+    [0, n-1].  ratlinalg._reduce turns [C_P | C_free | g] into
+    [p I | p C_P^-1 C_free | p C_P^-1 g], p the last pivot, so D = |p| and
+    A c_e and A g are its columns, negated when p < 0; a pivot past column
+    d - 1 means C_P is singular.  D need not be the least denominator:
+    scaling r, s and D together changes no range, start or step below.
+
+    Only the first lam - 1 free indices are looped over.  The last one, i,
+    moves each pivot residual linearly, r_t - i s_t, so the admissible i
+    form one arithmetic progression: its interval comes from
+    0 <= r_t - i s_t <= D (n-1) for every t, its period
+    D / gcd(D, s_1..s_d) from the divisibility condition, and its start
+    from a scan of at most one period.  The pivot indices are progressions
+    in i as well, so a block costs lam * d products and no loop per point,
+    and there are n^(lam-1) blocks whatever l is, with at most n^lam
+    solutions in all.
 
     Each nonempty block is yielded as (prefix, free, starts, steps): the
     first lam - 1 free indices, constant over the block; the range of the
@@ -566,16 +540,23 @@ def _pivot_blocks(vectors, n: int, g: tuple[int, ...]):
     if l < d:
         raise DimMismatchError(f"{l} edge vectors cannot fix {d} coordinates")
     lam = l - d
-    adj, den = _pivot_inverse(vectors[lam:])
-    target = [_iinner(row, g) for row in adj]
+    m = [list(row) for row in zip(*vectors[lam:], *vectors[:lam], g)]
+    pivots, den = _reduce(m)
+    if pivots[:d] != list(range(d)):
+        raise NotGeneralPositionError(
+            f"the last {d} edge vectors are linearly dependent"
+        )
+    if den < 0:
+        den, m = -den, [[-x for x in row] for row in m]
+    target = [row[-1] for row in m]
     top = den * (n - 1)
     if lam == 0:
         if all(r % den == 0 and 0 <= r <= top for r in target):
             yield (), range(1), [r // den for r in target], ()
         return
     # cols[t][e] = (A c_e)_t over the looped free edges; last[t] = s_t
-    cols = [[_iinner(row, vectors[e]) for e in range(lam - 1)] for row in adj]
-    last = [_iinner(row, vectors[lam - 1]) for row in adj]
+    cols = [row[d : l - 1] for row in m]
+    last = [row[l - 1] for row in m]
     period = den // math.gcd(den, *last)
     # each step of the progression in i moves pivot t by this much
     steps = [-s * period // den for s in last]
@@ -634,8 +615,7 @@ def enumerate_solutions(
     last free index, so the cost is n^(lam-1) blocks whatever l is.  Raises
     NotGeneralPositionError when the last d vectors are dependent.
     """
-    if n < 2:
-        raise BadLevelError(f"level n={n} < 2")
+    _require_level(n)
     _check_grid(rep.graph.n, n)
     return list(_pivot_solutions(rep.vectors, n, g))
 
@@ -831,8 +811,7 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     count each cheaply, one otherwise.  They are scored by their mode count
     M and the best kept (the first wins ties).
     """
-    if n < 2:
-        raise BadLevelError(f"level n={n} < 2")
+    _require_level(n)
     for idx, e in enumerate(h.edges):
         if e.level != 2:
             raise LevelsUnsupportedError(

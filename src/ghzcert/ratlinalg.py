@@ -13,9 +13,10 @@ r <- <g_m, g_m> r - <g_m, r> g_m, a positive multiple of the rational
 residual.  A span depends only on the directions that span it, so the
 residual's direction is that of the exact rational residual.
 
-A kernel basis comes from the same fraction-free elimination run to reduced
-form (Gauss-Jordan): every row is reduced against each new pivot, so the
-pivot block ends diagonal and each kernel vector reads off one free column.
+One fraction-free Gauss-Jordan, :func:`_reduce`, serves both exact solves:
+the kernel basis of the general-position walk and the pivot solve of the
+solution count.  ``rank`` stays forward-only: it needs no reduced form, and
+Gauss-Jordan made the verifier's away-set ranks 1.5 to 1.8 times slower.
 
 There is no floating point and no tolerance anywhere in this module:
 orthogonality, rank and linear independence are decided exactly.
@@ -96,24 +97,18 @@ def _orthogonal_basis(vectors: Sequence[IntVector]) -> list[tuple[IntVector, int
     return ortho
 
 
-def _kernel(columns: Sequence[IntVector]) -> tuple[int, list[IntVector]]:
-    """The rank of the matrix with ``columns`` as its columns, and the rows
-    of an integer basis of its kernel, one row per column, each row scaled
-    to a primitive direction.
+def _reduce(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the int rows ``m``, in place: the pivot
+    columns in order, and the last pivot D (1 when there is none).
 
-    Fraction-free Gauss-Jordan: at each pivot every other row is reduced,
-    and each division by the previous pivot is exact, as in :func:`rank`.
-    In the end pivot row i holds D_i != 0 at its pivot column p_i and 0 at
-    the other pivot columns, so free column f and x_f = 1 give the kernel
-    vector with x_(p_i) = -R_i,f / D_i.  Scaling a row of the basis does not
-    change which sets of its rows are independent, so pivot p_i's row is
-    R_i restricted to the free columns, and free column f's row is the unit
-    vector of f.  At least one column is expected.
+    Every other row is reduced at each pivot, each division by the previous
+    pivot exact as in :func:`rank`.  Pivot row i ends with D at its pivot
+    column and 0 at the others, so with an invertible leading block C the
+    later columns x become D C^-1 x.
     """
-    m = [list(row) for row in zip(*columns)]
     pivots: list[int] = []
     prev = 1
-    for col in range(len(columns)):
+    for col in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == len(m):
             break
@@ -131,6 +126,23 @@ def _kernel(columns: Sequence[IntVector]) -> tuple[int, list[IntVector]]:
                 m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
+    return pivots, prev
+
+
+def _kernel(columns: Sequence[IntVector]) -> tuple[int, list[IntVector]]:
+    """The rank of the matrix with ``columns`` as its columns, and the rows
+    of an integer basis of its kernel, one row per column, each row scaled
+    to a primitive direction.
+
+    Pivot row i of :func:`_reduce` holds D != 0 at its pivot column p_i and
+    0 at the other pivot columns, so free column f and x_f = 1 give the
+    kernel vector with x_(p_i) = -R_i,f / D.  Scaling a row of the basis
+    does not change which sets of its rows are independent, so pivot p_i's
+    row is R_i restricted to the free columns, and free column f's row is
+    the unit vector of f.  At least one column is expected.
+    """
+    m = [list(row) for row in zip(*columns)]
+    pivots, _ = _reduce(m)
     free = sorted(set(range(len(columns))).difference(pivots))
     rows: list[IntVector] = [()] * len(columns)
     for i, col in enumerate(pivots):

@@ -31,13 +31,8 @@ from itertools import chain, compress, count, product, repeat
 from operator import add, not_
 from typing import Callable
 
-from .errors import (
-    BadLevelError,
-    GhzStructureError,
-    NegativeExponentError,
-    NonScalarCoefficientsError,
-)
-from .hypergraph import Hypergraph, _repeated
+from .errors import GhzStructureError, NegativeExponentError, NonScalarCoefficientsError
+from .hypergraph import Hypergraph, _repeated, _require_level
 
 Label = tuple[int, ...]
 EntryKey = tuple[Label, ...]
@@ -114,8 +109,7 @@ def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
     incident edges' terms, in ascending edge order.  One unit entry
     (exponent 0) per point of [0, n-1]^l, in lexicographic order.
     """
-    if n < 2:
-        raise BadLevelError(f"level n={n} < 2")
+    _require_level(n)
     incident = [h.incident(j) for j in range(1, h.k + 1)]
     alphabets = tuple(tuple(product(range(n), repeat=len(inc))) for inc in incident)
     codes = tuple(_grid_codes(inc, n, h.l) for inc in incident)

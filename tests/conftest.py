@@ -14,6 +14,7 @@ from ghzcert.errors import (
     GhzStructureError,
     NegativeExponentError,
     NonScalarCoefficientsError,
+    NotGeneralPositionError,
     TooFewVerticesError,
     TooLargeError,
 )
@@ -28,7 +29,7 @@ from ghzcert.hypergraph import (
     path_hypergraph,
     single_full_edge,
 )
-from ghzcert.protocol import _pivot_inverse, c_prime
+from ghzcert.protocol import c_prime
 from ghzcert.ratlinalg import rank
 from ghzcert.tensor import SparseTensor, _require_scalar, _trusted
 
@@ -402,13 +403,48 @@ def counting_floor(rep, n: int) -> int:
     return -(-(n ** rep.graph.n) // box)
 
 
+def ref_pivot_inverse(pivots) -> tuple[list[list[int]], int]:
+    """Integer A and the least D > 0 with A C_P = D I, C_P having the pivots
+    as columns, as the pivot solve took them before it read A c_e and A g
+    off one reduction of [C_P | C_free | g].
+
+    Fraction-free Gauss-Jordan on [C_P | I] leaves [p I | p C_P^-1] at the
+    last pivot p; the gcd of p and the right block is divided out.  A
+    singular block raises NotGeneralPositionError.
+    """
+    d = len(pivots)
+    rows = [
+        [pivots[col][row] for col in range(d)] + [int(row == j) for j in range(d)]
+        for row in range(d)
+    ]
+    prev = 1
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col]), None)
+        if piv is None:
+            raise NotGeneralPositionError(
+                f"the last {d} edge vectors are linearly dependent"
+            )
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        p = top[col]
+        for r in range(d):
+            if r != col:
+                a = rows[r][col]
+                rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+    step = gcd(prev, *(x for row in rows for x in row[d:]))
+    if prev < 0:
+        step = -step
+    return [[x // step for x in row[d:]] for row in rows], prev // step
+
+
 def ref_pivot_solutions(vectors, n: int, g: tuple[int, ...]):
     """The pivot solve one free assignment at a time: for each of the n^lam
     assignments in lexicographic order, i_P = (A g - sum_free i_e A c_e) / D,
     kept when the division is exact and each index lies in [0, n-1]."""
     d = len(g)
     lam = len(vectors) - d
-    adj, den = _pivot_inverse(vectors[lam:])
+    adj, den = ref_pivot_inverse(vectors[lam:])
     target = [_inner(row, g) for row in adj]
     steps = [[_inner(row, vectors[e]) for row in adj] for e in range(lam)]
     top = den * (n - 1)

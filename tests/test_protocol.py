@@ -24,6 +24,7 @@ from conftest import (
     ref_exponent_sign,
     ref_histogram,
     ref_injectivity,
+    ref_pivot_inverse,
     ref_pivot_solutions,
     ref_rank,
     ref_solutions,
@@ -61,13 +62,13 @@ from ghzcert.hypergraph import (
     path_hypergraph,
     single_full_edge,
 )
+from ghzcert.ratlinalg import _reduce
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _dense_stages,
     _indented_json,
     _packing,
     _pivot_blocks,
-    _pivot_inverse,
     _pivot_solutions,
     _stages,
     _unpack,
@@ -358,7 +359,7 @@ def _random_pivot_case(rng: random.Random, n: int):
             tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(l)
         )
         try:
-            adj, den = _pivot_inverse(vectors[l - d:])
+            adj, den = ref_pivot_inverse(vectors[l - d:])
         except NotGeneralPositionError:
             continue
         last = vectors[l - d - 1] if l > d else ()
@@ -475,7 +476,7 @@ def _repeated_residual_cases(rng: random.Random):
         l = d + rng.randint(3, 4)
         vectors = tuple(tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(l))
         try:
-            _, den = _pivot_inverse(vectors[l - d:])
+            _, den = ref_pivot_inverse(vectors[l - d:])
         except NotGeneralPositionError:
             continue
         if den > 1:
@@ -496,7 +497,7 @@ def test_blocks_with_one_residual_share_rows_and_text(cap, monkeypatch):
         blocks = list(_pivot_blocks(vectors, n, g))
         if len({id(free) for _, free, _, _ in blocks}) < len(blocks):
             seen.add("shared")
-        if _pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
+        if ref_pivot_inverse(vectors[len(vectors) - len(g):])[1] > 1:
             seen.add("D > 1")
         assert sum(len(free) for _, free, _, _ in blocks) == len(want), (vectors, n, g)
         assert list(_pivot_solutions(vectors, n, g)) == want, (vectors, n, g)
@@ -869,6 +870,28 @@ def test_synthesize_rejects_bad_inputs():
         synthesize_certificate(K3, 1)
     with pytest.raises(LevelsUnsupportedError):
         synthesize_certificate(hypergraph(2, [{1, 2}], [3]), 2)
+
+
+@pytest.mark.parametrize("n", [0, -1, 1, 3.0, True, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "entry", ["choose_g", "enumerate_solutions", "synthesize_certificate", "ghz_state"]
+)
+def test_every_entry_point_refuses_a_level_below_2_or_not_an_int(entry, n, monkeypatch):
+    # The level is refused before any work: no lambda scan, no search.
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the level check")
+
+    monkeypatch.setattr(ghzcert.protocol, "edge_connectivity", no_work)
+    rep = scalar_rep([1, 1])
+    call = {
+        "choose_g": lambda: choose_g(rep, n),
+        "enumerate_solutions": lambda: enumerate_solutions(rep, n, (1,)),
+        "synthesize_certificate": lambda: synthesize_certificate(K3, n),
+        "ghz_state": lambda: ghz_state(K3, n),
+    }[entry]
+    want = f"level n={n} < 2" if type(n) is int else f"level n={n!r} is not an integer"
+    with pytest.raises(BadLevelError, match=f"^{re.escape(want)}$"):
+        call()
 
 
 def test_certificate_round_trip():
@@ -1409,25 +1432,60 @@ def test_verify_rejects_shares_of_absent_vertices_and_other_levels():
     assert report.check("counting").detail == "edges [2] are not of level 2"
 
 
-def test_pivot_inverse_is_the_least_integer_adjugate():
-    rng = random.Random(61)
-    singular = 0
-    for _ in range(2000):
-        d = rng.randint(1, 5)
-        cols = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
-        try:
-            adj, den = _pivot_inverse(cols)
-        except NotGeneralPositionError:
-            singular += 1
-            assert ref_rank(cols) < d
-            continue
-        assert ref_rank(cols) == d and den > 0
+def _fraction_solve(cols, rhs) -> list[Fraction]:
+    """y with sum_t y_t cols[t] = rhs over Fraction, for independent cols."""
+    d = len(cols)
+    m = [[Fraction(c[row]) for c in cols] + [Fraction(rhs[row])] for row in range(d)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
         for r in range(d):
-            for c in range(d):
-                got = sum(adj[r][t] * cols[c][t] for t in range(d))
-                assert got == (den if r == c else 0)
-        assert math.gcd(den, *(x for row in adj for x in row)) == 1
-    assert singular > 100
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def test_pivot_solve_reads_the_fraction_solve_off_one_reduction():
+    # The pivot solve reduces [C_P | C_free | g] once.  On an invertible
+    # block the pivots are the first d columns, D = |last pivot| > 0, and
+    # the later columns times that pivot's sign are D C_P^-1 c_e and
+    # D C_P^-1 g.
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(2000):
+        d, lam = rng.randint(1, 4), rng.randint(0, 3)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(lam + d)]
+        g = tuple(rng.randint(-9, 9) for _ in range(d))
+        block = vectors[lam:]
+        m = [list(row) for row in zip(*block, *vectors[:lam], g)]
+        pivots, last = _reduce(m)
+        if ref_rank(block) < d:
+            seen.add("singular")
+            assert pivots[:d] != list(range(d))
+            with pytest.raises(NotGeneralPositionError, match=f"the last {d} edge"):
+                next(_pivot_blocks(vectors, 3, g))
+            continue
+        assert pivots == list(range(d)) and last
+        den, sign = abs(last), (last > 0) - (last < 0)
+        seen.add(sign)
+        for j, rhs in enumerate([*vectors[:lam], g]):
+            want = [den * y for y in _fraction_solve(block, rhs)]
+            assert [sign * row[d + j] for row in m] == want, (vectors, g)
+        for t, row in enumerate(m):
+            assert [sign * x for x in row[:d]] == [den * (t == u) for u in range(d)]
+    assert seen == {"singular", 1, -1}
+    # a singular block whose one pivot sits in its last column, and one whose
+    # reduction ends on a negative pivot, raise too
+    for block in (((0, 0), (1, 0)), ((0, 0), (-1, 0)), ((-2, -4), (1, 2))):
+        for lam in (0, 1):
+            vectors = ((1, 1),) * lam + block
+            with pytest.raises(NotGeneralPositionError, match="the last 2 edge"):
+                next(_pivot_blocks(vectors, 3, (0, 0)))
+    # a block whose reduction ends on a negative pivot solves as a positive one
+    flip = ((1, 1), (-1, 0), (0, 1))
+    assert _reduce([[-1, 0], [0, 1]]) == ([0, 1], -1)
+    assert list(_pivot_solutions(flip, 3, (0, 1))) == [(0, 0, 1), (1, 1, 0)]
 
 
 def test_verify_without_recount_says_so():

@@ -12,7 +12,8 @@ that a test runs in a subprocess is not seen.
 With no arguments it runs the whole suite, as Tier-1 does, which takes 60
 to 100 s under tracing on 2 CPUs (3 to 4 times the untraced run).  Tests
 that bound their own wall time may fail under tracing; the lines are
-listed anyway.
+listed anyway.  It exits 0 only when it lists no line and pytest passed,
+and 1 otherwise, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
             missed += 1
     print(f"lines inside functions never run: {missed}; pytest exited {int(status)}")
-    return 0
+    return int(bool(missed or status))
 
 
 if __name__ == "__main__":
