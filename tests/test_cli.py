@@ -720,6 +720,48 @@ def test_verify_deep_reports_golden(tmp_path, capsys):
     assert blob.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
+def _lower_first_const(obj: dict) -> None:
+    obj["assignment"]["vertices"][0]["const"] -= 1
+
+
+def _zero_every_share(obj: dict) -> None:
+    for row in obj["assignment"]["vertices"]:
+        row.update(quad=[], lin=[], const=0)
+
+
+@pytest.mark.parametrize(
+    "tamper, detail",
+    [
+        (_lower_first_const, "NegativeExponentError: entry ((0, 3), (0, 1), (1, 3)) "
+         "carries eps^-1; leading term undefined"),
+        (_zero_every_share, "GhzStructureError: label (0, 0) repeats at vertex 1"),
+    ],
+    ids=["const_lowered", "shares_zeroed"],
+)
+def test_verify_deep_names_the_entry_or_label_that_fails(tamper, detail, tmp_path, capsys):
+    # K3 at n = 4: the deep check's detail names the first negative entry in
+    # grid order, or the first label that repeats at the first such vertex
+    obj = synthesize_certificate(cycle_hypergraph(3), 4, seed=0).to_json_dict()
+    tamper(obj)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path), "--json", "--deep"]) == 1
+    completeness = "aggregate coefficients differ from the square expansion"
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": [
+            {"detail": "", "name": "orthogonal_representation", "status": "pass"},
+            {"detail": "", "name": "decodability", "status": "pass"},
+            {"detail": completeness, "name": "completeness", "status": "fail"},
+            {"detail": "follows from completeness, which failed",
+             "name": "exponent_sign", "status": "fail"},
+            {"detail": "", "name": "injectivity", "status": "pass"},
+            {"detail": "", "name": "counting", "status": "pass"},
+            {"detail": detail, "name": "degeneration", "status": "fail"},
+        ],
+        "ok": False,
+    }
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [("log2_M", 100.0, "achieved_rate.log2_M 100.0 != log2(M)"),
