@@ -781,6 +781,7 @@ def build_certificate(
     m: int,
     seed: int,
 ) -> Certificate:
+    _require_level(n)
     return Certificate(
         hypergraph=h,
         lam=h.l - rep.d,

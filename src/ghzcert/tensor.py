@@ -10,16 +10,21 @@ The module carries only what the deep degeneration check replays: the GHZ
 product state, local diagonal operators, the leading term and the test that
 the result is a GHZ state.  Those operations are the only way to build a
 tensor: ``ghz_state`` starts the chain from a Hypergraph, and each later
-step derives its columns from the tensor it is given.
+step derives its entries from the tensor it is given.
 
-The tensor is stored column-wise.  Each site has one int list, the code of
-every entry's label there (its index in the site's alphabet), and the
-tensor has one exponent list, both in entry order.  A diagonal operator at
-a site is a table indexed by code, so applying it is one pass of int adds
-over that site's column; the columns are shared between a tensor and the
-tensors derived from it and never mutated.  Keys, tuples of k label tuples,
-are never formed for the n^l grid: only for the entries ``entries`` lists
-when asked, and for the one entry an error names.
+The tensor keeps its exponents in one int of fixed-width slots, one per
+entry in entry order, slot 0 in the lowest bits.  A slot holds m - lo in
+whole bytes, where lo and hi are the sums of the minima and maxima of the
+tables applied so far, with one spare top bit.  The entries of the n^l grid
+of ``ghz_state`` are its points in lexicographic order, and a point's label
+at a site is derived from the point's index, so the grid stores no code per
+entry.  Applying a diagonal at a site spreads the site's table over the
+grid with bytes operations (a block repeated n times for each edge the site
+does not see, n blocks joined for each edge it sees) and adds one int.  The
+leading term finds the negative and the zero slots with one add and one AND
+against the slots' top bits each, and derives the label codes of the
+entries it keeps, one column per site.  Otherwise labels are derived only
+for the entries a reader lists and for the one entry an error names.
 
 Everything is exact: exponents are ints and coefficients are 1, so "leading
 term" is a symbolic statement, never a numerical limit.
@@ -27,8 +32,7 @@ term" is a symbolic statement, never a numerical limit.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, product, repeat
-from operator import add, not_
+from itertools import compress, count, groupby, product, repeat
 from typing import Callable
 
 from .errors import GhzStructureError, NegativeExponentError, NonScalarCoefficientsError
@@ -42,64 +46,119 @@ class SparseTensor:
     """k-site tensor over declared per-site label alphabets.
 
     Built only by ``ghz_state``, ``apply_local_diagonal`` and
-    ``leading_term``, whose columns are valid by construction.  ``entries``
+    ``leading_term``, whose slots are valid by construction.  ``entries``
     maps each key to the exponent m of its term 1·ε^m, in entry order,
-    built from the columns on first use.
+    built on first use.
     """
 
-    __slots__ = ("k", "alphabets", "_codes", "_exps", "_entries")
+    __slots__ = (
+        "k", "alphabets", "_grid", "_cols", "_size", "_exps", "_lo", "_hi", "_entries"
+    )
 
     @property
     def entries(self) -> dict[EntryKey, int]:
         if self._entries is None:
-            labels = [map(a.__getitem__, col) for a, col in zip(self.alphabets, self._codes)]
-            keys = zip(*labels) if labels else repeat((), len(self._exps))
-            self._entries = dict(zip(keys, self._exps))
+            cols = _codes(self, range(self._size))
+            labels = [map(a.__getitem__, col) for a, col in zip(self.alphabets, cols)]
+            keys = zip(*labels) if labels else repeat((), self._size)
+            self._entries = dict(zip(keys, _unpack(self)))
         return self._entries
 
     def _key(self, i: int) -> EntryKey:
-        return tuple(a[col[i]] for a, col in zip(self.alphabets, self._codes))
+        return tuple(a[col[0]] for a, col in zip(self.alphabets, _codes(self, [i])))
 
 
-def _trusted(k: int, alphabets, codes, exps: list[int]) -> SparseTensor:
-    """The tensor with these columns: the grid of ghz_state, or columns
-    derived from another tensor's."""
+def _trusted(k: int, alphabets, grid, cols, size: int, exps: int, lo: int, hi: int):
+    """The tensor with these entries and slots.
+
+    ``grid`` is (n, l, incident) for the n^l grid of ``ghz_state``, whose
+    site codes are derived from a point's index; otherwise ``cols`` holds
+    one code column per site.
+    """
     t = object.__new__(SparseTensor)
-    t.k, t.alphabets, t._codes, t._exps, t._entries = k, alphabets, codes, exps, None
+    t.k, t.alphabets, t._grid, t._cols, t._size = k, alphabets, grid, cols, size
+    t._exps, t._lo, t._hi, t._entries = exps, lo, hi, None
     return t
 
 
-def _first(t: SparseTensor, pred) -> tuple[EntryKey, int]:
-    i = next(compress(count(), map(pred, t._exps)))
-    return t._key(i), t._exps[i]
+def _width(lo: int, hi: int) -> int:
+    """Bytes per slot for values lo..hi stored as m - lo, with a spare top bit."""
+    return ((hi - lo).bit_length() + 8) // 8
+
+
+def _codes(t: SparseTensor, rows) -> list[list[int]]:
+    """One column per site: the codes (indices into the site's alphabet)
+    of the entries numbered ``rows``.
+
+    A grid point's label at a site is its digits at the site's edges, in
+    ascending edge order; in the sorted alphabet its index is the base-n
+    number of those digits.
+    """
+    if t._grid is None:
+        if rows == range(t._size):  # every entry: the columns, never mutated
+            return t._cols
+        return [list(map(col.__getitem__, rows)) for col in t._cols]
+    n, l, incident = t._grid
+    digits = [[i // n ** (l - 1 - e) % n for i in rows] for e in range(l)]
+    out = []
+    for inc in incident:
+        col = digits[inc[0]] if inc else [0] * len(rows)
+        for e in inc[1:]:
+            col = [c * n + d for c, d in zip(col, digits[e])]
+        out.append(col)
+    return out
+
+
+def _unpack(t: SparseTensor) -> list[int]:
+    """Every entry's exponent, in entry order."""
+    if t._lo == t._hi:
+        return [t._lo] * t._size
+    width = _width(t._lo, t._hi)
+    data = t._exps.to_bytes(t._size * width, "little")
+    slots = (data[i : i + width] for i in range(0, len(data), width))
+    return [int.from_bytes(slot, "little") + t._lo for slot in slots]
+
+
+def _repeat(value: int, width: int, size: int) -> int:
+    """size slots of width bytes, each holding value."""
+    return int.from_bytes(value.to_bytes(width, "little") * size, "little")
+
+
+def _below(t: SparseTensor, m: int) -> int:
+    """The slots' top bits, set where the entry's exponent is below m.
+
+    Where lo < m <= hi, adding 2^(w-1) + lo - m to every slot of w bits
+    carries into its top bit exactly when the exponent is at least m, and
+    never out of the slot.
+    """
+    if t._lo >= m:
+        return 0
+    width = _width(t._lo, t._hi)
+    top = 1 << (8 * width - 1)
+    tops = _repeat(top, width, t._size)
+    if t._hi < m:
+        return tops
+    return tops ^ ((t._exps + _repeat(top + t._lo - m, width, t._size)) & tops)
+
+
+def _flagged(flags: int, width: int, size: int):
+    """Numbers of the slots whose top bit is set in flags, which has no
+    other bit set, in ascending order."""
+    data = flags.to_bytes(size * width, "little")
+    i = data.find(0x80)
+    while i >= 0:
+        yield i // width
+        i = data.find(0x80, i + 1)
 
 
 def _require_scalar(t: SparseTensor) -> None:
-    if any(t._exps):
-        key, m = _first(t, bool)
-        raise NonScalarCoefficientsError(
-            f"entry {key} has ε-dependent coefficient 1*e^{m}"
-        )
-
-
-def _grid_codes(inc: tuple[int, ...], n: int, l: int) -> list[int]:
-    """Codes of one site's labels over [0, n-1]^l in lexicographic order.
-
-    The label of grid point i is (i[e] for e in inc); in the sorted
-    alphabet its index is the base-n number of those digits.  The column is
-    built from the last coordinate up: a coordinate the site does not see
-    repeats the column n times, one it sees adds its digit times its place
-    value to n copies.
-    """
-    place = {e: n ** p for p, e in enumerate(reversed(inc))}
-    col = [0]
-    for e in reversed(range(l)):
-        w = place.get(e)
-        if w is None:
-            col = col * n
-        else:
-            col = list(chain(col, *(map((w * v).__add__, col) for v in range(1, n))))
-    return col
+    if t._lo or t._hi:
+        exps = _unpack(t)
+        i = next(compress(count(), exps), None)
+        if i is not None:
+            raise NonScalarCoefficientsError(
+                f"entry {t._key(i)} has ε-dependent coefficient 1*e^{exps[i]}"
+            )
 
 
 def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
@@ -110,10 +169,38 @@ def ghz_state(h: Hypergraph, n: int) -> SparseTensor:
     (exponent 0) per point of [0, n-1]^l, in lexicographic order.
     """
     _require_level(n)
-    incident = [h.incident(j) for j in range(1, h.k + 1)]
+    incident = tuple(h.incident(j) for j in range(1, h.k + 1))
     alphabets = tuple(tuple(product(range(n), repeat=len(inc))) for inc in incident)
-    codes = tuple(_grid_codes(inc, n, h.l) for inc in incident)
-    return _trusted(h.k, alphabets, codes, [0] * n**h.l)
+    return _trusted(h.k, alphabets, (n, h.l, incident), None, n**h.l, 0, 0, 0)
+
+
+def _spread(table: bytes, inc: tuple[int, ...], n: int, l: int, width: int) -> bytes:
+    """One site's table, slots of width bytes in code order, laid over the
+    grid [0, n-1]^l in lex order.
+
+    Built from the last coordinate up.  The data is a row of blocks, at
+    first one slot each: r coordinates the site sees make each r
+    consecutive blocks one (the last digits of the code), and r it does not
+    see repeat every block r times.
+    """
+    data, block = table, width
+    for seen, run in groupby(reversed(range(l)), inc.__contains__):
+        r = n ** len(list(run))
+        if not seen:
+            data = b"".join([data[i : i + block] * r for i in range(0, len(data), block)])
+        block *= r
+    return data
+
+
+def _widen(exps: int, size: int, old: int, new: int) -> int:
+    """The slots of old bytes each moved into a slot of new bytes."""
+    if old == new or not exps:
+        return exps
+    data = exps.to_bytes(size * old, "little")
+    wide = bytearray(size * new)
+    for b in range(old):
+        wide[b::new] = data[b::old]
+    return int.from_bytes(wide, "little")
 
 
 def apply_local_diagonal(
@@ -124,9 +211,19 @@ def apply_local_diagonal(
     ``exp_fn`` is called once per label of the site's alphabet.
     """
     j = vertex - 1
-    shift = [int(exp_fn(label)) for label in t.alphabets[j]]
-    exps = list(map(add, t._exps, map(shift.__getitem__, t._codes[j])))
-    return _trusted(t.k, t.alphabets, t._codes, exps)
+    table = [int(exp_fn(label)) for label in t.alphabets[j]]
+    low, high = min(table), max(table)
+    lo, hi = t._lo + low, t._hi + high
+    width = _width(lo, hi)
+    slots = [(m - low).to_bytes(width, "little") for m in table]
+    if t._grid is None:
+        spread = b"".join(map(slots.__getitem__, t._cols[j]))
+    else:
+        n, l, incident = t._grid
+        spread = _spread(b"".join(slots), incident[j], n, l, width)
+    exps = _widen(t._exps, t._size, _width(t._lo, t._hi), width)
+    exps += int.from_bytes(spread, "little")
+    return _trusted(t.k, t.alphabets, t._grid, t._cols, t._size, exps, lo, hi)
 
 
 def leading_term(t: SparseTensor) -> SparseTensor:
@@ -135,12 +232,13 @@ def leading_term(t: SparseTensor) -> SparseTensor:
     Rejects tensors with any negative ε exponent: those do not converge as
     ε → 0, so the operator assignment that produced them is wrong.
     """
-    exps = t._exps
-    if exps and min(exps) < 0:
-        raise NegativeExponentError(*_first(t, lambda m: m < 0))
-    kept = list(compress(count(), map(not_, exps)))
-    codes = tuple(list(map(col.__getitem__, kept)) for col in t._codes)
-    return _trusted(t.k, t.alphabets, codes, [0] * len(kept))
+    width = _width(t._lo, t._hi)
+    negative = next(_flagged(_below(t, 0), width, t._size), None)
+    if negative is not None:
+        m = t._exps >> (8 * width * negative) & ((1 << 8 * width) - 1)
+        raise NegativeExponentError(t._key(negative), m + t._lo)
+    kept = list(_flagged(_below(t, 1), width, t._size))
+    return _trusted(t.k, t.alphabets, None, _codes(t, kept), len(kept), 0, 0, 0)
 
 
 def check_ghz_structure(t: SparseTensor) -> int:
@@ -149,12 +247,16 @@ def check_ghz_structure(t: SparseTensor) -> int:
     The criterion: at every site, each local label occurs in at most one
     entry.  Then the entries are pairwise distinguishable at every site and
     local diagonal maps rescale t to the standard r-level GHZ, r = #entries.
+    A site's first repeat falls within its first |alphabet| + 1 entries, so
+    only those are read.
     """
     _require_scalar(t)
-    for j, col in enumerate(t._codes):
+    stop = max(map(len, t.alphabets), default=0) + 1
+    cols = _codes(t, range(min(stop, t._size)))
+    for j, (alphabet, col) in enumerate(zip(t.alphabets, cols)):
         if len(set(col)) < len(col):
-            raise GhzStructureError(j + 1, t.alphabets[j][_repeated(col)])
-    return len(t._exps)
+            raise GhzStructureError(j + 1, alphabet[_repeated(col)])
+    return t._size
 
 
 def dump(t: SparseTensor) -> str:

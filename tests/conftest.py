@@ -31,7 +31,7 @@ from ghzcert.hypergraph import (
 )
 from ghzcert.protocol import c_prime
 from ghzcert.ratlinalg import rank
-from ghzcert.tensor import SparseTensor, _require_scalar, _trusted
+from ghzcert.tensor import SparseTensor, _require_scalar, _trusted, _width
 
 MAX_REMOVAL_ORACLE_EDGES = 12
 MAX_VERTEX_CONN_ORACLE = 10
@@ -646,19 +646,25 @@ def reverse_quad(obj: dict) -> dict:
 # -- the dict tensor: reference for ghzcert.tensor ---------------------------
 #
 # One dict from key (one label tuple per site) to exponent, rebuilt by every
-# operation; the package stores the same tensor column-wise.
+# operation; the package stores the same tensor as one int of exponent slots.
 
 RefTensor = namedtuple("RefTensor", "k alphabets entries")
 
 
 def sparse_tensor(k: int, alphabets, entries: dict) -> SparseTensor:
     """The SparseTensor with these entries, key -> exponent, in this order:
-    one column of alphabet indices per site and one of exponents."""
+    one column of alphabet indices per site, and the exponents m packed as
+    m - min into slots of ``_width`` bytes."""
     indices = [{label: c for c, label in enumerate(a)} for a in alphabets]
     codes = tuple(
         [index[key[j]] for key in entries] for j, index in enumerate(indices)
     )
-    return _trusted(k, alphabets, codes, list(entries.values()))
+    exps = list(entries.values())
+    lo, hi = min(exps, default=0), max(exps, default=0)
+    width = _width(lo, hi)
+    slots = b"".join((m - lo).to_bytes(width, "little") for m in exps)
+    packed = int.from_bytes(slots, "little")
+    return _trusted(k, alphabets, None, codes, len(exps), packed, lo, hi)
 
 
 def ref_ghz_state(h: Hypergraph, n: int) -> RefTensor:

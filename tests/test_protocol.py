@@ -20,10 +20,14 @@ from conftest import (
     listed_k3_n4,
     named_edges,
     random_connected_hypergraph,
+    ref_apply_local_diagonal,
+    ref_check_ghz_structure,
     ref_completeness,
     ref_exponent_sign,
+    ref_ghz_state,
     ref_histogram,
     ref_injectivity,
+    ref_leading_term,
     ref_pivot_inverse,
     ref_pivot_solutions,
     ref_rank,
@@ -874,7 +878,11 @@ def test_synthesize_rejects_bad_inputs():
 
 @pytest.mark.parametrize("n", [0, -1, 1, 3.0, True, "3"], ids=repr)
 @pytest.mark.parametrize(
-    "entry", ["choose_g", "enumerate_solutions", "synthesize_certificate", "ghz_state"]
+    "entry",
+    [
+        "choose_g", "enumerate_solutions", "synthesize_certificate", "ghz_state",
+        "build_certificate",
+    ],
 )
 def test_every_entry_point_refuses_a_level_below_2_or_not_an_int(entry, n, monkeypatch):
     # The level is refused before any work: no lambda scan, no search.
@@ -888,6 +896,7 @@ def test_every_entry_point_refuses_a_level_below_2_or_not_an_int(entry, n, monke
         "enumerate_solutions": lambda: enumerate_solutions(rep, n, (1,)),
         "synthesize_certificate": lambda: synthesize_certificate(K3, n),
         "ghz_state": lambda: ghz_state(K3, n),
+        "build_certificate": lambda: build_certificate(K3, n, rep, (1,), 1, 0),
     }[entry]
     want = f"level n={n} < 2" if type(n) is int else f"level n={n!r} is not an integer"
     with pytest.raises(BadLevelError, match=f"^{re.escape(want)}$"):
@@ -1177,6 +1186,21 @@ def test_deep_out_of_memory_is_skipped_not_failed(monkeypatch):
     assert tampered.check("degeneration").status == "skipped"
 
 
+def test_deep_check_at_the_grid_cap_stays_in_memory_bounds():
+    # C6 at n = 10 has 10^6 grid points, the deep check's cap.  A list of
+    # 10^6 exponents alone takes about 36 MB, so the check may hold no list
+    # with one item per grid point.
+    cert = synthesize_certificate(cycle_hypergraph(6), 10, seed=0)
+    tracemalloc.start()
+    try:
+        report = verify_certificate(cert, deep=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.check("degeneration").status == "pass"
+    assert peak < 32 * 2**20
+
+
 def test_verify_catches_zeroed_vector():
     cert = synthesize_certificate(K3, 4, seed=0)
     bad_rep = cert.rep._replace(vectors=((0,), (1,), (1,)))
@@ -1307,7 +1331,9 @@ def test_verify_bounds_the_counting_check_at_a_huge_level(monkeypatch):
     n = _WatchedLevel(10**4000)
     monkeypatch.setattr(_WatchedLevel, "most", 4 * n.bit_length())
     monkeypatch.setattr(_WatchedLevel, "refused", [])
-    cert = build_certificate(h, n, rep, (0,), 1, 0)
+    # build_certificate refuses a level that is not an int, so the watched
+    # level goes in afterwards
+    cert = build_certificate(h, 2, rep, (0,), 1, 0)._replace(n=n)
     counting = verify_certificate(cert).check("counting")
     assert _WatchedLevel.refused == []
     assert counting.status == "fail"
@@ -1597,6 +1623,66 @@ def test_deep_exponents_are_the_total_form():
     for i in product(range(n), repeat=h.l):
         key = tuple(tuple(i[e] for e in inc) for inc in incident)
         assert t.entries[key] == total_exponent(cert.assignment, i)
+
+
+def _ref_degeneration(cert) -> tuple[str, str]:
+    """The deep check replayed on conftest's dict tensors, with the solution
+    set from the grid sweep."""
+    h, n = cert.hypergraph, cert.n
+    incident = [h.incident(j) for j in range(1, h.k + 1)]
+    expected = {
+        tuple(tuple(i[e] for e in inc) for inc in incident)
+        for i in ref_solutions(cert.rep.vectors, n, cert.g)
+    }
+    try:
+        t = ref_ghz_state(h, n)
+        for j in range(1, h.k + 1):
+            t = ref_apply_local_diagonal(t, j, cert.assignment.site_function(h, j))
+        lead = ref_leading_term(t)
+        r = ref_check_ghz_structure(lead)
+    except GhzcertError as exc:
+        return "fail", f"{type(exc).__name__}: {exc}"
+    detail = []
+    if r != cert.m_count:
+        detail.append(f"leading term has {r} entries, M = {cert.m_count}")
+    if set(lead.entries) != expected:
+        detail.append("leading entries differ from the solution set")
+    return ("fail", "; ".join(detail)) if detail else ("pass", "")
+
+
+def _share_coefficients_moved(qa):
+    """The assignment with one quad, lin or const coefficient of one vertex
+    moved down or up by one, for every such coefficient."""
+    for j in range(qa.k):
+        for field in ("quad", "lin", "const"):
+            rows = getattr(qa, field)
+            for term in [None] if field == "const" else sorted(rows[j]):
+                for step in (-1, 1):
+                    moved = list(rows)
+                    if term is None:
+                        moved[j] += step
+                    else:
+                        moved[j] = {**rows[j], term: rows[j][term] + step}
+                    yield qa._replace(**{field: tuple(moved)})
+
+
+def test_deep_check_matches_the_dict_reference():
+    rng = random.Random(1933)
+    seen = set()
+    for trial in range(12):
+        h = random_connected_hypergraph(rng, kmax=4, emax=4)
+        cert = synthesize_certificate(h, rng.choice((2, 3)), seed=trial)
+        moved = [cert._replace(assignment=qa) for qa in _share_coefficients_moved(cert.assignment)]
+        for c in [cert] + moved:
+            deep = verify_certificate(c, deep=True).check("degeneration")
+            assert (deep.status, deep.detail) == _ref_degeneration(c), (h, c.n)
+            if deep.status == "pass":
+                seen.add("pass")
+            elif "leading entries differ" in deep.detail:
+                seen.add("differ")
+            else:
+                seen.add(deep.detail.split(":")[0])
+    assert {"pass", "NegativeExponentError", "GhzStructureError", "differ"} <= seen
 
 
 # -- rates -------------------------------------------------------------------

@@ -243,6 +243,15 @@ def test_w_state_is_not_ghz():
     assert err.value.vertex == 1 and err.value.label == (0,)
 
 
+def test_a_label_repeated_after_the_whole_alphabet_is_caught():
+    # vertex 1 sees the last two coordinates of the grid, so its four
+    # labels at n = 2 all occur before its first repeat, at entry 5
+    t = ghz_state(hypergraph(3, [{2, 3}, {1, 2}, {1, 3}]), 2)
+    with pytest.raises(GhzStructureError) as err:
+        check_ghz_structure(t)
+    assert err.value.vertex == 1 and err.value.label == (0, 0)
+
+
 def test_check_ghz_rejects_epsilon_coefficients():
     t = apply_local_diagonal(ghz_state(single_full_edge(2), 2), 1, lambda lab: lab[0])
     with pytest.raises(NonScalarCoefficientsError):
@@ -333,3 +342,40 @@ def test_columns_match_the_dict_reference():
                 assert list(lead[0].entries.items()) == list(lead[1].entries.items())
                 ghz_terms(*lead)
     assert {"NegativeExponent", "NonScalarCoefficients", "NotGhz", "ghz"} <= set(seen)
+
+
+def test_tensors_with_code_columns_match_the_dict_reference():
+    # a leading term, and a tensor built from shuffled entries, keep one
+    # code column per site: diagonals, leading terms and errors on them
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(40):
+        h = random_connected_hypergraph(rng, kmax=5, emax=5)
+        n = rng.choice((2, 3))
+        ref = ref_ghz_state(h, n)
+        shuffled = list(ref.entries.items())
+        rng.shuffle(shuffled)
+        starts = [sparse_tensor(h.k, ref.alphabets, dict(shuffled))]
+        ref_starts = [ref._replace(entries=dict(shuffled))]
+        fn = _site_function(rng, ref.alphabets[0])
+        lead = _agree(
+            leading_term, ref_leading_term,
+            apply_local_diagonal(ghz_state(h, n), 1, fn), ref_apply_local_diagonal(ref, 1, fn),
+        )
+        if isinstance(lead, tuple):
+            starts.append(lead[0])
+            ref_starts.append(lead[1])
+        for t, r in zip(starts, ref_starts):
+            for j in rng.sample(range(1, h.k + 1), h.k):
+                fn = _site_function(rng, t.alphabets[j - 1])
+                t = apply_local_diagonal(t, j, fn)
+                r = ref_apply_local_diagonal(r, j, fn)
+                assert list(t.entries.items()) == list(r.entries.items())
+                got = _agree(check_ghz_structure, ref_check_ghz_structure, t, r)
+                seen[got if isinstance(got, str) else "ghz"] += 1
+                got = _agree(leading_term, ref_leading_term, t, r)
+                if isinstance(got, str):
+                    seen[got] += 1
+                else:
+                    assert list(got[0].entries.items()) == list(got[1].entries.items())
+    assert {"NegativeExponent", "NonScalarCoefficients"} <= set(seen)
