@@ -124,23 +124,6 @@ def _repeat(value: int, width: int, size: int) -> int:
     return int.from_bytes(value.to_bytes(width, "little") * size, "little")
 
 
-def _below(t: SparseTensor, m: int) -> int:
-    """The slots' top bits, set where the entry's exponent is below m.
-
-    Where lo < m <= hi, adding 2^(w-1) + lo - m to every slot of w bits
-    carries into its top bit exactly when the exponent is at least m, and
-    never out of the slot.
-    """
-    if t._lo >= m:
-        return 0
-    width = _width(t._lo, t._hi)
-    top = 1 << (8 * width - 1)
-    tops = _repeat(top, width, t._size)
-    if t._hi < m:
-        return tops
-    return tops ^ ((t._exps + _repeat(top + t._lo - m, width, t._size)) & tops)
-
-
 def _flagged(flags: int, width: int, size: int):
     """Numbers of the slots whose top bit is set in flags, which has no
     other bit set, in ascending order."""
@@ -232,12 +215,24 @@ def leading_term(t: SparseTensor) -> SparseTensor:
     Rejects tensors with any negative ε exponent: those do not converge as
     ε → 0, so the operator assignment that produced them is wrong.
     """
-    width = _width(t._lo, t._hi)
-    negative = next(_flagged(_below(t, 0), width, t._size), None)
-    if negative is not None:
-        m = t._exps >> (8 * width * negative) & ((1 << 8 * width) - 1)
-        raise NegativeExponentError(t._key(negative), m + t._lo)
-    kept = list(_flagged(_below(t, 1), width, t._size))
+    kept = []
+    if t._lo < 1:  # else every exponent is positive
+        width = _width(t._lo, t._hi)
+        top = 1 << (8 * width - 1)
+        tops = _repeat(top, width, t._size)
+        # Adding 2^(w-1) + lo to slots of w bits leaves 2^(w-1) plus the
+        # exponent in each, its top bit clear exactly where the exponent is
+        # negative; one less a slot then clears it where the exponent is 0
+        # as well.  Neither step carries into or borrows from the next
+        # slot.  When hi < 0 every exponent is negative, and the offset may
+        # be too: every top bit is left clear.
+        shifted = t._exps + _repeat(top + t._lo, width, t._size) if t._hi >= 0 else 0
+        negative = next(_flagged(tops ^ (shifted & tops), width, t._size), None)
+        if negative is not None:
+            m = t._exps >> (8 * width * negative) & ((1 << 8 * width) - 1)
+            raise NegativeExponentError(t._key(negative), m + t._lo)
+        shifted -= tops >> (8 * width - 1)
+        kept = list(_flagged(tops ^ (shifted & tops), width, t._size))
     return _trusted(t.k, t.alphabets, None, _codes(t, kept), len(kept), 0, 0, 0)
 
 

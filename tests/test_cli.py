@@ -195,9 +195,15 @@ def test_certify_bytes_of_the_benchmark_round_are_pinned(case, tmp_path, capsys)
     }[name]
     path = tmp_path / "h.json"
     path.write_text(json.dumps(h.to_json_dict()))
-    assert run(["certify", str(path), "--n", str(n), "--seed", str(seed)]) == 0
+    argv = ["certify", str(path), "--n", str(n), "--seed", str(seed)]
+    assert run(argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CERTIFY_SHA256[case]
+    # --out over a longer file leaves exactly the same bytes
+    cert = tmp_path / "c.cert"
+    cert.write_bytes(b"x" * (len(out) + 4096))
+    assert run([*argv, "--out", str(cert)]) == 0
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == CERTIFY_SHA256[case]
 
 
 def test_usage_errors_exit_2(k3_file):
@@ -530,6 +536,59 @@ def test_certify_unwritable_out_exit_3(k3_file, tmp_path, capsys):
     assert err["code"] == "Error"
     assert err["message"].startswith(f"cannot write {out}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old", [b"x" * 10**5, b"{}"], ids=["longer", "shorter"])
+def test_certify_out_over_an_existing_file_leaves_the_certificate(
+    old, k3_file, tmp_path
+):
+    out = tmp_path / "x.cert"
+    out.write_bytes(old)
+    assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 0
+    cert = synthesize_certificate(cycle_hypergraph(3), 4).to_json_bytes()
+    assert len(cert) < 10**5
+    assert out.read_bytes() == cert
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_certify_out_to_dev_null_exits_0(k3_file, capsys):
+    assert run(["certify", k3_file, "--n", "4", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out.startswith("wrote /dev/null: M=12")
+
+
+def test_certify_out_naming_a_directory_exit_3(k3_file, tmp_path, capsys):
+    assert run(["certify", k3_file, "--n", "4", "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "Error"
+    assert err["message"].startswith(f"cannot write {tmp_path}: ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_certify_out_creates_its_file_with_mode_0o666_less_umask(k3_file, tmp_path):
+    out = tmp_path / "x.cert"
+    old = os.umask(0o027)
+    try:
+        assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_certify_out_never_opens_with_o_trunc(k3_file, tmp_path, monkeypatch):
+    # truncate-then-rewrite makes ext4 start writeback at close
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(ghzcert.cli.os, "open", recording_open)
+    out = tmp_path / "x.cert"
+    for _ in range(2):  # creating the file, then writing over it
+        assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 0
+    assert len(flags) == 2
+    assert not any(f & os.O_TRUNC for f in flags)
 
 
 def test_hypergraph_with_non_integer_vertex_is_bad_format(tmp_path, capsys):

@@ -161,6 +161,20 @@ def test_leading_term_rejects_negative_exponents():
     assert "-1" in str(err.value)
 
 
+@pytest.mark.parametrize("shift", [-1000, 1000])
+def test_leading_term_of_exponents_far_from_0(shift):
+    # exponents shift and shift + 1 fit one-byte slots, but 2^7 + shift
+    # does not: the slots must never be offset by it
+    t = ghz_state(single_full_edge(3), 2)
+    t = apply_local_diagonal(t, 1, lambda lab: shift + lab[0])
+    if shift > 0:
+        assert leading_term(t).entries == {}
+        return
+    with pytest.raises(NegativeExponentError) as err:
+        leading_term(t)
+    assert (err.value.key, err.value.exponent) == (((0,), (0,), (0,)), -1000)
+
+
 # -- flattening ranks --------------------------------------------------------
 
 
