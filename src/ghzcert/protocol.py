@@ -15,24 +15,30 @@ Counting is exact integer work.  The value histogram behind the choice of
 g convolves edge by edge over the box of values that c and n allow, each
 value a slot whose order is lexicographic.  Flipping i_e to n-1-i_e makes
 every step nonnegative, and the histogram is symmetric about the middle
-slot, so only the lower half is kept.  A box of at most n^l slots is one
-int with a fixed-width slot per value, each edge a few shift-adds; a
-larger box is a dict, whose last edge's stage is never built, only
-evaluated where its lex-smallest maximum can sit.  A candidate
-representation that cannot beat the best so far stops early.  The
-solutions are solved for, not searched: general position makes the last d
-vectors a basis, so each of the n^lam assignments to the first lam edges
-fixes the last d indices through one integer solve, and M <= n^lam holds
-by construction; the solve is read off one fraction-free Gauss-Jordan of
-[C_P | C_free | g], the one the general-position kernel uses.  Along the
-last free index the solve is linear, so the solutions come in n^(lam-1)
-blocks: a range of that index, with each pivot index an arithmetic
-progression over it, stated by its value at the range's start and a step
-that is the same for every block.  Counting adds up the lengths of the
-ranges and builds no row; rows are zipped from the progressions only where
-they are read.  A block depends on its prefix only through one residual,
-so a residual that repeats is solved once, through a memo of at most a
-fixed number of residuals, each held as O(d) ints.
+slot, so only the lower half is kept.  A half box of fewer than n^l
+slots is one int with a fixed-width slot per value, each edge a few
+shift-adds; a larger one is a dict, whose last edge's stage is never
+built, only evaluated where its lex-smallest maximum can sit.  A
+candidate representation that cannot beat the best so far stops early.
+Before a dict histogram that would cost more, M is bounded by the number
+N of kernel vectors of c in [-(n-1), n-1]^l, counted by the pivot solve
+below: a candidate with N no larger than the best so far is skipped, and
+N = 1 settles M = 1 with no histogram.
+
+The solutions are solved for, not searched: general position makes the
+last d vectors a basis, so each of the n^lam assignments to the first lam
+edges fixes the last d indices through one integer solve, and M <= n^lam
+holds by construction; the solve is read off one fraction-free
+Gauss-Jordan of [C_P | C_free | g], the one the general-position kernel
+uses.  Along the last free index the solve is linear, so the solutions
+come in n^(lam-1) blocks: a range of that index, with each pivot index an
+arithmetic progression over it, stated by its value at the range's start
+and a step that is the same for every block.  Counting adds up the
+lengths of the ranges and builds no row; rows are zipped from the
+progressions only where they are read.  A block depends on its prefix
+only through one residual, so a residual that repeats is solved once,
+through a memo of at most a fixed number of residuals, each held as O(d)
+ints.
 
 The verifier recounts every certificate by adding up the range lengths of
 the pivot blocks, bounded by its work n^lam against GHZCERT_MAX_GRID, and
@@ -99,6 +105,15 @@ DEEP_GRID_LIMIT = 10**6
 CANDIDATE_COUNT = 4
 # distinct pivot residuals whose solved blocks _pivot_blocks keeps at a time
 _MEMO_ENTRIES = 4096
+# dict histogram updates that one pivot block of the kernel bound costs
+# (see _bound_first).  Timed in process (Python 3.11, 2 CPUs) over the 442
+# dict-route scorings of the benchmark's certify and verify plans at seeds
+# 1-3 and of C6 at n = 3..7, K4^2 at n = 4..7 and K5^2 at n = 3, seeds
+# 0-2: a block costs 10 to 60 us, an update 0.03 to 0.5 us once a
+# histogram has thousands, and of the constants 8 to 4096, 256 saved the
+# most (233 ms of histograms became 110 ms over the 69 scorings it
+# admits; on the rest the bound and the histogram cost about the same).
+_BLOCK_COST = 256
 
 
 def _grid_limit() -> int:
@@ -427,6 +442,24 @@ def _and_bytes(a: bytes, b: bytes) -> bytes:
     return x.to_bytes(len(a), "big")
 
 
+def _kernel_points(vectors, n: int) -> int:
+    """N = |L ∩ [-(n-1), n-1]^l|, L = ker_Z(c), an upper bound on every
+    value count: two grid points with one value differ by a vector of L in
+    that box.  Shifted by n-1, those vectors are the grid points of side
+    2n-1 with value (n-1) sum_e c_e, counted by _pivot_blocks in
+    (2n-1)^(lam-1) blocks, raising as it does."""
+    g0 = tuple((n - 1) * sum(col) for col in zip(*vectors))
+    blocks = _pivot_blocks(vectors, 2 * n - 1, g0)
+    return sum(len(free) for _, free, _, _ in blocks)
+
+
+def _bound_first(n: int, l: int, lam: int) -> bool:
+    """Whether counting N costs less than the dict histograms, taken as
+    _BLOCK_COST dict updates per pivot block against the n^(l-1) (n-1)
+    updates of a histogram whose stages fill up."""
+    return _BLOCK_COST * (2 * n - 1) ** (lam - 1) < n ** (l - 1) * (n - 1)
+
+
 def choose_g(
     rep: OrthRep, n: int, beat: int = 0
 ) -> tuple[tuple[int, ...], int] | None:
@@ -443,16 +476,26 @@ def choose_g(
     lex-smallest mode lies at or below the middle slot (slots - 1) // 2, and
     the slots above it are never kept.
 
-    The route depends on c and n alone.  When the box has at most n^l
-    slots, each stage is one int with a whole number of bytes per slot,
-    enough for n^(l - rank c): once the indices of the l - rank c edges
-    outside a basis of c's span are fixed, each value has at most one grid
-    point, so no count is larger.
+    The route depends on c and n alone.  When the lower half box, the
+    slots 0 to (slots - 1) // 2 that are built, has fewer than n^l slots,
+    each stage is one int with a whole number of bytes per slot, enough
+    for n^(l - rank c): once the indices of the l - rank c edges outside a
+    basis of c's span are fixed, each value has at most one grid point, so
+    no count is larger.
     Each edge is a few shift-adds, shortest step first, so the int stays
-    short until the last edges.  Past n^l slots each stage is a dict, every
-    edge but the last is convolved, and the last edge's convolution is
-    never built: the smallest maximizer of the final count is a key of the
-    stage before it (see :func:`_last_stage_mode`).
+    short until the last edges.  From n^l slots on each stage is a dict,
+    every edge but the last is convolved, and the last edge's convolution
+    is never built: the smallest maximizer of the final count is a key of
+    the stage before it (see :func:`_last_stage_mode`).
+
+    Before the dict route, where :func:`_bound_first` finds it cheaper
+    than the histograms (a rule on n, l and lam = l - d alone), M is
+    bounded by N, the kernel vectors of c in [-(n-1), n-1]^l (see
+    :func:`_kernel_points`).  N <= beat gives None with no histogram, and
+    N = 1 gives M = 1 at the lowest occupied slot, the start of the
+    packing.  Where N is not counted (l <= d) or cannot be (a dependent
+    pivot block), the histogram runs as it would without the bound, so
+    the answer is the same on every route.
 
     After e of the l edges the final count is at most max(H_e) n^(l-e), so
     a candidate that cannot exceed ``beat`` (synthesis passes the best
@@ -462,10 +505,21 @@ def choose_g(
     _require_level(n)
     widths, lo, start, steps = _packing(rep, n)
     l = len(steps)
-    slots = math.prod(widths)
-    half = (slots - 1) // 2
+    half = (math.prod(widths) - 1) // 2
     cap = n**l
-    dense = slots <= cap
+    dense = half < cap
+    lam = l - rep.d
+    if not dense and lam > 0 and _bound_first(n, l, lam):
+        try:
+            bound = _kernel_points(rep.vectors, n)
+        except NotGeneralPositionError:  # a dependent pivot block
+            pass
+        else:
+            if bound <= beat:
+                return None
+            if bound == 1:
+                # every value has one grid point; start is the lowest slot
+                return _unpack(start, widths, lo), 1
 
     def hopeless(stage) -> bool:
         # the final count is at most peak(stage) * cap
@@ -477,7 +531,8 @@ def choose_g(
 
     try:
         if dense:
-            most = n ** (l - rank(rep.vectors))
+            # under 256 grid points one byte holds any count, rank or not
+            most = cap if cap < 256 else n ** (l - rank(rep.vectors))
             width = 8 * -(-most.bit_length() // 8)
             peak = lambda stage: _dense_mode(*stage, most)[0]
             last = _dense_stages(start, sorted(steps), n, half, width, hopeless)
@@ -810,7 +865,11 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     The representations come from one :func:`gpor_candidates` search,
     deterministic in the seed: up to four when the grid is small enough to
     count each cheaply, one otherwise.  They are scored by their mode count
-    M and the best kept (the first wins ties).
+    M and the best kept (the first wins ties).  Where :func:`choose_g`
+    would fill dict histograms, a candidate whose kernel bound N is no
+    larger than the best M so far is skipped unscored, and N = 1 settles
+    a first candidate's M = 1 at once; the certificate is the one the
+    histograms would have chosen.
     """
     _require_level(n)
     for idx, e in enumerate(h.edges):

@@ -393,6 +393,15 @@ def ref_histogram(vectors, n: int) -> dict[tuple[int, ...], int]:
     return hist
 
 
+def ref_kernel_points(vectors, n: int) -> int:
+    """The vectors k in [-(n-1), n-1]^l with sum_e k_e c_e = 0, one by one."""
+    d = len(vectors[0]) if vectors else 0
+    return sum(
+        all(sum(c[t] * x for c, x in zip(vectors, k)) == 0 for t in range(d))
+        for k in product(range(1 - n, n), repeat=len(vectors))
+    )
+
+
 def ref_solutions(vectors, n: int, g: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [i for i, v in ref_grid_values(vectors, n) if v == g]
 

@@ -27,6 +27,7 @@ from conftest import (
     ref_ghz_state,
     ref_histogram,
     ref_injectivity,
+    ref_kernel_points,
     ref_leading_term,
     ref_pivot_inverse,
     ref_pivot_solutions,
@@ -71,6 +72,7 @@ from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _dense_stages,
     _indented_json,
+    _kernel_points,
     _packing,
     _pivot_blocks,
     _pivot_solutions,
@@ -813,21 +815,29 @@ def test_the_dense_route_holds_four_half_box_ints_at_most():
     assert 3.5 * half_int < peak < 4.5 * half_int
 
 
-def test_a_box_of_at_most_n_to_the_l_slots_is_counted_in_one_int(monkeypatch):
-    # the route depends on c and n alone: one int when the box has at most
-    # n^l slots, dicts past it
+def test_a_half_box_under_n_to_the_l_slots_is_counted_in_one_int(monkeypatch):
+    # the route depends on c and n alone: one int when the lower half box
+    # that is built has fewer than n^l slots, dicts from n^l on
     routes = _spy_routes(monkeypatch)
-    # boxes of 5, 9, 9 and 11 slots against n^l = 5, 5, 9 and 9
-    for c, n, route in (((1,), 5, "_dense_stages"), ((2,), 5, "_stages"),
-                        ((1, 3), 3, "_dense_stages"), ((2, 3), 3, "_stages")):
-        choose_g(OrthRep(Graph(len(c)), 1, tuple((x,) for x in c)), n)
+    # half boxes of 4, 3, 8 and 3 slots against n^l = 5, 3, 9 and 3
+    for c, n, route in (((2,), 5, "_dense_stages"), ((2,), 4, "_dense_stages"),
+                        ((3, 5), 3, "_dense_stages"), ((3,), 3, "_stages"),
+                        ((4, 5), 3, "_stages"), ((2, 7), 3, "_stages")):
+        rep = OrthRep(Graph(len(c)), 1, tuple((x,) for x in c))
+        widths, _, _, _ = _packing(rep, n)
+        half = (widths[0] - 1) // 2
+        assert half == n ** len(c) - (route == "_dense_stages"), c
+        choose_g(rep, n)
         assert routes.pop() == route, c
+    # past the half box the kernel bound settles this candidate, N = 1,
+    # before either route is entered
     thousands = OrthRep(Graph(6), 4, (
         (-3, 0, -1, -2), (0, 2, 1, -3), (-15, 28, 9, 18),
         (303, -278, -323, -293), (-2, -3, 6, 0), (5836, 1059, 3012, 1710),
     ))  # a C6 candidate from [-1000, 1000]^4, seed 67
     assert choose_g(thousands, 6) == ((-100, 125, 70, 80), 1)
-    assert routes.pop() == "_stages"
+    assert choose_g(thousands, 6, beat=1) is None
+    assert routes == []
     # the two certify commands of the benchmark above a 10^6 grid whose
     # boxes fit: the dict route is never entered
     def no_dicts(*args):
@@ -837,6 +847,105 @@ def test_a_box_of_at_most_n_to_the_l_slots_is_counted_in_one_int(monkeypatch):
     for h, n, seed, m in ((cycle_hypergraph(6), 11, 68, 31),
                           (cycle_hypergraph(4), 32, 69, 512)):
         assert synthesize_certificate(h, n, seed=seed).m_count == m
+
+
+def _spy_kernel(monkeypatch) -> list:
+    """The outcome of each _kernel_points call: N, or the error it raised."""
+    seen = []
+
+    def spy(*args, real=ghzcert.protocol._kernel_points):
+        try:
+            seen.append(real(*args))
+        except GhzcertError as err:
+            seen.append(type(err))
+            raise
+        return seen[-1]
+
+    monkeypatch.setattr(ghzcert.protocol, "_kernel_points", spy)
+    return seen
+
+
+def test_the_kernel_bound_agrees_with_the_histogram_on_random_candidates(
+    monkeypatch,
+):
+    # two grid points with one value differ by a kernel vector in
+    # [-(n-1), n-1]^l, so N >= M; at N = 1 every value has one point and the
+    # lowest slot is the mode; with the bound taken before every dict route,
+    # choose_g is None exactly when M <= beat
+    rng = random.Random(3500)
+    outcomes = set()
+    exact = 0
+    for _ in range(60):
+        h = random_connected_hypergraph(rng, kmax=5, emax=6)
+        n = rng.randint(2, 5)
+        d = h.l - edge_connectivity(h)
+        if n**h.l > 10**5:
+            continue
+        for rep in gpor_candidates(line_graph(h), d, seed=rng.randrange(100)):
+            with monkeypatch.context() as patch:
+                patch.setattr(ghzcert.protocol, "_bound_first", lambda *a: False)
+                g, m = choose_g(rep, n)
+            bound = _kernel_points(rep.vectors, n)
+            assert bound >= m, (rep.vectors, n)
+            if (2 * n - 1) ** h.l <= 3000:
+                assert bound == ref_kernel_points(rep.vectors, n)
+                exact += 1
+            if bound == 1:
+                widths, lo, start, _ = _packing(rep, n)
+                assert _unpack(start, widths, lo) == g
+            with monkeypatch.context() as patch:
+                patch.setattr(ghzcert.protocol, "_BLOCK_COST", 0)
+                seen = _spy_kernel(patch)
+                for beat in (m - 1, m):
+                    found = choose_g(rep, n, beat)
+                    assert found == ((g, m) if m > beat else None), (rep, n, beat)
+                    if seen:
+                        outcomes.add((seen.pop() <= beat, found is None))
+    # skipped (N <= beat), settled at N = 1, and fallen through to the
+    # histogram, which answered either way
+    assert outcomes == {(True, True), (False, False), (False, True)}
+    assert exact >= 100
+
+
+def test_the_kernel_bound_leaves_non_gpor_inputs_to_the_histogram(monkeypatch):
+    # with fewer edges than coordinates or no free edge (lam <= 0) the bound
+    # is not tried, and a dependent pivot block makes _pivot_blocks raise;
+    # each falls through to the dict histogram, even where the bound is
+    # tried before every dict route
+    cases = (
+        ("l < d", ((3, 1, 0), (0, 2, 3)), None),
+        ("lam = 0", ((3, 1), (1, -3)), None),
+        ("dependent pivots", ((1, 2), (2, 1), (4, 2)), NotGeneralPositionError),
+    )
+    routes = _spy_routes(monkeypatch)
+    seen = _spy_kernel(monkeypatch)
+    for cost in (256, 0):
+        monkeypatch.setattr(ghzcert.protocol, "_BLOCK_COST", cost)
+        for kind, vectors, raised in cases:
+            rep = OrthRep(Graph(len(vectors)), len(vectors[0]), vectors)
+            hist = ref_histogram(vectors, 3)
+            m = max(hist.values())
+            g = min(v for v, c in hist.items() if c == m)
+            for beat in (0, m - 1, m):
+                assert choose_g(rep, 3, beat) == ((g, m) if m > beat else None)
+                assert routes.pop() == "_stages", kind
+                tried = raised is not None and cost == 0
+                assert seen == ([raised] if tried else []), kind
+                seen.clear()
+
+
+def test_k6_squared_at_n3_is_settled_by_the_kernel_bound(monkeypatch):
+    # 3^15 grid points: the dict histograms ran for over 10 s and could end
+    # in TooLarge, while the one candidate's kernel bound N = 1 takes
+    # milliseconds and settles M = 1
+    def no_histogram(*args):
+        raise AssertionError("a histogram ran")
+
+    monkeypatch.setattr(ghzcert.protocol, "_stages", no_histogram)
+    monkeypatch.setattr(ghzcert.protocol, "_dense_stages", no_histogram)
+    cert = synthesize_certificate(complete_uniform(6, 2), 3)
+    assert cert.m_count == 1
+    assert verify_certificate(cert).ok
 
 
 def test_synthesis_checks_the_banded_representation_once(monkeypatch):
