@@ -101,8 +101,9 @@ from .tensor import (
 )
 
 DEFAULT_GRID_LIMIT = 10**8
+# the largest grid n^l that the deep check (verify --deep) sweeps; nothing
+# else reads it
 DEEP_GRID_LIMIT = 10**6
-CANDIDATE_COUNT = 4
 # distinct pivot residuals whose solved blocks _pivot_blocks keeps at a time
 _MEMO_ENTRIES = 4096
 # dict histogram updates that one pivot block of the kernel bound costs
@@ -862,14 +863,13 @@ def _up_to_order_and_sign(vectors) -> tuple:
 def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     """Full pipeline: connectivity, representation, target, assignment.
 
-    The representations come from one :func:`gpor_candidates` search,
-    deterministic in the seed: up to four when the grid is small enough to
-    count each cheaply, one otherwise.  They are scored by their mode count
-    M and the best kept (the first wins ties).  Where :func:`choose_g`
-    would fill dict histograms, a candidate whose kernel bound N is no
-    larger than the best M so far is skipped unscored, and N = 1 settles
-    a first candidate's M = 1 at once; the certificate is the one the
-    histograms would have chosen.
+    The representations, up to four at every grid size, come from one
+    :func:`gpor_candidates` search, deterministic in the seed.  They are
+    scored by their mode count M and the best kept (the first wins ties).
+    Where :func:`choose_g` would fill dict histograms, a candidate whose
+    kernel bound N is no larger than the best M so far is skipped
+    unscored, and N = 1 settles a first candidate's M = 1 at once; the
+    certificate is the one the histograms would have chosen.
     """
     _require_level(n)
     for idx, e in enumerate(h.edges):
@@ -882,9 +882,7 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     d = h.l - lam
     lg = line_graph(h)
     _check_grid(h.l, n)
-    reps = gpor_candidates(
-        lg, d, seed=seed, count=CANDIDATE_COUNT if n**h.l <= DEEP_GRID_LIMIT else 1
-    )
+    reps = gpor_candidates(lg, d, seed=seed)
     # Score by the mode count; a candidate that cannot beat the best so far
     # (the first wins ties) stops convolving as soon as that shows, and one
     # equal to an earlier candidate up to order and sign has that

@@ -19,7 +19,11 @@ from conftest import (
     ref_rank,
     ref_settle,
 )
-from ghzcert.errors import DimensionInfeasibleError, RetriesExhaustedError
+from ghzcert.errors import (
+    DimensionInfeasibleError,
+    RetriesExhaustedError,
+    TooLargeError,
+)
 from ghzcert.gpor import (
     OrthRep,
     OrthRepReport,
@@ -295,6 +299,20 @@ def test_general_position_of_long_cycles(monkeypatch):
     assert len(dependent) == 78 and all({0, 1, 3} <= set(sub) for sub in dependent)
 
 
+def test_general_position_cap_admits_exactly_its_subset_count(monkeypatch):
+    # C6 has d = 4: the check walks C(6, 4) = 15 subsets, so a cap of 15
+    # admits it and a cap of 14 refuses it before any subset is looked at
+    rep = find_gpor(line_graph(cycle_hypergraph(6)), 4, seed=0)
+    monkeypatch.setattr(ghzcert.gpor, "GENERAL_POSITION_SUBSET_LIMIT", 15)
+    assert verify_orthrep(rep).ok
+    monkeypatch.setattr(ghzcert.gpor, "GENERAL_POSITION_SUBSET_LIMIT", 14)
+    with pytest.raises(TooLargeError) as err:
+        verify_orthrep(rep)
+    assert str(err.value) == (
+        "C(6, 4) subsets exceed the general-position check limit 14"
+    )
+
+
 def _bench_workloads():
     """The benchmark's plan module, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -328,7 +346,7 @@ def test_general_position_of_a_certify_round_matches_one_rank_per_subset(
         _, file, _, n, _, seed, *_ = op.argv
         h = Hypergraph.from_json_dict(plan.inputs[file.removesuffix(".json")])
         synthesize_certificate(h, int(n), seed=int(seed))
-    assert len(checked) == 306
+    assert len(checked) == 316
     for rep in checked:
         report = verify(rep)
         assert report.dependent_subsets == ref_dependent_subsets(rep.vectors, rep.d)

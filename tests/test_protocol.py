@@ -650,8 +650,9 @@ GOLDEN_CERTIFY_SHA256 = [
      "60c1d31259ef7868e32732496464ac46df3557bf0aca0b87d2635eca3620a1c2"),
     ("K4^3", complete_uniform(4, 3), 32,
      "78455e186dc351f9f9d48b482f29adde27985caa4d8f6e7dbde88ad3ac3df6c0"),
-    # captured while the mode was still read off the full histogram: the
-    # single-representation branch at d = 4, and eight scored candidates
+    # captured while the mode was still read off the full histogram: C6 at
+    # n = 11 from one representation (four give the same bytes), K4^2 at
+    # n = 4 from eight scored candidates
     ("C6", cycle_hypergraph(6), 11,
      "5c206db90cc744e3e9d481c6972e14a3da2a65b3e1411173fe92ed54253198cc"),
     ("K4^2", complete_uniform(4, 2), 4,
@@ -745,17 +746,16 @@ def test_synthesize_deterministic():
 
 
 def test_synthesis_keeps_the_first_candidate_with_the_largest_mode():
-    # the one search, spelled out with choose_g per candidate: four
-    # candidates up to 10^6 grid points, one above (K4^2 at n = 11)
+    # the one search, spelled out with choose_g per candidate: the same
+    # candidates at every grid size, 11^6 points for K4^2 at n = 11 included
     ties = 0
     for h, n in [(cycle_hypergraph(6), 3), (cycle_hypergraph(4), 5),
                  (complete_uniform(4, 2), 2), (K3, 7), (path_hypergraph(4), 6),
                  (complete_uniform(4, 2), 11)]:
         lg, d = line_graph(h), h.l - edge_connectivity(h)
-        count = 4 if n**h.l <= 10**6 else 1
         for seed in (0, 1, 2):
-            reps = gpor_candidates(lg, d, seed=seed, count=count)
-            assert len(reps) <= count
+            reps = gpor_candidates(lg, d, seed=seed)
+            assert len(reps) <= 4
             scored = [(choose_g(rep, n), rep) for rep in reps]
             (g, m), rep = max(scored, key=lambda item: item[0][1])
             ties += sum(gm[1] == m for gm, _ in scored) > 1
@@ -764,11 +764,13 @@ def test_synthesis_keeps_the_first_candidate_with_the_largest_mode():
     assert ties
 
 
-def test_large_grid_synthesis_starts_from_small_entries():
-    # 11^6 grid points take one candidate; the search tries entries in
-    # [-3, 3] before [-1000, 1000], which gave M = 1 with C' = 413,387,906
-    cert = synthesize_certificate(complete_uniform(4, 2), 11, seed=1)
-    assert (cert.m_count, cert.cprime) == (3, 50)
+@pytest.mark.parametrize("seed, m, cprime", [(0, 7, 33), (1, 14, 21), (2, 11, 30)])
+def test_large_grid_synthesis_starts_from_small_entries(seed, m, cprime):
+    # 11^6 grid points score four candidates, as small grids do (the first
+    # alone gave M = 1, 3 and 6); the search tries entries in [-3, 3]
+    # before [-1000, 1000], which gave M = 1 with C' = 413,387,906 at seed 1
+    cert = synthesize_certificate(complete_uniform(4, 2), 11, seed=seed)
+    assert (cert.m_count, cert.cprime) == (m, cprime)
     assert verify_certificate(cert).ok
 
 
@@ -936,8 +938,8 @@ def test_the_kernel_bound_leaves_non_gpor_inputs_to_the_histogram(monkeypatch):
 
 def test_k6_squared_at_n3_is_settled_by_the_kernel_bound(monkeypatch):
     # 3^15 grid points: the dict histograms ran for over 10 s and could end
-    # in TooLarge, while the one candidate's kernel bound N = 1 takes
-    # milliseconds and settles M = 1
+    # in TooLarge, while the kernel bound N = 1 takes milliseconds: it
+    # settles the first candidate's M = 1 and skips the others
     def no_histogram(*args):
         raise AssertionError("a histogram ran")
 
@@ -1396,6 +1398,16 @@ def test_verify_rejects_listed_count_above_n_to_the_lambda():
     counting = verify_certificate(bad).check("counting")
     assert counting.status == "fail"
     assert "M 8 above n^lambda = 4" in counting.detail
+
+
+def test_verify_rejects_a_count_between_the_two_floors():
+    # K3 at n = 2 has C' = 3 and d = 1: the 8 grid points fall in 7 boxes,
+    # so M >= 2; M = 1 would pass a floor taken over 8 boxes
+    cert = synthesize_certificate(K3, 2, seed=0)
+    assert (cert.cprime, cert.rep.d, cert.m_count) == (3, 1, 3)
+    counting = verify_certificate(cert._replace(m_count=1)).check("counting")
+    assert counting.status == "fail"
+    assert "M 1 below floor 2" in counting.detail
 
 
 def test_verify_rejects_hash_only_count_above_n_to_the_lambda():
