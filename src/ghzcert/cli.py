@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: connectivity, rate, epr, gpor, certify, verify.  Input
+Subcommands: connectivity, rate, epr, gpor, certify, verify.  ``_parse_args``
+reads argv off the ``COMMANDS`` table as argparse read it, without importing
+argparse; -h prints help and exits 0.  Input
 hypergraphs and output certificates are JSON.  Each ``_cmd_*`` returns its
 exit code, its report as a JSON object (None for certify's certificate) and
 a function giving the report's text lines.  ``run`` alone writes stdout:
@@ -16,10 +18,11 @@ on stderr); a reader that closes stdout early leaves the code unchanged.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import BadFormatError, BadJsonError, GhzcertError
 from .gpor import find_gpor
@@ -163,72 +166,115 @@ def _cmd_verify(args):
     return (0 if report.ok else 1), obj, lambda: [report.summary()]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ghzcert",
-        description=(
-            "GHZ distillation rates and degeneration certificates for "
-            "hypergraph states"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("file", help="input JSON file")
-        p.add_argument(
-            "--json", action="store_true", help="machine-readable stdout"
-        )
-
-    p = sub.add_parser(
-        "connectivity", help="edge-connectivity and minimum cuts"
-    )
-    common(p)
-    p.set_defaults(func=_cmd_connectivity)
-
-    p = sub.add_parser("rate", help="optimal GHZ yield per copy")
-    common(p)
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("epr", help="pairwise EPR distillation rate")
-    common(p)
-    p.add_argument("--a", type=int, required=True, help="first vertex")
-    p.add_argument("--b", type=int, required=True, help="second vertex")
-    p.set_defaults(func=_cmd_epr)
-
-    p = sub.add_parser(
-        "gpor", help="general-position orthogonal representation"
-    )
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gpor)
-
-    p = sub.add_parser("certify", help="synthesize a protocol certificate")
-    common(p)
-    p.add_argument("--n", type=int, required=True, help="levels per edge state")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the certificate here instead of stdout")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("verify", help="replay a certificate's claims")
-    common(p)
-    p.add_argument(
-        "--deep",
-        action="store_true",
-        help="run the full tensor degeneration (small grids only)",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
+# Each command's handler, help line and options besides file and --json, as
+# (flag, type, default, help): a bool flag takes no value, and a default of
+# ... makes the option required.
+_SEED = ("--seed", int, 0, "seed of the representation search")
+COMMANDS = {
+    "connectivity": (_cmd_connectivity, "edge-connectivity and minimum cuts", ()),
+    "rate": (_cmd_rate, "optimal GHZ yield per copy", ()),
+    "epr": (_cmd_epr, "pairwise EPR distillation rate", (
+        ("--a", int, ..., "first vertex"), ("--b", int, ..., "second vertex"))),
+    "gpor": (_cmd_gpor, "general-position orthogonal representation", (_SEED,)),
+    "certify": (_cmd_certify, "synthesize a protocol certificate", (
+        ("--n", int, ..., "levels per edge state"), _SEED,
+        ("--out", str, None, "write the certificate here instead of stdout"))),
+    "verify": (_cmd_verify, "replay a certificate's claims", (("--deep", bool, False,
+               "run the full tensor degeneration (small grids only)"),)),
+}
+_JSON = ("--json", bool, False, "machine-readable stdout")
+_HELP = ("-h", "--help")
 
 
-# Built once at import: run() keeps no state between calls, so one parser
-# serves every call in the process.
-_PARSER = build_parser()
+def _exit(command, error: str = ""):
+    """Print the usage of ghzcert, or of command, and the error to stderr and
+    exit 2, or with no error the help to stdout and exit 0."""
+    if command is None:
+        usage = f"usage: ghzcert [-h] {{{','.join(COMMANDS)}}} ..."
+        rows = [(c, spec[1]) for c, spec in COMMANDS.items()]
+    else:
+        opts = [(f if t is bool else f"{f} {f[2:].upper()}", d, h)
+                for f, t, d, h in (_JSON, *COMMANDS[command][2])]
+        usage = " ".join([f"usage: ghzcert {command} [-h]", *(
+            w if d is ... else f"[{w}]" for w, d, _ in opts), "file"])
+        rows = [("file", "input JSON file"), ("-h, --help", "show this help"),
+                *((w, h) for w, _, h in opts)]
+    lines = [f"ghzcert: error: {error}"] if error else [
+        f"  {w:<22}{h}" for w, h in rows]
+    print(usage, *lines, sep="\n", file=sys.stderr if error else sys.stdout)
+    sys.exit(2 if error else 0)
+
+
+def _option(arg: str, names, command):
+    """None if argparse took arg for a positional, else (the option, None if
+    unknown, and its =value or None); "-hh" and "-h=h" are -h.  Before the
+    command a -- is a positional, and taken for the command it fails."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg[:2] == "-h":
+        return "-h", None if re.fullmatch(r"-h(=?h+)?", arg) else arg
+    key, eq, value = arg.partition("=")
+    found = [key] if key in names else [
+        n for n in names if arg[1] == "-" and n.startswith(key)]
+    if len(found) > 1:
+        _exit(command, f"ambiguous option {arg}")
+    if found:
+        return found[0], value if eq else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _parse_args(argv=None) -> SimpleNamespace:
+    """``command``, its handler ``func``, ``file``, ``json`` and its options,
+    read from argv as argparse read them; -h prints help and exits 0."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # kinds[j] is what _option made of argv[j], or "-" for the first --
+    kinds, ns, extras, j, at = [None] * len(argv), {}, [], 0, None
+    while j < len(argv):
+        command, arg = ns.get("command"), argv[j]
+        kind = kinds[j] if ns else _option(arg, _HELP, None)
+        j += 1
+        if kind == "-" and (at == j - 2 or at is None and j < len(argv)):
+            continue  # a -- just before or after the file
+        if kind is None and not ns:
+            if arg not in COMMANDS:
+                break
+            func, _, opts = COMMANDS[arg]
+            opts = {o[0]: o for o in (_JSON, *opts)}
+            ns = {"command": arg, "func": func, "file": None,
+                  **{f[2:]: o[2] for f, o in opts.items()}}
+            # every argument after the first -- is a positional
+            cut = argv.index("--", j) if "--" in argv[j:] else len(argv)
+            kinds[j:] = [_option(a, (*_HELP, *opts), arg) if k < cut else
+                         "-" if k == cut else None for k, a in enumerate(argv[j:], j)]
+        elif kind is None and at is None:
+            ns["file"], at = arg, j - 1
+        elif kind in (None, "-") or kind[0] is None:
+            extras.append(arg)
+        elif kind[0] in _HELP or opts[kind[0]][1] is bool:
+            if kind[1] is not None:
+                _exit(command, f"{kind[0]} takes no value: {arg}")
+            if kind[0] in _HELP:
+                _exit(command)
+            ns[kind[0][2:]] = True
+        else:
+            if kind[1] is None and (j == len(argv) or kinds[j] is not None):
+                _exit(command, f"{kind[0]} takes a value")
+            value, j = (argv[j], j + 1) if kind[1] is None else (kind[1], j)
+            try:  # argparse drops a "--" value, as in --out=--, and gives []
+                ns[kind[0][2:]] = opts[kind[0]][1](value) if value != "--" else []
+            except ValueError:
+                _exit(command, f"{kind[0]} takes an int, not {value!r}")
+    missing = ["file" if ns else "a known command"] * (at is None) + [
+        f"--{k}" for k, v in ns.items() if v is ...]
+    if missing or extras:
+        _exit(ns.get("command"), f"missing {' '.join(missing)}" if missing
+              else f"unknown {' '.join(extras)}")
+    return SimpleNamespace(**ns)
 
 
 def run(argv=None) -> int:
     """Run one command and print its report; return the exit code."""
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     try:
         code, obj, lines = args.func(args)
     except GhzcertError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import random
@@ -716,3 +717,67 @@ def ref_check_ghz_structure(t: RefTensor) -> int:
                 raise GhzStructureError(j + 1, key[j])
             seen.add(key[j])
     return len(t.entries)
+
+
+# -- the argparse parser: reference for cli._parse_args ----------------------
+
+
+def ref_parser() -> argparse.ArgumentParser:
+    """The command line as argparse built it, subparser by subparser."""
+    from ghzcert import cli
+
+    parser = argparse.ArgumentParser(
+        prog="ghzcert",
+        description=(
+            "GHZ distillation rates and degeneration certificates for "
+            "hypergraph states"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("file", help="input JSON file")
+        p.add_argument(
+            "--json", action="store_true", help="machine-readable stdout"
+        )
+
+    p = sub.add_parser(
+        "connectivity", help="edge-connectivity and minimum cuts"
+    )
+    common(p)
+    p.set_defaults(func=cli._cmd_connectivity)
+
+    p = sub.add_parser("rate", help="optimal GHZ yield per copy")
+    common(p)
+    p.set_defaults(func=cli._cmd_rate)
+
+    p = sub.add_parser("epr", help="pairwise EPR distillation rate")
+    common(p)
+    p.add_argument("--a", type=int, required=True, help="first vertex")
+    p.add_argument("--b", type=int, required=True, help="second vertex")
+    p.set_defaults(func=cli._cmd_epr)
+
+    p = sub.add_parser(
+        "gpor", help="general-position orthogonal representation"
+    )
+    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cli._cmd_gpor)
+
+    p = sub.add_parser("certify", help="synthesize a protocol certificate")
+    common(p)
+    p.add_argument("--n", type=int, required=True, help="levels per edge state")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the certificate here instead of stdout")
+    p.set_defaults(func=cli._cmd_certify)
+
+    p = sub.add_parser("verify", help="replay a certificate's claims")
+    common(p)
+    p.add_argument(
+        "--deep",
+        action="store_true",
+        help="run the full tensor degeneration (small grids only)",
+    )
+    p.set_defaults(func=cli._cmd_verify)
+
+    return parser

@@ -36,6 +36,7 @@ from conftest import (
     REVERSED_QUAD,
     hashed_k3_n4,
     listed_k3_n4,
+    ref_parser,
     repeat_key,
     reverse_quad,
     set_m,
@@ -206,16 +207,43 @@ def test_certify_bytes_of_the_benchmark_round_are_pinned(case, tmp_path, capsys)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == CERTIFY_SHA256[case]
 
 
-def test_usage_errors_exit_2(k3_file):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command", "FILE"],
+        ["certify", "FILE"],  # --n is required
+        [],
+        ["rate", "FILE", "--nope"],  # unknown option
+        ["certify", "FILE", "--n", "three"],  # not an int
+        ["certify", "FILE", "--n"],  # no value
+        ["verify", "FILE", "--deep=1"],  # a flag given a value
+        ["rate", "FILE", "FILE"],  # an extra positional
+        ["epr", "--a", "1", "--b", "2"],  # no file
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_usage_errors_exit_2(argv, k3_file, capsys):
     with pytest.raises(SystemExit) as err:
-        run(["no-such-command", k3_file])
+        run([k3_file if a == "FILE" else a for a in argv])
     assert err.value.code == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.startswith("usage: ghzcert")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *ghzcert.cli.COMMANDS])
+def test_help_names_every_option(command, flag, capsys):
+    # the top level names every command, a command every option argparse had
+    parser = ref_parser()
+    if command:
+        parser = parser._subparsers._group_actions[0].choices[command]
     with pytest.raises(SystemExit) as err:
-        run(["certify", k3_file])  # --n is required
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run([])
-    assert err.value.code == 2
+        run([command, flag] if command else [flag])
+    assert err.value.code == 0
+    out, stderr = capsys.readouterr()
+    assert out.startswith("usage: ghzcert") and stderr == ""
+    names = [*parser._option_string_actions] if command else [*ghzcert.cli.COMMANDS]
+    assert names and all(name in out for name in names)
 
 
 def test_missing_file_exit_3(capsys):

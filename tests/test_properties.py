@@ -1,6 +1,7 @@
-"""Property test of the verifier: a certificate with one field mutated is
-rejected, or is the same certificate, or is another true certificate by the
-grid-sweep references."""
+"""Property tests of the verifier and the command line.  A certificate with
+one field mutated is rejected, or is the same certificate, or is another
+true certificate by the grid-sweep references.  The table parser reads every
+argv of a grammar as argparse did."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import os
 import tempfile
 from functools import lru_cache
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,9 +21,10 @@ from conftest import (
     ref_completeness,
     ref_exponent_sign,
     ref_injectivity,
+    ref_parser,
     ref_solutions,
 )
-from ghzcert.cli import run
+from ghzcert.cli import _JSON, COMMANDS, _parse_args, run
 from ghzcert.errors import GhzcertError
 from ghzcert.gpor import verify_orthrep
 from ghzcert.hypergraph import complete_uniform, cycle_hypergraph
@@ -155,3 +157,80 @@ def test_a_mutated_certificate_is_rejected_or_the_same(case):
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = run(["verify", path, "--json"])
     assert rc == {None: 3, True: 0, False: 1}[ok]
+
+
+# -- the table parser against argparse ----------------------------------------
+
+# option values, files and stray positionals: ints argparse reads (" 3",
+# "3_0", "-5"), words it does not, and words that look like options
+WORDS = ["3", "-5", " 3", "3_0", "+2", "x", "", "3.5", "-1.5", "-", "-x",
+         "--", "-h", "a b", "-a b", "k3.json"]
+# help, unknown options and flags given values; "--=x" is ambiguous among
+# the long options and "-hh" is -h twice
+ODD = ["-h", "--help", "--he", "-hh", "-h=h", "-hx", "-h=", "--help=x",
+       "--x", "-x", "--x=3", "--=x", "--json=", "--deep=1", "--seed", "--n"]
+REF_PARSER = ref_parser()
+
+
+def _spellings(flag: str, names) -> list[str]:
+    """flag, and each prefix of it (after "--") that no other name starts with."""
+    return [flag] + [flag[:k] for k in range(3, len(flag))
+                     if not any(n != flag and n.startswith(flag[:k]) for n in names)]
+
+
+@st.composite
+def argvs(draw):
+    """A command, most often its file (at times with a -- before or after
+    it) and each required option, in some order, plus up to three more
+    options and two odd words; sometimes a word before it all."""
+    command = draw(st.sampled_from([*COMMANDS, "nope"]))
+    opts = (_JSON, *COMMANDS.get(command, (0, 0, ()))[2])
+    names = ["--help", *(o[0] for o in opts)]
+
+    def piece(opt):
+        spelt = draw(st.sampled_from(_spellings(opt[0], names)))
+        if opt[1] is bool:
+            return [spelt]
+        value = draw(st.sampled_from(["3", "7", "-5", *WORDS]))
+        return draw(st.sampled_from([[spelt, value], [f"{spelt}={value}"], [spelt]]))
+
+    file = [draw(st.sampled_from(["k3.json", "k3.json", "-5", "-"]))]
+    file = draw(st.sampled_from([file, file, ["--", *file], [*file, "--"]]))
+    pieces = draw(st.sampled_from([[], [file], [file]])) + [
+        piece(o) for o in opts if o[2] is ... and draw(st.integers(0, 5))]
+    pieces += [piece(o) for o in draw(st.lists(st.sampled_from(opts), max_size=3))]
+    pieces += [[w] for w in draw(st.lists(st.sampled_from(ODD + WORDS), max_size=2))]
+    order = draw(st.permutations(range(len(pieces))))
+    lead = draw(st.lists(st.sampled_from(["-h", "--json", "--", "-5"]), max_size=1))
+    return [*lead, command, *(word for k in order for word in pieces[k])]
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s fields, or its exit code; and its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parse(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(argvs())
+@example(["rate", "-h", "--=x"])  # refused before the -h is read
+@example(["rate", "--", "-h"])  # a file named -h
+@example(["certify", "k3.json", "--n", "3", "--"])  # a -- away from the file
+@example(["certify", "k3.json", "--n=3", "--out=--"])  # out is []
+@example(["certify", "k3.json", "--n", "3", "--out", "-x"])  # refused
+@example(["certify", "-a b", "--n", "3", "--out", "-x y"])  # spaces: positionals
+@example(["epr", "k3.json", "--a", "1"])  # --b is required
+@example(["rate", "-hh"])
+@example(["rate", "-hx", "-h"])
+def test_the_table_parser_reads_argv_as_argparse_did(argv):
+    got, out, err = _parsed(_parse_args, argv)
+    assert got == _parsed(REF_PARSER.parse_args, argv)[0]
+    if got == 2:
+        assert not out and err.startswith("usage: ghzcert")
+    elif got == 0:
+        assert out.startswith("usage: ghzcert") and not err
