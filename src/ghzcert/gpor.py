@@ -26,7 +26,8 @@ sweep changes nothing and the first is already the fixed point.
 
 The search policy lives in one place, :func:`gpor_candidates`: the banded
 seed and draws from [-3, 3]^d first, draws from [-1000, 1000]^d only when
-none of those verifies.  :func:`find_gpor` is its first result, and
+none of those verifies; it is lazy, so a caller that stops early checks
+no start past it.  :func:`find_gpor` is its first result, and
 :func:`verify_orthrep` the one general-position check.
 
 General position is checked in one depth-first walk over the subsets in
@@ -103,13 +104,13 @@ def _band_vectors(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def find_gpor(g: Graph, d: int, seed: int = 0) -> OrthRep:
-    """The first verified representation of :func:`gpor_candidates`."""
-    return gpor_candidates(g, d, seed, 1)[0]
+    """The first representation of :func:`gpor_candidates`, checked alone."""
+    return next(gpor_candidates(g, d, seed, 1))
 
 
-def gpor_candidates(g: Graph, d: int, seed: int = 0, count: int = 4) -> list[OrthRep]:
+def gpor_candidates(g: Graph, d: int, seed: int = 0, count: int = 4) -> Iterator[OrthRep]:
     """Up to ``count`` distinct general-position orthogonal representations
-    in Z^d, in the order found.
+    in Z^d, yielded in the order found.
 
     The search has two stages, each run until ``count`` distinct
     representations verify.  The first starts from the deterministic banded
@@ -120,7 +121,9 @@ def gpor_candidates(g: Graph, d: int, seed: int = 0, count: int = 4) -> list[Ort
     already rejected.  Each stage draws from a fresh ``random.Random(seed)``,
     zero vectors resampled, so the whole search is reproducible.  Each start
     gets one sweep of its primitive directions, and a result not found
-    before is verified.  Raises RetriesExhausted if neither stage verifies.
+    before is verified and yielded at once; no start is drawn before the
+    next representation is asked for.  Raises RetriesExhausted, at the
+    first ``next``, if neither stage verifies.
     """
     if d < 0:
         raise DimensionInfeasibleError(f"dimension {d} is negative")
@@ -128,27 +131,41 @@ def gpor_candidates(g: Graph, d: int, seed: int = 0, count: int = 4) -> list[Ort
         # Every pair of edges shares a vertex and lam = m: the only
         # representation is m empty vectors, vacuously orthogonal and in
         # general position.
-        return [OrthRep(g, 0, tuple(() for _ in range(g.n)))]
+        yield OrthRep(g, 0, tuple(() for _ in range(g.n)))
+        return
     band = dict(enumerate(_band_vectors(g.n, d)))
-    found = _verified(g, d, chain([band], _draws(seed, g.n, d, 3, 16)), count)
-    if not found:
-        found = _verified(g, d, _draws(seed, g.n, d, 1000, 32), count)
-    if not found:
+    reps = _verified(g, d, chain([band], _draws(seed, g.n, d, 3, 16)), count)
+    first = next(reps, None)
+    if first is None:
+        reps = _verified(g, d, _draws(seed, g.n, d, 1000, 32), count)
+        first = next(reps, None)
+    if first is None:
         raise RetriesExhaustedError(1 + 16 + 32, 1000)
-    return found
+    yield first
+    yield from reps
 
 
 def _draws(
     seed: int, n: int, d: int, bound: int, draws: int
 ) -> Iterator[dict[int, IntVector]]:
     """``draws`` maps of n nonzero integer vectors, drawn uniformly from
-    [-bound, bound]^d by ``random.Random(seed)``, a zero vector resampled."""
+    [-bound, bound]^d by ``random.Random(seed)``, a zero vector resampled.
+    A coordinate is drawn as ``randint(-bound, bound)`` draws it, without
+    its call chain: ``bits``-bit draws, redrawn above 2 bound."""
     rng = random.Random(seed)
+    bits, top = (2 * bound + 1).bit_length(), 2 * bound
+
+    def coordinate() -> int:
+        r = rng.getrandbits(bits)
+        while r > top:
+            r = rng.getrandbits(bits)
+        return r - bound
+
     for _ in range(draws):
         f = {}
         for v in range(n):
             while True:
-                w = tuple(rng.randint(-bound, bound) for _ in range(d))
+                w = tuple(coordinate() for _ in range(d))
                 if any(w):
                     break
             f[v] = w
@@ -157,18 +174,19 @@ def _draws(
 
 def _verified(
     g: Graph, d: int, starts: Iterable[dict[int, IntVector]], count: int
-) -> list[OrthRep]:
-    """Up to ``count`` distinct verified sweeps of ``starts``, in order."""
+) -> Iterator[OrthRep]:
+    """Up to ``count`` distinct verified sweeps of ``starts``, in order, each
+    yielded as soon as it verifies."""
     plan = _plan(g, tuple(range(g.n)))
     found: list[OrthRep] = []
     for f in starts:
         out = _sweep(plan, {v: _primitive(w) for v, w in f.items()})
         rep = OrthRep(g, d, tuple(out[v] for v in range(g.n)))
         if rep not in found and all(map(any, rep.vectors)) and verify_orthrep(rep).ok:
+            yield rep
             found.append(rep)
             if len(found) >= count:
-                break
-    return found
+                return
 
 
 class OrthRepReport(NamedTuple):

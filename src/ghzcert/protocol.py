@@ -865,11 +865,16 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
 
     The representations, up to four at every grid size, come from one
     :func:`gpor_candidates` search, deterministic in the seed.  They are
-    scored by their mode count M and the best kept (the first wins ties).
-    Where :func:`choose_g` would fill dict histograms, a candidate whose
-    kernel bound N is no larger than the best M so far is skipped
-    unscored, and N = 1 settles a first candidate's M = 1 at once; the
-    certificate is the one the histograms would have chosen.
+    scored by their mode count M as the search yields them, and the best
+    kept (the first wins ties).  Where :func:`choose_g` would fill dict
+    histograms, a candidate whose kernel bound N is no larger than the best
+    M so far is skipped unscored, and N = 1 settles a first candidate's
+    M = 1 at once; the certificate is the one the histograms would have
+    chosen.  The search stops once no later candidate could win, so the
+    bytes are those of scoring all four: when M reaches n^lam, which no
+    candidate exceeds (general position fixes a solution by its lam free
+    indices), or when d = 1, where every vector is (+-1,), so every
+    candidate is the first up to order and sign.
     """
     _require_level(n)
     for idx, e in enumerate(h.edges):
@@ -882,14 +887,13 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
     d = h.l - lam
     lg = line_graph(h)
     _check_grid(h.l, n)
-    reps = gpor_candidates(lg, d, seed=seed)
     # Score by the mode count; a candidate that cannot beat the best so far
     # (the first wins ties) stops convolving as soon as that shows, and one
     # equal to an earlier candidate up to order and sign has that
     # candidate's M, so it is not scored at all.
     m = 0
     scored = set()
-    for cand in reps:
+    for cand in gpor_candidates(lg, d, seed=seed):
         shape = _up_to_order_and_sign(cand.vectors)
         if shape in scored:
             continue
@@ -897,6 +901,8 @@ def synthesize_certificate(h: Hypergraph, n: int, seed: int = 0) -> Certificate:
         found = choose_g(cand, n, beat=m)
         if found is not None:
             (g, m), rep = found, cand
+            if d == 1 or m == n**lam:
+                break  # no later candidate can beat M
     return build_certificate(h, n, rep, g, m, seed)
 
 

@@ -19,18 +19,26 @@ from ghzcert.errors import (
     TooFewVerticesError,
     TooLargeError,
 )
+from ghzcert.gpor import gpor_candidates
 from ghzcert.hypergraph import (
     Cut,
     Graph,
     Hypergraph,
     complete_uniform,
     cycle_hypergraph,
+    edge_connectivity,
     hypergraph,
     is_connected,
+    line_graph,
     path_hypergraph,
     single_full_edge,
 )
-from ghzcert.protocol import c_prime
+from ghzcert.protocol import (
+    _up_to_order_and_sign,
+    build_certificate,
+    c_prime,
+    choose_g,
+)
 from ghzcert.ratlinalg import rank
 from ghzcert.tensor import SparseTensor, _require_scalar, _trusted, _width
 
@@ -411,6 +419,26 @@ def counting_floor(rep, n: int) -> int:
     """Guaranteed lower bound on the mode count: grid size over box size."""
     box = (2 * c_prime(rep) * (n - 1) + 1) ** rep.d
     return -(-(n ** rep.graph.n) // box)
+
+
+def ref_synthesize(h: Hypergraph, n: int, seed: int = 0):
+    """synthesize_certificate with no early stop: the whole candidate list
+    is drawn and checked first, then every candidate not equal to an earlier
+    one up to order and sign is scored, and the first with the largest M
+    kept."""
+    lam = edge_connectivity(h)
+    reps = list(gpor_candidates(line_graph(h), h.l - lam, seed=seed))
+    m = 0
+    scored = set()
+    for cand in reps:
+        shape = _up_to_order_and_sign(cand.vectors)
+        if shape in scored:
+            continue
+        scored.add(shape)
+        found = choose_g(cand, n, beat=m)
+        if found is not None:
+            (g, m), rep = found, cand
+    return build_certificate(h, n, rep, g, m, seed)
 
 
 def ref_pivot_inverse(pivots) -> tuple[list[list[int]], int]:

@@ -182,11 +182,32 @@ def test_retries_exhausted_when_no_rep_exists():
 
 def test_candidates_are_distinct_and_verified():
     g = line_graph(corpus()[1][1])  # C4
-    cands = gpor_candidates(g, 2, seed=0, count=4)
+    cands = list(gpor_candidates(g, 2, seed=0, count=4))
     assert 1 <= len(cands) <= 4
     assert len(set(cands)) == len(cands)
     for rep in cands:
         assert verify_orthrep(rep).ok
+
+
+def test_draws_are_the_randint_stream():
+    # each coordinate is drawn by rejection on getrandbits, the stream that
+    # randint(-bound, bound) consumes
+    def ref_draws(seed, n, d, bound, draws):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            f = {}
+            for v in range(n):
+                while True:
+                    w = tuple(rng.randint(-bound, bound) for _ in range(d))
+                    if any(w):
+                        break
+                f[v] = w
+            yield f
+
+    for seed in range(40):
+        for n, d, bound, draws in ((3, 1, 1, 8), (6, 4, 3, 16), (5, 3, 1000, 32)):
+            got = list(_draws(seed, n, d, bound, draws))
+            assert got == list(ref_draws(seed, n, d, bound, draws))
 
 
 def test_verify_orthrep_reports_each_defect():
@@ -329,8 +350,9 @@ def _bench_workloads():
 def test_general_position_of_a_certify_round_matches_one_rank_per_subset(
     monkeypatch,
 ):
-    # every representation that synthesis checks in one seed-1 round of the
-    # benchmark's certify workload
+    # every representation that the whole candidate search checks for the
+    # commands of one seed-1 round of the benchmark's certify workload;
+    # synthesis itself stops the search early and checks fewer
     from ghzcert.protocol import synthesize_certificate
 
     checked = []
@@ -342,14 +364,21 @@ def test_general_position_of_a_certify_round_matches_one_rank_per_subset(
 
     monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", recording_verify)
     plan = _bench_workloads().plan_certify(1)
+    commands = []
     for op in plan.round:
         _, file, _, n, _, seed, *_ = op.argv
         h = Hypergraph.from_json_dict(plan.inputs[file.removesuffix(".json")])
-        synthesize_certificate(h, int(n), seed=int(seed))
+        commands.append((h, int(n), int(seed)))
+    for h, _, seed in commands:
+        list(gpor_candidates(line_graph(h), h.l - edge_connectivity(h), seed=seed))
     assert len(checked) == 316
     for rep in checked:
         report = verify(rep)
         assert report.dependent_subsets == ref_dependent_subsets(rep.vectors, rep.d)
+    checked.clear()
+    for h, n, seed in commands:
+        synthesize_certificate(h, n, seed=seed)
+    assert len(checked) == 148
 
 
 def test_fixed_point_property_of_verified_reps():
@@ -438,9 +467,9 @@ def _first_stage(lg, d, seed):
     """The search's first stage on its own: the banded seed, then 16 draws
     from [-3, 3]^d.  Its digests are those of the former bound-3 search."""
     if d == 0:
-        return gpor_candidates(lg, d, seed=seed)
+        return list(gpor_candidates(lg, d, seed=seed))
     band = dict(enumerate(_band_vectors(lg.n, d)))
-    found = _verified(lg, d, chain([band], _draws(seed, lg.n, d, 3, 16)), 4)
+    found = list(_verified(lg, d, chain([band], _draws(seed, lg.n, d, 3, 16)), 4))
     if not found:
         raise RetriesExhaustedError(17, 3)
     return found
@@ -448,7 +477,7 @@ def _first_stage(lg, d, seed):
 
 GOLDEN_CALLS = {
     "candidates_bound3": _first_stage,
-    "candidates": lambda lg, d, s: gpor_candidates(lg, d, seed=s),
+    "candidates": lambda lg, d, s: list(gpor_candidates(lg, d, seed=s)),
     "find_gpor": lambda lg, d, s: [find_gpor(lg, d, seed=s)],
 }
 

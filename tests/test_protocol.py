@@ -33,6 +33,7 @@ from conftest import (
     ref_pivot_solutions,
     ref_rank,
     ref_solutions,
+    ref_synthesize,
     ref_to_json_bytes,
     repeat_key,
     reverse_quad,
@@ -561,9 +562,9 @@ def test_synthesis_scores_each_representation_once(monkeypatch):
 
 
 def test_search_checks_no_representation_it_already_kept(monkeypatch):
-    """Within one gpor_candidates call, the representations that pass
-    verify_orthrep, in order, are the ones it returns: each kept one is
-    checked in that call, and none is checked again once kept."""
+    """Each representation that gpor_candidates yields to synthesis is the
+    one verify_orthrep passed just before, and none is checked again once
+    yielded: the representations that pass, in order, are the ones yielded."""
     passed = []
     verify, search = ghzcert.gpor.verify_orthrep, ghzcert.protocol.gpor_candidates
 
@@ -575,15 +576,83 @@ def test_search_checks_no_representation_it_already_kept(monkeypatch):
 
     def checked_search(*args, **kwargs):
         passed.clear()
-        found = search(*args, **kwargs)
-        assert passed == found
-        return found
+        yielded = []
+        for rep in search(*args, **kwargs):
+            assert rep not in yielded
+            yielded.append(rep)
+            assert passed == yielded and passed[-1] is rep
+            yield rep
+        assert passed == yielded
 
     monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
     monkeypatch.setattr(ghzcert.protocol, "gpor_candidates", checked_search)
     for h, n in SYNTHESIS_CASES:
         for seed in (0, 1, 2):
             synthesize_certificate(h, n, seed=seed)
+
+
+def _count_checks(monkeypatch):
+    """A list that grows by one per verify_orthrep call of the search."""
+    calls = []
+    verify = ghzcert.gpor.verify_orthrep
+
+    def counting_verify(rep):
+        calls.append(rep)
+        return verify(rep)
+
+    monkeypatch.setattr(ghzcert.gpor, "verify_orthrep", counting_verify)
+    return calls
+
+
+def _equivalence_cases():
+    for _, h in corpus():
+        for n in (2, 3, 4):
+            for seed in (0, 1, 2):
+                yield h, n, seed
+    yield cycle_hypergraph(6), 6, 0
+    yield complete_uniform(4, 3), 20, 0
+    yield complete_uniform(4, 2), 11, 0
+    rng = random.Random(3900)
+    for _ in range(30):
+        h = random_connected_hypergraph(rng, kmax=6)
+        seed = rng.randrange(100)
+        for n in (2, 3):
+            yield h, n, seed
+
+
+def test_synthesis_that_stops_early_writes_the_scored_list_certificate(
+    monkeypatch,
+):
+    # synthesis stops the search once the best M is n^lam or d = 1; the
+    # reference scores every candidate of the whole list
+    calls = _count_checks(monkeypatch)
+    stops = {"n^lam": 0, "d = 1": 0, "none": 0}
+    for h, n, seed in _equivalence_cases():
+        want = ref_synthesize(h, n, seed=seed)
+        listed = len(calls)
+        calls.clear()
+        cert = synthesize_certificate(h, n, seed=seed)
+        assert cert.to_json_bytes() == want.to_json_bytes(), (h, n, seed)
+        if len(calls) == listed:
+            stops["none"] += 1
+        elif cert.d == 1:
+            stops["d = 1"] += 1
+        else:
+            assert cert.m_count == n**cert.lam, (h, n, seed)
+            stops["n^lam"] += 1
+        calls.clear()
+    assert all(stops.values()), stops
+
+
+@pytest.mark.parametrize("h, n, seed, checks", [
+    (path_hypergraph(4), 3, 19, 1),  # M = 3 = n^lam from the first candidate
+    (complete_uniform(4, 3), 20, 0, 1),  # d = 1
+    (cycle_hypergraph(4), 4, 5, 4),  # M = 8, 4, 2, 2 under n^lam = 16
+])
+def test_synthesis_checks_no_candidate_past_the_stop(monkeypatch, h, n, seed, checks):
+    calls = _count_checks(monkeypatch)
+    synthesize_certificate(h, n, seed=seed)
+    assert len(calls) == checks
 
 
 def test_grid_guard_env_override(monkeypatch):
@@ -754,7 +823,7 @@ def test_synthesis_keeps_the_first_candidate_with_the_largest_mode():
                  (complete_uniform(4, 2), 11)]:
         lg, d = line_graph(h), h.l - edge_connectivity(h)
         for seed in (0, 1, 2):
-            reps = gpor_candidates(lg, d, seed=seed)
+            reps = list(gpor_candidates(lg, d, seed=seed))
             assert len(reps) <= 4
             scored = [(choose_g(rep, n), rep) for rep in reps]
             (g, m), rep = max(scored, key=lambda item: item[0][1])
