@@ -2,12 +2,13 @@
 
 Subcommands: connectivity, rate, epr, gpor, certify, verify.  ``_parse_args``
 reads argv off the ``COMMANDS`` table as argparse read it, without importing
-argparse; -h prints help and exits 0.  Input
-hypergraphs and output certificates are JSON.  Each ``_cmd_*`` returns its
-exit code, its report as a JSON object (None for certify's certificate) and
-a function giving the report's text lines.  ``run`` alone writes stdout:
-one JSON line under --json when there is an object, else the text lines.
-``certify --out`` writes the certificate over an existing file in place and
+argparse; -h prints help and exits 0.  Input hypergraphs and output
+certificates are JSON; inputs are read as bytes and decoded as a text-mode
+read decoded them.  Each ``_cmd_*`` returns its exit code, its report as a
+JSON object (None for certify's certificate) and a function giving the
+report's text lines.  ``run`` alone writes stdout: one JSON line under
+--json when there is an object, else the text lines.  ``certify --out``
+writes the certificate with os.write over an existing file in place and
 trims it to the certificate's length, so ext4 starts no writeback at close.
 The new bytes reach the disk only with the system's usual writeback: a crash
 soon after can leave the previous certificate whole, which ``verify`` still
@@ -37,9 +38,12 @@ from .protocol import (
 
 
 def _load_json(path: str) -> dict:
+    """The JSON at path, read as bytes and decoded as a text-mode read
+    decodes it: strict UTF-8, with CRLF and a lone CR read as LF."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
+        return json.loads(raw.decode().replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise GhzcertError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -128,14 +132,18 @@ def _write_in_place(path: str, blob: bytes) -> None:
     The file is never truncated before the write: on ext4, truncating a
     file and writing it again starts its writeback at close, about 0.1 to
     0.4 ms per certificate.  A file longer than blob is trimmed after it
-    (devices and FIFOs report size 0 and are only written).
+    (devices and FIFOs report size 0 and are only written).  The bytes go
+    out through os.write on the descriptor, with no buffered file around it.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
+    try:
+        done = 0
+        while done < len(blob):  # a write may take only part of blob
+            done += os.write(fd, blob[done:])
         if os.fstat(fd).st_size > len(blob):
             os.ftruncate(fd, len(blob))
+    finally:
+        os.close(fd)
 
 
 def _cmd_certify(args):

@@ -52,13 +52,12 @@ set is a function of c, n and g, which the certificate states and the
 verifier solves again, so a list or a hash of it would bind nothing more.
 The hash that a version-1 file may carry beside the count is ignored, and
 a version-1 file that lists the solutions is read for their number.  The
-file is the output of json.dumps(indent=2, sort_keys=True), written by a
-short emitter of its own, since with an indent json has no C encoder.
+file is the output of json.dumps(indent=2, sort_keys=True), written from
+one fixed template, since with an indent json has no C encoder.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from itertools import count, product, repeat
@@ -148,7 +147,7 @@ def _check_grid(l: int, n: int) -> None:
 
 
 def _iinner(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # -- exponent assignment -----------------------------------------------------
@@ -693,44 +692,30 @@ def c_prime(rep: OrthRep) -> int:
 # -- certificates ------------------------------------------------------------
 
 
-def _indented_json(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), written as if ``pad``
-    already indents its first line.
+def _json_list(items: list[str], pad: str) -> str:
+    """The JSON texts ``items`` as json.dumps(indent=2) lists them, the
+    closing bracket at indent ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
 
-    With an indent json.dumps never uses its C encoder, so the values a
-    certificate holds are written here: dicts with str keys, lists (a list
-    of ints in one join), ints, finite floats and strs, through the same
-    reprs and string escaping as json.  Anything else, bools and None
-    included, goes through json.dumps, its lines moved right by ``pad``.
-    """
-    kind = type(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        for x in obj:
-            if type(x) is not int:
-                items = [_indented_json(y, inner) for y in obj]
-                break
-        else:
-            items = map(int.__repr__, obj)
-        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
-    if kind is dict and all(type(k) is str for k in obj):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": " + _indented_json(v, inner)
-            for k, v in sorted(obj.items())  # keys differ: no value compared
-        ]
-        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+# A version-1 certificate as json.dumps(indent=2, sort_keys=True) writes it:
+# keys, brackets and indentation at each fixed depth are constant text, and
+# each assignment term is one row.
+_CERT = (
+    '{\n  "C_prime": %d,\n  "M": %d,\n'
+    '  "achieved_rate": {\n    "log2_M": %r,\n    "log2_n": %r\n  },\n'
+    '  "assignment": {\n    "vertices": %s\n  },\n'
+    '  "bound_rate": %d,\n  "c": %s,\n  "d": %d,\n  "g": %s,\n'
+    '  "hypergraph": {\n    "edges": %s,\n    "k": %d\n  },\n'
+    '  "lambda": %d,\n  "n": %d,\n  "seed": %d,\n'
+    '  "solutions": {\n    "count": %d\n  },\n  "version": %s\n}\n'
+)
+_EDGE = '{\n        "level": %d,\n        "vertices": %s\n      }'
+_VERTEX = '{\n        "const": %d,\n        "lin": %s,\n        "quad": %s\n      }'
+_LIN = "[\n            %d,\n            %d\n          ]"
+_QUAD = "[\n            %d,\n            %d,\n            %d\n          ]"
 
 
 class Certificate(NamedTuple):
@@ -776,8 +761,25 @@ class Certificate(NamedTuple):
         }
 
     def to_json_bytes(self) -> bytes:
-        """The canonical bytes: json.dumps(indent=2, sort_keys=True)."""
-        return (_indented_json(self.to_json_dict(), "") + "\n").encode()
+        """The canonical bytes, json.dumps(to_json_dict(), indent=2,
+        sort_keys=True) and a newline, from the template, for the values that
+        synthesize_certificate and from_json_dict give: ints, a str version."""
+        qa, h, pad, num = self.assignment, self.hypergraph, " " * 8, int.__repr__
+        vertices = [_VERTEX % (
+            qa.const[j],
+            _json_list([_LIN % t for t in sorted(qa.lin[j].items())], pad),
+            _json_list([_QUAD % (*ef, q) for ef, q in sorted(qa.quad[j].items())], pad),
+        ) for j in range(qa.k)]
+        edges = [_EDGE % (e.level, _json_list([*map(num, sorted(e.vertices))], pad))
+                 for e in h.edges]
+        c = [_json_list([*map(num, v)], "    ") for v in self.rep.vectors]
+        return (_CERT % (
+            self.cprime, self.m_count, math.log2(self.m_count), math.log2(self.n),
+            _json_list(vertices, "    "), self.lam, _json_list(c, "  "), self.d,
+            _json_list([*map(num, self.g)], "  "), _json_list(edges, "    "),
+            h.k, self.lam, self.n, self.seed, self.m_count,
+            encode_basestring_ascii(self.version),
+        )).encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Certificate":

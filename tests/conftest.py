@@ -10,6 +10,7 @@ from math import gcd, lcm, log2, prod
 from pathlib import Path
 
 from ghzcert.errors import (
+    BadJsonError,
     DisconnectedError,
     GhzcertError,
     GhzStructureError,
@@ -505,6 +506,20 @@ def ref_pivot_solutions(vectors, n: int, g: tuple[int, ...]):
 
 def ref_to_json_bytes(cert) -> bytes:
     return (json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+# -- the text-mode JSON reader, reference for the CLI's byte reader ----------
+
+
+def ref_load_json(path: str) -> dict:
+    """The JSON at path as a text-mode read gives it, with the CLI's errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise GhzcertError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise BadJsonError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # -- the exponent forms evaluated point by point ------------------------------

@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -36,6 +38,7 @@ from conftest import (
     REVERSED_QUAD,
     hashed_k3_n4,
     listed_k3_n4,
+    ref_load_json,
     ref_parser,
     repeat_key,
     reverse_quad,
@@ -617,6 +620,106 @@ def test_certify_out_never_opens_with_o_trunc(k3_file, tmp_path, monkeypatch):
         assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 0
     assert len(flags) == 2
     assert not any(f & os.O_TRUNC for f in flags)
+
+
+def test_certify_out_writes_the_whole_certificate_through_short_writes(
+    k3_file, tmp_path, monkeypatch
+):
+    real_write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(ghzcert.cli.os, "write", short_write)
+    out = tmp_path / "x.cert"
+    out.write_bytes(b"x" * 10**4)
+    assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 0
+    cert = synthesize_certificate(cycle_hypergraph(3), 4).to_json_bytes()
+    assert out.read_bytes() == cert
+    assert len(calls) == -(-len(cert) // 7)
+
+
+def test_certify_out_write_error_exit_3_and_closes_the_file(
+    k3_file, tmp_path, monkeypatch, capsys
+):
+    real_open, real_close, opened, closed = os.open, os.close, [], []
+
+    def failing_write(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def recording_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(ghzcert.cli.os, "open", recording_open)
+    monkeypatch.setattr(ghzcert.cli.os, "close",
+                        lambda fd: closed.append(fd) or real_close(fd))
+    monkeypatch.setattr(ghzcert.cli.os, "write", failing_write)
+    out = tmp_path / "x.cert"
+    assert run(["certify", k3_file, "--n", "4", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"code": "Error", "message": f"cannot write {out}: "
+                   f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+    assert len(opened) == 1 and closed == opened
+
+
+def _reader_cases(text: str) -> dict[str, bytes]:
+    """``text``, a valid JSON file, in each line ending, and files that fail
+    to read in each way the reader reports."""
+    lf = text.encode()
+    crlf, cr = lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r")
+    return {
+        "lf": lf,
+        "crlf": crlf,
+        "cr": cr,
+        "bom": b"\xef\xbb\xbf" + lf,
+        "bad-utf8-at-byte-0": b"\xff" + lf,
+        "bad-utf8-past-byte-4096": lf + b" " * 4096 + "é".encode() + b"\xc3(",
+        "syntax-error-after-crlf-lines": crlf[: crlf.index(b"\r", len(crlf) // 2)]
+        + b"\r\n\r\n?",
+        "syntax-error-after-cr-lines": cr[: cr.index(b"\r", len(cr) // 2)] + b"\r\r?",
+        "cr-in-a-string": b'{"k\r\n": 3,\r"edges": []}',
+        "nested-past-the-recursion-limit": b"[" * 10**5 + b"]" * 10**5,
+    }
+
+
+@pytest.mark.parametrize("command", ["connectivity", "verify"])
+def test_byte_reader_matches_the_text_mode_reader(
+    command, tmp_path, monkeypatch, capsys
+):
+    obj = cycle_hypergraph(3).to_json_dict()
+    if command == "verify":
+        obj = synthesize_certificate(cycle_hypergraph(3), 4).to_json_dict()
+    paths = {"directory": tmp_path, "missing": tmp_path / "missing.json"}
+    for name, blob in _reader_cases(json.dumps(obj, indent=2)).items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(blob)
+    outcomes, messages = {}, {}
+    for name, path in paths.items():
+        got = []
+        for reader in (ghzcert.cli._load_json, ref_load_json):
+            with monkeypatch.context() as m:
+                m.setattr(ghzcert.cli, "_load_json", reader)
+                got.append((run([command, str(path), "--json"]), *capsys.readouterr()))
+        assert got[0] == got[1], name
+        err = json.loads(got[0][2] or '{"code": "", "message": ""}')
+        outcomes[name], messages[name] = (got[0][0], err["code"]), err["message"]
+    assert outcomes == {
+        "directory": (3, "Error"), "missing": (3, "Error"),
+        "lf": (0, ""), "crlf": (0, ""), "cr": (0, ""),
+        **{name: (3, "BadJson") for name in list(paths)[5:]},
+    }
+    # the "?" is the error, on the line after the last line end, and its
+    # position counts each CRLF as one character
+    for ending in ("crlf", "cr"):
+        blob = paths[f"syntax-error-after-{ending}-lines"].read_bytes()
+        ends, crlfs = blob.count(b"\r"), blob.count(b"\r\n")
+        assert f"line {ends + 1} column 1 (char {len(blob) - 1 - crlfs})" in messages[
+            f"syntax-error-after-{ending}-lines"]
+    assert "in position 0:" in messages["bad-utf8-at-byte-0"]
+    late = re.search(r"position (\d+)", messages["bad-utf8-past-byte-4096"])
+    assert int(late[1]) > 4096
 
 
 def test_hypergraph_with_non_integer_vertex_is_bad_format(tmp_path, capsys):

@@ -5,8 +5,6 @@ import random
 import re
 import time
 import tracemalloc
-from collections import OrderedDict
-from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 
@@ -72,7 +70,6 @@ from ghzcert.ratlinalg import _reduce
 from ghzcert.tensor import apply_local_diagonal, ghz_state
 from ghzcert.protocol import (
     _dense_stages,
-    _indented_json,
     _kernel_points,
     _packing,
     _pivot_blocks,
@@ -1118,42 +1115,53 @@ def test_to_json_bytes_matches_the_indenting_encoder():
     assert seen_d0
 
 
-def _random_json_value(rng: random.Random, depth: int):
-    """A nested value of the kinds json writes: dicts with str keys, lists
-    and tuples (int-only or mixed), empty containers, ints of every size,
-    floats, non-ASCII strings, bools and None."""
-    kind = rng.randrange(10 if depth < 4 else 6)
-    if kind == 0:
-        return rng.choice([0, -1, 7, -(10**30), 10**200 + 1, rng.randint(-999, 999)])
-    if kind == 1:
-        return rng.choice([0.0, -0.0, 0.1, -2.5e-300, 1e300, 3.0, math.log2(7),
-                           math.inf, -math.inf, math.nan])
-    if kind == 2:
-        return "".join(rng.choice('ab"\\/\n\té€😀\x00') for _ in range(rng.randrange(5)))
-    if kind == 3:
-        return rng.choice([True, False, None])
-    if kind == 4:
-        return [rng.randint(-(10**25), 10**25) for _ in range(rng.randrange(4))]
-    if kind == 5:
-        return tuple(rng.randint(-3, 3) for _ in range(rng.randrange(3)))
-    if kind in (6, 7):
-        items = [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
-        return items if kind == 6 else tuple(items)
-    keys = ["", "a", "B", "é", "z\u00ff", "key", "10", "2"]
-    return {k: _random_json_value(rng, depth + 1) for k in rng.sample(keys, rng.randrange(5))}
+def _random_certificate(rng: random.Random) -> Certificate:
+    """A Certificate built directly, not synthesized: levels 2 to 5, vertices
+    in no edge, d from 0 to 4 (empty c rows and g), entries up to 10^30 in
+    size, vertices with no lin or no quad term, and any seed."""
+    big = lambda: rng.choice([0, 1, -1, rng.randint(-99, 99),
+                              rng.randint(-(10**30), 10**30)])
+    k = rng.randint(1, 7)
+    edges = [rng.sample(range(1, k + 1), rng.randint(1, min(k, 4)))
+             for _ in range(rng.randint(0, 5))]
+    h = hypergraph(k, edges, [rng.randint(2, 5) for _ in edges])
+    d, l = rng.randint(0, 4), len(edges)
+    c = tuple(tuple(big() for _ in range(d)) for _ in range(l))
+    rep = OrthRep(line_graph(h), d, c)
+    pairs = [(e, f) for e in range(l) for f in range(e, l)]
+    quad = tuple({ef: big() for ef in rng.sample(pairs, rng.randint(0, len(pairs)))}
+                 for _ in range(k))
+    lin = tuple({e: big() for e in rng.sample(range(l), rng.randint(0, l))}
+                for _ in range(k))
+    qa = QuadraticAssignment(k, quad, lin, tuple(big() for _ in range(k)))
+    return Certificate(
+        hypergraph=h, lam=big(), d=d, rep=rep, cprime=big(),
+        n=rng.choice([2, 3, rng.randint(2, 10**30)]), g=tuple(big() for _ in range(d)),
+        m_count=rng.choice([1, 2, rng.randint(1, 10**30)]), assignment=qa,
+        seed=rng.choice([0, -1, -(10**30), 10**30, rng.randint(-99, 99)]),
+    )
 
 
-def test_indented_json_matches_json_dumps():
-    rng = random.Random(3101)
-    for _ in range(3000):
-        obj = _random_json_value(rng, 0)
-        assert _indented_json(obj, "") == json.dumps(obj, indent=2, sort_keys=True), obj
-    # keys that are not str, and subclasses of int and dict, go through
-    # json.dumps, nested at any depth
-    odd = ({1: [2], 3: {None: 1.5}}, [[{2: "b", 1: "a"}]], {"f": [False, 1]},
-           {"o": OrderedDict(b=[], a={})}, [[IntEnum("E", "X").X, 2]])
-    for obj in odd:
-        assert _indented_json(obj, "") == json.dumps(obj, indent=2, sort_keys=True)
+def test_to_json_bytes_matches_json_dumps_on_random_certificates():
+    # The template covers the values synthesize_certificate and
+    # from_json_dict give: int fields, rows and terms, and a str version.
+    rng = random.Random(4001)
+    seen = set()
+    for _ in range(400):
+        cert = _random_certificate(rng)
+        assert cert.to_json_bytes() == ref_to_json_bytes(cert), cert
+        h, qa = cert.hypergraph, cert.assignment
+        cases = {
+            "no edge": not h.edges,
+            "vertex in no edge": set().union(*(e.vertices for e in h.edges)) != set(
+                range(1, h.k + 1)),
+            "d = 0": cert.d == 0,
+            "no lin term": not all(qa.lin),
+            "no quad term": not all(qa.quad),
+            "negative seed": cert.seed < 0,
+        }
+        seen.update(case for case, hit in cases.items() if hit)
+    assert len(seen) == len(cases)
 
 
 def test_certificate_schema_fields():
