@@ -50,22 +50,25 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, combinations
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .errors import DimensionInfeasibleError, RetriesExhaustedError, TooLargeError
-from .hypergraph import Graph
+from .hypergraph import Graph, _Record
 from .ratlinalg import IntVector, _kernel, _orthogonal_basis, _primitive, _residual
 
 #: subset-enumeration guard for the general-position check
 GENERAL_POSITION_SUBSET_LIMIT = 10**6
 
 
-class OrthRep(NamedTuple):
+class OrthRep(_Record):
     """Vectors (one per graph vertex, integer entries) labelling ``graph``."""
 
+    __slots__ = ()
     graph: Graph
     d: int
     vectors: tuple[tuple[int, ...], ...]
+
+    def __new__(cls, graph, d, vectors) -> OrthRep:
+        return tuple.__new__(cls, (graph, d, vectors))
 
 
 def _plan(g: Graph, ordering: tuple[int, ...]) -> list[tuple[int, list[int]]]:
@@ -189,14 +192,24 @@ def _verified(
                 return
 
 
-class OrthRepReport(NamedTuple):
+class OrthRepReport(_Record):
+    __slots__ = ()
     orthogonality_violations: tuple[tuple[int, int, str], ...]
     dependent_subsets: tuple[tuple[int, ...], ...]
     zero_vectors: tuple[int, ...]
     #: vertices whose vector does not have exactly d coordinates
-    wrong_width: tuple[int, ...] = ()
+    wrong_width: tuple[int, ...]
     #: the number of vectors, when it is not the number of vertices
-    vector_count: int | None = None
+    vector_count: int | None
+
+    def __new__(
+        cls, orthogonality_violations, dependent_subsets, zero_vectors,
+        wrong_width=(), vector_count=None,
+    ) -> OrthRepReport:
+        return tuple.__new__(cls, (
+            orthogonality_violations, dependent_subsets, zero_vectors,
+            wrong_width, vector_count,
+        ))
 
     @property
     def ok(self) -> bool:

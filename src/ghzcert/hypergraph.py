@@ -28,9 +28,10 @@ the lambda cut, of rank L^lambda: ``min_cuts`` then runs one scan.
 
 from __future__ import annotations
 
+from collections import _tuplegetter
+from collections.abc import Iterable, Sequence
 from itertools import chain, combinations
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadLevelError,
@@ -82,21 +83,63 @@ def _repeated(keys: Iterable):
     return next(key for key in keys if key in seen or seen.add(key))
 
 
-class Edge(NamedTuple):
+class _Record(tuple):
+    """A tuple with named fields, as ``collections.namedtuple`` makes one,
+    but written out, so that building the class compiles nothing.
+
+    A record annotates its fields in order, declares ``__slots__ = ()`` and
+    a ``__new__`` that takes the fields in that order.  Each field is read
+    by the C getter that namedtuple installs.  Equality and hashing are the
+    plain tuple's.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__["__annotations__"])
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)  # through __new__, so a record checks it
+
+    def _replace(self, /, **changes):
+        record = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self)
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # pickle and copy rebuild through __new__
+
+
+class Edge(_Record):
+    __slots__ = ()
     vertices: frozenset[int]
-    level: int = 2
+    level: int
+
+    def __new__(cls, vertices: Iterable[int], level: int = 2) -> Edge:
+        # frozen, so that a Hypergraph's checks hold for its life
+        return tuple.__new__(cls, (frozenset(vertices), level))
 
 
-class _HypergraphFields(NamedTuple):
+class Hypergraph(_Record):
+    __slots__ = ()
     k: int
     edges: tuple[Edge, ...]
 
-
-class Hypergraph(_HypergraphFields):
-    __slots__ = ()
-
-    def __new__(cls, k: int, edges: tuple[Edge, ...]) -> Hypergraph:
+    def __new__(cls, k: int, edges: Iterable[Edge]) -> Hypergraph:
         _json_int(k, "k")
+        edges = tuple(edges)
         for i, e in enumerate(edges):
             if not e.vertices:
                 raise EmptyEdgeError(i)
@@ -107,11 +150,7 @@ class Hypergraph(_HypergraphFields):
                 raise BadLevelError(f"edge {i} level {e.level!r} is not an integer", i)
             if e.level < 2:
                 raise BadLevelError(f"edge {i} has level {e.level} < 2", i)
-        return super().__new__(cls, k, edges)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Hypergraph:
-        return cls(*fields)  # checked, and so is _replace, which calls _make
+        return tuple.__new__(cls, (k, edges))
 
     @property
     def l(self) -> int:
@@ -152,7 +191,7 @@ class Hypergraph(_HypergraphFields):
                 # a set keeps one of a repeated vertex
                 raise ValueError(f"edge {i} vertices repeat {_repeated(row)}")
             edges.append(Edge(vertices, _json_int(e.get("level", 2), "edge level")))
-        return cls(k, tuple(edges))
+        return cls(k, edges)
 
 
 def hypergraph(
@@ -161,45 +200,43 @@ def hypergraph(
     levels: Sequence[int] | None = None,
 ) -> Hypergraph:
     """Build a Hypergraph from plain vertex collections (levels default 2)."""
-    sets = [frozenset(s) for s in edge_sets]
+    sets = list(edge_sets)
     if levels is None:
         levels = [2] * len(sets)
     elif len(levels) != len(sets):
         raise ValueError(f"{len(levels)} levels for {len(sets)} edges")
-    return Hypergraph(k, tuple(Edge(s, lv) for s, lv in zip(sets, levels)))
+    return Hypergraph(k, (Edge(s, lv) for s, lv in zip(sets, levels)))
 
 
-class Cut(NamedTuple):
+class Cut(_Record):
     """One side of a bipartition plus the edges it severs.
 
     ``rank`` is the exact product of the crossing edges' levels; its log2 is
     the bipartite log-rank of the associated state across this cut.
     """
 
+    __slots__ = ()
     side: frozenset[int]
     crossing: tuple[int, ...]
     rank: int
 
-
-class _GraphFields(NamedTuple):
-    n: int
-    edges: frozenset[tuple[int, int]]
+    def __new__(cls, side, crossing, rank) -> Cut:
+        return tuple.__new__(cls, (side, crossing, rank))
 
 
-class Graph(_GraphFields):
+class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1 (used for line graphs)."""
 
     __slots__ = ()
+    n: int
+    edges: frozenset[tuple[int, int]]
 
-    def __new__(cls, n: int, edges: frozenset[tuple[int, int]] = frozenset()) -> Graph:
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]] = frozenset()) -> Graph:
+        edges = frozenset(edges)  # frozen, as in Hypergraph
         for a, b in edges:
             if not (0 <= a < b < n):
                 raise ValueError(f"bad edge ({a}, {b}) for n={n}")
-        return super().__new__(cls, n, edges)
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Graph:
-        return cls(*fields)  # checked, as in Hypergraph
+        return tuple.__new__(cls, (n, edges))
 
     def adjacent(self, u: int, v: int) -> bool:
         if u == v:
@@ -209,7 +246,7 @@ class Graph(_GraphFields):
 
 
 def graph(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, frozenset((a, b) if a < b else (b, a) for a, b in pairs))
+    return Graph(n, ((a, b) if a < b else (b, a) for a, b in pairs))
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -471,7 +508,7 @@ def line_graph(h: Hypergraph) -> Graph:
         for j in range(i + 1, m)
         if h.edges[i].vertices & h.edges[j].vertices
     }
-    return Graph(m, frozenset(pairs))
+    return Graph(m, pairs)
 
 
 def edge_disjoint_paths(h: Hypergraph, a: int, b: int) -> list[list[int]]:

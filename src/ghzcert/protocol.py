@@ -63,7 +63,6 @@ import os
 from itertools import count, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul
-from typing import NamedTuple
 
 from .errors import (
     BadGridLimitError,
@@ -88,6 +87,7 @@ from .hypergraph import (
     _json_int,
     _json_int_rows,
     _json_ints,
+    _Record,
     _repeated,
     _require_level,
 )
@@ -170,7 +170,7 @@ def _json_quad_terms(rows) -> dict[tuple[int, int], int]:
     return _json_terms(pairs, "quad terms")
 
 
-class QuadraticAssignment(NamedTuple):
+class QuadraticAssignment(_Record):
     """Integer quadratic forms, one per vertex, in the edge indices.
 
     Vertex j (1-based; slot j - 1 here) contributes
@@ -179,10 +179,14 @@ class QuadraticAssignment(NamedTuple):
     contributions reproduce ||sum_e c_e i_e - g||^2 exactly.
     """
 
+    __slots__ = ()
     k: int
     quad: tuple[dict[tuple[int, int], int], ...]
     lin: tuple[dict[int, int], ...]
     const: tuple[int, ...]
+
+    def __new__(cls, k, quad, lin, const) -> QuadraticAssignment:
+        return tuple.__new__(cls, (k, quad, lin, const))
 
     def site_function(self, h: Hypergraph, vertex: int):
         """Callable on site labels of ghz_state(h, n), for diagonal action."""
@@ -718,7 +722,8 @@ _LIN = "[\n            %d,\n            %d\n          ]"
 _QUAD = "[\n            %d,\n            %d,\n            %d\n          ]"
 
 
-class Certificate(NamedTuple):
+class Certificate(_Record):
+    __slots__ = ()
     hypergraph: Hypergraph
     lam: int
     d: int
@@ -729,7 +734,15 @@ class Certificate(NamedTuple):
     m_count: int
     assignment: QuadraticAssignment
     seed: int
-    version: str = "1"
+    version: str
+
+    def __new__(
+        cls, hypergraph, lam, d, rep, cprime, n, g, m_count, assignment, seed,
+        version="1",
+    ) -> Certificate:
+        return tuple.__new__(cls, (
+            hypergraph, lam, d, rep, cprime, n, g, m_count, assignment, seed, version,
+        ))
 
     @property
     def achieved_rate(self) -> float:
@@ -921,14 +934,22 @@ def _gaps(covered: list[int], k: int) -> str:
     return ", ".join(runs)
 
 
-class CheckResult(NamedTuple):
+class CheckResult(_Record):
+    __slots__ = ()
     name: str
     status: str  # "pass" | "fail" | "skipped"
-    detail: str = ""
+    detail: str
+
+    def __new__(cls, name, status, detail="") -> CheckResult:
+        return tuple.__new__(cls, (name, status, detail))
 
 
-class CertificateReport(NamedTuple):
+class CertificateReport(_Record):
+    __slots__ = ()
     checks: tuple[CheckResult, ...]
+
+    def __new__(cls, checks) -> CertificateReport:
+        return tuple.__new__(cls, (checks,))
 
     @property
     def ok(self) -> bool:
@@ -1179,10 +1200,14 @@ def verify_certificate(cert: Certificate, deep: bool = False) -> CertificateRepo
 # -- rates -------------------------------------------------------------------
 
 
-class RateBound(NamedTuple):
+class RateBound(_Record):
+    __slots__ = ()
     lam: int
     cut_rank: int
     uniform: bool
+
+    def __new__(cls, lam, cut_rank, uniform) -> RateBound:
+        return tuple.__new__(cls, (lam, cut_rank, uniform))
 
     @property
     def ghz2_per_copy(self) -> float:
@@ -1210,11 +1235,15 @@ def ghz_rate_bound(h: Hypergraph) -> RateBound:
     return RateBound(len(cut.crossing), wcut.rank, uniform)
 
 
-class EprRate(NamedTuple):
+class EprRate(_Record):
+    __slots__ = ()
     a: int
     b: int
     t: int
     paths: tuple[tuple[int, ...], ...]
+
+    def __new__(cls, a, b, t, paths) -> EprRate:
+        return tuple.__new__(cls, (a, b, t, paths))
 
     @property
     def rate(self) -> Fraction:

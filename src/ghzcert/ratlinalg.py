@@ -25,8 +25,8 @@ orthogonality, rank and linear independence are decided exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from operator import index, mul
-from typing import Sequence
 
 from .errors import DimMismatchError
 

@@ -32,8 +32,8 @@ term" is a symbolic statement, never a numerical limit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import compress, count, groupby, product, repeat
-from typing import Callable
 
 from .errors import GhzStructureError, NegativeExponentError, NonScalarCoefficientsError
 from .hypergraph import Hypergraph, _repeated, _require_level

@@ -1,25 +1,41 @@
 import ast
+import copy
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
-from collections import Counter
+from collections import Counter, _tuplegetter, namedtuple
 
 import pytest
 
 import ghzcert
 from ghzcert.errors import BadLevelError
+from ghzcert.gpor import OrthRep, OrthRepReport, verify_orthrep
 from ghzcert.hypergraph import (
+    Cut,
     Edge,
     Graph,
     Hypergraph,
     complete_uniform,
+    edge_connectivity,
     graph,
     hypergraph,
     min_cut,
 )
-from ghzcert.protocol import Certificate, CheckResult, synthesize_certificate
+from ghzcert.protocol import (
+    Certificate,
+    CertificateReport,
+    CheckResult,
+    EprRate,
+    QuadraticAssignment,
+    RateBound,
+    epr_rate,
+    ghz_rate_bound,
+    synthesize_certificate,
+    verify_certificate,
+)
 
 
 def test_all_names_resolve_without_duplicates():
@@ -87,18 +103,45 @@ def test_importing_the_package_builds_no_command_line_parser():
 def test_the_command_line_loads_no_module_it_does_not_use():
     # every command pays for its imports: dataclasses would draw in inspect,
     # ast, dis and tokenize, and fractions decimal, about 18 ms of a 28 ms
-    # start-up; argparse draws in gettext and locale, about 4 ms
+    # start-up; argparse draws in gettext and locale, about 4 ms; typing
+    # about 6 ms.  -S, since a site package may import typing itself
     src = str(pathlib.Path(ghzcert.__file__).parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import ghzcert.cli; "
         "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal',"
-        " 'argparse', 'gettext', 'locale', '_locale'} & set(sys.modules)))"
+        " 'argparse', 'gettext', 'locale', '_locale', 'typing'}"
+        " & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", code, src],
+        [sys.executable, "-I", "-S", "-c", code, src],
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_import_compiles_no_code():
+    # the records are tuple subclasses written out: no module imports
+    # typing, names namedtuple or NamedTuple (which build __new__ with
+    # eval), or calls eval, exec or compile
+    src = pathlib.Path(ghzcert.__file__).parent
+    record_makers = {"typing", "namedtuple", "NamedTuple"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                names = {module.split(".")[0]}
+                names |= {alias.name.split(".")[0] for alias in node.names}
+                banned = record_makers
+            elif isinstance(node, ast.Attribute):
+                names, banned = {node.attr}, record_makers
+            elif isinstance(node, ast.Name):
+                names, banned = {node.id}, record_makers | {"eval", "exec", "compile"}
+            else:
+                continue
+            if names & banned:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_the_only_import_inside_a_function_is_fractions():
@@ -118,9 +161,9 @@ def test_the_only_import_inside_a_function_is_fractions():
 
 
 def test_records_are_immutable_values_that_check_themselves():
-    # the records are named tuples: equal and hashed by value, read-only,
-    # printed by field, and Hypergraph and Graph check every build,
-    # _replace and _make included
+    # the records are tuple subclasses with namedtuple's interface: equal
+    # and hashed by value, read-only, printed by field, and Hypergraph and
+    # Graph check every build, _replace, _make and unpickling included
     h = complete_uniform(3, 2)
     cert = synthesize_certificate(h, 4)
     parsed = Certificate.from_json_dict(json.loads(cert.to_json_bytes()))
@@ -157,6 +200,85 @@ def test_records_are_immutable_values_that_check_themselves():
     with pytest.raises(ValueError, match="bad edge \\(0, 3\\) for n=3"):
         cert.rep.graph._replace(edges=frozenset({(0, 3)}))
     assert Graph._make((2, frozenset({(0, 1)}))) == graph(2, [(1, 0)])
+    unchecked = tuple.__new__(Hypergraph, (3, (level1,)))
+    with pytest.raises(BadLevelError):
+        pickle.loads(pickle.dumps(unchecked))
+
+    # the containers a caller passes are frozen, so no later edit can break
+    # what was checked
+    loose = Hypergraph(3, [Edge({1, 2}), Edge([2, 3])])
+    assert loose == hypergraph(3, [{1, 2}, {2, 3}])
+    assert type(loose.edges) is tuple
+    assert {type(e.vertices) for e in loose.edges} == {frozenset}
+    with pytest.raises(AttributeError):
+        loose.edges[0].vertices.add(7)
+    assert edge_connectivity(loose) == 1
+    assert type(Graph(3, {(0, 1)}).edges) is frozenset
+    assert Graph(3, [(0, 1)]) == graph(3, [(0, 1)])
+
+    # every record keeps namedtuple's interface, field for field
+    rep = cert.rep
+    records = {
+        Edge: (h.edges[0], (2,)),
+        Hypergraph: (h, ()),
+        Cut: (min_cut(h), ()),
+        Graph: (rep.graph, (frozenset(),)),
+        OrthRep: (rep, ()),
+        OrthRepReport: (verify_orthrep(rep), ((), None)),
+        QuadraticAssignment: (cert.assignment, ()),
+        Certificate: (cert, ("1",)),
+        CheckResult: (CheckResult("counting", "fail", "M"), ("",)),
+        CertificateReport: (verify_certificate(cert), ()),
+        RateBound: (ghz_rate_bound(h), ()),
+        EprRate: (epr_rate(h, 1, 2), ()),
+    }
+    assert [cls._fields for cls in records] == [
+        ("vertices", "level"),
+        ("k", "edges"),
+        ("side", "crossing", "rank"),
+        ("n", "edges"),
+        ("graph", "d", "vectors"),
+        ("orthogonality_violations", "dependent_subsets", "zero_vectors",
+         "wrong_width", "vector_count"),
+        ("k", "quad", "lin", "const"),
+        ("hypergraph", "lam", "d", "rep", "cprime", "n", "g", "m_count",
+         "assignment", "seed", "version"),
+        ("name", "status", "detail"),
+        ("checks",),
+        ("lam", "cut_rank", "uniform"),
+        ("a", "b", "t", "paths"),
+    ]
+    for cls, (record, defaults) in records.items():
+        fields = cls._fields
+        ref = namedtuple(cls.__name__, fields)(*record)
+        assert type(record) is cls and cls.__match_args__ == fields
+        assert all(type(getattr(cls, f)) is _tuplegetter for f in fields)
+        assert [getattr(record, f) for f in fields] == list(record)
+        assert repr(record) == repr(ref)
+        assert record._asdict() == ref._asdict()
+        assert list(record._asdict()) == list(fields)
+        assert cls(**record._asdict()) == record == tuple(record)
+        assert cls._make(iter(record)) == record
+        required = len(fields) - len(defaults)
+        assert tuple(cls(*record[:required])) == record[:required] + defaults
+        for wrong in (record[:required - 1], (*record, None)):
+            with pytest.raises(TypeError):
+                cls(*wrong)
+        with pytest.raises(ValueError, match="unexpected field names: \\['bogus'\\]"):
+            record._replace(bogus=1)
+        assert record._replace() == record
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is cls and back == record
+        assert type(copy.deepcopy(record)) is cls and copy.deepcopy(record) == record
+        try:
+            assert hash(record) == hash(tuple(record))
+        except TypeError:  # a dict inside, as in a plain tuple
+            with pytest.raises(TypeError):
+                hash(tuple(record))
+    match h:
+        case Hypergraph(k, edges=[Edge(vertices, level), *_]):
+            assert (k, vertices, level) == (3, {1, 2}, 2)
 
 
 def test_linear_algebra_gpor_and_tensor_carry_no_test_only_functions():
